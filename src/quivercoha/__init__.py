@@ -16,7 +16,7 @@ from .legs import EigenData, LegData, attach_legs, is_generic, lambda_from_eigen
 from .poly import ColoredPoly, exact_divide, parse_colored_poly
 from .quiver import (DimVector, Quiver, SignForm, double, enumerate_dim_vectors,
                      euler_form, moduli_dimensions, quiver_from_spec, sign_form)
-from .roots import CartanData, RootCertificate, dt_nonvanishing, is_positive_root, tits_form
+from .roots import CartanData, RootCertificate, is_positive_root, tits_form
 from .series import HalfSeries, MultiSeries
 
 __all__ = [
@@ -25,8 +25,8 @@ __all__ = [
     "GenTable", "HalfSeries", "LegData", "LimitExceededError", "MultiSeries",
     "Quiver", "QuiverFormatError", "RootCertificate", "SignForm",
     "StructuralViolationError", "attach_legs", "basis",
-    "build_generating_series", "decomposable_dim", "double", "dt_nonvanishing",
-    "dt_report", "enumerate_dim_vectors", "euler_form", "exact_divide",
+    "build_generating_series", "decomposable_dim", "double", "dt_report",
+    "enumerate_dim_vectors", "euler_form", "exact_divide",
     "generator_dims", "hilbert_series", "is_generic", "is_positive_root",
     "lambda_from_eigenvalues", "moduli_dimensions", "omega",
     "parse_colored_poly", "plethystic_factor", "prim_dims", "quiver_from_spec",

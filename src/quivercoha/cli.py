@@ -10,7 +10,9 @@ shuffle-eval        twisted Hall product of two user-supplied elements
 
 Reports are byte-deterministic given the flags and seed: JSON with sorted
 keys (the source of truth) or flattened CSV.  Exit status is 0 on success,
-1 when a check mode finds a disagreement, 2 on bad input.
+1 when a check mode finds a disagreement, 2 on bad input, and 3 when an
+identity that is a theorem fails at runtime (StructuralViolationError: a bug
+or a corrupted input, never a property of the quiver).
 """
 
 from __future__ import annotations
@@ -158,13 +160,14 @@ def run_check_nonvanishing(cfg: RunConfig) -> tuple[int, dict]:
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
         root, cert = nonvanishing_certificate(q0, gamma)
         row = report.row(gamma)
-        ok = root == row.nonvanishing
+        nonzero = not row.series.is_zero()
+        ok = root == nonzero
         all_ok = all_ok and ok
         rows.append({
             "gamma": list(gamma),
             "root": root,
             "certificate": cert.to_dict(),
-            "omega_nonzero": row.nonvanishing,
+            "omega_nonzero": nonzero,
             "omega_window": [row.series.lo, row.series.hi],
             "ok": ok,
         })
@@ -280,10 +283,12 @@ def main(argv=None) -> int:
         cfg = load_config(argv if argv is not None else sys.argv[1:])
         code, text = run(cfg)
     except (QuiverFormatError, DomainError, DimensionMismatchError,
-            LimitExceededError, StructuralViolationError,
-            DivisibilityError) as err:
+            LimitExceededError, DivisibilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except StructuralViolationError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

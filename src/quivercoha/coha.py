@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
 
-from .errors import DimensionMismatchError, DivisibilityError, DomainError
+from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
+                     StructuralViolationError)
 from .poly import ColoredPoly, exact_divide
 from .quiver import DimVector, Quiver, dim_add, euler_form, sign_form, zero_dim
 
@@ -185,7 +186,7 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
     try:
         result = exact_divide(numerator, denominator)
     except DivisibilityError as err:  # pragma: no cover - would be a bug
-        raise AssertionError(
+        raise StructuralViolationError(
             "shuffle sum failed to clear the Vandermonde denominator for "
             f"gamma1={g1}, gamma2={g2}; remainder={err.remainder!r}") from err
     return CohaElement(q, gamma, result)
@@ -206,18 +207,17 @@ def twisted_product(a: CohaElement, b: CohaElement) -> CohaElement:
 # -- bases -------------------------------------------------------------------
 
 
-def _partitions_max_len(d: int, max_len: int):
-    """Partitions of d with at most max_len parts, descending tuples."""
-    def rec(remaining, max_part, length_left):
-        if remaining == 0:
-            yield ()
-            return
-        if length_left == 0:
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part, length_left - 1):
-                yield (part,) + rest
-    return list(rec(d, d, max_len)) if d >= 0 else []
+def _partitions(d: int, max_part: int, max_len: int):
+    """Partitions of d into at most max_len parts of size at most max_part,
+    descending tuples."""
+    if d == 0:
+        yield ()
+        return
+    if max_len == 0:
+        return
+    for part in range(min(d, max_part), 0, -1):
+        for rest in _partitions(d - part, part, max_len - 1):
+            yield (part,) + rest
 
 
 def _compositions(d: int, parts: int):
@@ -255,7 +255,7 @@ def _basis_shapes(quiver: Quiver, gamma: DimVector, k: int):
     n = quiver.vertex_count
     shapes = []
     for comp in _compositions(d, n):
-        parts_per_vertex = [_partitions_max_len(comp[i], gamma[i]) for i in range(n)]
+        parts_per_vertex = [list(_partitions(c, c, size)) for c, size in zip(comp, gamma)]
         if any(not p for p in parts_per_vertex):
             continue
         shapes.extend(iproduct(*parts_per_vertex))

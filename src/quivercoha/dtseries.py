@@ -3,11 +3,8 @@
 The graded piece H_gamma is a polynomial ring on colored variables of
 cohomological degree 2, shifted so that its Poincare series in half-units is
 
-    P_gamma = q^(chi/2) * prod_i prod_{m=1}^{gamma^i} (1 - q^m)^(-1),
-    chi = chi(gamma, gamma),
-
-expanded here by exact series arithmetic (and cross-checked against basis
-counting, which enumerates partitions instead).
+    P_gamma = q^(chi/2) * prod_i 1 / (q;q)_{gamma^i},
+    (q;q)_m = prod_{j=1}^{m} (1 - q^j),   chi = chi(gamma, gamma).
 
 Freeness factors the full generating series A = sum_gamma P_gamma x^gamma as
 
@@ -16,8 +13,14 @@ Freeness factors the full generating series A = sum_gamma P_gamma x^gamma as
                 = prod_{n >= 0} (1 + x^gamma q^(k/2 + n))         (k odd),
 
 one tower per generator (its polynomial companion of degree (0,2) produces
-the n-index; the Z-grading parity decides symmetric vs exterior).  The
-extraction loop walks gamma by (|gamma|, lex) and strips factors greedily
+the n-index; the Z-grading parity decides symmetric vs exterior).  Euler's
+identities expand each tower, and its reciprocal, in closed form: the
+coefficient of x^(m gamma) is +-q^(mk/2 + e m(m-1)/2) / (q;q)_m with e in
+{0, 1} (see ``_tower_pieces``).  So P_gamma and every tower come from the
+same expansions 1/(q;q)_m, built once per call by one recurrence in
+``HalfSeries`` arithmetic, with no cache.
+
+The extraction loop walks gamma by (|gamma|, lex) and strips factors greedily
 from the lowest surviving q-power of the x^gamma coefficient; every stripped
 multiplicity must be a positive integer, and
 
@@ -32,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coha import basis_leading_exponents
 from .errors import DomainError, StructuralViolationError
 from .freeness import GenTable
 from .quiver import (DimVector, Quiver, dim_abs, enumerate_dim_vectors, euler_form,
@@ -54,11 +56,10 @@ def hilbert_series(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
     if not any(gamma):
         return HalfSeries.one()
     chi = euler_form(quiver, gamma, gamma)
+    inv = _inverse_pochhammers(max(gamma), qtrunc)
     series = HalfSeries.one(hi=qtrunc)
     for size in gamma:
-        for m in range(1, size + 1):
-            factor = HalfSeries({0: 1, 2 * m: -1}, 0, qtrunc)
-            series = series * factor.inverse()
+        series = series * inv[size]
     return series.shifted(chi)
 
 
@@ -70,40 +71,38 @@ def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int,
     return MultiSeries(gamma_max, pieces, abs_max)
 
 
+def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
+    """[1/(q;q)_m for m <= mmax], each certified on [0, width], built by
+    1/(q;q)_m = 1/(q;q)_(m-1) * (1 - q^m)^(-1)."""
+    out = [HalfSeries.one(hi=width)]
+    for m in range(1, mmax + 1):
+        out.append(out[-1] * HalfSeries({0: 1, 2 * m: -1}, 0, width).inverse())
+    return out
+
+
 def _tower_pieces(k: int, mmax: int, hi: int, inverse: bool) -> dict[int, HalfSeries]:
     """t-expansion of the generator tower with lowest q-power k/2.
 
     Returns {m: coefficient of t^m}, m <= mmax, certified up to exponent hi.
-    k even: prod_n (1 - t q^(k/2+n))^(-+1); k odd: prod_n (1 + t q^(k/2+n))^(+-1),
-    the sign of the exponent flipped when ``inverse``.
+    With z = t q^(k/2), Euler's identities
+
+        prod_n (1 - z q^n)^(-1) = sum_m z^m / (q;q)_m,
+        prod_n (1 + z q^n)      = sum_m q^(m(m-1)/2) z^m / (q;q)_m
+
+    cover all four kinds, since the reciprocal of each product is the other
+    one at -z.  So the coefficient of t^m is (+-1)^m q^(mk/2 + e m(m-1)/2) /
+    (q;q)_m, where e = 1 for the exterior tower (k odd) and for the
+    reciprocal of the symmetric one (k even), and the sign (-1)^m appears on
+    reciprocals only.
     """
-    even = k % 2 == 0
-    acc: dict[int, HalfSeries] = {0: HalfSeries.one()}
-    lo_floor = min(0, mmax * k)
-    n = 0
-    while k + 2 * n <= hi - lo_floor:
-        e = k + 2 * n
-        if even and not inverse:
-            # (1 - t q^e)^(-1) = 1 + t q^e + t^2 q^(2e) + ...
-            per_n = {m: HalfSeries.monomial(m * e) for m in range(mmax + 1)}
-        elif even and inverse:
-            per_n = {0: HalfSeries.one(), 1: HalfSeries.monomial(e, -1)}
-        elif not inverse:
-            per_n = {0: HalfSeries.one(), 1: HalfSeries.monomial(e)}
-        else:
-            # (1 + t q^e)^(-1) = 1 - t q^e + t^2 q^(2e) - ...
-            per_n = {m: HalfSeries.monomial(m * e, (-1) ** m) for m in range(mmax + 1)}
-        new: dict[int, HalfSeries] = {}
-        for m1, s1 in acc.items():
-            for m2, s2 in per_n.items():
-                m = m1 + m2
-                if m > mmax:
-                    continue
-                term = s1 * s2
-                new[m] = new[m] + term if m in new else term
-        acc = {m: s.truncated(hi=hi) for m, s in new.items()}
-        n += 1
-    return acc
+    e = 1 if (k % 2 == 0) == inverse else 0
+    shifts = [m * k + e * m * (m - 1) for m in range(mmax + 1)]
+    coeffs = _inverse_pochhammers(mmax, hi - min(shifts))
+    pieces = {}
+    for m, shift in enumerate(shifts):
+        piece = coeffs[m].shifted(shift).truncated(hi=hi)
+        pieces[m] = -piece if inverse and m % 2 else piece
+    return pieces
 
 
 def _tower_factor(gamma_f: DimVector, k: int, template: MultiSeries,
@@ -132,7 +131,6 @@ def _finite_width(ms: MultiSeries) -> int:
 class OmegaRow:
     gamma: DimVector
     series: HalfSeries
-    nonvanishing: bool
 
 
 @dataclass
@@ -160,7 +158,7 @@ class DTReport:
                 {
                     "gamma": list(r.gamma),
                     "coeffs": [[k, str(Fraction(c))] for k, c in r.series.items()],
-                    "nonvanishing": r.nonvanishing,
+                    "nonvanishing": not r.series.is_zero(),
                     "window": [r.series.lo, r.series.hi],
                 }
                 for r in self.rows
@@ -175,22 +173,19 @@ class DTReport:
         for rec in data["omega"]:
             lo, hi = rec["window"]
             coeffs = {int(k): Fraction(c) for k, c in rec["coeffs"]}
-            rows.append(OmegaRow(tuple(rec["gamma"]),
-                                 HalfSeries(coeffs, lo, hi),
-                                 rec["nonvanishing"]))
+            rows.append(OmegaRow(tuple(rec["gamma"]), HalfSeries(coeffs, lo, hi)))
         return cls(quiver_from_spec(data["quiver"]), tuple(data["gamma_max"]),
                    data["qtrunc"], rows)
 
 
-def plethystic_factor(series: MultiSeries, gamma_max: DimVector, qtrunc: int,
-                      order_hint: str = "lex") -> GenTable:
+def plethystic_factor(series: MultiSeries, gamma_max: DimVector, qtrunc: int) -> GenTable:
     """Extract the generator multiplicities c_{gamma,k} >= 0 from A.
 
-    Walks gamma levels by |gamma| ascending (``order_hint`` picks lex or
-    reverse-lex inside a level; the result cannot depend on it), strips the
-    recognized tower off the running remainder at each lowest surviving
-    q-power, and records per-gamma certified windows.  A negative or
-    fractional multiplicity raises StructuralViolationError.
+    Walks gamma by (|gamma|, lex) (the result cannot depend on the order
+    inside a level), strips the recognized tower off the running remainder
+    at each lowest surviving q-power, and records per-gamma certified
+    windows.  A negative or fractional multiplicity raises
+    StructuralViolationError.
     """
     gamma_max = tuple(gamma_max)
     if series.gamma_max != gamma_max:
@@ -199,23 +194,17 @@ def plethystic_factor(series: MultiSeries, gamma_max: DimVector, qtrunc: int,
     unit_piece = series.piece(zero_dim(n))
     if unit_piece.order() != 0 or unit_piece.coeff(0) != 1:
         raise DomainError("generating series must start with constant term 1")
-    order = enumerate_dim_vectors(gamma_max, series.abs_max)
-    if order_hint == "revlex":
-        order.sort(key=lambda g: (dim_abs(g), tuple(-x for x in g)))
-    elif order_hint != "lex":
-        raise DomainError(f"unknown order hint {order_hint!r}")
-
     table = GenTable("Vprim")
     remainder = series
     eff_hi: dict[DimVector, int] = {}
-    for gamma in order:
+    for gamma in enumerate_dim_vectors(gamma_max, series.abs_max):
         col = remainder.piece(gamma)
         # Towers living above a smaller column's certified window were never
         # stripped; their cross terms first reach this column at exponent
         # eff_hi(delta) + eff_hi(gamma - delta) + 2, so reads are attributable
         # to single towers only up to one below that.
         cap = col.hi
-        for delta in _proper_splits(gamma):
+        for delta in enumerate_dim_vectors(gamma)[:-1]:
             rest = tuple(a - b for a, b in zip(gamma, delta))
             if eff_hi[delta] is None or eff_hi[rest] is None:
                 continue
@@ -244,22 +233,6 @@ def plethystic_factor(series: MultiSeries, gamma_max: DimVector, qtrunc: int,
         table.windows[gamma] = (col.lo, col.hi)
         eff_hi[gamma] = col.hi
     return table
-
-
-def _proper_splits(gamma: DimVector):
-    """Unordered proper decompositions, one representative (delta, rest) each."""
-    def rec(prefix, rest):
-        if not rest:
-            yield tuple(prefix)
-            return
-        for v in range(rest[0] + 1):
-            yield from rec(prefix + [v], rest[1:])
-    out = []
-    for delta in rec([], list(gamma)):
-        rest = tuple(a - b for a, b in zip(gamma, delta))
-        if any(delta) and any(rest) and delta <= rest:
-            out.append(delta)
-    return out
 
 
 def rebuild_from_table(table: GenTable, template: MultiSeries,
@@ -306,17 +279,5 @@ def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int,
     table = plethystic_factor(series, gamma_max, qtrunc)
     rows = []
     for gamma in enumerate_dim_vectors(gamma_max, abs_max):
-        s = omega_from_table(table, gamma)
-        rows.append(OmegaRow(gamma, s, not s.is_zero()))
+        rows.append(OmegaRow(gamma, omega_from_table(table, gamma)))
     return DTReport(quiver, tuple(gamma_max), qtrunc, rows)
-
-
-def hilbert_matches_basis_counts(quiver: Quiver, gamma: DimVector,
-                                 qtrunc: int) -> bool:
-    """Double derivation: series expansion vs partition enumeration."""
-    series = hilbert_series(quiver, gamma, qtrunc)
-    chi = euler_form(quiver, tuple(gamma), tuple(gamma))
-    for k in range(chi, chi + qtrunc + 1):
-        if series.coeff(k) != len(basis_leading_exponents(quiver, tuple(gamma), k)):
-            return False
-    return True

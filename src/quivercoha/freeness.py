@@ -23,7 +23,7 @@ from math import lcm
 
 from .coha import basis, basis_leading_exponents, twisted_product
 from .errors import DomainError, StructuralViolationError
-from .quiver import DimVector, Quiver, dim_abs, dim_sub, euler_form
+from .quiver import DimVector, Quiver, dim_abs, dim_sub, enumerate_dim_vectors, euler_form
 
 
 def exact_rank(rows: list[list]) -> tuple[int, list[int]]:
@@ -123,7 +123,7 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int):
     rows = []
     products = []
     seen_splits = set()
-    for g1 in _proper_subvectors(gamma):
+    for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = dim_sub(gamma, g1)
         if (g2, g1) in seen_splits:
             continue
@@ -151,19 +151,6 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int):
         return 0, []
     rank, pivot_rows = exact_rank(rows)
     return rank, [products[i] for i in pivot_rows]
-
-
-def _proper_subvectors(gamma: DimVector):
-    """Nonzero gamma1 < gamma (componentwise, proper), sorted (|.|, lex)."""
-    def rec(prefix, rest):
-        if not rest:
-            yield tuple(prefix)
-            return
-        for v in range(rest[0] + 1):
-            yield from rec(prefix + [v], rest[1:])
-    subs = [g for g in rec([], list(gamma)) if any(g) and g != gamma]
-    subs.sort(key=lambda g: (dim_abs(g), g))
-    return subs
 
 
 def generator_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> GenTable:

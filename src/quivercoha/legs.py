@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from .errors import DimensionMismatchError, DomainError, LimitExceededError
+from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
+                     StructuralViolationError)
 from .quiver import DimVector, Quiver, dim_abs, double
 
 GENERICITY_SIZE_LIMIT = 8
@@ -92,7 +93,7 @@ def lambda_from_eigenvalues(t: EigenData, legs: LegData):
     """The scalar on the extended quiver: -t_{i,1} at [i,0] and
     t_{i,j} - t_{i,j+1} along the leg, eigenvalues taken in decreasing order.
 
-    Asserts the pairing tilde_gamma . lambda = 0.
+    Raises StructuralViolationError unless tilde_gamma . lambda = 0.
     """
     gamma = t.gamma()
     expected = tuple(g for (i, j), g in zip(legs.vertex_labels, legs.tilde_gamma)
@@ -110,7 +111,9 @@ def lambda_from_eigenvalues(t: EigenData, legs: LegData):
         else:
             lam.append(ordered[i][j - 1] - ordered[i][j])
     pairing = sum(g * l for g, l in zip(legs.tilde_gamma, lam))
-    assert pairing == 0, "tilde_gamma . lambda must vanish"
+    if pairing != 0:
+        raise StructuralViolationError(
+            f"tilde_gamma . lambda = {pairing}, must vanish")
     return tuple(lam)
 
 

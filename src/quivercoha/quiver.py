@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import DimensionMismatchError, DomainError, QuiverFormatError
 
@@ -48,14 +49,7 @@ def enumerate_dim_vectors(gamma_max: DimVector, abs_max: int | None = None,
 
     This ordering is the canonical report / extraction order everywhere.
     """
-    def rec(prefix, rest):
-        if not rest:
-            yield tuple(prefix)
-            return
-        for v in range(rest[0] + 1):
-            yield from rec(prefix + [v], rest[1:])
-
-    out = [g for g in rec([], list(gamma_max))
+    out = [g for g in product(*(range(x + 1) for x in gamma_max))
            if abs_max is None or dim_abs(g) <= abs_max]
     out.sort(key=lambda g: (dim_abs(g), g))
     if not include_zero:
@@ -159,8 +153,8 @@ class SignForm:
 def sign_form(q: Quiver) -> SignForm:
     """Canonical solution: psi[i][j] = rhs(e_i, e_j) for i < j, else 0.
 
-    Valid because rhs(e_i, e_i) is even for every symmetric quiver (it is a
-    product of consecutive integers); asserted at construction.
+    Valid because rhs(e_i, e_i) = c + c^2 with c = chi(e_i, e_i) is even for
+    every integer c (a product of consecutive integers).
     """
     if not q.is_symmetric():
         raise DomainError("sign form is defined for symmetric quivers only")
@@ -171,8 +165,6 @@ def sign_form(q: Quiver) -> SignForm:
         return (euler_form(q, e[i], e[j])
                 + euler_form(q, e[i], e[i]) * euler_form(q, e[j], e[j])) % 2
 
-    for i in range(n):
-        assert rhs(i, i) == 0, "diagonal obstruction: quiver not symmetric?"
     psi = tuple(tuple(rhs(i, j) if i < j else 0 for j in range(n))
                 for i in range(n))
     return SignForm(psi)

@@ -125,14 +125,10 @@ def is_positive_root(cartan: CartanData, beta) -> tuple[bool, RootCertificate]:
                                      tuple(current))
 
 
-def dt_nonvanishing(q0: Quiver, gamma: DimVector) -> bool:
-    """Omega(gamma) of double(q0) is nonzero iff the leg-extended dimension
-    vector is a positive root of the leg-extended half quiver."""
-    ok, _ = nonvanishing_certificate(q0, gamma)
-    return ok
-
-
 def nonvanishing_certificate(q0: Quiver, gamma: DimVector):
+    """Omega(gamma) of double(q0) is nonzero iff the leg-extended dimension
+    vector is a positive root of the leg-extended half quiver; returns
+    (is_root, RootCertificate)."""
     q0.check_dim(gamma)
     if not any(gamma):
         raise DomainError("the criterion concerns nonzero dimension vectors")

@@ -19,13 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, DomainError
+from .poly import _norm_coeff
 from .quiver import DimVector, dim_abs, dim_sub, dim_leq, enumerate_dim_vectors, zero_dim
-
-
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def _min_hi(h1, h2):

@@ -135,6 +135,18 @@ def test_mode_quiver_mismatch_is_exit_2(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+def test_structural_violation_is_exit_3(a1_path, monkeypatch, capsys):
+    from quivercoha import cli
+    from quivercoha.errors import StructuralViolationError
+
+    def broken(cfg):
+        raise StructuralViolationError("theorem failed")
+
+    monkeypatch.setitem(cli._RUNNERS, "dt-table", broken)
+    assert main(["--quiver", a1_path, "--mode", "dt-table", "--gamma-max", "1"]) == 3
+    assert "theorem failed" in capsys.readouterr().err
+
+
 def test_gamma_max_length_mismatch_is_exit_2(a1_path):
     assert main(["--quiver", a1_path, "--mode", "dt-table",
                  "--gamma-max", "1,1"]) == 2

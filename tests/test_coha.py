@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivercoha import (ColoredPoly, CohaElement, DomainError, Quiver, basis,
-                        euler_form, exact_divide, shuffle_product, sign_form,
-                        twisted_product)
+from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError,
+                        Quiver, StructuralViolationError, basis, euler_form,
+                        exact_divide, shuffle_product, sign_form, twisted_product)
 from quivercoha.coha import basis_leading_exponents
 
 from conftest import S1, S2, S3, S4, SUITE
@@ -75,6 +75,17 @@ def test_unit_is_neutral(suite_quiver):
 def test_shuffle_rejects_mismatched_quivers():
     with pytest.raises(DomainError):
         shuffle_product(elt(S1, (1,), "x"), elt(S2, (1,), "x"))
+
+
+def test_shuffle_uncleared_denominator_is_structural(monkeypatch):
+    import quivercoha.coha as coha
+
+    def fail(num, den):
+        raise DivisibilityError("no", remainder="REMAINDER")
+
+    monkeypatch.setattr(coha, "exact_divide", fail)
+    with pytest.raises(StructuralViolationError, match="REMAINDER"):
+        shuffle_product(elt(S1, (1,), "x"), elt(S1, (1,), "1"))
 
 
 def test_degree_shift_matches_euler_form(suite_quiver):

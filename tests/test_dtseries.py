@@ -1,12 +1,12 @@
-from fractions import Fraction
+from math import comb
 
 import pytest
 
-from quivercoha import (DomainError, HalfSeries, build_generating_series,
-                        dt_report, euler_form, hilbert_series, omega,
-                        plethystic_factor, prim_dims)
+from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver,
+                        build_generating_series, dt_report, euler_form,
+                        hilbert_series, omega, plethystic_factor, prim_dims)
 from quivercoha.coha import basis_leading_exponents
-from quivercoha.dtseries import DTReport, omega_from_table, rebuild_from_table
+from quivercoha.dtseries import DTReport, _tower_factor, rebuild_from_table
 
 from conftest import S1, S2, S3, S4, SUITE
 
@@ -43,25 +43,34 @@ def test_hilbert_rejects_asymmetric():
         hilbert_series(Quiver.from_lists([[0, 1], [0, 0]]), (1, 1), 4)
 
 
-# -- independent oracle for the S1 tower: direct expansion of the product ----------
+# -- independent oracle for the towers: direct expansion of the product -------------
 
-def _expand_odd_tower_x_coeffs(k_half, nmax, xmax, qmax):
-    """Brute expansion of prod_{n=0}^{nmax} (1 + x q^{(k_half+2n)/2}) as
-    {x-power: {half-exponent: coeff}}, no package series code involved."""
+def _expand_tower_x_coeffs(k, inverse, nmax, xmax, qmax):
+    """Brute expansion of prod_{n=0}^{nmax} f_n as {x-power: {half-exponent:
+    coeff}}, no package series code involved.  With e = k + 2n, f_n is
+    (1 - x q^(e/2))^(-1) for k even and 1 + x q^(e/2) for k odd, or the
+    reciprocal of either when ``inverse``; inverted binomials are geometric
+    series cut at x^xmax.  Exponents above qmax are dropped at the end only,
+    because a negative k makes later factors lower the exponent."""
     state = {0: {0: 1}}
+    sign = -1 if inverse else 1
     for n in range(nmax + 1):
-        e = k_half + 2 * n
+        e = k + 2 * n
+        if (k % 2 == 0) != inverse:       # (1 -+ x q^(e/2))^(-1)
+            factor = {j: (sign ** j, j * e) for j in range(xmax + 1)}
+        else:                             # 1 +- x q^(e/2)
+            factor = {0: (1, 0), 1: (1 if k % 2 else -1, e)}
         new = {}
         for xp, terms in state.items():
-            for h, c in terms.items():
-                new.setdefault(xp, {})
-                new[xp][h] = new[xp].get(h, 0) + c
-                if xp + 1 <= xmax:
-                    new.setdefault(xp + 1, {})
-                    new[xp + 1][h + e] = new[xp + 1].get(h + e, 0) + c
-        state = {xp: {h: c for h, c in terms.items() if c and h <= qmax}
-                 for xp, terms in new.items()}
-    return state
+            for j, (c, h) in factor.items():
+                if xp + j > xmax:
+                    continue
+                bucket = new.setdefault(xp + j, {})
+                for h0, c0 in terms.items():
+                    bucket[h0 + h] = bucket.get(h0 + h, 0) + c * c0
+        state = new
+    return {xp: {h: c for h, c in terms.items() if c and h <= qmax}
+            for xp, terms in state.items()}
 
 
 def test_euler_identity_single_odd_tower_reproduces_no_loop_series():
@@ -69,11 +78,27 @@ def test_euler_identity_single_odd_tower_reproduces_no_loop_series():
     # with lowest weight q^(1/2): partition counting on one side, a finite
     # product expansion on the other
     qmax = 14
-    tower = _expand_odd_tower_x_coeffs(1, qmax, 3, qmax)
+    tower = _expand_tower_x_coeffs(1, False, qmax, 3, qmax)
     for g in range(1, 4):
         s = hilbert_series(S1, (g,), qmax)
         for k in range(s.lo, qmax + 1):
             assert s.coeff(k) == tower.get(g, {}).get(k, 0)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["tower", "reciprocal"])
+@pytest.mark.parametrize("k", [-3, -2, 0, 1, 2, 5])
+def test_tower_factor_matches_brute_expansion(k, inverse):
+    # all four tower kinds, negative k included; the factor may certify more
+    # than the brute window, so compare on the overlap
+    xmax, qmax = 4, 30
+    template = MultiSeries.unit((xmax,))
+    factor = _tower_factor((1,), k, template, inverse, hi_width=10)
+    brute = _expand_tower_x_coeffs(k, inverse, qmax + xmax * abs(k), xmax, qmax)
+    lo = min(0, xmax * k)
+    for m in range(xmax + 1):
+        piece = factor.piece((m,))
+        assert piece.hi is None or piece.hi >= qmax
+        assert piece.agrees_with(HalfSeries(brute.get(m, {}), lo, qmax)), (k, inverse, m)
 
 
 # -- plethystic extraction -----------------------------------------------------------
@@ -101,12 +126,14 @@ def test_extraction_parity():
 
 
 def test_extraction_independent_of_within_level_order():
-    for quiver in (S3, S4):
-        series = build_generating_series(quiver, (2, 2), 14)
-        lex = plethystic_factor(series, (2, 2), 14)
-        rev = plethystic_factor(series, (2, 2), 14, order_hint="revlex")
-        assert lex.entries == rev.entries
-        assert lex.windows == rev.windows
+    # relabelling the two vertices reverses the walk inside each |gamma| level
+    tables = []
+    for rows in ([[2, 1], [1, 0]], [[0, 1], [1, 2]]):
+        series = build_generating_series(Quiver.from_lists(rows), (2, 2), 14)
+        tables.append(plethystic_factor(series, (2, 2), 14))
+    table, swapped = tables
+    assert table.entries == {(g[::-1], k): c for (g, k), c in swapped.entries.items()}
+    assert table.windows == {g[::-1]: w for g, w in swapped.windows.items()}
 
 
 def test_round_trip_rebuild(suite_quiver):
@@ -150,9 +177,8 @@ def test_dt_report_round_trips_through_json():
     assert back.quiver == report.quiver
     assert back.gamma_max == report.gamma_max
     for row in report.rows:
-        other = back.row(row.gamma)
-        assert other.series == row.series
-        assert other.nonvanishing == row.nonvanishing
+        assert back.row(row.gamma).series == row.series
+    assert back.to_dict() == report.to_dict()
 
 
 def test_omega_positivity_across_suite(suite_quiver):
@@ -177,3 +203,35 @@ def test_prim_dims_agree_with_extraction_small(suite_quiver):
         assert lo <= hi
         for k in range(lo, hi + 1):
             assert linear.dim(gamma, k) == table.dim(gamma, k), (gamma, k)
+
+
+# -- literature anchor: Reineke's closed formula for the m-loop quiver --------------
+
+def _mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _reineke_dt(m, d):
+    """DT_d^(m) = d^-2 sum_{e | d} mu(d/e) (-1)^((m-1)(d-e)) C(me-1, e-1)."""
+    total = sum(_mobius(d // e) * (-1) ** ((m - 1) * (d - e)) * comb(m * e - 1, e - 1)
+                for e in range(1, d + 1) if d % e == 0)
+    assert total % (d * d) == 0
+    return total // (d * d)
+
+
+@pytest.mark.parametrize("loops,d_max,qtrunc", [(2, 5, 12), (3, 5, 30), (4, 4, 30)])
+def test_omega_at_minus_one_matches_reineke(loops, d_max, qtrunc):
+    # Omega(d) at q^(1/2) = -1 is (-1)^((m-1)d) DT_d^(m) (arXiv:1102.3978);
+    # these windows cover the whole support of each Omega(d)
+    report = dt_report(Quiver.loop_quiver(loops), (d_max,), qtrunc)
+    for d in range(1, d_max + 1):
+        value = sum(c * (-1) ** k for k, c in report.row((d,)).series.items())
+        assert value == (-1) ** ((loops - 1) * d) * _reineke_dt(loops, d), d

@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quivercoha import (DomainError, EigenData, LimitExceededError, Quiver,
-                        attach_legs, double, is_generic,
+                        StructuralViolationError, attach_legs, double, is_generic,
                         lambda_from_eigenvalues, sample_generic)
 
 from conftest import S1, S2, S3, SUITE_HALVES
@@ -70,6 +71,14 @@ def test_lambda_two_vertices():
     a = Fraction(5, 3)
     lam = lambda_from_eigenvalues(EigenData(((a,), (-a,))), legs)
     assert lam == (-a, a)
+
+
+def test_lambda_rejects_nonzero_pairing():
+    # a leg entry off by one keeps the base sizes but breaks the pairing
+    legs = attach_legs(S1, S1, (2,))
+    broken = dataclasses.replace(legs, tilde_gamma=(2, 2))
+    with pytest.raises(StructuralViolationError):
+        lambda_from_eigenvalues(EigenData(((Fraction(1), Fraction(-1)),)), broken)
 
 
 def test_eigendata_requires_zero_trace():

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercoha import (CartanData, DomainError, Quiver, dt_nonvanishing,
-                        is_positive_root, tits_form)
+from quivercoha import CartanData, DomainError, Quiver, is_positive_root, tits_form
 from quivercoha.roots import nonvanishing_certificate
 
 from conftest import S1_HALF, S2_HALF, S3_HALF, S4_HALF
@@ -121,26 +120,26 @@ def test_certificates_replay():
 # -- the nonvanishing criterion ----------------------------------------------------
 
 def test_nonvanishing_loop_free_vertex():
-    assert dt_nonvanishing(S1_HALF, (1,)) is True
-    assert dt_nonvanishing(S1_HALF, (2,)) is False
+    assert nonvanishing_certificate(S1_HALF, (1,))[0] is True
+    assert nonvanishing_certificate(S1_HALF, (2,))[0] is False
     ok, cert = nonvanishing_certificate(S1_HALF, (2,))
     assert cert.kind == "not_root"
 
 
 def test_nonvanishing_one_loop_all_gamma():
     for n in range(1, 5):
-        assert dt_nonvanishing(S2_HALF, (n,)) is True
+        assert nonvanishing_certificate(S2_HALF, (n,))[0] is True
         ok, cert = nonvanishing_certificate(S2_HALF, (n,))
         assert cert.kind == "imaginary"
 
 
 def test_nonvanishing_a2_and_kronecker():
-    assert dt_nonvanishing(S3_HALF, (1, 1)) is True
-    assert dt_nonvanishing(S3_HALF, (2, 1)) is False
-    assert dt_nonvanishing(S4_HALF, (1, 1)) is True
-    assert dt_nonvanishing(S4_HALF, (2, 2)) is True
+    assert nonvanishing_certificate(S3_HALF, (1, 1))[0] is True
+    assert nonvanishing_certificate(S3_HALF, (2, 1))[0] is False
+    assert nonvanishing_certificate(S4_HALF, (1, 1))[0] is True
+    assert nonvanishing_certificate(S4_HALF, (2, 2))[0] is True
 
 
 def test_nonvanishing_rejects_zero():
     with pytest.raises(DomainError):
-        dt_nonvanishing(S1_HALF, (0,))
+        nonvanishing_certificate(S1_HALF, (0,))

@@ -1,0 +1,16 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "quivercoha"
+
+
+def test_library_has_no_bare_assert():
+    # assert statements vanish under python -O; a failed theorem must raise
+    # StructuralViolationError instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert sorted(SRC.glob("*.py"))
+    assert found == []

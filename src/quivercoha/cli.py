@@ -10,9 +10,11 @@ shuffle-eval        twisted Hall product of two user-supplied elements
 
 Reports are byte-deterministic given the flags and seed: JSON with sorted
 keys (the source of truth) or flattened CSV.  Exit status is 0 on success,
-1 when a check mode finds a disagreement, 2 on bad input, and 3 when an
+1 when a check mode finds a disagreement, 2 on bad input, 3 when an
 identity that is a theorem fails at runtime (StructuralViolationError: a bug
-or a corrupted input, never a property of the quiver).
+or a corrupted input, never a property of the quiver), and 4 when the input
+is valid but exceeds a capacity limit (LimitExceededError, such as the size
+cap of the exhaustive genericity search).
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .dtseries import build_generating_series, dt_report, omega_from_table, plethystic_factor
+from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      LimitExceededError, QuiverFormatError, StructuralViolationError)
 from .coha import CohaElement, twisted_product
@@ -123,7 +124,7 @@ def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.quiver.is_symmetric():
         raise DomainError("check-freeness needs a symmetric quiver")
     series = build_generating_series(cfg.quiver, cfg.gamma_max, cfg.qtrunc)
-    table = plethystic_factor(series, cfg.gamma_max, cfg.qtrunc)
+    table = plethystic_factor(series)
     rows = []
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
@@ -283,9 +284,12 @@ def main(argv=None) -> int:
         cfg = load_config(argv if argv is not None else sys.argv[1:])
         code, text = run(cfg)
     except (QuiverFormatError, DomainError, DimensionMismatchError,
-            LimitExceededError, DivisibilityError) as err:
+            DivisibilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except LimitExceededError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 4
     except StructuralViolationError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3

@@ -112,7 +112,7 @@ def _vandermonde(gamma: DimVector, slots) -> ColoredPoly:
 
 
 @lru_cache(maxsize=None)
-def _full_vandermonde(quiver: Quiver, gamma: DimVector):
+def _full_vandermonde(gamma: DimVector):
     offs = _block_offsets(gamma)
     poly = ColoredPoly.constant(gamma, 1)
     for i, size in enumerate(gamma):
@@ -182,7 +182,7 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
         summand = (fb * kernel) * fa * cofactor
         numerator = numerator + (summand if sign > 0 else -summand)
 
-    denominator = _full_vandermonde(q, gamma)
+    denominator = _full_vandermonde(gamma)
     try:
         result = exact_divide(numerator, denominator)
     except DivisibilityError as err:  # pragma: no cover - would be a bug

@@ -6,34 +6,43 @@ cohomological degree 2, shifted so that its Poincare series in half-units is
     P_gamma = q^(chi/2) * prod_i 1 / (q;q)_{gamma^i},
     (q;q)_m = prod_{j=1}^{m} (1 - q^j),   chi = chi(gamma, gamma).
 
-Freeness factors the full generating series A = sum_gamma P_gamma x^gamma as
+Freeness (Efimov arXiv:1103.2736, Kontsevich-Soibelman arXiv:1006.2706)
+factors the full generating series A = sum_gamma P_gamma x^gamma as
 
     A = prod_{gamma > 0, k} F_{gamma,k} ^ c_{gamma,k},
     F_{gamma,k} = prod_{n >= 0} (1 - x^gamma q^(k/2 + n))^(-1)   (k even)
                 = prod_{n >= 0} (1 + x^gamma q^(k/2 + n))         (k odd),
 
 one tower per generator (its polynomial companion of degree (0,2) produces
-the n-index; the Z-grading parity decides symmetric vs exterior).  Euler's
-identities expand each tower, and its reciprocal, in closed form: the
-coefficient of x^(m gamma) is +-q^(mk/2 + e m(m-1)/2) / (q;q)_m with e in
-{0, 1} (see ``_tower_pieces``).  So P_gamma and every tower come from the
-same expansions 1/(q;q)_m, built once per call by one recurrence in
-``HalfSeries`` arithmetic, with no cache.
-
-The extraction loop walks gamma by (|gamma|, lex) and strips factors greedily
-from the lowest surviving q-power of the x^gamma coefficient; every stripped
-multiplicity must be a positive integer, and
+the n-index; the Z-grading parity decides symmetric vs exterior), and
 
     Omega(gamma)(q) = sum_k c_{gamma,k} q^(k/2)
 
-is the quantum Donaldson-Thomas invariant.  All windows are tracked exactly:
-a k outside the reported window is unknown, never silently zero.
+is the quantum Donaldson-Thomas invariant.  Taking logarithms,
+
+    log F_{gamma,k} = sum_{r >= 1} x^(r gamma) psi_r(q^(k/2)) / (r (1 - q^r)),
+    psi_r(q^(k/2)) = (-1)^((r+1)k) q^(rk/2),
+
+where the sign twist turns log(1 + z) on the odd towers into the same sum as
+-log(1 - z) on the even ones.  psi_r is a ring map with psi_r psi_s =
+psi_(rs), so log A = sum_gamma sum_r x^(r gamma) psi_r(Omega(gamma) /
+(1 - q)) / r is a plethystic exponential, and Moebius inversion over r
+reads Omega off log A in closed form (see ``plethystic_factor``).
+
+All windows are tracked exactly: a k outside the reported window is
+unknown, never silently zero.  Every window is the one ``HalfSeries`` and
+``MultiSeries`` arithmetic certifies for the inverse, the product and the
+sums, and psi_r sends a certified window [lo, hi] to [r lo, r hi] (the
+exponents in between that are not multiples of r are certified zero), so
+no window needs a separate cap.
 """
+
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, StructuralViolationError
 from .freeness import GenTable
@@ -78,53 +87,6 @@ def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
     for m in range(1, mmax + 1):
         out.append(out[-1] * HalfSeries({0: 1, 2 * m: -1}, 0, width).inverse())
     return out
-
-
-def _tower_pieces(k: int, mmax: int, hi: int, inverse: bool) -> dict[int, HalfSeries]:
-    """t-expansion of the generator tower with lowest q-power k/2.
-
-    Returns {m: coefficient of t^m}, m <= mmax, certified up to exponent hi.
-    With z = t q^(k/2), Euler's identities
-
-        prod_n (1 - z q^n)^(-1) = sum_m z^m / (q;q)_m,
-        prod_n (1 + z q^n)      = sum_m q^(m(m-1)/2) z^m / (q;q)_m
-
-    cover all four kinds, since the reciprocal of each product is the other
-    one at -z.  So the coefficient of t^m is (+-1)^m q^(mk/2 + e m(m-1)/2) /
-    (q;q)_m, where e = 1 for the exterior tower (k odd) and for the
-    reciprocal of the symmetric one (k even), and the sign (-1)^m appears on
-    reciprocals only.
-    """
-    e = 1 if (k % 2 == 0) == inverse else 0
-    shifts = [m * k + e * m * (m - 1) for m in range(mmax + 1)]
-    coeffs = _inverse_pochhammers(mmax, hi - min(shifts))
-    pieces = {}
-    for m, shift in enumerate(shifts):
-        piece = coeffs[m].shifted(shift).truncated(hi=hi)
-        pieces[m] = -piece if inverse and m % 2 else piece
-    return pieces
-
-
-def _tower_factor(gamma_f: DimVector, k: int, template: MultiSeries,
-                  inverse: bool, hi_width: int) -> MultiSeries:
-    """The tower F_{gamma_f,k} (or its reciprocal) as a MultiSeries on the
-    same box as ``template``, every piece certified wide enough that
-    multiplying never narrows the partner's windows."""
-    mmax = 0
-    g = tuple(gamma_f)
-    while template.in_domain(tuple(x * (mmax + 1) for x in g)):
-        mmax += 1
-    hi_cap = hi_width + (abs(k) + mmax + 2) * (mmax + 2)
-    pieces_t = _tower_pieces(k, mmax, hi_cap + max(0, -min(0, mmax * k)), inverse)
-    pieces = {}
-    for m, s in pieces_t.items():
-        pieces[tuple(x * m for x in g)] = s if m else HalfSeries.one()
-    return MultiSeries(template.gamma_max, pieces, template.abs_max)
-
-
-def _finite_width(ms: MultiSeries) -> int:
-    widths = [s.hi - s.lo for s in ms.pieces.values() if s.hi is not None]
-    return max(widths, default=0)
 
 
 @dataclass
@@ -178,75 +140,72 @@ class DTReport:
                    data["qtrunc"], rows)
 
 
-def plethystic_factor(series: MultiSeries, gamma_max: DimVector, qtrunc: int) -> GenTable:
+def plethystic_factor(series: MultiSeries) -> GenTable:
     """Extract the generator multiplicities c_{gamma,k} >= 0 from A.
 
-    Walks gamma by (|gamma|, lex) (the result cannot depend on the order
-    inside a level), strips the recognized tower off the running remainder
-    at each lowest surviving q-power, and records per-gamma certified
-    windows.  A negative or fractional multiplicity raises
-    StructuralViolationError.
+    The Euler grading D: x^g -> |g| x^g is a derivation, so D log A =
+    A^(-1) DA and (log A)_g = M_g / |g| with M = A^(-1) DA, one inverse and
+    one product of ``MultiSeries``.  Moebius inversion of log A =
+    sum_{gamma, r} psi_r(Omega(gamma) / (1 - q)) x^(r gamma) / r over the r
+    dividing every entry of gamma, with r |gamma/r| = |gamma|, gives
+
+        Omega(gamma) = (1 - q) / |gamma| * sum_{r | gamma} mu(r) psi_r(M_(gamma/r)).
+
+    Every window is the one the series arithmetic certifies.  Walking gamma
+    by (|gamma|, lex), a multiplicity that is not a non-negative integer
+    raises StructuralViolationError and an empty window raises DomainError.
     """
-    gamma_max = tuple(gamma_max)
-    if series.gamma_max != gamma_max:
-        raise DomainError("series box disagrees with gamma_max")
-    n = len(gamma_max)
-    unit_piece = series.piece(zero_dim(n))
-    if unit_piece.order() != 0 or unit_piece.coeff(0) != 1:
-        raise DomainError("generating series must start with constant term 1")
+    unit_piece = series.piece(zero_dim(len(series.gamma_max)))
+    if unit_piece.coeffs != {0: 1}:
+        raise DomainError("generating series must have x^0 piece 1")
+    graded = MultiSeries(series.gamma_max,
+                         {g: s * dim_abs(g) for g, s in series.pieces.items()},
+                         series.abs_max)
+    log_derivative = series.inverse() * graded
+    one_minus_q = HalfSeries({0: 1, 2: -1}, 0, None)
     table = GenTable("Vprim")
-    remainder = series
-    eff_hi: dict[DimVector, int] = {}
-    for gamma in enumerate_dim_vectors(gamma_max, series.abs_max):
-        col = remainder.piece(gamma)
-        # Towers living above a smaller column's certified window were never
-        # stripped; their cross terms first reach this column at exponent
-        # eff_hi(delta) + eff_hi(gamma - delta) + 2, so reads are attributable
-        # to single towers only up to one below that.
-        cap = col.hi
-        for delta in enumerate_dim_vectors(gamma)[:-1]:
-            rest = tuple(a - b for a, b in zip(gamma, delta))
-            if eff_hi[delta] is None or eff_hi[rest] is None:
+    for gamma in enumerate_dim_vectors(series.gamma_max, series.abs_max):
+        total = log_derivative.piece(gamma)
+        divisor = gcd(*gamma)
+        for r in range(2, divisor + 1):
+            mu = _mobius(r)
+            if divisor % r or not mu:
                 continue
-            pair_cap = eff_hi[delta] + eff_hi[rest] + 1
-            cap = pair_cap if cap is None else min(cap, pair_cap)
-        col = col.truncated(hi=cap)
-        while True:
-            k0 = col.order()
-            if k0 is None:
-                break
-            c0 = col.coeff(k0)
-            if (isinstance(c0, Fraction) and c0.denominator != 1) or c0 < 0:
+            term = _adams(log_derivative.piece(tuple(x // r for x in gamma)), r)
+            total = total + term if mu > 0 else total - term
+        col = total * one_minus_q * Fraction(1, dim_abs(gamma))
+        for k, c in col.items():
+            if (isinstance(c, Fraction) and c.denominator != 1) or c < 0:
                 raise StructuralViolationError(
-                    f"extracted multiplicity {c0} at gamma={gamma}, k={k0} "
+                    f"extracted multiplicity {c} at gamma={gamma}, k={k} "
                     "is not a non-negative integer")
-            factor = _tower_factor(gamma, k0, remainder, inverse=True,
-                                   hi_width=max(_finite_width(remainder), qtrunc))
-            for _ in range(int(c0)):
-                remainder = remainder * factor
-            table.set(gamma, k0, int(c0))
-            col = remainder.piece(gamma).truncated(hi=cap)
+            table.set(gamma, k, int(c))
         if col.window_empty():
             raise DomainError(
                 f"certified window collapsed at gamma={gamma}; rerun with a "
                 "larger qtrunc")
         table.windows[gamma] = (col.lo, col.hi)
-        eff_hi[gamma] = col.hi
     return table
 
 
-def rebuild_from_table(table: GenTable, template: MultiSeries,
-                       qtrunc: int) -> MultiSeries:
-    """Re-expand prod F_{gamma,k}^(c_{gamma,k}); inverse of the extraction
-    within truncation, used as the round-trip check."""
-    out = MultiSeries.unit(template.gamma_max, template.abs_max)
-    for (gamma, k), c in sorted(table.entries.items(),
-                                key=lambda kv: (dim_abs(kv[0][0]), kv[0][0], kv[0][1])):
-        factor = _tower_factor(gamma, k, template, inverse=False,
-                               hi_width=max(_finite_width(template), qtrunc))
-        for _ in range(c):
-            out = out * factor
-    return out
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _adams(s: HalfSeries, r: int) -> HalfSeries:
+    """psi_r(q^(k/2)) = (-1)^((r+1)k) q^(rk/2), certified on [r lo, r hi]:
+    exponents off the multiples of r are zero."""
+    return HalfSeries({r * k: -c if (r + 1) * k % 2 else c for k, c in s.coeffs.items()},
+                      r * s.lo, None if s.hi is None else r * s.hi)
 
 
 def omega(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
@@ -256,7 +215,7 @@ def omega(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
     if not any(gamma):
         raise DomainError("Omega is defined for nonzero dimension vectors")
     series = build_generating_series(quiver, gamma, qtrunc)
-    table = plethystic_factor(series, gamma, qtrunc)
+    table = plethystic_factor(series)
     return omega_from_table(table, gamma)
 
 
@@ -276,7 +235,7 @@ def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int,
               abs_max: int | None = None) -> DTReport:
     """Omega for every 0 < gamma <= gamma_max, one extraction pass."""
     series = build_generating_series(quiver, gamma_max, qtrunc, abs_max)
-    table = plethystic_factor(series, gamma_max, qtrunc)
+    table = plethystic_factor(series)
     rows = []
     for gamma in enumerate_dim_vectors(gamma_max, abs_max):
         rows.append(OmegaRow(gamma, omega_from_table(table, gamma)))

@@ -97,9 +97,6 @@ class GenTable:
             return None
         return self.entries.get((gamma, k), 0)
 
-    def gammas(self):
-        return sorted(self.windows, key=lambda g: (dim_abs(g), g))
-
     def column(self, gamma: DimVector) -> dict[int, int]:
         gamma = tuple(gamma)
         return {k: v for (g, k), v in sorted(self.entries.items()) if g == gamma}

@@ -80,14 +80,6 @@ class Quiver:
         return cls(tuple(tuple(int(a) for a in row) for row in rows))
 
     @classmethod
-    def from_arrow_list(cls, vertices: int, arrow_list) -> "Quiver":
-        """Build from ``[(i, j, mult), ...]``; duplicate (i, j) entries sum."""
-        mat = [[0] * vertices for _ in range(vertices)]
-        for i, j, m in arrow_list:
-            mat[i][j] += m
-        return cls.from_lists(mat)
-
-    @classmethod
     def loop_quiver(cls, loops: int) -> "Quiver":
         """One vertex carrying ``loops`` loops."""
         return cls(((loops,),))

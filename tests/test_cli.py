@@ -147,6 +147,12 @@ def test_structural_violation_is_exit_3(a1_path, monkeypatch, capsys):
     assert "theorem failed" in capsys.readouterr().err
 
 
+def test_capacity_limit_is_exit_4(a1_path, capsys):
+    # |gamma| = 9 exceeds the exhaustive genericity search's size cap
+    assert main(["--quiver", a1_path, "--mode", "genericity", "--gamma-max", "9"]) == 4
+    assert "genericity" in capsys.readouterr().err
+
+
 def test_gamma_max_length_mismatch_is_exit_2(a1_path):
     assert main(["--quiver", a1_path, "--mode", "dt-table",
                  "--gamma-max", "1,1"]) == 2

@@ -1,12 +1,14 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver,
-                        build_generating_series, dt_report, euler_form,
-                        hilbert_series, omega, plethystic_factor, prim_dims)
+                        build_generating_series, dt_report, enumerate_dim_vectors,
+                        euler_form, hilbert_series, omega, plethystic_factor, prim_dims)
 from quivercoha.coha import basis_leading_exponents
-from quivercoha.dtseries import DTReport, _tower_factor, rebuild_from_table
+from quivercoha.dtseries import DTReport
+from quivercoha.quiver import dim_abs
 
 from conftest import S1, S2, S3, S4, SUITE
 
@@ -45,32 +47,35 @@ def test_hilbert_rejects_asymmetric():
 
 # -- independent oracle for the towers: direct expansion of the product -------------
 
-def _expand_tower_x_coeffs(k, inverse, nmax, xmax, qmax):
-    """Brute expansion of prod_{n=0}^{nmax} f_n as {x-power: {half-exponent:
-    coeff}}, no package series code involved.  With e = k + 2n, f_n is
-    (1 - x q^(e/2))^(-1) for k even and 1 + x q^(e/2) for k odd, or the
-    reciprocal of either when ``inverse``; inverted binomials are geometric
-    series cut at x^xmax.  Exponents above qmax are dropped at the end only,
-    because a negative k makes later factors lower the exponent."""
-    state = {0: {0: 1}}
-    sign = -1 if inverse else 1
+def _box_product(a, b, box):
+    """Product of two {x-exponent: {half-exponent: coeff}} dicts, cut to the box."""
+    out = {}
+    for ga, terms_a in a.items():
+        for gb, terms_b in b.items():
+            g = tuple(x + y for x, y in zip(ga, gb))
+            if any(x > m for x, m in zip(g, box)):
+                continue
+            bucket = out.setdefault(g, {})
+            for ha, ca in terms_a.items():
+                for hb, cb in terms_b.items():
+                    bucket[ha + hb] = bucket.get(ha + hb, 0) + ca * cb
+    return out
+
+
+def _expand_tower_x_coeffs(gamma, k, nmax, box):
+    """Brute expansion of the tower prod_{n=0}^{nmax} f_n over the box of
+    x-exponents, no package series code involved.  With e = k + 2n, f_n is
+    (1 - x^gamma q^(e/2))^(-1), a geometric series cut to the box, for k
+    even and 1 + x^gamma q^(e/2) for k odd.  Nothing is cut in q, because a
+    negative k makes later factors lower the exponent."""
+    zero = (0,) * len(box)
+    state = {zero: {0: 1}}
     for n in range(nmax + 1):
         e = k + 2 * n
-        if (k % 2 == 0) != inverse:       # (1 -+ x q^(e/2))^(-1)
-            factor = {j: (sign ** j, j * e) for j in range(xmax + 1)}
-        else:                             # 1 +- x q^(e/2)
-            factor = {0: (1, 0), 1: (1 if k % 2 else -1, e)}
-        new = {}
-        for xp, terms in state.items():
-            for j, (c, h) in factor.items():
-                if xp + j > xmax:
-                    continue
-                bucket = new.setdefault(xp + j, {})
-                for h0, c0 in terms.items():
-                    bucket[h0 + h] = bucket.get(h0 + h, 0) + c * c0
-        state = new
-    return {xp: {h: c for h, c in terms.items() if c and h <= qmax}
-            for xp, terms in state.items()}
+        jmax = min(m // x for m, x in zip(box, gamma) if x) if k % 2 == 0 else 1
+        factor = {tuple(j * x for x in gamma): {j * e: 1} for j in range(jmax + 1)}
+        state = _box_product(state, factor, box)
+    return state
 
 
 def test_euler_identity_single_odd_tower_reproduces_no_loop_series():
@@ -78,40 +83,24 @@ def test_euler_identity_single_odd_tower_reproduces_no_loop_series():
     # with lowest weight q^(1/2): partition counting on one side, a finite
     # product expansion on the other
     qmax = 14
-    tower = _expand_tower_x_coeffs(1, False, qmax, 3, qmax)
+    tower = _expand_tower_x_coeffs((1,), 1, qmax, (3,))
     for g in range(1, 4):
         s = hilbert_series(S1, (g,), qmax)
         for k in range(s.lo, qmax + 1):
-            assert s.coeff(k) == tower.get(g, {}).get(k, 0)
-
-
-@pytest.mark.parametrize("inverse", [False, True], ids=["tower", "reciprocal"])
-@pytest.mark.parametrize("k", [-3, -2, 0, 1, 2, 5])
-def test_tower_factor_matches_brute_expansion(k, inverse):
-    # all four tower kinds, negative k included; the factor may certify more
-    # than the brute window, so compare on the overlap
-    xmax, qmax = 4, 30
-    template = MultiSeries.unit((xmax,))
-    factor = _tower_factor((1,), k, template, inverse, hi_width=10)
-    brute = _expand_tower_x_coeffs(k, inverse, qmax + xmax * abs(k), xmax, qmax)
-    lo = min(0, xmax * k)
-    for m in range(xmax + 1):
-        piece = factor.piece((m,))
-        assert piece.hi is None or piece.hi >= qmax
-        assert piece.agrees_with(HalfSeries(brute.get(m, {}), lo, qmax)), (k, inverse, m)
+            assert s.coeff(k) == tower.get((g,), {}).get(k, 0)
 
 
 # -- plethystic extraction -----------------------------------------------------------
 
 def test_extraction_no_loops():
     series = build_generating_series(S1, (3,), 20)
-    table = plethystic_factor(series, (3,), 20)
+    table = plethystic_factor(series)
     assert dict(table.entries) == {((1,), 1): 1}
 
 
 def test_extraction_two_loops_gamma_one_column():
     series = build_generating_series(S2, (2,), 16)
-    table = plethystic_factor(series, (2,), 16)
+    table = plethystic_factor(series)
     assert table.column((1,)) == {-1: 1}
     assert table.column((2,)) == {-4: 1}
 
@@ -120,7 +109,7 @@ def test_extraction_parity():
     for name, quiver in SUITE:
         gmax = (2,) * quiver.vertex_count
         series = build_generating_series(quiver, gmax, 14)
-        table = plethystic_factor(series, gmax, 14)
+        table = plethystic_factor(series)
         for (gamma, k), c in table.entries.items():
             assert (k - euler_form(quiver, gamma, gamma)) % 2 == 0
 
@@ -130,30 +119,53 @@ def test_extraction_independent_of_within_level_order():
     tables = []
     for rows in ([[2, 1], [1, 0]], [[0, 1], [1, 2]]):
         series = build_generating_series(Quiver.from_lists(rows), (2, 2), 14)
-        tables.append(plethystic_factor(series, (2, 2), 14))
+        tables.append(plethystic_factor(series))
     table, swapped = tables
     assert table.entries == {(g[::-1], k): c for (g, k), c in swapped.entries.items()}
     assert table.windows == {g[::-1]: w for g, w in swapped.windows.items()}
 
 
+def _rebuild_matches(entries, series):
+    """prod F_{gamma,k}^(c_{gamma,k}), expanded by brute force, equals A on
+    every piece's window and vanishes below it."""
+    box = series.gamma_max
+    qmax = max(p.hi for p in series.pieces.values() if p.hi is not None)
+    # lowest exponent any monomial of the product can reach inside the box;
+    # a dropped factor n > nmax of a tower sits at k + 2(nmax + 1) or higher
+    floor = min([0] + [k * dim_abs(box) // dim_abs(g) for g, k in entries])
+    rebuilt = {(0,) * len(box): {0: 1}}
+    for (gamma, k), c in sorted(entries.items()):
+        tower = _expand_tower_x_coeffs(gamma, k, (qmax - floor - k) // 2, box)
+        for _ in range(c):
+            rebuilt = _box_product(rebuilt, tower, box)
+    for gamma in enumerate_dim_vectors(box):
+        want = series.piece(gamma)
+        got = {h: c for h, c in rebuilt.get(gamma, {}).items() if c and h <= want.hi}
+        if any(h < want.lo for h in got) or \
+                any(got.get(h, 0) != want.coeff(h) for h in range(want.lo, want.hi + 1)):
+            return False
+    return True
+
+
 def test_round_trip_rebuild(suite_quiver):
     gmax = (2,) * suite_quiver.vertex_count
     series = build_generating_series(suite_quiver, gmax, 14)
-    table = plethystic_factor(series, gmax, 14)
-    rebuilt = rebuild_from_table(table, series, 14)
-    for gamma in series.domain():
-        got = rebuilt.piece(gamma)
-        want = series.piece(gamma)
-        assert got.agrees_with(want), f"round trip differs at {gamma}"
+    table = plethystic_factor(series)
+    # the table is complete: a wider window finds no further generator
+    wider = plethystic_factor(build_generating_series(suite_quiver, gmax, 22))
+    assert wider.entries == table.entries
+    assert _rebuild_matches(table.entries, series)
+    (gamma, k), c = min(table.entries.items())
+    assert not _rebuild_matches({**table.entries, (gamma, k): c + 1}, series)
 
 
 def test_extraction_needs_unit_constant_term():
     series = build_generating_series(S1, (2,), 10)
-    broken = type(series)(series.gamma_max,
-                          {**series.pieces, (0,): HalfSeries.monomial(0, 2)},
-                          series.abs_max)
-    with pytest.raises(DomainError):
-        plethystic_factor(broken, (2,), 10)
+    for unit in (HalfSeries.monomial(0, 2), HalfSeries({0: 1, 2: 1}, 0, 10)):
+        broken = MultiSeries(series.gamma_max, {**series.pieces, (0,): unit},
+                             series.abs_max)
+        with pytest.raises(DomainError):
+            plethystic_factor(broken)
 
 
 # -- omega -----------------------------------------------------------------------
@@ -189,12 +201,43 @@ def test_omega_positivity_across_suite(suite_quiver):
             assert isinstance(c, int) and c > 0
 
 
+@st.composite
+def _report_pairs(draw):
+    n = draw(st.integers(1, 2))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 3))
+    gmax = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                      .filter(lambda g: 1 <= sum(g) <= 4)))
+    q1 = draw(st.integers(0, 15))
+    q2 = draw(st.integers(q1 + 1, 16))
+    return Quiver.from_lists(rows), gmax, q1, q2
+
+
+@settings(deadline=None)
+@given(_report_pairs())
+def test_dt_report_windows_sound_and_lowest_term_is_one(case):
+    # a wider qtrunc may only extend the certified windows, and a nonzero
+    # Omega(gamma) starts with 1 * q^(chi/2) (IH^0, arXiv:1411.4062)
+    quiver, gmax, q1, q2 = case
+    narrow, wide = dt_report(quiver, gmax, q1), dt_report(quiver, gmax, q2)
+    for r1, r2 in zip(narrow.rows, wide.rows):
+        assert r1.series.agrees_with(r2.series), r1.gamma
+        assert r2.series.hi >= r1.series.hi, r1.gamma
+        for row in (r1, r2):
+            if not row.series.is_zero():
+                chi = euler_form(quiver, row.gamma, row.gamma)
+                assert row.series.order() == chi, row.gamma
+                assert row.series.coeff(chi) == 1, row.gamma
+
+
 # -- the central cross-check: series extraction vs linear algebra -------------------
 
 def test_prim_dims_agree_with_extraction_small(suite_quiver):
     gmax = (2,) * suite_quiver.vertex_count
     series = build_generating_series(suite_quiver, gmax, 12)
-    table = plethystic_factor(series, gmax, 12)
+    table = plethystic_factor(series)
     for gamma in [g for g in series.domain() if any(g) and sum(g) <= 2]:
         chi = euler_form(suite_quiver, gamma, gamma)
         linear = prim_dims(suite_quiver, gamma, chi + 12)

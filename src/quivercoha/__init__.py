@@ -11,7 +11,7 @@ from .dtseries import (DTReport, build_generating_series, dt_report,
                        hilbert_series, omega, plethystic_factor)
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      LimitExceededError, QuiverFormatError, StructuralViolationError)
-from .freeness import GenTable, decomposable_dim, generator_dims, prim_dims
+from .freeness import decomposable_dim, generator_dims, prim_dims
 from .legs import EigenData, LegData, attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
 from .poly import ColoredPoly, exact_divide, parse_colored_poly
 from .quiver import (DimVector, Quiver, SignForm, double, enumerate_dim_vectors,
@@ -22,7 +22,7 @@ from .series import HalfSeries, MultiSeries
 __all__ = [
     "CartanData", "CohaElement", "ColoredPoly", "DTReport", "DimVector",
     "DimensionMismatchError", "DivisibilityError", "DomainError", "EigenData",
-    "GenTable", "HalfSeries", "LegData", "LimitExceededError", "MultiSeries",
+    "HalfSeries", "LegData", "LimitExceededError", "MultiSeries",
     "Quiver", "QuiverFormatError", "RootCertificate", "SignForm",
     "StructuralViolationError", "attach_legs", "basis",
     "build_generating_series", "decomposable_dim", "double", "dt_report",

@@ -13,8 +13,9 @@ keys (the source of truth) or flattened CSV.  Exit status is 0 on success,
 1 when a check mode finds a disagreement, 2 on bad input, 3 when an
 identity that is a theorem fails at runtime (StructuralViolationError: a bug
 or a corrupted input, never a property of the quiver), and 4 when the input
-is valid but exceeds a capacity limit (LimitExceededError, such as the size
-cap of the exhaustive genericity search).
+is valid but exceeds a capacity limit (LimitExceededError: the size cap of
+the exhaustive genericity search, or the packed-exponent limit of 127 on any
+one variable's exponent and on a product's total degree).
 """
 
 from __future__ import annotations
@@ -124,20 +125,19 @@ def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.quiver.is_symmetric():
         raise DomainError("check-freeness needs a symmetric quiver")
     series = build_generating_series(cfg.quiver, cfg.gamma_max, cfg.qtrunc)
-    table = plethystic_factor(series)
+    omegas = plethystic_factor(series)
     rows = []
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
         chi = euler_form(cfg.quiver, gamma, gamma)
         linear = prim_dims(cfg.quiver, gamma, chi + cfg.qtrunc)
-        lin_lo, lin_hi = linear.windows[gamma]
-        ser_lo, ser_hi = table.windows[gamma]
-        lo, hi = max(lin_lo, ser_lo), min(lin_hi, ser_hi)
+        ser = omegas[gamma]
+        lo, hi = max(linear.lo, ser.lo), min(linear.hi, ser.hi)
         for k in range(lo, hi + 1):
             if (k - chi) % 2:
                 continue
-            c_lin = linear.dim(gamma, k)
-            c_ser = table.dim(gamma, k)
+            c_lin = linear.coeff(k)
+            c_ser = ser.coeff(k)
             ok = c_lin == c_ser
             all_ok = all_ok and ok
             rows.append({"gamma": list(gamma), "k": k, "c_linear": c_lin,
@@ -160,8 +160,8 @@ def run_check_nonvanishing(cfg: RunConfig) -> tuple[int, dict]:
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
         root, cert = nonvanishing_certificate(q0, gamma)
-        row = report.row(gamma)
-        nonzero = not row.series.is_zero()
+        series = report.omega[gamma]
+        nonzero = not series.is_zero()
         ok = root == nonzero
         all_ok = all_ok and ok
         rows.append({
@@ -169,7 +169,7 @@ def run_check_nonvanishing(cfg: RunConfig) -> tuple[int, dict]:
             "root": root,
             "certificate": cert.to_dict(),
             "omega_nonzero": nonzero,
-            "omega_window": [row.series.lo, row.series.hi],
+            "omega_window": [series.lo, series.hi],
             "ok": ok,
         })
     payload = {

@@ -45,7 +45,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, StructuralViolationError
-from .freeness import GenTable
 from .quiver import (DimVector, Quiver, dim_abs, enumerate_dim_vectors, euler_form,
                      zero_dim)
 from .series import HalfSeries, MultiSeries
@@ -56,28 +55,37 @@ def hilbert_series(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
 
     The coefficient of q^(k/2) is dim H_{gamma,k}.
     """
-    quiver.check_dim(gamma)
-    if qtrunc < 0:
-        raise DomainError("qtrunc must be >= 0")
-    if not quiver.is_symmetric():
-        raise DomainError("Hilbert series uses the symmetric-quiver grading")
-    gamma = tuple(gamma)
-    if not any(gamma):
-        return HalfSeries.one()
-    chi = euler_form(quiver, gamma, gamma)
-    inv = _inverse_pochhammers(max(gamma), qtrunc)
-    series = HalfSeries.one(hi=qtrunc)
-    for size in gamma:
-        series = series * inv[size]
-    return series.shifted(chi)
+    _check_grading(quiver, gamma, qtrunc)
+    return _hilbert(quiver, tuple(gamma), _inverse_pochhammers(max(gamma), qtrunc))
 
 
 def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int,
                             abs_max: int | None = None) -> MultiSeries:
     """A = sum_{gamma <= gamma_max} P_gamma(q) x^gamma."""
-    pieces = {g: hilbert_series(quiver, g, qtrunc)
+    _check_grading(quiver, gamma_max, qtrunc)
+    inv = _inverse_pochhammers(max(gamma_max), qtrunc)
+    pieces = {g: _hilbert(quiver, g, inv)
               for g in enumerate_dim_vectors(gamma_max, abs_max, include_zero=True)}
     return MultiSeries(gamma_max, pieces, abs_max)
+
+
+def _check_grading(quiver: Quiver, gamma: DimVector, qtrunc: int) -> None:
+    quiver.check_dim(gamma)
+    if qtrunc < 0:
+        raise DomainError("qtrunc must be >= 0")
+    if not quiver.is_symmetric():
+        raise DomainError("Hilbert series uses the symmetric-quiver grading")
+
+
+def _hilbert(quiver: Quiver, gamma: DimVector, inv: list[HalfSeries]) -> HalfSeries:
+    """P_gamma from the inverse Pochhammers of ``_inverse_pochhammers``,
+    which must reach max(gamma)."""
+    if not any(gamma):
+        return HalfSeries.one()
+    series = inv[0]
+    for size in gamma:
+        series = series * inv[size]
+    return series.shifted(euler_form(quiver, gamma, gamma))
 
 
 def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
@@ -90,26 +98,14 @@ def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
 
 
 @dataclass
-class OmegaRow:
-    gamma: DimVector
-    series: HalfSeries
-
-
-@dataclass
 class DTReport:
-    """Per-gamma quantum DT invariants with their certified windows."""
+    """Omega(gamma) for every 0 < gamma <= gamma_max, each a ``HalfSeries``
+    on its certified window, keyed in (|gamma|, lex) order."""
 
     quiver: Quiver
     gamma_max: DimVector
     qtrunc: int
-    rows: list[OmegaRow]
-
-    def row(self, gamma: DimVector) -> OmegaRow:
-        gamma = tuple(gamma)
-        for r in self.rows:
-            if r.gamma == gamma:
-                return r
-        raise KeyError(gamma)
+    omega: dict[DimVector, HalfSeries]
 
     def to_dict(self) -> dict:
         return {
@@ -118,12 +114,12 @@ class DTReport:
             "qtrunc": self.qtrunc,
             "omega": [
                 {
-                    "gamma": list(r.gamma),
-                    "coeffs": [[k, str(Fraction(c))] for k, c in r.series.items()],
-                    "nonvanishing": not r.series.is_zero(),
-                    "window": [r.series.lo, r.series.hi],
+                    "gamma": list(gamma),
+                    "coeffs": [[k, str(Fraction(c))] for k, c in series.items()],
+                    "nonvanishing": not series.is_zero(),
+                    "window": [series.lo, series.hi],
                 }
-                for r in self.rows
+                for gamma, series in self.omega.items()
             ],
         }
 
@@ -131,17 +127,18 @@ class DTReport:
     def from_dict(cls, data: dict) -> "DTReport":
         from .quiver import quiver_from_spec
 
-        rows = []
+        omega = {}
         for rec in data["omega"]:
             lo, hi = rec["window"]
             coeffs = {int(k): Fraction(c) for k, c in rec["coeffs"]}
-            rows.append(OmegaRow(tuple(rec["gamma"]), HalfSeries(coeffs, lo, hi)))
+            omega[tuple(rec["gamma"])] = HalfSeries(coeffs, lo, hi)
         return cls(quiver_from_spec(data["quiver"]), tuple(data["gamma_max"]),
-                   data["qtrunc"], rows)
+                   data["qtrunc"], omega)
 
 
-def plethystic_factor(series: MultiSeries) -> GenTable:
-    """Extract the generator multiplicities c_{gamma,k} >= 0 from A.
+def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
+    """Omega(gamma) = sum_k c_{gamma,k} q^(k/2) for every gamma in the box of
+    A, in (|gamma|, lex) order, each on its certified window.
 
     The Euler grading D: x^g -> |g| x^g is a derivation, so D log A =
     A^(-1) DA and (log A)_g = M_g / |g| with M = A^(-1) DA, one inverse and
@@ -163,7 +160,7 @@ def plethystic_factor(series: MultiSeries) -> GenTable:
                          series.abs_max)
     log_derivative = series.inverse() * graded
     one_minus_q = HalfSeries({0: 1, 2: -1}, 0, None)
-    table = GenTable("Vprim")
+    omegas = {}
     for gamma in enumerate_dim_vectors(series.gamma_max, series.abs_max):
         total = log_derivative.piece(gamma)
         divisor = gcd(*gamma)
@@ -179,13 +176,12 @@ def plethystic_factor(series: MultiSeries) -> GenTable:
                 raise StructuralViolationError(
                     f"extracted multiplicity {c} at gamma={gamma}, k={k} "
                     "is not a non-negative integer")
-            table.set(gamma, k, int(c))
         if col.window_empty():
             raise DomainError(
                 f"certified window collapsed at gamma={gamma}; rerun with a "
                 "larger qtrunc")
-        table.windows[gamma] = (col.lo, col.hi)
-    return table
+        omegas[gamma] = col
+    return omegas
 
 
 def _mobius(n: int) -> int:
@@ -214,29 +210,12 @@ def omega(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
     gamma = tuple(gamma)
     if not any(gamma):
         raise DomainError("Omega is defined for nonzero dimension vectors")
-    series = build_generating_series(quiver, gamma, qtrunc)
-    table = plethystic_factor(series)
-    return omega_from_table(table, gamma)
-
-
-def omega_from_table(table: GenTable, gamma: DimVector) -> HalfSeries:
-    gamma = tuple(gamma)
-    if gamma not in table.windows:
-        raise DomainError(f"no extraction window recorded for {gamma}")
-    lo, hi = table.windows[gamma]
-    col = table.column(gamma)
-    if any(k < lo or (hi is not None and k > hi) for k in col):
-        raise StructuralViolationError(
-            f"recorded multiplicities escape the certified window at {gamma}")
-    return HalfSeries(col, lo, hi)
+    return plethystic_factor(build_generating_series(quiver, gamma, qtrunc))[gamma]
 
 
 def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int,
               abs_max: int | None = None) -> DTReport:
-    """Omega for every 0 < gamma <= gamma_max, one extraction pass."""
+    """Omega for every 0 < gamma <= gamma_max, one extraction pass; the
+    report's ``omega`` is ``plethystic_factor``'s dict."""
     series = build_generating_series(quiver, gamma_max, qtrunc, abs_max)
-    table = plethystic_factor(series)
-    rows = []
-    for gamma in enumerate_dim_vectors(gamma_max, abs_max):
-        rows.append(OmegaRow(gamma, omega_from_table(table, gamma)))
-    return DTReport(quiver, tuple(gamma_max), qtrunc, rows)
+    return DTReport(quiver, tuple(gamma_max), qtrunc, plethystic_factor(series))

@@ -23,7 +23,8 @@ class StructuralViolationError(RuntimeError):
 
 
 class LimitExceededError(RuntimeError):
-    """A combinatorial search was asked to run beyond its configured bound."""
+    """Valid input beyond a configured bound: the size of a combinatorial
+    search, or the packed-exponent limit of ``ColoredPoly``."""
 
 
 class QuiverFormatError(ValueError):

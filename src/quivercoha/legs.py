@@ -41,10 +41,6 @@ class EigenData:
     def to_dict(self) -> dict:
         return {"t": [[str(v) for v in vs] for vs in self.values]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EigenData":
-        return cls(tuple(tuple(Fraction(v) for v in vs) for vs in data["t"]))
-
 
 @dataclass(frozen=True)
 class LegData:
@@ -54,9 +50,6 @@ class LegData:
     tilde_gamma: DimVector
     vertex_labels: tuple[tuple[int, int], ...]   # flat index -> (i, j)
     half_quiver: Quiver
-
-    def flat_index(self, i: int, j: int) -> int:
-        return self.vertex_labels.index((i, j))
 
 
 def attach_legs(q: Quiver, q0: Quiver, gamma: DimVector) -> LegData:

@@ -17,7 +17,7 @@ import heapq
 import re
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, DivisibilityError, DomainError
+from .errors import DimensionMismatchError, DivisibilityError, DomainError, LimitExceededError
 from .quiver import DimVector
 
 _BITS = 7
@@ -33,8 +33,11 @@ def _norm_coeff(c):
 def _pack(exps, nvars):
     key = 0
     for e in exps:
-        if not 0 <= e <= _MAXEXP:
-            raise DomainError(f"exponent {e} out of supported range 0..{_MAXEXP}")
+        if e < 0:
+            raise DomainError(f"negative exponent {e}")
+        if e > _MAXEXP:
+            raise LimitExceededError(
+                f"exponent {e} exceeds the packed-exponent limit {_MAXEXP}")
     for e in exps:
         key = (key << _BITS) | e
     return key
@@ -185,7 +188,8 @@ class ColoredPoly:
             a, b = b, a
         da, db = self.degree(), other.degree()
         if da is not None and db is not None and da + db > _MAXEXP:
-            raise DomainError("product degree exceeds packed-exponent capacity")
+            raise LimitExceededError(
+                f"product degree {da + db} exceeds the packed-exponent limit {_MAXEXP}")
         out: dict = {}
         get = out.get
         for k1, c1 in a.items():

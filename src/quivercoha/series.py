@@ -153,16 +153,6 @@ class HalfSeries:
         return HalfSeries({k + dk: c for k, c in self.coeffs.items()},
                           self.lo + dk, _hi_plus(self.hi, dk))
 
-    def truncated(self, lo: int | None = None, hi: int | None = None) -> "HalfSeries":
-        """Narrow the window; never widens certainty."""
-        new_lo = self.lo if lo is None or lo < self.lo else lo
-        new_hi = self.hi if hi is None else _min_hi(self.hi, hi)
-        kept = {k: c for k, c in self.coeffs.items() if k >= new_lo}
-        if new_lo > self.lo and any(k < new_lo for k in self.coeffs):
-            # raising lo would forget known nonzero terms; that changes meaning
-            raise DomainError("cannot raise the order bound past nonzero terms")
-        return HalfSeries(kept, new_lo, new_hi)
-
     def divide(self, other: "HalfSeries") -> "HalfSeries":
         """Exact series division within the provable window."""
         m = other.order()
@@ -268,10 +258,6 @@ class MultiSeries:
         if not self.in_domain(g):
             raise DomainError(f"{g} is outside the truncation box")
         return self.pieces.get(g, HalfSeries.zero())
-
-    @classmethod
-    def unit(cls, gamma_max, abs_max=None) -> "MultiSeries":
-        return cls(gamma_max, {zero_dim(len(gamma_max)): HalfSeries.one()}, abs_max)
 
     def _check_compatible(self, other):
         if self.gamma_max != other.gamma_max or self.abs_max != other.abs_max:

@@ -151,6 +151,11 @@ def test_capacity_limit_is_exit_4(a1_path, capsys):
     # |gamma| = 9 exceeds the exhaustive genericity search's size cap
     assert main(["--quiver", a1_path, "--mode", "genericity", "--gamma-max", "9"]) == 4
     assert "genericity" in capsys.readouterr().err
+    # x^100 * x^100 needs exponent 200, beyond the 7-bit exponent packing
+    assert main(["--quiver", a1_path, "--mode", "shuffle-eval", "--gamma-max", "1",
+                 "--left", "x^100", "--left-gamma", "1",
+                 "--right", "x^100", "--right-gamma", "1"]) == 4
+    assert "packed-exponent limit 127" in capsys.readouterr().err
 
 
 def test_gamma_max_length_mismatch_is_exit_2(a1_path):

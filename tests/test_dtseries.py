@@ -92,37 +92,39 @@ def test_euler_identity_single_odd_tower_reproduces_no_loop_series():
 
 # -- plethystic extraction -----------------------------------------------------------
 
+def _entries(omegas):
+    """{(gamma, k): c_{gamma,k}} over the nonzero multiplicities."""
+    return {(gamma, k): c for gamma, s in omegas.items() for k, c in s.items()}
+
+
 def test_extraction_no_loops():
     series = build_generating_series(S1, (3,), 20)
-    table = plethystic_factor(series)
-    assert dict(table.entries) == {((1,), 1): 1}
+    omegas = plethystic_factor(series)
+    assert list(omegas) == [(1,), (2,), (3,)]
+    assert _entries(omegas) == {((1,), 1): 1}
 
 
 def test_extraction_two_loops_gamma_one_column():
     series = build_generating_series(S2, (2,), 16)
-    table = plethystic_factor(series)
-    assert table.column((1,)) == {-1: 1}
-    assert table.column((2,)) == {-4: 1}
+    omegas = plethystic_factor(series)
+    assert omegas[(1,)].coeffs == {-1: 1}
+    assert omegas[(2,)].coeffs == {-4: 1}
 
 
 def test_extraction_parity():
     for name, quiver in SUITE:
         gmax = (2,) * quiver.vertex_count
         series = build_generating_series(quiver, gmax, 14)
-        table = plethystic_factor(series)
-        for (gamma, k), c in table.entries.items():
+        for gamma, k in _entries(plethystic_factor(series)):
             assert (k - euler_form(quiver, gamma, gamma)) % 2 == 0
 
 
 def test_extraction_independent_of_within_level_order():
     # relabelling the two vertices reverses the walk inside each |gamma| level
-    tables = []
-    for rows in ([[2, 1], [1, 0]], [[0, 1], [1, 2]]):
-        series = build_generating_series(Quiver.from_lists(rows), (2, 2), 14)
-        tables.append(plethystic_factor(series))
-    table, swapped = tables
-    assert table.entries == {(g[::-1], k): c for (g, k), c in swapped.entries.items()}
-    assert table.windows == {g[::-1]: w for g, w in swapped.windows.items()}
+    omegas, swapped = (
+        plethystic_factor(build_generating_series(Quiver.from_lists(rows), (2, 2), 14))
+        for rows in ([[2, 1], [1, 0]], [[0, 1], [1, 2]]))
+    assert omegas == {g[::-1]: s for g, s in swapped.items()}
 
 
 def _rebuild_matches(entries, series):
@@ -150,13 +152,13 @@ def _rebuild_matches(entries, series):
 def test_round_trip_rebuild(suite_quiver):
     gmax = (2,) * suite_quiver.vertex_count
     series = build_generating_series(suite_quiver, gmax, 14)
-    table = plethystic_factor(series)
-    # the table is complete: a wider window finds no further generator
+    entries = _entries(plethystic_factor(series))
+    # the extraction is complete: a wider window finds no further generator
     wider = plethystic_factor(build_generating_series(suite_quiver, gmax, 22))
-    assert wider.entries == table.entries
-    assert _rebuild_matches(table.entries, series)
-    (gamma, k), c = min(table.entries.items())
-    assert not _rebuild_matches({**table.entries, (gamma, k): c + 1}, series)
+    assert _entries(wider) == entries
+    assert _rebuild_matches(entries, series)
+    (gamma, k), c = min(entries.items())
+    assert not _rebuild_matches({**entries, (gamma, k): c + 1}, series)
 
 
 def test_extraction_needs_unit_constant_term():
@@ -188,16 +190,15 @@ def test_dt_report_round_trips_through_json():
     back = DTReport.from_dict(data)
     assert back.quiver == report.quiver
     assert back.gamma_max == report.gamma_max
-    for row in report.rows:
-        assert back.row(row.gamma).series == row.series
+    assert back.omega == report.omega
     assert back.to_dict() == report.to_dict()
 
 
 def test_omega_positivity_across_suite(suite_quiver):
     gmax = (2,) * suite_quiver.vertex_count
     report = dt_report(suite_quiver, gmax, 14)
-    for row in report.rows:
-        for k, c in row.series.items():
+    for series in report.omega.values():
+        for k, c in series.items():
             assert isinstance(c, int) and c > 0
 
 
@@ -222,14 +223,16 @@ def test_dt_report_windows_sound_and_lowest_term_is_one(case):
     # Omega(gamma) starts with 1 * q^(chi/2) (IH^0, arXiv:1411.4062)
     quiver, gmax, q1, q2 = case
     narrow, wide = dt_report(quiver, gmax, q1), dt_report(quiver, gmax, q2)
-    for r1, r2 in zip(narrow.rows, wide.rows):
-        assert r1.series.agrees_with(r2.series), r1.gamma
-        assert r2.series.hi >= r1.series.hi, r1.gamma
-        for row in (r1, r2):
-            if not row.series.is_zero():
-                chi = euler_form(quiver, row.gamma, row.gamma)
-                assert row.series.order() == chi, row.gamma
-                assert row.series.coeff(chi) == 1, row.gamma
+    assert list(narrow.omega) == list(wide.omega)
+    for gamma, s1 in narrow.omega.items():
+        s2 = wide.omega[gamma]
+        assert s1.agrees_with(s2), gamma
+        assert s2.hi >= s1.hi, gamma
+        chi = euler_form(quiver, gamma, gamma)
+        for s in (s1, s2):
+            if not s.is_zero():
+                assert s.order() == chi, gamma
+                assert s.coeff(chi) == 1, gamma
 
 
 # -- the central cross-check: series extraction vs linear algebra -------------------
@@ -237,15 +240,12 @@ def test_dt_report_windows_sound_and_lowest_term_is_one(case):
 def test_prim_dims_agree_with_extraction_small(suite_quiver):
     gmax = (2,) * suite_quiver.vertex_count
     series = build_generating_series(suite_quiver, gmax, 12)
-    table = plethystic_factor(series)
+    omegas = plethystic_factor(series)
     for gamma in [g for g in series.domain() if any(g) and sum(g) <= 2]:
         chi = euler_form(suite_quiver, gamma, gamma)
         linear = prim_dims(suite_quiver, gamma, chi + 12)
-        lo = max(linear.windows[gamma][0], table.windows[gamma][0])
-        hi = min(linear.windows[gamma][1], table.windows[gamma][1])
-        assert lo <= hi
-        for k in range(lo, hi + 1):
-            assert linear.dim(gamma, k) == table.dim(gamma, k), (gamma, k)
+        assert max(linear.lo, omegas[gamma].lo) <= min(linear.hi, omegas[gamma].hi)
+        assert linear.agrees_with(omegas[gamma]), gamma
 
 
 # -- literature anchor: Reineke's closed formula for the m-loop quiver --------------
@@ -270,11 +270,28 @@ def _reineke_dt(m, d):
     return total // (d * d)
 
 
-@pytest.mark.parametrize("loops,d_max,qtrunc", [(2, 5, 12), (3, 5, 30), (4, 4, 30)])
-def test_omega_at_minus_one_matches_reineke(loops, d_max, qtrunc):
+def _series_route(quiver, d_max, qtrunc):
+    return dt_report(quiver, (d_max,), qtrunc).omega
+
+
+def _linear_route(quiver, d_max, qtrunc):
+    return {(d,): prim_dims(quiver, (d,), euler_form(quiver, (d,), (d,)) + qtrunc)
+            for d in range(1, d_max + 1)}
+
+
+# ids without a prefix are the series route
+@pytest.mark.parametrize("route,loops,d_max,qtrunc", [
+    pytest.param(_series_route, 2, 5, 12, id="2-5-12"),
+    pytest.param(_series_route, 3, 5, 30, id="3-5-30"),
+    pytest.param(_series_route, 4, 4, 30, id="4-4-30"),
+    pytest.param(_linear_route, 2, 4, 12, id="linear-2-4-12"),
+    pytest.param(_linear_route, 3, 3, 30, id="linear-3-3-30"),
+    pytest.param(_linear_route, 4, 2, 30, id="linear-4-2-30"),
+])
+def test_omega_at_minus_one_matches_reineke(route, loops, d_max, qtrunc):
     # Omega(d) at q^(1/2) = -1 is (-1)^((m-1)d) DT_d^(m) (arXiv:1102.3978);
     # these windows cover the whole support of each Omega(d)
-    report = dt_report(Quiver.loop_quiver(loops), (d_max,), qtrunc)
+    omegas = route(Quiver.loop_quiver(loops), d_max, qtrunc)
     for d in range(1, d_max + 1):
-        value = sum(c * (-1) ** k for k, c in report.row((d,)).series.items())
+        value = sum(c * (-1) ** k for k, c in omegas[(d,)].items())
         assert value == (-1) ** ((loops - 1) * d) * _reineke_dt(loops, d), d

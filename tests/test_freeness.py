@@ -2,25 +2,26 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoha import (StructuralViolationError, decomposable_dim,
-                        euler_form, generator_dims, prim_dims)
-from quivercoha.freeness import GenTable, exact_rank
+from quivercoha import (DomainError, HalfSeries, StructuralViolationError,
+                        decomposable_dim, generator_dims, prim_dims)
+from quivercoha import freeness
+from quivercoha.freeness import exact_rank
 
-from conftest import S1, S2, S3
+from conftest import S1, S2
 
 
 # -- exact rank ----------------------------------------------------------------
 
 def test_exact_rank_small_cases():
-    assert exact_rank([[1, 0], [0, 1]]) == (2, [0, 1])
-    assert exact_rank([[1, 2], [2, 4]]) == (1, [0])
-    assert exact_rank([[0, 0], [0, 0]]) == (0, [])
-    rank, pivots = exact_rank([
+    assert exact_rank([[1, 0], [0, 1]]) == 2
+    assert exact_rank([[1, 2], [2, 4]]) == 1
+    assert exact_rank([[0, 0], [0, 0]]) == 0
+    assert exact_rank([]) == 0
+    assert exact_rank([
         [Fraction(1, 2), Fraction(1, 3)],
         [Fraction(3, 2), 1],
         [0, Fraction(1, 7)],
-    ])
-    assert rank == 2
+    ]) == 2
 
 
 def test_exact_rank_matches_brute_force():
@@ -46,81 +47,59 @@ def test_exact_rank_matches_brute_force():
                 for ci in itertools.combinations(range(cols), size):
                     if det([[mat[r][c] for c in ci] for r in ri]) != 0:
                         best = max(best, size)
-        assert exact_rank(mat)[0] == best
+        assert exact_rank(mat) == best
 
 
 # -- decomposables ----------------------------------------------------------------
 
 def test_decomposable_examples():
     # products of bidegrees (1,1) x (1,5) span a line in H_{(2),6}
-    dim, span = decomposable_dim(S1, (2,), 6)
-    assert dim == 1
-    assert len(span) == 1
-    assert span[0].bidegree() == ((2,), 6)
+    assert decomposable_dim(S1, (2,), 6) == 1
     # no proper decomposition at |gamma| = 1
-    assert decomposable_dim(S2, (1,), 5)[0] == 0
+    assert decomposable_dim(S2, (1,), 5) == 0
     # below the bottom of the bidegree window the space is empty
-    assert decomposable_dim(S1, (2,), 2)[0] == 0
+    assert decomposable_dim(S1, (2,), 2) == 0
 
 
-def test_spanning_set_is_independent():
-    dim, span = decomposable_dim(S3, (1, 1), euler_form(S3, (1, 1), (1, 1)) + 4)
-    from quivercoha.coha import basis_leading_exponents
-    reps = basis_leading_exponents(S3, (1, 1), euler_form(S3, (1, 1), (1, 1)) + 4)
-    rows = [[e.poly.coefficient(r) for r in reps] for e in span]
-    assert exact_rank(rows)[0] == dim == len(span)
-
-
-# -- generator tables --------------------------------------------------------------
+# -- generator series --------------------------------------------------------------
 
 def test_generator_dims_one_vertex_free_column():
-    table = generator_dims(S1, (1,), 13)
-    assert table.windows[(1,)] == (1, 13)
-    assert table.column((1,)) == {k: 1 for k in range(1, 14, 2)}
+    series = generator_dims(S1, (1,), 13)
+    assert series.window() == (1, 13)
+    assert series.coeffs == {k: 1 for k in range(1, 14, 2)}
 
 
 def test_generator_dims_no_loops_gamma_two_all_zero():
-    table = generator_dims(S1, (2,), 16)
-    assert table.column((2,)) == {}
+    series = generator_dims(S1, (2,), 16)
+    assert series.window() == (4, 16)
+    assert series.is_zero()
 
 
 def test_generator_dims_two_loops_gamma_one():
-    table = generator_dims(S2, (1,), 9)
-    assert table.column((1,)) == {k: 1 for k in range(-1, 10, 2)}
+    series = generator_dims(S2, (1,), 9)
+    assert series.coeffs == {k: 1 for k in range(-1, 10, 2)}
 
 
 def test_prim_dims_examples():
-    assert prim_dims(S1, (1,), 13).column((1,)) == {1: 1}
-    assert prim_dims(S2, (1,), 9).column((1,)) == {-1: 1}
-    assert prim_dims(S1, (2,), 16).column((2,)) == {}
+    assert prim_dims(S1, (1,), 13).coeffs == {1: 1}
+    assert prim_dims(S2, (1,), 9).coeffs == {-1: 1}
+    assert prim_dims(S1, (2,), 16).coeffs == {}
+    # outside the certified window the value is unknown, never zero
+    with pytest.raises(DomainError):
+        prim_dims(S1, (1,), 13).coeff(15)
 
 
 def test_prim_dims_monotone_under_larger_window():
     small = prim_dims(S2, (2,), 2)
     large = prim_dims(S2, (2,), 8)
-    for (g, k), v in small.entries.items():
-        assert large.entries.get((g, k)) == v
-    lo, hi = small.windows[(2,)]
-    for k in range(lo, hi + 1):
-        assert small.dim((2,), k) == large.dim((2,), k)
+    assert small.window() == (-4, 2)
+    assert large.window() == (-4, 8)
+    assert large.agrees_with(small)
 
 
-def test_gentable_rejects_negative():
-    table = GenTable("Vprim")
+def test_prim_dims_rejects_negative_multiplicity(monkeypatch):
+    # a V-series that drops from one degree to the next would need c < 0
+    monkeypatch.setattr(freeness, "generator_dims",
+                        lambda quiver, gamma, kmax: HalfSeries({1: 2, 3: 1}, 1, kmax))
     with pytest.raises(StructuralViolationError):
-        table.set((1,), 3, -1)
-
-
-def test_gentable_records_sorted():
-    table = GenTable("Vprim")
-    table.windows[(2,)] = (0, 4)
-    table.windows[(1,)] = (0, 4)
-    table.set((2,), 0, 1)
-    table.set((1,), 2, 3)
-    assert table.to_records() == [
-        {"gamma": [1], "k": 2, "dim": 3},
-        {"gamma": [2], "k": 0, "dim": 1},
-    ]
-    assert table.dim((1,), 2) == 3
-    assert table.dim((1,), 0) == 0
-    assert table.dim((1,), 6) is None   # outside the window: unknown
+        prim_dims(S1, (1,), 5)

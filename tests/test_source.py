@@ -14,3 +14,10 @@ def test_library_has_no_bare_assert():
                   if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py"))
     assert found == []
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # "from quivercoha import *" only when someone runs it
+    import quivercoha
+    assert [name for name in quivercoha.__all__ if not hasattr(quivercoha, name)] == []

@@ -15,7 +15,7 @@ from .freeness import decomposable_dim, generator_dims, prim_dims
 from .legs import EigenData, LegData, attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
 from .poly import ColoredPoly, exact_divide, parse_colored_poly
 from .quiver import (DimVector, Quiver, SignForm, double, enumerate_dim_vectors,
-                     euler_form, moduli_dimensions, quiver_from_spec, sign_form)
+                     euler_form, quiver_from_spec, sign_form)
 from .roots import CartanData, RootCertificate, is_positive_root, tits_form
 from .series import HalfSeries, MultiSeries
 
@@ -28,7 +28,7 @@ __all__ = [
     "build_generating_series", "decomposable_dim", "double", "dt_report",
     "enumerate_dim_vectors", "euler_form", "exact_divide",
     "generator_dims", "hilbert_series", "is_generic", "is_positive_root",
-    "lambda_from_eigenvalues", "moduli_dimensions", "omega",
+    "lambda_from_eigenvalues", "omega",
     "parse_colored_poly", "plethystic_factor", "prim_dims", "quiver_from_spec",
     "sample_generic", "shuffle_product", "sign_form", "tits_form",
     "twisted_product",

@@ -11,10 +11,26 @@ gamma2 is the shuffle sum
          / prod_i prod_{r,s} (x''_{i,s} - x'_{i,r})
 
 over all choices S = (S_i) of gamma1^i slots per color, the first factor's
-variables occupying S in increasing slot order.  Each summand is put over
-the per-color Vandermonde of all result variables, the numerators are summed
-and the single division at the end certifies that the sum is a polynomial
-(a nonzero remainder would be a correctness bug, not an input error).
+variables occupying S in increasing slot order.
+
+It is computed by relabeling one summand.  In the canonical placement the
+first factor's variables x' take the first gamma1^i slots of each color block
+and x'' the rest; there
+
+    P = f(x') g(x'') K(x', x'') V(x') V(x''),
+    K = prod_{i,j} prod_{r,s} (x''_{j,s} - x'_{i,r})^{a_ij},
+
+with V the per-color Vandermonde prod_{p < q} (x_q - x_p); V of all result
+variables is then V(x') V(x'') times the denominator above.  A shuffle S is
+the slot permutation sigma_S that sends x' onto S and x'' onto its
+complement, increasing on each side.  So sigma_S(P) is S's numerator times
+the Vandermondes of both sides, sigma_S(V) = sign(sigma_S) V, and the
+product is
+
+    sum_S sign(sigma_S) sigma_S(P) / V.
+
+The single division at the end certifies that the sum is a polynomial (a
+nonzero remainder would be a correctness bug, not an input error).
 
 A homogeneous element of polynomial degree d has cohomological degree 2d and
 bidegree (gamma, 2d + chi(gamma, gamma)); the Z-grading is additive under the
@@ -30,7 +46,7 @@ from itertools import combinations, permutations, product as iproduct
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      StructuralViolationError)
 from .poly import ColoredPoly, exact_divide
-from .quiver import DimVector, Quiver, dim_add, euler_form, sign_form, zero_dim
+from .quiver import DimVector, Quiver, dim_add, euler_form, sign_form
 
 
 @dataclass
@@ -55,25 +71,6 @@ class CohaElement:
             raise DomainError("polynomial is not symmetric within color blocks")
         return elt
 
-    @classmethod
-    def unit(cls, quiver) -> "CohaElement":
-        g = zero_dim(quiver.vertex_count)
-        return cls(quiver, g, ColoredPoly.constant(g, 1))
-
-    def cohomological_degree(self) -> int | None:
-        """2 * polynomial degree for a homogeneous element; None otherwise."""
-        if not self.poly.is_homogeneous():
-            return None
-        d = self.poly.degree()
-        return 0 if d is None else 2 * d
-
-    def bidegree(self) -> tuple[DimVector, int]:
-        """(gamma, k) with k = cohomological degree + chi(gamma, gamma)."""
-        k0 = self.cohomological_degree()
-        if k0 is None:
-            raise DomainError("bidegree of an inhomogeneous element")
-        return self.gamma, k0 + euler_form(self.quiver, self.gamma, self.gamma)
-
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
@@ -95,19 +92,22 @@ def _block_offsets(gamma: DimVector):
     return offs
 
 
+def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
+    """x_s - x_r, variables given as flat indices."""
+    n = sum(gamma)
+    e_s = [0] * n
+    e_s[s] = 1
+    e_r = [0] * n
+    e_r[r] = 1
+    return ColoredPoly(gamma, {tuple(e_s): 1, tuple(e_r): -1})
+
+
 def _vandermonde(gamma: DimVector, slots) -> ColoredPoly:
     """prod_{p < q in slots} (x_q - x_p), slots given as flat variable indices."""
     poly = ColoredPoly.constant(gamma, 1)
-    n = sum(gamma)
     for a in range(len(slots)):
         for b in range(a + 1, len(slots)):
-            p, q = slots[a], slots[b]
-            e_q = [0] * n
-            e_q[q] = 1
-            e_p = [0] * n
-            e_p[p] = 1
-            binom = ColoredPoly(gamma, {tuple(e_q): 1, tuple(e_p): -1})
-            poly = poly * binom
+            poly = poly * _difference(gamma, slots[b], slots[a])
     return poly
 
 
@@ -116,12 +116,60 @@ def _full_vandermonde(gamma: DimVector):
     offs = _block_offsets(gamma)
     poly = ColoredPoly.constant(gamma, 1)
     for i, size in enumerate(gamma):
-        poly = poly * _vandermonde(gamma, list(range(offs[i], offs[i] + size)))
+        poly = poly * _vandermonde(gamma, range(offs[i], offs[i] + size))
     return poly
 
 
+def _shuffle_numerator(a: CohaElement, b: CohaElement, gamma: DimVector) -> ColoredPoly:
+    """sum_S sign(sigma_S) sigma_S(P) for nonzero a and b.  Kept apart from
+    the division so that P and the summands are freed before it: the
+    division's workspace is the memory peak of a product."""
+    q, g1 = a.quiver, a.gamma
+    n = q.vertex_count
+    offs = _block_offsets(gamma)
+
+    # canonical placement: a's variables take the first g1^i slots of block i
+    firsts = [range(offs[i], offs[i] + g1[i]) for i in range(n)]
+    seconds = [range(offs[i] + g1[i], offs[i] + gamma[i]) for i in range(n)]
+    cofactor = ColoredPoly.constant(gamma, 1)
+    for i in range(n):
+        cofactor = cofactor * _vandermonde(gamma, firsts[i])
+        cofactor = cofactor * _vandermonde(gamma, seconds[i])
+    fa = a.poly.reindex(gamma, [v for slots in firsts for v in slots])
+    fb = b.poly.reindex(gamma, [v for slots in seconds for v in slots])
+    kernel = ColoredPoly.constant(gamma, 1)
+    for i in range(n):
+        for j in range(n):
+            a_ij = q.arrows[i][j]
+            if not a_ij:
+                continue
+            for r in firsts[i]:
+                for s in seconds[j]:
+                    kernel = kernel * (_difference(gamma, s, r) ** a_ij)
+    canonical = (fb * kernel) * fa * cofactor
+
+    numerator = ColoredPoly.zero(gamma)
+    choices = [list(combinations(range(gamma[i]), g1[i])) for i in range(n)]
+    for pick in iproduct(*choices):
+        sigma = []   # sigma[v]: where shuffle S sends canonical slot v
+        inv = 0
+        for i in range(n):
+            # lists: tuple(generator) here leaves its resized tuples on
+            # CPython's free lists and raised the traced memory peak by 30%
+            rest = [p for p in range(gamma[i]) if p not in pick[i]]
+            sigma += [offs[i] + p for p in [*pick[i], *rest]]
+            # sign(sigma_S): one inversion per p < r, p on b's side, r on a's
+            inv += sum(1 for p in rest for r in pick[i] if p < r)
+        summand = canonical.reindex(gamma, sigma)
+        numerator = numerator - summand if inv % 2 else numerator + summand
+    return numerator
+
+
 def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
-    """The Hall product, computed as one exact division after summing."""
+    """The Hall product sum_S sign(sigma_S) sigma_S(P) / V: the canonical
+    summand P is built once, each shuffle S relabels its slots by sigma_S
+    (increasing on each side), and one exact division by the full
+    Vandermonde V ends the sum."""
     if a.quiver != b.quiver:
         raise DomainError("elements live over different quivers")
     q = a.quiver
@@ -129,59 +177,11 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
         raise DomainError("the Hall product is implemented for symmetric quivers")
     g1, g2 = a.gamma, b.gamma
     gamma = dim_add(g1, g2)
-    n = q.vertex_count
-    nvars = sum(gamma)
-    offs = _block_offsets(gamma)
 
     if a.poly.is_zero() or b.poly.is_zero():
         return CohaElement(q, gamma, ColoredPoly.zero(gamma))
 
-    arrows = q.arrows
-    numerator = ColoredPoly.zero(gamma)
-    choices = [list(combinations(range(gamma[i]), g1[i])) for i in range(n)]
-    for pick in iproduct(*choices):
-        first_slots = []   # flat indices taken by a, per color in slot order
-        second_slots = []
-        sign = 1
-        cofactor = ColoredPoly.constant(gamma, 1)
-        for i in range(n):
-            s_set = set(pick[i])
-            firsts = [offs[i] + r for r in pick[i]]
-            seconds = [offs[i] + r for r in range(gamma[i]) if r not in s_set]
-            # sign of V_full / D_S: one -1 per pair (p < q) with p on the
-            # second side and q on the first side
-            inv = sum(1 for p in range(gamma[i]) for r in pick[i]
-                      if p < r and p not in s_set)
-            if inv % 2:
-                sign = -sign
-            cofactor = cofactor * _vandermonde(gamma, firsts)
-            cofactor = cofactor * _vandermonde(gamma, seconds)
-            first_slots.append(firsts)
-            second_slots.append(seconds)
-
-        var_map_a = [v for slots in first_slots for v in slots]
-        var_map_b = [v for slots in second_slots for v in slots]
-        fa = a.poly.reindex(gamma, var_map_a)
-        fb = b.poly.reindex(gamma, var_map_b)
-
-        kernel = ColoredPoly.constant(gamma, 1)
-        for i in range(n):
-            for j in range(n):
-                a_ij = arrows[i][j]
-                if not a_ij:
-                    continue
-                for r in first_slots[i]:
-                    for s in second_slots[j]:
-                        e_s = [0] * nvars
-                        e_s[s] = 1
-                        e_r = [0] * nvars
-                        e_r[r] = 1
-                        binom = ColoredPoly(gamma, {tuple(e_s): 1, tuple(e_r): -1})
-                        kernel = kernel * (binom ** a_ij)
-
-        summand = (fb * kernel) * fa * cofactor
-        numerator = numerator + (summand if sign > 0 else -summand)
-
+    numerator = _shuffle_numerator(a, b, gamma)
     denominator = _full_vandermonde(gamma)
     try:
         result = exact_divide(numerator, denominator)

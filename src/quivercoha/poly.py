@@ -25,7 +25,7 @@ _MAXEXP = (1 << _BITS) - 1
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -131,16 +131,6 @@ class ColoredPoly:
         if not self._terms:
             return None
         return max(sum(_unpack(k, self.nvars)) for k in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(_unpack(k, self.nvars)) for k in self._terms}
-        return len(degs) <= 1
-
-    def homogeneous_components(self) -> dict[int, "ColoredPoly"]:
-        comps: dict[int, dict] = {}
-        for k, c in self._terms.items():
-            comps.setdefault(sum(_unpack(k, self.nvars)), {})[k] = c
-        return {d: ColoredPoly._make(self.gamma, t) for d, t in sorted(comps.items())}
 
     # -- ring operations ---------------------------------------------------
 
@@ -332,7 +322,7 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
                 "polynomial division left a nonzero remainder",
                 remainder=ColoredPoly._make(num.gamma, r))
         t = kr - kd
-        c = r[kr] / cd if isinstance(r[kr], Fraction) or isinstance(cd, Fraction) \
+        c = r[kr] / cd if type(r[kr]) is Fraction or type(cd) is Fraction \
             else Fraction(r[kr], cd)
         c = _norm_coeff(c)
         q[t] = c

@@ -162,16 +162,6 @@ def sign_form(q: Quiver) -> SignForm:
     return SignForm(psi)
 
 
-def moduli_dimensions(q: Quiver, g: DimVector) -> tuple[int, int, int]:
-    """(dim M_gamma, dim G_gamma, d_gamma) with d = dim M - dim G + 1,
-    the dimension of the representation stack modulo the global scalar."""
-    q.check_dim(g)
-    n = q.vertex_count
-    dim_m = sum(q.arrows[i][j] * g[i] * g[j] for i in range(n) for j in range(n))
-    dim_g = sum(x * x for x in g)
-    return dim_m, dim_g, dim_m - dim_g + 1
-
-
 def quiver_from_spec(obj) -> Quiver:
     """Parse the JSON wire form ``{"vertices": n, "arrows": [[i, j, m], ...]}``.
 

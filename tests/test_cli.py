@@ -1,8 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from quivercoha.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# The benchmark's workloads (bench/workloads.py): quiver file, mode,
+# gamma-max and qtrunc of each, and its reference report in bench/reference.
+BENCH_WORKLOADS = {
+    "dt_loop3": ("loop3.json", "dt-table", "5", "30"),
+    "freeness_loop2": ("loop2.json", "check-freeness", "4", "16"),
+    "freeness_kronecker": ("kronecker2_doubled.json", "check-freeness", "3,2", "10"),
+    "nonvanishing_kronecker": ("kronecker2_half.json", "check-nonvanishing", "4,4", "16"),
+}
 
 
 def write_quiver(tmp_path, name, obj):
@@ -68,6 +80,15 @@ def test_every_mode_is_byte_deterministic(tmp_path, a1_path, loop1_path):
             code2, blob2 = run_to_file(tmp_path, args + ["--format", fmt], "r2")
             assert code1 == code2 == 0, mode
             assert blob1 == blob2, (mode, fmt)
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_bench_workload_matches_reference(tmp_path, name):
+    quiver, mode, gamma_max, qtrunc = BENCH_WORKLOADS[name]
+    out = tmp_path / "report.json"
+    assert main(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
+                 "--gamma-max", gamma_max, "--qtrunc", qtrunc, "--out", str(out)]) == 0
+    assert out.read_bytes() == (BENCH / "reference" / f"{name}.json").read_bytes()
 
 
 def test_check_modes_exit_zero_on_agreement(tmp_path, loop1_path, kron_path):

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError,
-                        Quiver, StructuralViolationError, basis, euler_form,
-                        exact_divide, shuffle_product, sign_form, twisted_product)
+                        Quiver, StructuralViolationError, basis,
+                        enumerate_dim_vectors, euler_form, exact_divide,
+                        shuffle_product, sign_form, twisted_product)
 from quivercoha.coha import basis_leading_exponents
 
 from conftest import S1, S2, S3, S4, SUITE
@@ -16,6 +19,11 @@ def elt(quiver, gamma, text_or_poly):
         return CohaElement(quiver, gamma, text_or_poly)
     from quivercoha import parse_colored_poly
     return CohaElement(quiver, gamma, parse_colored_poly(gamma, text_or_poly))
+
+
+def k_degree(e):
+    """k of a homogeneous nonzero element: 2 * polynomial degree + chi(gamma, gamma)."""
+    return 2 * e.poly.degree() + euler_form(e.quiver, e.gamma, e.gamma)
 
 
 # -- shuffle examples at gamma = 1 + 1, computed from the two-term sum ----------
@@ -64,8 +72,8 @@ def test_shuffle_odd_element_squares_to_zero():
 
 
 def test_unit_is_neutral(suite_quiver):
-    unit = CohaElement.unit(suite_quiver)
     n = suite_quiver.vertex_count
+    unit = CohaElement(suite_quiver, (0,) * n, ColoredPoly.constant((0,) * n, 1))
     gamma = (2,) + (0,) * (n - 1)
     a = elt(suite_quiver, gamma, "x0_1*x0_2 + x0_1 + x0_2")
     assert shuffle_product(a, unit) == a
@@ -99,10 +107,9 @@ def test_degree_shift_matches_euler_form(suite_quiver):
         return
     expected = (a.poly.degree() + b.poly.degree()
                 - euler_form(suite_quiver, g1, g2))
-    assert prod.poly.degree() == expected
-    assert prod.poly.is_homogeneous()
+    assert {sum(exps) for exps, _ in prod.poly.terms()} == {expected}
     # bidegrees add
-    assert prod.bidegree()[1] == a.bidegree()[1] + b.bidegree()[1]
+    assert k_degree(prod) == k_degree(a) + k_degree(b)
 
 
 # -- twisted product -------------------------------------------------------------
@@ -212,8 +219,7 @@ def test_products_are_block_symmetric_and_supercommute(name, quiver):
         assert ab.poly == ba.poly * sign
         tw_ab = twisted_product(a, b)
         tw_ba = twisted_product(b, a)
-        k1, k2 = a.bidegree()[1], b.bidegree()[1]
-        tsign = -1 if (k1 * k2) % 2 else 1
+        tsign = -1 if (k_degree(a) * k_degree(b)) % 2 else 1
         assert tw_ab.poly == tw_ba.poly * tsign
 
 
@@ -238,12 +244,87 @@ def test_associativity_small(name, quiver):
 
 def test_inhomogeneous_products_distribute():
     g = (1,)
-    a = elt(S2, g, "x^2 + x")
-    b = elt(S2, g, "x + 1")
-    total = shuffle_product(a, b)
+    total = shuffle_product(elt(S2, g, "x^2 + x"), elt(S2, g, "x + 1"))
     pieces = ColoredPoly.zero((2,))
-    for da, pa in a.poly.homogeneous_components().items():
-        for db, pb in b.poly.homogeneous_components().items():
-            pieces = pieces + shuffle_product(
-                CohaElement(S2, g, pa), CohaElement(S2, g, pb)).poly
+    for pa in ("x^2", "x"):
+        for pb in ("x", "1"):
+            pieces = pieces + shuffle_product(elt(S2, g, pa), elt(S2, g, pb)).poly
     assert total.poly == pieces
+
+
+# -- the relabeled shuffle sum against the per-shuffle evaluation ------------------
+
+def _shuffle_oracle(a, b):
+    """The Hall product evaluated shuffle by shuffle: for each S, place a's
+    variables on S and b's on the complement, build the kernel and the
+    Vandermondes of both sides from scratch, put the summand over the full
+    Vandermonde with the sign of S, and divide the sum once."""
+    quiver, g1 = a.quiver, a.gamma
+    gamma = tuple(x + y for x, y in zip(g1, b.gamma))
+    n, nvars = len(gamma), sum(gamma)
+    offs = [sum(gamma[:i]) for i in range(n)]
+
+    def var(v):
+        return ColoredPoly.monomial(gamma, [int(u == v) for u in range(nvars)])
+
+    def vandermonde(slots):
+        out = ColoredPoly.constant(gamma, 1)
+        for p, r in combinations(slots, 2):
+            out = out * (var(r) - var(p))
+        return out
+
+    numerator = ColoredPoly.zero(gamma)
+    for pick in product(*(combinations(range(gamma[i]), g1[i]) for i in range(n))):
+        firsts = [[offs[i] + r for r in pick[i]] for i in range(n)]
+        seconds = [[offs[i] + s for s in range(gamma[i]) if s not in pick[i]]
+                   for i in range(n)]
+        summand = (a.poly.reindex(gamma, sum(firsts, []))
+                   * b.poly.reindex(gamma, sum(seconds, [])))
+        for i in range(n):
+            summand = summand * vandermonde(firsts[i]) * vandermonde(seconds[i])
+            for j in range(n):
+                for r in firsts[i]:
+                    for s in seconds[j]:
+                        summand = summand * (var(s) - var(r)) ** quiver.arrows[i][j]
+        # one -1 per pair p < r of a color with p on b's side and r on a's
+        inv = sum(1 for i in range(n) for r in pick[i] for p in range(r)
+                  if p not in pick[i])
+        numerator = numerator + summand * (-1) ** inv
+    full = ColoredPoly.constant(gamma, 1)
+    for i in range(n):
+        full = full * vandermonde(range(offs[i], offs[i] + gamma[i]))
+    return exact_divide(numerator, full)
+
+
+def _random_symmetric(rng, quiver, gamma):
+    """A block-symmetric element of degree <= 1: a nonzero rational constant
+    plus a random rational combination of the degree-1 basis."""
+    chi = euler_form(quiver, gamma, gamma)
+    poly = ColoredPoly.constant(gamma, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
+    for e in basis(quiver, gamma, chi + 2):
+        poly = poly + e.poly * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return CohaElement(quiver, gamma, poly)
+
+
+ORACLE_QUIVERS = SUITE + [
+    ("loop-mixed-1", Quiver.from_lists([[1, 1], [1, 0]])),
+    ("loop-mixed-3", Quiver.from_lists([[3, 1], [1, 0]])),
+    ("three-vertex", Quiver.from_lists([[0, 1, 0], [1, 1, 2], [0, 2, 0]])),
+]
+
+
+@pytest.mark.parametrize("name,quiver", ORACLE_QUIVERS)
+def test_shuffle_matches_per_shuffle_oracle(name, quiver):
+    n = quiver.vertex_count
+    rng = random.Random(f"oracle-{name}")
+    gammas = enumerate_dim_vectors((4,) * n, abs_max=4)
+    # |gamma1| + |gamma2| <= 5 and a kernel of degree <= 6 keep the oracle,
+    # which rebuilds everything per shuffle, under 0.3 s a product
+    pairs = [(g1, g2) for g1 in gammas for g2 in gammas
+             if sum(g1) + sum(g2) <= 5
+             and sum(quiver.arrows[i][j] * g1[i] * g2[j]
+                     for i in range(n) for j in range(n)) <= 6]
+    for g1, g2 in rng.sample(pairs, min(8, len(pairs))):
+        a = _random_symmetric(rng, quiver, g1)
+        b = _random_symmetric(rng, quiver, g2)
+        assert shuffle_product(a, b).poly == _shuffle_oracle(a, b)

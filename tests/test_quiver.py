@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from quivercoha import (DimensionMismatchError, DomainError, Quiver,
                         QuiverFormatError, double, euler_form,
-                        moduli_dimensions, quiver_from_spec, sign_form)
+                        quiver_from_spec, sign_form)
 from quivercoha.quiver import unit_dim
 
 from conftest import S1, S2, S3
@@ -133,14 +133,6 @@ def test_sign_form_congruence_sampled_100_pairs():
             g1 = tuple(rng.randint(0, 5) for _ in range(n))
             g2 = tuple(rng.randint(0, 5) for _ in range(n))
             assert (psi.value(g1, g2) + psi.value(g2, g1)) % 2 == _rhs_mod2(q, g1, g2)
-
-
-# -- moduli_dimensions ---------------------------------------------------------
-
-def test_moduli_dimensions_examples():
-    assert moduli_dimensions(S1, (2,)) == (0, 4, -3)
-    assert moduli_dimensions(S2, (1,)) == (2, 1, 2)
-    assert moduli_dimensions(S3, (1, 1)) == (2, 2, 1)
 
 
 # -- spec parsing ---------------------------------------------------------------

@@ -14,8 +14,9 @@ keys (the source of truth) or flattened CSV.  Exit status is 0 on success,
 identity that is a theorem fails at runtime (StructuralViolationError: a bug
 or a corrupted input, never a property of the quiver), and 4 when the input
 is valid but exceeds a capacity limit (LimitExceededError: the size cap of
-the exhaustive genericity search, or the packed-exponent limit of 127 on any
-one variable's exponent and on a product's total degree).
+the exhaustive genericity search, or the packed-exponent limit of 127 on
+every exponent, including those of the shuffle numerator, which can exceed
+the product's own by the kernel degree).
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def run_genericity(cfg: RunConfig) -> tuple[int, dict]:
     rows = []
     for idx, gamma in enumerate(enumerate_dim_vectors(cfg.gamma_max)):
         t = sample_generic(q, gamma, (cfg.seed, idx))
-        legs = attach_legs(double(q), q, gamma)
+        legs = attach_legs(q, gamma)
         lam = lambda_from_eigenvalues(t, legs)
         ok, cert = is_generic(t, q, gamma)
         pairing = sum(g * l for g, l in zip(legs.tilde_gamma, lam))

@@ -59,14 +59,13 @@ def hilbert_series(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
     return _hilbert(quiver, tuple(gamma), _inverse_pochhammers(max(gamma), qtrunc))
 
 
-def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int,
-                            abs_max: int | None = None) -> MultiSeries:
+def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> MultiSeries:
     """A = sum_{gamma <= gamma_max} P_gamma(q) x^gamma."""
     _check_grading(quiver, gamma_max, qtrunc)
     inv = _inverse_pochhammers(max(gamma_max), qtrunc)
     pieces = {g: _hilbert(quiver, g, inv)
-              for g in enumerate_dim_vectors(gamma_max, abs_max, include_zero=True)}
-    return MultiSeries(gamma_max, pieces, abs_max)
+              for g in enumerate_dim_vectors(gamma_max, include_zero=True)}
+    return MultiSeries(gamma_max, pieces)
 
 
 def _check_grading(quiver: Quiver, gamma: DimVector, qtrunc: int) -> None:
@@ -156,12 +155,11 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
     if unit_piece.coeffs != {0: 1}:
         raise DomainError("generating series must have x^0 piece 1")
     graded = MultiSeries(series.gamma_max,
-                         {g: s * dim_abs(g) for g, s in series.pieces.items()},
-                         series.abs_max)
+                         {g: s * dim_abs(g) for g, s in series.pieces.items()})
     log_derivative = series.inverse() * graded
     one_minus_q = HalfSeries({0: 1, 2: -1}, 0, None)
     omegas = {}
-    for gamma in enumerate_dim_vectors(series.gamma_max, series.abs_max):
+    for gamma in enumerate_dim_vectors(series.gamma_max):
         total = log_derivative.piece(gamma)
         divisor = gcd(*gamma)
         for r in range(2, divisor + 1):
@@ -213,9 +211,8 @@ def omega(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
     return plethystic_factor(build_generating_series(quiver, gamma, qtrunc))[gamma]
 
 
-def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int,
-              abs_max: int | None = None) -> DTReport:
+def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> DTReport:
     """Omega for every 0 < gamma <= gamma_max, one extraction pass; the
     report's ``omega`` is ``plethystic_factor``'s dict."""
-    series = build_generating_series(quiver, gamma_max, qtrunc, abs_max)
+    series = build_generating_series(quiver, gamma_max, qtrunc)
     return DTReport(quiver, tuple(gamma_max), qtrunc, plethystic_factor(series))

@@ -52,7 +52,7 @@ class LegData:
     half_quiver: Quiver
 
 
-def attach_legs(q: Quiver, q0: Quiver, gamma: DimVector) -> LegData:
+def attach_legs(q0: Quiver, gamma: DimVector) -> LegData:
     """Extend the double of q0 by a leg of length gamma^i - 1 at each vertex.
 
     Vertices are labeled [i, j], j = 0..gamma^i - 1 (vertex [i, 0] is i
@@ -60,9 +60,7 @@ def attach_legs(q: Quiver, q0: Quiver, gamma: DimVector) -> LegData:
     is gamma^i - j.  The half quiver is q0 plus one arrow per leg edge, and
     the extended quiver is its double.
     """
-    if q != double(q0):
-        raise DomainError("quiver is not the double of the given half quiver")
-    q.check_dim(gamma)
+    q0.check_dim(gamma)
     n = q0.vertex_count
     labels = [(i, 0) for i in range(n)]
     for i in range(n):

@@ -2,11 +2,13 @@
 
 The variable set is declared by a dimension vector gamma: one block of
 variables x_{i,1}, ..., x_{i,gamma^i} per vertex i, flattened in (vertex,
-slot) order.  Exponent vectors are packed into a single integer, 7 bits per
+slot) order.  Exponent vectors are packed into a single integer, one byte per
 variable with the first variable most significant, so that monomial
 multiplication is integer addition and lexicographic comparison is integer
-comparison.  Coefficients are ints or Fractions; Fractions that reduce to
-integers are normalized back to int.
+comparison.  Every exponent is at most 127, so bit 7 of each byte is an
+overflow guard: the sum of two keys never carries into the next byte, and a
+set guard bit marks an exponent above 127.  Coefficients are ints or
+Fractions; Fractions that reduce to integers are normalized back to int.
 
 No floating point appears anywhere in this module.
 """
@@ -20,8 +22,7 @@ from fractions import Fraction
 from .errors import DimensionMismatchError, DivisibilityError, DomainError, LimitExceededError
 from .quiver import DimVector
 
-_BITS = 7
-_MAXEXP = (1 << _BITS) - 1
+_MAXEXP = 127
 
 
 def _norm_coeff(c):
@@ -30,25 +31,17 @@ def _norm_coeff(c):
     return c
 
 
-def _pack(exps, nvars):
-    key = 0
-    for e in exps:
-        if e < 0:
-            raise DomainError(f"negative exponent {e}")
-        if e > _MAXEXP:
-            raise LimitExceededError(
-                f"exponent {e} exceeds the packed-exponent limit {_MAXEXP}")
-    for e in exps:
-        key = (key << _BITS) | e
-    return key
+def _pack(exps):
+    if min(exps, default=0) < 0:
+        raise DomainError(f"negative exponent {min(exps)}")
+    if max(exps, default=0) > _MAXEXP:
+        raise LimitExceededError(
+            f"exponent {max(exps)} exceeds the packed-exponent limit {_MAXEXP}")
+    return int.from_bytes(bytes(exps), "big")
 
 
 def _unpack(key, nvars):
-    out = [0] * nvars
-    for v in range(nvars - 1, -1, -1):
-        out[v] = key & _MAXEXP
-        key >>= _BITS
-    return tuple(out)
+    return tuple(key.to_bytes(nvars, "big"))
 
 
 class ColoredPoly:
@@ -67,7 +60,7 @@ class ColoredPoly:
                         f"exponent vector of length {len(exps)}, expected {self.nvars}")
                 c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
                 if c:
-                    key = _pack(exps, self.nvars)
+                    key = _pack(exps)
                     self._terms[key] = self._terms.get(key, 0) + c
             self._prune()
 
@@ -104,7 +97,7 @@ class ColoredPoly:
         flat = sum(gamma[:vertex]) + slot - 1
         exps = [0] * sum(gamma)
         exps[flat] = 1
-        return cls._make(gamma, {_pack(exps, sum(gamma)): 1})
+        return cls._make(gamma, {_pack(exps): 1})
 
     @classmethod
     def monomial(cls, gamma, exps, coeff=1) -> "ColoredPoly":
@@ -124,7 +117,7 @@ class ColoredPoly:
             yield _unpack(key, self.nvars), self._terms[key]
 
     def coefficient(self, exps) -> Fraction | int:
-        return self._terms.get(_pack(tuple(exps), self.nvars), 0)
+        return self._terms.get(_pack(tuple(exps)), 0)
 
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
@@ -176,10 +169,6 @@ class ColoredPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        da, db = self.degree(), other.degree()
-        if da is not None and db is not None and da + db > _MAXEXP:
-            raise LimitExceededError(
-                f"product degree {da + db} exceeds the packed-exponent limit {_MAXEXP}")
         out: dict = {}
         get = out.get
         for k1, c1 in a.items():
@@ -190,7 +179,12 @@ class ColoredPoly:
                     out[k] = s
                 else:
                     del out[k]
+        guard = int.from_bytes(b"\x80" * self.nvars, "big")
         for k, c in out.items():
+            if k & guard:
+                top = max(max(_unpack(key, self.nvars)) for key in out)
+                raise LimitExceededError(
+                    f"product exponent {top} exceeds the packed-exponent limit {_MAXEXP}")
             out[k] = _norm_coeff(c)
         return ColoredPoly._make(self.gamma, out)
 
@@ -236,13 +230,13 @@ class ColoredPoly:
             raise DomainError("variable substitution must be injective")
         if any(not 0 <= v < nv_new for v in var_map):
             raise DomainError("variable map target out of range")
+        source = [self.nvars] * nv_new   # byte nvars is a zero pad
+        for v, t in enumerate(var_map):
+            source[t] = v
         out = {}
         for k, c in self._terms.items():
-            exps = _unpack(k, self.nvars)
-            new_exps = [0] * nv_new
-            for v, e in enumerate(exps):
-                new_exps[var_map[v]] = e
-            out[_pack(new_exps, nv_new)] = c
+            exps = k.to_bytes(self.nvars, "big") + b"\0"
+            out[int.from_bytes(bytes(map(exps.__getitem__, source)), "big")] = c
         return ColoredPoly._make(new_gamma, out)
 
     def swap_variables(self, v1: int, v2: int) -> "ColoredPoly":
@@ -303,11 +297,10 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     num._check_compatible(den)
     if num.is_zero():
         return ColoredPoly.zero(num.gamma)
-    nvars = num.nvars
+    guard = int.from_bytes(b"\x80" * num.nvars, "big")
     r = dict(num._terms)
     kd = max(den._terms)
     cd = den._terms[kd]
-    kd_exps = _unpack(kd, nvars)
     den_items = list(den._terms.items())
     q: dict = {}
     heap = [-k for k in r]
@@ -316,8 +309,9 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
         kr = -heapq.heappop(heap)
         if kr not in r:
             continue
-        kr_exps = _unpack(kr, nvars)
-        if any(a < b for a, b in zip(kr_exps, kd_exps)):
+        # an exact division's remainder has no exponent above num's, so a guard
+        # bit proves inexactness; bit 7 of a byte of (kr | guard) - kd marks kd <= kr
+        if kr & guard or ((kr | guard) - kd) & guard != guard:
             raise DivisibilityError(
                 "polynomial division left a nonzero remainder",
                 remainder=ColoredPoly._make(num.gamma, r))

@@ -43,15 +43,12 @@ def unit_dim(n: int, i: int) -> DimVector:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def enumerate_dim_vectors(gamma_max: DimVector, abs_max: int | None = None,
-                          include_zero: bool = False):
+def enumerate_dim_vectors(gamma_max: DimVector, include_zero: bool = False):
     """All 0 <= gamma <= gamma_max (componentwise), sorted by (|gamma|, lex).
 
     This ordering is the canonical report / extraction order everywhere.
     """
-    out = [g for g in product(*(range(x + 1) for x in gamma_max))
-           if abs_max is None or dim_abs(g) <= abs_max]
-    out.sort(key=lambda g: (dim_abs(g), g))
+    out = sorted(product(*(range(x + 1) for x in gamma_max)), key=lambda g: (dim_abs(g), g))
     if not include_zero:
         out = [g for g in out if any(g)]
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .legs import attach_legs
-from .quiver import DimVector, Quiver, double
+from .quiver import DimVector, Quiver
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,6 @@ def nonvanishing_certificate(q0: Quiver, gamma: DimVector):
     q0.check_dim(gamma)
     if not any(gamma):
         raise DomainError("the criterion concerns nonzero dimension vectors")
-    legs = attach_legs(double(q0), q0, gamma)
+    legs = attach_legs(q0, gamma)
     cartan = CartanData.from_quiver(legs.half_quiver)
     return is_positive_root(cartan, legs.tilde_gamma)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, DomainError
 from .poly import _norm_coeff
-from .quiver import DimVector, dim_abs, dim_sub, dim_leq, enumerate_dim_vectors, zero_dim
+from .quiver import DimVector, dim_sub, dim_leq, enumerate_dim_vectors, zero_dim
 
 
 def _min_hi(h1, h2):
@@ -226,46 +226,40 @@ class HalfSeries:
 class MultiSeries:
     """A series sum_gamma (HalfSeries in q) * x^gamma, truncated to a box.
 
-    The domain is {gamma <= gamma_max componentwise} intersected with
-    {|gamma| <= abs_max} when abs_max is set.  A missing piece means the
-    coefficient of x^gamma is exactly zero.  Pieces outside the domain are
+    The domain is {gamma <= gamma_max componentwise}.  A missing piece means
+    the coefficient of x^gamma is exactly zero.  Pieces outside the domain are
     neither stored nor claimed.
     """
 
-    __slots__ = ("gamma_max", "abs_max", "pieces")
+    __slots__ = ("gamma_max", "pieces")
 
-    def __init__(self, gamma_max: DimVector, pieces=None, abs_max: int | None = None):
+    def __init__(self, gamma_max: DimVector, pieces=None):
         self.gamma_max = tuple(gamma_max)
-        self.abs_max = abs_max
         self.pieces: dict[DimVector, HalfSeries] = {}
         if pieces:
             for g, s in pieces.items():
                 g = tuple(g)
-                if not self.in_domain(g):
+                if not dim_leq(g, self.gamma_max):
                     raise DomainError(f"piece at {g} outside the declared box")
                 if not s.is_zero() or s.hi is not None:
                     self.pieces[g] = s
 
-    def in_domain(self, g: DimVector) -> bool:
-        return dim_leq(g, self.gamma_max) and \
-            (self.abs_max is None or dim_abs(g) <= self.abs_max)
-
     def domain(self):
-        return enumerate_dim_vectors(self.gamma_max, self.abs_max, include_zero=True)
+        return enumerate_dim_vectors(self.gamma_max, include_zero=True)
 
     def piece(self, g: DimVector) -> HalfSeries:
         g = tuple(g)
-        if not self.in_domain(g):
+        if not dim_leq(g, self.gamma_max):
             raise DomainError(f"{g} is outside the truncation box")
         return self.pieces.get(g, HalfSeries.zero())
 
     def _check_compatible(self, other):
-        if self.gamma_max != other.gamma_max or self.abs_max != other.abs_max:
+        if self.gamma_max != other.gamma_max:
             raise DimensionMismatchError("mismatched truncation boxes")
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
-        out = MultiSeries(self.gamma_max, None, self.abs_max)
+        out = MultiSeries(self.gamma_max)
         for g in self.domain():
             acc = None
             for d, s1 in self.pieces.items():
@@ -285,7 +279,7 @@ class MultiSeries:
         n = len(self.gamma_max)
         g0 = zero_dim(n)
         inv0 = self.piece(g0).inverse()
-        out = MultiSeries(self.gamma_max, {g0: inv0}, self.abs_max)
+        out = MultiSeries(self.gamma_max, {g0: inv0})
         for g in self.domain():
             if g == g0:
                 continue
@@ -305,7 +299,7 @@ class MultiSeries:
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        if self.gamma_max != other.gamma_max or self.abs_max != other.abs_max:
+        if self.gamma_max != other.gamma_max:
             return False
         keys = set(self.pieces) | set(other.pieces)
         return all(self.pieces.get(k, HalfSeries.zero())

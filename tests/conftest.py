@@ -27,4 +27,4 @@ def gammas_up_to(quiver, total):
     """All nonzero gamma with |gamma| <= total, ordered (|gamma|, lex)."""
     from quivercoha import enumerate_dim_vectors
     n = quiver.vertex_count
-    return enumerate_dim_vectors((total,) * n, abs_max=total)
+    return [g for g in enumerate_dim_vectors((total,) * n) if sum(g) <= total]

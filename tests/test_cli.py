@@ -168,15 +168,21 @@ def test_structural_violation_is_exit_3(a1_path, monkeypatch, capsys):
     assert "theorem failed" in capsys.readouterr().err
 
 
-def test_capacity_limit_is_exit_4(a1_path, capsys):
+def test_capacity_limit_is_exit_4(tmp_path, a1_path, kron_path, capsys):
     # |gamma| = 9 exceeds the exhaustive genericity search's size cap
     assert main(["--quiver", a1_path, "--mode", "genericity", "--gamma-max", "9"]) == 4
     assert "genericity" in capsys.readouterr().err
-    # x^100 * x^100 needs exponent 200, beyond the 7-bit exponent packing
-    assert main(["--quiver", a1_path, "--mode", "shuffle-eval", "--gamma-max", "1",
-                 "--left", "x^100", "--left-gamma", "1",
-                 "--right", "x^100", "--right-gamma", "1"]) == 4
+    # the shuffle numerator x0_1^127 (x1_1 - x0_1)^2 needs exponent 129
+    assert main(["--quiver", kron_path, "--mode", "shuffle-eval", "--gamma-max", "1,1",
+                 "--left", "x0_1^127", "--left-gamma", "1,0",
+                 "--right", "1", "--right-gamma", "0,1"]) == 4
     assert "packed-exponent limit 127" in capsys.readouterr().err
+    # on A1, x^100 * x^100 at gamma 1+1 is 0: no exponent above 100 arises
+    code, blob = run_to_file(tmp_path, [
+        "--quiver", a1_path, "--mode", "shuffle-eval", "--gamma-max", "1",
+        "--left", "x^100", "--left-gamma", "1", "--right", "x^100", "--right-gamma", "1"])
+    assert code == 0
+    assert json.loads(blob)["product"]["poly"] == "0"
 
 
 def test_gamma_max_length_mismatch_is_exit_2(a1_path):

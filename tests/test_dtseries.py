@@ -164,8 +164,7 @@ def test_round_trip_rebuild(suite_quiver):
 def test_extraction_needs_unit_constant_term():
     series = build_generating_series(S1, (2,), 10)
     for unit in (HalfSeries.monomial(0, 2), HalfSeries({0: 1, 2: 1}, 0, 10)):
-        broken = MultiSeries(series.gamma_max, {**series.pieces, (0,): unit},
-                             series.abs_max)
+        broken = MultiSeries(series.gamma_max, {**series.pieces, (0,): unit})
         with pytest.raises(DomainError):
             plethystic_factor(broken)
 

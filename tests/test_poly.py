@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quivercoha import (ColoredPoly, DimensionMismatchError, DivisibilityError,
-                        DomainError, exact_divide, parse_colored_poly)
+                        DomainError, LimitExceededError, exact_divide, parse_colored_poly)
 
 
 def v(gamma, vertex, slot):
@@ -12,12 +12,12 @@ def v(gamma, vertex, slot):
 
 
 @st.composite
-def small_polys(draw, gamma=(2,)):
+def small_polys(draw, gamma=(2,), exponents=st.integers(0, 3)):
     nvars = sum(gamma)
     nterms = draw(st.integers(0, 4))
     terms = {}
     for _ in range(nterms):
-        exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
+        exps = tuple(draw(exponents) for _ in range(nvars))
         coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
         terms[exps] = terms.get(exps, 0) + coeff
     return ColoredPoly(gamma, terms)
@@ -71,6 +71,9 @@ def test_exact_divide_reports_failure_with_remainder():
         exact_divide(x1 * x2, x1 - x2)
     assert exc.value.remainder is not None
     assert not exc.value.remainder.is_zero()
+    # x2 precedes x1 in lex order but does not divide it
+    with pytest.raises(DivisibilityError):
+        exact_divide(x1, x2)
 
 
 def test_exact_divide_zero_numerator():
@@ -108,6 +111,61 @@ def test_divide_undoes_multiplication(a, b):
     if b.is_zero():
         return
     assert exact_divide(a * b, b) == a
+
+
+# -- the 127 limit on every exponent -------------------------------------------------
+
+@st.composite
+def exponent_pairs(draw):
+    gamma = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    vec = st.lists(st.integers(0, 127), min_size=sum(gamma), max_size=sum(gamma))
+    return gamma, draw(vec), draw(vec)
+
+
+@given(exponent_pairs())
+def test_monomial_product_adds_exponents_up_to_127(case):
+    g, e1, e2 = case
+    total = [a + b for a, b in zip(e1, e2)]
+    m1, m2 = ColoredPoly.monomial(g, e1), ColoredPoly.monomial(g, e2)
+    if max(total, default=0) <= 127:
+        assert m1 * m2 == ColoredPoly.monomial(g, total)
+    else:
+        with pytest.raises(LimitExceededError):
+            m1 * m2
+
+
+def test_exponent_range_is_checked():
+    g = (2,)
+    assert (ColoredPoly.monomial(g, (100, 0)) * ColoredPoly.monomial(g, (0, 100))
+            ).coefficient((100, 100)) == 1
+    assert ColoredPoly.monomial(g, (127, 127)).coefficient((127, 127)) == 1
+    with pytest.raises(DomainError):
+        ColoredPoly.monomial(g, (0, -1))
+    with pytest.raises(LimitExceededError):
+        ColoredPoly.monomial(g, (128, 0))
+    with pytest.raises(LimitExceededError):
+        v(g, 0, 1).coefficient((0, 128))
+
+
+def test_exact_divide_remainder_beyond_127_is_reported():
+    g = (2,)
+    x1, x2 = v(g, 0, 1), v(g, 0, 2)
+    with pytest.raises(DivisibilityError) as exc:
+        exact_divide(x1 ** 3, x1 - x2 ** 127)
+    assert list(exc.value.remainder.terms()) == [((1, 254), 1)]
+
+
+@given(small_polys(exponents=st.sampled_from((0, 1, 126, 127))),
+       small_polys(exponents=st.sampled_from((0, 1, 126, 127))))
+def test_divide_is_exact_or_raises(a, b):
+    if b.is_zero():
+        return
+    try:
+        q = exact_divide(a, b)
+    except DivisibilityError:
+        return
+    assert q * b == a
+    assert all(e <= 127 for exps, _ in q.terms() for e in exps)
 
 
 # -- structure helpers -------------------------------------------------------------

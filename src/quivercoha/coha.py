@@ -13,24 +13,26 @@ gamma2 is the shuffle sum
 over all choices S = (S_i) of gamma1^i slots per color, the first factor's
 variables occupying S in increasing slot order.
 
-It is computed by relabeling one summand.  In the canonical placement the
-first factor's variables x' take the first gamma1^i slots of each color block
-and x'' the rest; there
+It is computed as one alternation.  Alt = sum_pi sign(pi) pi runs over the
+permutations pi of the slots within each color block, and x^delta puts
+0, 1, 2, ... on consecutive slots, so the Vandermonde
+V = prod_i prod_{p < q in block i} (x_q - x_p) is Alt(x^delta).  Place x' on
+the first gamma1^i slots of each block and x'' on the rest.  f, g and
 
-    P = f(x') g(x'') K(x', x'') V(x') V(x''),
-    K = prod_{i,j} prod_{r,s} (x''_{j,s} - x'_{i,r})^{a_ij},
+    K = prod_{i,j} prod_{r,s} (x''_{j,s} - x'_{i,r})^{a_ij}
 
-with V the per-color Vandermonde prod_{p < q} (x_q - x_p); V of all result
-variables is then V(x') V(x'') times the denominator above.  A shuffle S is
-the slot permutation sigma_S that sends x' onto S and x'' onto its
-complement, increasing on each side.  So sigma_S(P) is S's numerator times
-the Vandermondes of both sides, sigma_S(V) = sign(sigma_S) V, and the
-product is
+are symmetric within each side, and V(x') V(x'') alternates x'^delta' x''^delta''
+(0, 1, ... along each side) over the permutations that keep the sides.  The
+shuffles are their cosets: sigma_S sends x' onto S and x'' onto the rest,
+increasing on each, so the product is
 
-    sum_S sign(sigma_S) sigma_S(P) / V.
+    sum_S sign(sigma_S) sigma_S(f g K V(x') V(x'')) / V
+        = Alt(f g K x'^delta' x''^delta'') / Alt(x^delta).
 
-The single division at the end certifies that the sum is a polynomial (a
-nonzero remainder would be a correctness bug, not an input error).
+Alt(x^beta) is 0 when beta repeats an exponent inside a block, and otherwise
+sign(sort) Alt(x^sort(beta)) (Macdonald, *Symmetric Functions*, I.(3.1)).
+The exact division by V certifies that the sum is a polynomial (a nonzero
+remainder would be a correctness bug, not an input error).
 
 A homogeneous element of polynomial degree d has cohomological degree 2d and
 bidegree (gamma, 2d + chi(gamma, gamma)); the Z-grading is additive under the
@@ -40,12 +42,11 @@ product and controls all super-signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations, product as iproduct
+from itertools import accumulate, permutations, product as iproduct
 
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      StructuralViolationError)
-from .poly import ColoredPoly, exact_divide
+from .poly import ColoredPoly, _norm_coeff, exact_divide
 from .quiver import DimVector, Quiver, dim_add, euler_form, sign_form
 
 
@@ -83,15 +84,6 @@ class CohaElement:
     __hash__ = None
 
 
-def _block_offsets(gamma: DimVector):
-    offs = []
-    acc = 0
-    for size in gamma:
-        offs.append(acc)
-        acc += size
-    return offs
-
-
 def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
     """x_s - x_r, variables given as flat indices."""
     n = sum(gamma)
@@ -102,39 +94,60 @@ def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
     return ColoredPoly(gamma, {tuple(e_s): 1, tuple(e_r): -1})
 
 
-def _vandermonde(gamma: DimVector, slots) -> ColoredPoly:
-    """prod_{p < q in slots} (x_q - x_p), slots given as flat variable indices."""
-    poly = ColoredPoly.constant(gamma, 1)
-    for a in range(len(slots)):
-        for b in range(a + 1, len(slots)):
-            poly = poly * _difference(gamma, slots[b], slots[a])
-    return poly
+def _odd(seq) -> int:
+    """Parity of the number of inversions of seq."""
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) & 1
 
 
-@lru_cache(maxsize=None)
-def _full_vandermonde(gamma: DimVector):
-    offs = _block_offsets(gamma)
-    poly = ColoredPoly.constant(gamma, 1)
-    for i, size in enumerate(gamma):
-        poly = poly * _vandermonde(gamma, range(offs[i], offs[i] + size))
-    return poly
+def _alternate(poly: ColoredPoly) -> ColoredPoly:
+    """Alt(poly) = sum of sign(pi) pi(poly) over the permutations pi of the
+    slots within each color block.  Terms are collected on their exponents
+    sorted ascending in each block, with the sign of the sort, and dropped if
+    a block repeats an exponent; each survivor alpha then expands once into
+    sign(pi) x^(pi alpha).  Keys stay bytes, as in ``ColoredPoly.reindex``."""
+    gamma, nvars = poly.gamma, poly.nvars
+    offs = [0, *accumulate(gamma)]
+    # a block of one slot neither repeats an exponent nor moves
+    spans = [(lo, hi) for lo, hi in zip(offs, offs[1:]) if hi - lo > 1]
+    collected: dict = {}
+    for k, c in poly._terms.items():
+        exps = bytearray(k.to_bytes(nvars, "big"))
+        odd = 0
+        for lo, hi in spans:
+            block = exps[lo:hi]
+            if len(set(block)) < hi - lo:
+                break
+            odd ^= _odd(block)
+            exps[lo:hi] = sorted(block)
+        else:
+            key = int.from_bytes(exps, "big")
+            collected[key] = collected.get(key, 0) + (-c if odd else c)
+    perms = [(0, tuple(range(nvars)))]   # (parity, source slot of each slot)
+    for lo, hi in spans:
+        perms = [(odd ^ _odd(p), src[:lo] + p + src[hi:])
+                 for odd, src in perms for p in permutations(range(lo, hi))]
+    out = {}
+    for key, c in collected.items():
+        if not c:
+            continue
+        c = _norm_coeff(c)
+        exps = key.to_bytes(nvars, "big")
+        for odd, src in perms:
+            out[int.from_bytes(bytes(map(exps.__getitem__, src)), "big")] = -c if odd else c
+    return ColoredPoly._make(gamma, out)
 
 
 def _shuffle_numerator(a: CohaElement, b: CohaElement, gamma: DimVector) -> ColoredPoly:
-    """sum_S sign(sigma_S) sigma_S(P) for nonzero a and b.  Kept apart from
-    the division so that P and the summands are freed before it: the
+    """Alt(f g K x'^delta' x''^delta'') for nonzero a and b.  Kept apart from
+    the division so that the unalternated product is freed before it: the
     division's workspace is the memory peak of a product."""
     q, g1 = a.quiver, a.gamma
     n = q.vertex_count
-    offs = _block_offsets(gamma)
+    offs = [0, *accumulate(gamma)]
 
     # canonical placement: a's variables take the first g1^i slots of block i
     firsts = [range(offs[i], offs[i] + g1[i]) for i in range(n)]
     seconds = [range(offs[i] + g1[i], offs[i] + gamma[i]) for i in range(n)]
-    cofactor = ColoredPoly.constant(gamma, 1)
-    for i in range(n):
-        cofactor = cofactor * _vandermonde(gamma, firsts[i])
-        cofactor = cofactor * _vandermonde(gamma, seconds[i])
     fa = a.poly.reindex(gamma, [v for slots in firsts for v in slots])
     fb = b.poly.reindex(gamma, [v for slots in seconds for v in slots])
     kernel = ColoredPoly.constant(gamma, 1)
@@ -146,30 +159,14 @@ def _shuffle_numerator(a: CohaElement, b: CohaElement, gamma: DimVector) -> Colo
             for r in firsts[i]:
                 for s in seconds[j]:
                     kernel = kernel * (_difference(gamma, s, r) ** a_ij)
-    canonical = (fb * kernel) * fa * cofactor
-
-    numerator = ColoredPoly.zero(gamma)
-    choices = [list(combinations(range(gamma[i]), g1[i])) for i in range(n)]
-    for pick in iproduct(*choices):
-        sigma = []   # sigma[v]: where shuffle S sends canonical slot v
-        inv = 0
-        for i in range(n):
-            # lists: tuple(generator) here leaves its resized tuples on
-            # CPython's free lists and raised the traced memory peak by 30%
-            rest = [p for p in range(gamma[i]) if p not in pick[i]]
-            sigma += [offs[i] + p for p in [*pick[i], *rest]]
-            # sign(sigma_S): one inversion per p < r, p on b's side, r on a's
-            inv += sum(1 for p in rest for r in pick[i] if p < r)
-        summand = canonical.reindex(gamma, sigma)
-        numerator = numerator - summand if inv % 2 else numerator + summand
-    return numerator
+    delta = [e for i in range(n) for e in (*range(g1[i]), *range(gamma[i] - g1[i]))]
+    return _alternate((fb * kernel) * fa * ColoredPoly.monomial(gamma, delta))
 
 
 def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
-    """The Hall product sum_S sign(sigma_S) sigma_S(P) / V: the canonical
-    summand P is built once, each shuffle S relabels its slots by sigma_S
-    (increasing on each side), and one exact division by the full
-    Vandermonde V ends the sum."""
+    """The Hall product Alt(f g K x'^delta' x''^delta'') / Alt(x^delta): one
+    alternation of the canonical summand and one exact division by the
+    Vandermonde V = Alt(x^delta) (see the module docstring)."""
     if a.quiver != b.quiver:
         raise DomainError("elements live over different quivers")
     q = a.quiver
@@ -182,9 +179,9 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
         return CohaElement(q, gamma, ColoredPoly.zero(gamma))
 
     numerator = _shuffle_numerator(a, b, gamma)
-    denominator = _full_vandermonde(gamma)
+    delta = [e for size in gamma for e in range(size)]
     try:
-        result = exact_divide(numerator, denominator)
+        result = exact_divide(numerator, _alternate(ColoredPoly.monomial(gamma, delta)))
     except DivisibilityError as err:  # pragma: no cover - would be a bug
         raise StructuralViolationError(
             "shuffle sum failed to clear the Vandermonde denominator for "

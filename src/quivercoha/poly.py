@@ -322,12 +322,13 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
         q[t] = c
         for k, v in den_items:
             kk = t + k
+            if kk not in r:   # queued on entering r; a cancelled key's entry goes stale
+                heapq.heappush(heap, -kk)
             s = r.get(kk, 0) - c * v
             if s:
                 r[kk] = s
-                heapq.heappush(heap, -kk)
             else:
-                r.pop(kk, None)
+                del r[kk]
     if r:
         raise DivisibilityError(
             "polynomial division left a nonzero remainder",

@@ -169,7 +169,7 @@ def quiver_from_spec(obj) -> Quiver:
     if "vertices" not in obj:
         raise QuiverFormatError("missing 'vertices'", "top level")
     n = obj["vertices"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:   # JSON true and false are bools, not ints
         raise QuiverFormatError("'vertices' must be a positive integer", "vertices")
     entries = obj.get("arrows", [])
     if not isinstance(entries, list):
@@ -178,7 +178,7 @@ def quiver_from_spec(obj) -> Quiver:
     for idx, ent in enumerate(entries):
         loc = f"arrows[{idx}]"
         if (not isinstance(ent, list) or len(ent) != 3
-                or not all(isinstance(x, int) for x in ent)):
+                or not all(type(x) is int for x in ent)):
             raise QuiverFormatError("arrow entry must be [i, j, mult] of ints", loc)
         i, j, m = ent
         if not (0 <= i < n and 0 <= j < n):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,7 @@ from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError
                         Quiver, StructuralViolationError, basis,
                         enumerate_dim_vectors, euler_form, exact_divide,
                         shuffle_product, sign_form, twisted_product)
-from quivercoha.coha import basis_leading_exponents
+from quivercoha.coha import _alternate, basis_leading_exponents
 
 from conftest import S1, S2, S3, S4, SUITE
 
@@ -110,6 +110,45 @@ def test_degree_shift_matches_euler_form(suite_quiver):
     assert {sum(exps) for exps, _ in prod.poly.terms()} == {expected}
     # bidegrees add
     assert k_degree(prod) == k_degree(a) + k_degree(b)
+
+
+# -- the alternation against its definition --------------------------------------
+
+def _alternation_oracle(p):
+    """sum of sign(pi) pi(p) over the permutations pi of the slots within
+    each color block, each pi applied by reindex."""
+    gamma = p.gamma
+    offs = [sum(gamma[:i]) for i in range(len(gamma))]
+    out = ColoredPoly.zero(gamma)
+    for blocks in product(*(permutations(range(o, o + size))
+                            for o, size in zip(offs, gamma))):
+        pi = [v for block in blocks for v in block]
+        # slots of different blocks never cross, so these are block inversions
+        inversions = sum(1 for u, v in combinations(pi, 2) if u > v)
+        out = out + p.reindex(gamma, pi) * (-1) ** inversions
+    return out
+
+
+@pytest.mark.parametrize("gamma", [(3,), (4,), (2, 2), (0, 3), (2, 0, 3), (1, 2, 1)])
+def test_alternate_matches_its_definition(gamma):
+    rng = random.Random(f"alternate-{gamma}")
+    nvars = sum(gamma)
+    for _ in range(6):
+        # exponents in 0..3, so blocks often repeat one, and rational coefficients
+        terms = {tuple(rng.randint(0, 3) for _ in range(nvars)):
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)}
+        p = ColoredPoly(gamma, terms)
+        assert _alternate(p) == _alternation_oracle(p)
+    # x^delta, delta = 0, 1, ... along each block, alternates to the Vandermonde
+    offs = [sum(gamma[:i]) for i in range(len(gamma))]
+    delta = [e for size in gamma for e in range(size)]
+    vandermonde = ColoredPoly.constant(gamma, 1)
+    for o, size in zip(offs, gamma):
+        for p, q in combinations(range(o, o + size), 2):
+            vandermonde = vandermonde * (
+                ColoredPoly.monomial(gamma, [int(v == q) for v in range(nvars)])
+                - ColoredPoly.monomial(gamma, [int(v == p) for v in range(nvars)]))
+    assert _alternate(ColoredPoly.monomial(gamma, delta)) == vandermonde
 
 
 # -- twisted product -------------------------------------------------------------

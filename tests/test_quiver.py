@@ -150,3 +150,10 @@ def test_quiver_from_spec_errors_carry_location():
         quiver_from_spec({"arrows": []})
     with pytest.raises(QuiverFormatError):
         quiver_from_spec({"vertices": 2, "arrows": [[0, 1]]})
+    # bool is a subclass of int, but JSON true is not a vertex count or index
+    with pytest.raises(QuiverFormatError) as exc:
+        quiver_from_spec({"vertices": True, "arrows": [[0, 0, True]]})
+    assert exc.value.location == "vertices"
+    with pytest.raises(QuiverFormatError) as exc:
+        quiver_from_spec({"vertices": 1, "arrows": [[0, 0, True]]})
+    assert exc.value.location == "arrows[0]"

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quivercoha"
@@ -21,3 +22,21 @@ def test_every_export_resolves():
     # "from quivercoha import *" only when someone runs it
     import quivercoha
     assert [name for name in quivercoha.__all__ if not hasattr(quivercoha, name)] == []
+
+
+def test_library_is_stdlib_only():
+    # the package declares no dependencies: every import is relative or
+    # names a standard-library module, whatever else is installed
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []

@@ -11,27 +11,27 @@ gamma2 is the shuffle sum
          / prod_i prod_{r,s} (x''_{i,s} - x'_{i,r})
 
 over all choices S = (S_i) of gamma1^i slots per color, the first factor's
-variables occupying S in increasing slot order.
+variables occupying S in increasing slot order
+(Kontsevich-Soibelman, arXiv:1006.2706, Section 2).
 
-It is computed as one alternation.  Alt = sum_pi sign(pi) pi runs over the
-permutations pi of the slots within each color block, and x^delta puts
-0, 1, 2, ... on consecutive slots, so the Vandermonde
-V = prod_i prod_{p < q in block i} (x_q - x_p) is Alt(x^delta).  Place x' on
-the first gamma1^i slots of each block and x'' on the rest.  f, g and
+It is computed as a chain of divided differences.  Place x' on the first
+gamma1^i slots of each block and x'' on the rest, and let
 
-    K = prod_{i,j} prod_{r,s} (x''_{j,s} - x'_{i,r})^{a_ij}
+    F = f(x') g(x'') K,   K = prod_{i,j} prod_{r,s} (x''_{j,s} - x'_{i,r})^{a_ij}.
 
-are symmetric within each side, and V(x') V(x'') alternates x'^delta' x''^delta''
-(0, 1, ... along each side) over the permutations that keep the sides.  The
-shuffles are their cosets: sigma_S sends x' onto S and x'' onto the rest,
-increasing on each, so the product is
+For slots p, p + 1 of one block, with s_p swapping x_p and x_{p+1},
 
-    sum_S sign(sigma_S) sigma_S(f g K V(x') V(x'')) / V
-        = Alt(f g K x'^delta' x''^delta'') / Alt(x^delta).
+    d_p F = (F - s_p F) / (x_{p+1} - x_p) = (1 + s_p)(F / (x_{p+1} - x_p)).
 
-Alt(x^beta) is 0 when beta repeats an exponent inside a block, and otherwise
-sign(sort) Alt(x^sort(beta)) (Macdonald, *Symmetric Functions*, I.(3.1)).
-The exact division by V certifies that the sum is a polynomial (a nonzero
+Each d_p symmetrizes over one more transposition and divides by one more
+factor x'' - x'.  Moving x'_r, for r = gamma1^i - 1 down to 0, across the
+whole x'' block (p = r, ..., r + gamma2^i - 1 within block i) is a reduced
+word of the longest shuffle, the longest minimal coset representative of
+S_gamma / (S_gamma1 x S_gamma2).  Since F is symmetric within each side, the
+composite is the sum over all shuffles of sigma_S(F / prod (x''_s - x'_r)),
+which is the shuffle sum above (Macdonald, *Notes on Schubert Polynomials*,
+ch. II).  So the product costs sum_i gamma1^i gamma2^i exact divisions by a
+binomial.  Each division certifies that its step is a polynomial (a nonzero
 remainder would be a correctness bug, not an input error).
 
 A homogeneous element of polynomial degree d has cohomological degree 2d and
@@ -46,7 +46,7 @@ from itertools import accumulate, permutations, product as iproduct
 
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      StructuralViolationError)
-from .poly import ColoredPoly, _norm_coeff, exact_divide
+from .poly import ColoredPoly, _pack, exact_divide
 from .quiver import DimVector, Quiver, dim_add, euler_form, sign_form
 
 
@@ -86,87 +86,15 @@ class CohaElement:
 
 def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
     """x_s - x_r, variables given as flat indices."""
-    n = sum(gamma)
-    e_s = [0] * n
-    e_s[s] = 1
-    e_r = [0] * n
-    e_r[r] = 1
-    return ColoredPoly(gamma, {tuple(e_s): 1, tuple(e_r): -1})
-
-
-def _odd(seq) -> int:
-    """Parity of the number of inversions of seq."""
-    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) & 1
-
-
-def _alternate(poly: ColoredPoly) -> ColoredPoly:
-    """Alt(poly) = sum of sign(pi) pi(poly) over the permutations pi of the
-    slots within each color block.  Terms are collected on their exponents
-    sorted ascending in each block, with the sign of the sort, and dropped if
-    a block repeats an exponent; each survivor alpha then expands once into
-    sign(pi) x^(pi alpha).  Keys stay bytes, as in ``ColoredPoly.reindex``."""
-    gamma, nvars = poly.gamma, poly.nvars
-    offs = [0, *accumulate(gamma)]
-    # a block of one slot neither repeats an exponent nor moves
-    spans = [(lo, hi) for lo, hi in zip(offs, offs[1:]) if hi - lo > 1]
-    collected: dict = {}
-    for k, c in poly._terms.items():
-        exps = bytearray(k.to_bytes(nvars, "big"))
-        odd = 0
-        for lo, hi in spans:
-            block = exps[lo:hi]
-            if len(set(block)) < hi - lo:
-                break
-            odd ^= _odd(block)
-            exps[lo:hi] = sorted(block)
-        else:
-            key = int.from_bytes(exps, "big")
-            collected[key] = collected.get(key, 0) + (-c if odd else c)
-    perms = [(0, tuple(range(nvars)))]   # (parity, source slot of each slot)
-    for lo, hi in spans:
-        perms = [(odd ^ _odd(p), src[:lo] + p + src[hi:])
-                 for odd, src in perms for p in permutations(range(lo, hi))]
-    out = {}
-    for key, c in collected.items():
-        if not c:
-            continue
-        c = _norm_coeff(c)
-        exps = key.to_bytes(nvars, "big")
-        for odd, src in perms:
-            out[int.from_bytes(bytes(map(exps.__getitem__, src)), "big")] = -c if odd else c
-    return ColoredPoly._make(gamma, out)
-
-
-def _shuffle_numerator(a: CohaElement, b: CohaElement, gamma: DimVector) -> ColoredPoly:
-    """Alt(f g K x'^delta' x''^delta'') for nonzero a and b.  Kept apart from
-    the division so that the unalternated product is freed before it: the
-    division's workspace is the memory peak of a product."""
-    q, g1 = a.quiver, a.gamma
-    n = q.vertex_count
-    offs = [0, *accumulate(gamma)]
-
-    # canonical placement: a's variables take the first g1^i slots of block i
-    firsts = [range(offs[i], offs[i] + g1[i]) for i in range(n)]
-    seconds = [range(offs[i] + g1[i], offs[i] + gamma[i]) for i in range(n)]
-    fa = a.poly.reindex(gamma, [v for slots in firsts for v in slots])
-    fb = b.poly.reindex(gamma, [v for slots in seconds for v in slots])
-    kernel = ColoredPoly.constant(gamma, 1)
-    for i in range(n):
-        for j in range(n):
-            a_ij = q.arrows[i][j]
-            if not a_ij:
-                continue
-            for r in firsts[i]:
-                for s in seconds[j]:
-                    kernel = kernel * (_difference(gamma, s, r) ** a_ij)
-    delta = [e for i in range(n) for e in (*range(g1[i]), *range(gamma[i] - g1[i]))]
-    return _alternate((fb * kernel) * fa * ColoredPoly.monomial(gamma, delta))
+    top = 8 * (sum(gamma) - 1)
+    return ColoredPoly._make(gamma, {1 << (top - 8 * s): 1, 1 << (top - 8 * r): -1})
 
 
 def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
-    """The Hall product Alt(f g K x'^delta' x''^delta'') / Alt(x^delta): one
-    alternation of the canonical summand and one exact division by the
-    Vandermonde V = Alt(x^delta) (see the module docstring)."""
+    """The Hall product as a chain of divided differences of F = f(x') g(x'') K:
+    for each color, x'_r for r = gamma1^i - 1 down to 0 is moved across the
+    x'' block by one exact division by x_{p+1} - x_p per slot p it passes
+    (see the module docstring)."""
     if a.quiver != b.quiver:
         raise DomainError("elements live over different quivers")
     q = a.quiver
@@ -178,15 +106,35 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
     if a.poly.is_zero() or b.poly.is_zero():
         return CohaElement(q, gamma, ColoredPoly.zero(gamma))
 
-    numerator = _shuffle_numerator(a, b, gamma)
-    delta = [e for size in gamma for e in range(size)]
-    try:
-        result = exact_divide(numerator, _alternate(ColoredPoly.monomial(gamma, delta)))
-    except DivisibilityError as err:  # pragma: no cover - would be a bug
-        raise StructuralViolationError(
-            "shuffle sum failed to clear the Vandermonde denominator for "
-            f"gamma1={g1}, gamma2={g2}; remainder={err.remainder!r}") from err
-    return CohaElement(q, gamma, result)
+    n = q.vertex_count
+    offs = [0, *accumulate(gamma)]
+    # canonical placement: a's variables take the first g1^i slots of block i
+    firsts = [range(offs[i], offs[i] + g1[i]) for i in range(n)]
+    seconds = [range(offs[i] + g1[i], offs[i + 1]) for i in range(n)]
+    fa = a.poly.reindex(gamma, [v for slots in firsts for v in slots])
+    fb = b.poly.reindex(gamma, [v for slots in seconds for v in slots])
+    kernel = ColoredPoly.constant(gamma, 1)
+    for i in range(n):
+        for j in range(n):
+            a_ij = q.arrows[i][j]
+            if not a_ij:
+                continue
+            for r in firsts[i]:
+                for s in seconds[j]:
+                    kernel = kernel * (_difference(gamma, s, r) ** a_ij)
+    poly = (fb * kernel) * fa
+    del fa, fb, kernel
+    for i in range(n):
+        for r in reversed(range(g1[i])):
+            for p in range(offs[i] + r, offs[i] + r + g2[i]):
+                try:
+                    poly = exact_divide(poly - poly.swap_variables(p, p + 1),
+                                        _difference(gamma, p + 1, p))
+                except DivisibilityError as err:  # pragma: no cover - would be a bug
+                    raise StructuralViolationError(
+                        f"divided difference at slots {p}, {p + 1} left a remainder for "
+                        f"gamma1={g1}, gamma2={g2}; remainder={err.remainder!r}") from err
+    return CohaElement(q, gamma, poly)
 
 
 def twisted_product(a: CohaElement, b: CohaElement) -> CohaElement:
@@ -231,15 +179,10 @@ def _monomial_symmetric(gamma: DimVector, vertex: int, lam) -> ColoredPoly:
     """m_lambda in the variables of one color block (coefficients all 1)."""
     size = gamma[vertex]
     padded = tuple(lam) + (0,) * (size - len(lam))
-    offset = sum(gamma[:vertex])
-    n = sum(gamma)
-    terms = {}
-    for perm in set(permutations(padded)):
-        exps = [0] * n
-        for r, e in enumerate(perm):
-            exps[offset + r] = e
-        terms[tuple(exps)] = 1
-    return ColoredPoly(gamma, terms)
+    _pack(padded)   # exponent range check, once for the whole orbit
+    shift = 8 * (sum(gamma[vertex + 1:]))
+    return ColoredPoly._make(gamma, {int.from_bytes(bytes(perm), "big") << shift: 1
+                                     for perm in set(permutations(padded))})
 
 
 def _basis_shapes(quiver: Quiver, gamma: DimVector, k: int):

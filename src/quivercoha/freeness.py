@@ -68,7 +68,10 @@ def exact_rank(rows: list[list]) -> int:
 
 def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
     """Dimension of the span in H_{gamma,k} of all twisted products of
-    elements at proper decompositions gamma1 + gamma2."""
+    elements at proper decompositions gamma1 + gamma2.  Products are
+    supercommutative, a b = +-b a, so each unordered pair of basis elements
+    is multiplied once: one split of each {gamma1, gamma2}, and when
+    gamma1 == gamma2 only d1 <= d2, with f no later than g when d1 == d2."""
     quiver.check_dim(gamma)
     gamma = tuple(gamma)
     reps = basis_leading_exponents(quiver, gamma, k)
@@ -86,14 +89,15 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
         d = (k - chi) // 2
         for d1 in range(0, d + chi12 + 1):
             d2 = d + chi12 - d1
-            if d2 < 0:
+            if d2 < 0 or (g1 == g2 and d1 > d2):
                 continue
             k1 = 2 * d1 + euler_form(quiver, g1, g1)
             k2 = 2 * d2 + euler_form(quiver, g2, g2)
             basis1 = basis(quiver, g1, k1)
-            basis2 = basis(quiver, g2, k2)
-            for f in basis1:
-                for g in basis2:
+            same = g1 == g2 and d1 == d2
+            basis2 = basis1 if same else basis(quiver, g2, k2)
+            for i, f in enumerate(basis1):
+                for g in basis2[i:] if same else basis2:
                     prod = twisted_product(f, g)
                     if not prod.is_zero():
                         rows.append([prod.poly.coefficient(r) for r in reps])

@@ -240,9 +240,14 @@ class ColoredPoly:
         return ColoredPoly._make(new_gamma, out)
 
     def swap_variables(self, v1: int, v2: int) -> "ColoredPoly":
-        var_map = list(range(self.nvars))
-        var_map[v1], var_map[v2] = var_map[v2], var_map[v1]
-        return self.reindex(self.gamma, var_map)
+        if not (0 <= v1 < self.nvars and 0 <= v2 < self.nvars):
+            raise DomainError(f"no variables {v1}, {v2} among {self.nvars}")
+        # add (e2 - e1) to the byte of v1 and subtract it from that of v2
+        s1, s2 = 8 * (self.nvars - 1 - v1), 8 * (self.nvars - 1 - v2)
+        step = (1 << s1) - (1 << s2)
+        return ColoredPoly._make(self.gamma, {
+            k + (((k >> s2) & 255) - ((k >> s1) & 255)) * step: c
+            for k, c in self._terms.items()})
 
     def is_block_symmetric(self) -> bool:
         """Invariance under permuting variables within each color block.
@@ -316,9 +321,11 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
                 "polynomial division left a nonzero remainder",
                 remainder=ColoredPoly._make(num.gamma, r))
         t = kr - kd
-        c = r[kr] / cd if type(r[kr]) is Fraction or type(cd) is Fraction \
-            else Fraction(r[kr], cd)
-        c = _norm_coeff(c)
+        c = r[kr]
+        if type(c) is int and type(cd) is int and not c % cd:
+            c //= cd
+        else:
+            c = _norm_coeff(Fraction(c) / cd)
         q[t] = c
         for k, v in den_items:
             kk = t + k
@@ -333,7 +340,7 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
         raise DivisibilityError(
             "polynomial division left a nonzero remainder",
             remainder=ColoredPoly._make(num.gamma, r))
-    return ColoredPoly._make(num.gamma, {k: _norm_coeff(c) for k, c in q.items()})
+    return ColoredPoly._make(num.gamma, q)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from quivercoha.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+DATA = Path(__file__).resolve().parent / "data"
 
 # The benchmark's workloads (bench/workloads.py): quiver file, mode,
 # gamma-max and qtrunc of each, and its reference report in bench/reference.
@@ -91,6 +92,16 @@ def test_bench_workload_matches_reference(tmp_path, name):
     assert out.read_bytes() == (BENCH / "reference" / f"{name}.json").read_bytes()
 
 
+def test_freeness_loop2_gamma5_matches_golden(tmp_path):
+    # 2-loop check-freeness with gamma-max 5 and qtrunc 16, a larger anchor
+    # than the bench workload (gamma-max 4)
+    loop2 = write_quiver(tmp_path, "loop2.json", {"vertices": 1, "arrows": [[0, 0, 2]]})
+    code, blob = run_to_file(tmp_path, ["--quiver", loop2, "--mode", "check-freeness",
+                                        "--gamma-max", "5", "--qtrunc", "16"])
+    assert code == 0
+    assert blob == (DATA / "freeness_loop2_g5.json").read_bytes()
+
+
 def test_check_modes_exit_zero_on_agreement(tmp_path, loop1_path, kron_path):
     code, blob = run_to_file(tmp_path, [
         "--quiver", loop1_path, "--mode", "check-nonvanishing",
@@ -168,7 +179,7 @@ def test_structural_violation_is_exit_3(a1_path, monkeypatch, capsys):
     assert "theorem failed" in capsys.readouterr().err
 
 
-def test_capacity_limit_is_exit_4(tmp_path, a1_path, kron_path, capsys):
+def test_capacity_limit_is_exit_4(tmp_path, a1_path, loop1_path, kron_path, capsys):
     # |gamma| = 9 exceeds the exhaustive genericity search's size cap
     assert main(["--quiver", a1_path, "--mode", "genericity", "--gamma-max", "9"]) == 4
     assert "genericity" in capsys.readouterr().err
@@ -177,6 +188,16 @@ def test_capacity_limit_is_exit_4(tmp_path, a1_path, kron_path, capsys):
                  "--left", "x0_1^127", "--left-gamma", "1,0",
                  "--right", "1", "--right-gamma", "0,1"]) == 4
     assert "packed-exponent limit 127" in capsys.readouterr().err
+    # with one loop the kernel (x0_3 - x0_1)(x0_3 - x0_2) lifts x0_1^127 to 128
+    # before the divided differences; without arrows no exponent passes 127
+    for quiver, code in ((loop1_path, 4), (a1_path, 0)):
+        assert main(["--quiver", quiver, "--mode", "shuffle-eval", "--gamma-max", "3",
+                     "--left", "x0_1^127*x0_2^127", "--left-gamma", "2",
+                     "--right", "1", "--right-gamma", "1",
+                     "--out", str(tmp_path / "limit.json")]) == code
+    assert "product exponent 128" in capsys.readouterr().err
+    assert json.loads((tmp_path / "limit.json").read_bytes())["product"]["poly"].startswith(
+        "x0_1^126*x0_2^126 + ")
     # on A1, x^100 * x^100 at gamma 1+1 is 0: no exponent above 100 arises
     code, blob = run_to_file(tmp_path, [
         "--quiver", a1_path, "--mode", "shuffle-eval", "--gamma-max", "1",

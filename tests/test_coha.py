@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,7 @@ from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError
                         Quiver, StructuralViolationError, basis,
                         enumerate_dim_vectors, euler_form, exact_divide,
                         shuffle_product, sign_form, twisted_product)
-from quivercoha.coha import _alternate, basis_leading_exponents
+from quivercoha.coha import basis_leading_exponents
 
 from conftest import S1, S2, S3, S4, SUITE
 
@@ -110,45 +110,6 @@ def test_degree_shift_matches_euler_form(suite_quiver):
     assert {sum(exps) for exps, _ in prod.poly.terms()} == {expected}
     # bidegrees add
     assert k_degree(prod) == k_degree(a) + k_degree(b)
-
-
-# -- the alternation against its definition --------------------------------------
-
-def _alternation_oracle(p):
-    """sum of sign(pi) pi(p) over the permutations pi of the slots within
-    each color block, each pi applied by reindex."""
-    gamma = p.gamma
-    offs = [sum(gamma[:i]) for i in range(len(gamma))]
-    out = ColoredPoly.zero(gamma)
-    for blocks in product(*(permutations(range(o, o + size))
-                            for o, size in zip(offs, gamma))):
-        pi = [v for block in blocks for v in block]
-        # slots of different blocks never cross, so these are block inversions
-        inversions = sum(1 for u, v in combinations(pi, 2) if u > v)
-        out = out + p.reindex(gamma, pi) * (-1) ** inversions
-    return out
-
-
-@pytest.mark.parametrize("gamma", [(3,), (4,), (2, 2), (0, 3), (2, 0, 3), (1, 2, 1)])
-def test_alternate_matches_its_definition(gamma):
-    rng = random.Random(f"alternate-{gamma}")
-    nvars = sum(gamma)
-    for _ in range(6):
-        # exponents in 0..3, so blocks often repeat one, and rational coefficients
-        terms = {tuple(rng.randint(0, 3) for _ in range(nvars)):
-                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)}
-        p = ColoredPoly(gamma, terms)
-        assert _alternate(p) == _alternation_oracle(p)
-    # x^delta, delta = 0, 1, ... along each block, alternates to the Vandermonde
-    offs = [sum(gamma[:i]) for i in range(len(gamma))]
-    delta = [e for size in gamma for e in range(size)]
-    vandermonde = ColoredPoly.constant(gamma, 1)
-    for o, size in zip(offs, gamma):
-        for p, q in combinations(range(o, o + size), 2):
-            vandermonde = vandermonde * (
-                ColoredPoly.monomial(gamma, [int(v == q) for v in range(nvars)])
-                - ColoredPoly.monomial(gamma, [int(v == p) for v in range(nvars)]))
-    assert _alternate(ColoredPoly.monomial(gamma, delta)) == vandermonde
 
 
 # -- twisted product -------------------------------------------------------------
@@ -335,13 +296,15 @@ def _shuffle_oracle(a, b):
     return exact_divide(numerator, full)
 
 
-def _random_symmetric(rng, quiver, gamma):
-    """A block-symmetric element of degree <= 1: a nonzero rational constant
-    plus a random rational combination of the degree-1 basis."""
+def _random_symmetric(rng, quiver, gamma, degree):
+    """A block-symmetric element of degree <= degree: a nonzero rational
+    constant plus a random rational combination of the basis in each degree
+    1, ..., degree."""
     chi = euler_form(quiver, gamma, gamma)
     poly = ColoredPoly.constant(gamma, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
-    for e in basis(quiver, gamma, chi + 2):
-        poly = poly + e.poly * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    for d in range(1, degree + 1):
+        for e in basis(quiver, gamma, chi + 2 * d):
+            poly = poly + e.poly * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     return CohaElement(quiver, gamma, poly)
 
 
@@ -350,6 +313,7 @@ ORACLE_QUIVERS = SUITE + [
     ("loop-mixed-3", Quiver.from_lists([[3, 1], [1, 0]])),
     ("three-vertex", Quiver.from_lists([[0, 1, 0], [1, 1, 2], [0, 2, 0]])),
 ]
+DEEP_ORACLE = {"S2", "S4", "three-vertex"}
 
 
 @pytest.mark.parametrize("name,quiver", ORACLE_QUIVERS)
@@ -363,7 +327,11 @@ def test_shuffle_matches_per_shuffle_oracle(name, quiver):
              if sum(g1) + sum(g2) <= 5
              and sum(quiver.arrows[i][j] * g1[i] * g2[j]
                      for i in range(n) for j in range(n)) <= 6]
+    # inputs of degree 2 and 3 on a looped color, a doubled multi-edge and
+    # three colors give each divided difference many terms; at about 1 s in
+    # all, the other quivers keep degree <= 1
+    degrees = (2, 3) if name in DEEP_ORACLE else (1,)
     for g1, g2 in rng.sample(pairs, min(8, len(pairs))):
-        a = _random_symmetric(rng, quiver, g1)
-        b = _random_symmetric(rng, quiver, g2)
+        a = _random_symmetric(rng, quiver, g1, rng.choice(degrees))
+        b = _random_symmetric(rng, quiver, g2, rng.choice(degrees))
         assert shuffle_product(a, b).poly == _shuffle_oracle(a, b)

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoha import (DomainError, HalfSeries, StructuralViolationError,
-                        decomposable_dim, generator_dims, prim_dims)
+from quivercoha import (DomainError, HalfSeries, StructuralViolationError, basis,
+                        decomposable_dim, enumerate_dim_vectors, euler_form,
+                        generator_dims, prim_dims, twisted_product)
 from quivercoha import freeness
 from quivercoha.freeness import exact_rank
 
-from conftest import S1, S2
+from conftest import S1, S2, S4
 
 
 # -- exact rank ----------------------------------------------------------------
@@ -59,6 +60,30 @@ def test_decomposable_examples():
     assert decomposable_dim(S2, (1,), 5) == 0
     # below the bottom of the bidegree window the space is empty
     assert decomposable_dim(S1, (2,), 2) == 0
+
+
+def _full_product_rank(quiver, gamma, k):
+    """Rank of every twisted product f g, f and g basis elements at an
+    ordered split gamma1 + gamma2 with k1 + k2 = k, on coordinates at every
+    monomial that occurs."""
+    prods = []
+    for g1 in enumerate_dim_vectors(gamma)[:-1]:
+        g2 = tuple(x - y for x, y in zip(gamma, g1))
+        for k1 in range(euler_form(quiver, g1, g1), k - euler_form(quiver, g2, g2) + 1, 2):
+            for f in basis(quiver, g1, k1):
+                for g in basis(quiver, g2, k - k1):
+                    prods.append(twisted_product(f, g).poly)
+    monomials = sorted({exps for p in prods for exps, _ in p.terms()})
+    return exact_rank([[p.coefficient(m) for m in monomials] for p in prods])
+
+
+@pytest.mark.parametrize("quiver,gamma", [(S2, (2,)), (S2, (4,)), (S4, (2, 2))])
+def test_decomposable_dim_spans_every_ordered_product(quiver, gamma):
+    # decomposable_dim multiplies each unordered pair once; a b = +-b a, so
+    # the span must be that of all ordered products
+    chi = euler_form(quiver, gamma, gamma)
+    for k in range(chi, chi + 13, 2):
+        assert decomposable_dim(quiver, gamma, k) == _full_product_rank(quiver, gamma, k)
 
 
 # -- generator series --------------------------------------------------------------

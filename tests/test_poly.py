@@ -44,6 +44,19 @@ def test_substitution_swaps_variables():
     assert p.reindex(g, (1, 0)) == x2 * x2 * x1
 
 
+@given(small_polys(gamma=(2, 1), exponents=st.sampled_from((0, 1, 126, 127))),
+       st.integers(0, 2), st.integers(0, 2))
+def test_swap_variables_is_a_transposition(p, v1, v2):
+    var_map = [0, 1, 2]
+    var_map[v1], var_map[v2] = var_map[v2], var_map[v1]
+    assert p.swap_variables(v1, v2) == p.reindex(p.gamma, var_map)
+
+
+def test_swap_variables_range_is_checked():
+    with pytest.raises(DomainError):
+        v((2,), 0, 1).swap_variables(1, 2)
+
+
 def test_substitution_must_be_injective():
     g = (2,)
     with pytest.raises(DomainError):
@@ -93,6 +106,17 @@ def test_exact_divide_rational_lead():
     x = v(g, 0, 1)
     q = exact_divide(x * x, x * Fraction(2, 3))
     assert q == x * Fraction(3, 2)
+
+
+def test_exact_divide_int_quotient_stays_int():
+    g = (2,)
+    x1, x2 = v(g, 0, 1), v(g, 0, 2)
+    q = exact_divide(x1 ** 3 * 6 - x2 ** 3 * 6, (x1 - x2) * 2)
+    assert q == (x1 * x1 + x1 * x2 + x2 * x2) * 3
+    assert all(type(c) is int for _, c in q.terms())
+    # an int lead that does not divide gives a Fraction
+    half = exact_divide(x1 * 3, x1 * 2)
+    assert list(half.terms()) == [((0, 0), Fraction(3, 2))]
 
 
 # -- ring axioms -----------------------------------------------------------------

@@ -7,8 +7,7 @@ for moment-map eigenvalue data, and the positive-root nonvanishing test.
 """
 
 from .coha import CohaElement, basis, shuffle_product, twisted_product
-from .dtseries import (DTReport, build_generating_series, dt_report,
-                       hilbert_series, omega, plethystic_factor)
+from .dtseries import DTReport, build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      LimitExceededError, QuiverFormatError, StructuralViolationError)
 from .freeness import decomposable_dim, generator_dims, prim_dims
@@ -27,8 +26,8 @@ __all__ = [
     "StructuralViolationError", "attach_legs", "basis",
     "build_generating_series", "decomposable_dim", "double", "dt_report",
     "enumerate_dim_vectors", "euler_form", "exact_divide",
-    "generator_dims", "hilbert_series", "is_generic", "is_positive_root",
-    "lambda_from_eigenvalues", "omega",
+    "generator_dims", "is_generic", "is_positive_root",
+    "lambda_from_eigenvalues",
     "parse_colored_poly", "plethystic_factor", "prim_dims", "quiver_from_spec",
     "sample_generic", "shuffle_product", "sign_form", "tits_form",
     "twisted_product",

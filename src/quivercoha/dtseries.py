@@ -30,11 +30,13 @@ psi_(rs), so log A = sum_gamma sum_r x^(r gamma) psi_r(Omega(gamma) /
 reads Omega off log A in closed form (see ``plethystic_factor``).
 
 All windows are tracked exactly: a k outside the reported window is
-unknown, never silently zero.  Every window is the one ``HalfSeries`` and
-``MultiSeries`` arithmetic certifies for the inverse, the product and the
-sums, and psi_r sends a certified window [lo, hi] to [r lo, r hi] (the
-exponents in between that are not multiples of r are certified zero), so
-no window needs a separate cap.
+unknown, never silently zero.  Each 1/(q;q)_m is certified on [0, qtrunc]
+by its closed form (partition counts, see ``_inverse_pochhammers``); every
+other window is the one ``HalfSeries`` and ``MultiSeries`` arithmetic
+certifies for the sums and products (the inverse of A is built from these
+alone, its x^0 piece being exactly 1), and psi_r sends a certified window
+[lo, hi] to [r lo, r hi] (the exponents in between that are not multiples
+of r are certified zero), so no window needs a separate cap.
 """
 
 
@@ -45,18 +47,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, StructuralViolationError
-from .quiver import (DimVector, Quiver, dim_abs, enumerate_dim_vectors, euler_form,
-                     zero_dim)
+from .quiver import DimVector, Quiver, dim_abs, enumerate_dim_vectors, euler_form
 from .series import HalfSeries, MultiSeries
-
-
-def hilbert_series(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
-    """P_gamma expanded on the window [chi, chi + qtrunc] in half-units.
-
-    The coefficient of q^(k/2) is dim H_{gamma,k}.
-    """
-    _check_grading(quiver, gamma, qtrunc)
-    return _hilbert(quiver, tuple(gamma), _inverse_pochhammers(max(gamma), qtrunc))
 
 
 def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> MultiSeries:
@@ -88,11 +80,17 @@ def _hilbert(quiver: Quiver, gamma: DimVector, inv: list[HalfSeries]) -> HalfSer
 
 
 def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
-    """[1/(q;q)_m for m <= mmax], each certified on [0, width], built by
-    1/(q;q)_m = 1/(q;q)_(m-1) * (1 - q^m)^(-1)."""
+    """[1/(q;q)_m for m <= mmax], each certified on [0, width].
+
+    The coefficient of q^n in 1/(q;q)_m is p_m(n), the number of partitions
+    of n into parts of size at most m, and p_m(n) = p_(m-1)(n) + p_m(n - m)
+    (Andrews, *The Theory of Partitions*, ch. 1)."""
+    counts = [1] + [0] * (width // 2)
     out = [HalfSeries.one(hi=width)]
     for m in range(1, mmax + 1):
-        out.append(out[-1] * HalfSeries({0: 1, 2 * m: -1}, 0, width).inverse())
+        for n in range(m, len(counts)):
+            counts[n] += counts[n - m]
+        out.append(HalfSeries({2 * n: c for n, c in enumerate(counts)}, 0, width))
     return out
 
 
@@ -151,9 +149,6 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
     by (|gamma|, lex), a multiplicity that is not a non-negative integer
     raises StructuralViolationError and an empty window raises DomainError.
     """
-    unit_piece = series.piece(zero_dim(len(series.gamma_max)))
-    if unit_piece.coeffs != {0: 1}:
-        raise DomainError("generating series must have x^0 piece 1")
     graded = MultiSeries(series.gamma_max,
                          {g: s * dim_abs(g) for g, s in series.pieces.items()})
     log_derivative = series.inverse() * graded
@@ -200,15 +195,6 @@ def _adams(s: HalfSeries, r: int) -> HalfSeries:
     exponents off the multiples of r are zero."""
     return HalfSeries({r * k: -c if (r + 1) * k % 2 else c for k, c in s.coeffs.items()},
                       r * s.lo, None if s.hi is None else r * s.hi)
-
-
-def omega(quiver: Quiver, gamma: DimVector, qtrunc: int) -> HalfSeries:
-    """Omega(gamma)(q) = sum_k c_{gamma,k} q^(k/2) on its certified window."""
-    quiver.check_dim(gamma)
-    gamma = tuple(gamma)
-    if not any(gamma):
-        raise DomainError("Omega is defined for nonzero dimension vectors")
-    return plethystic_factor(build_generating_series(quiver, gamma, qtrunc))[gamma]
 
 
 def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> DTReport:

@@ -153,7 +153,15 @@ class ColoredPoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ColoredPoly.constant(self.gamma, other)
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = _norm_coeff(s)
+            else:
+                out.pop(k, None)
+        return ColoredPoly._make(self.gamma, out)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -9,9 +9,8 @@ Every series carries an exactness window [lo, hi]:
 
 hi = None means the series is exact everywhere (a Laurent polynomial).
 Arithmetic propagates windows: sums certify up to min(hi), products obey the
-convolution rule hi = min(hi1 + lo2, hi2 + lo1), and division/inversion
-shifts by twice the leading order.  Recomputing with a wider window always
-agrees on the narrower one; tests rely on that.
+convolution rule hi = min(hi1 + lo2, hi2 + lo1).  Recomputing with a wider
+window always agrees on the narrower one; tests rely on that.
 """
 
 from __future__ import annotations
@@ -153,40 +152,6 @@ class HalfSeries:
         return HalfSeries({k + dk: c for k, c in self.coeffs.items()},
                           self.lo + dk, _hi_plus(self.hi, dk))
 
-    def divide(self, other: "HalfSeries") -> "HalfSeries":
-        """Exact series division within the provable window."""
-        m = other.order()
-        if m is None:
-            raise DomainError("division by a series that is zero on its window")
-        bm = other.coeffs[m]
-        lo = self.lo - m
-        if other.hi is None:
-            hi = _hi_plus(self.hi, -m)
-        else:
-            hi = _min_hi(_hi_plus(self.hi, -m), other.hi + self.lo - 2 * m)
-        if hi is None:
-            if len(other.coeffs) != 1:
-                raise DomainError(
-                    "cannot divide by an exact multi-term series without truncating")
-            return HalfSeries({k - m: _norm_coeff(Fraction(c) / bm)
-                               for k, c in self.coeffs.items()}, lo, None)
-        out: dict = {}
-        for e in range(lo, hi + 1):
-            acc = self.coeffs.get(e + m, 0)
-            for i, ci in out.items():
-                acc -= ci * other.coeffs.get(e + m - i, 0)
-            if acc:
-                q = acc / bm if isinstance(acc, Fraction) or isinstance(bm, Fraction) \
-                    else Fraction(acc, bm)
-                q = _norm_coeff(q)
-                if q:
-                    out[e] = q
-        return HalfSeries(out, lo, hi)
-
-    def inverse(self) -> "HalfSeries":
-        """Multiplicative inverse; needs a nonzero leading coefficient."""
-        return HalfSeries.one().divide(self)
-
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -275,11 +240,13 @@ class MultiSeries:
         return out
 
     def inverse(self) -> "MultiSeries":
-        """Inverse of a series whose x^0 piece has a nonzero leading term."""
-        n = len(self.gamma_max)
-        g0 = zero_dim(n)
-        inv0 = self.piece(g0).inverse()
-        out = MultiSeries(self.gamma_max, {g0: inv0})
+        """Inverse of a series whose x^0 piece is exactly 1:
+        out_0 = 1, out_g = -sum_(0 < d <= g) A_d out_(g-d)."""
+        g0 = zero_dim(len(self.gamma_max))
+        unit = self.piece(g0)
+        if unit != HalfSeries.one():
+            raise DomainError("generating series must have x^0 piece 1")
+        out = MultiSeries(self.gamma_max, {g0: unit})
         for g in self.domain():
             if g == g0:
                 continue
@@ -293,7 +260,7 @@ class MultiSeries:
                 term = s * rest
                 acc = term if acc is None else acc + term
             if acc is not None:
-                out.pieces[g] = (-acc) * inv0
+                out.pieces[g] = -acc
         return out
 
     def __eq__(self, other):

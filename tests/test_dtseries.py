@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver,
                         build_generating_series, dt_report, enumerate_dim_vectors,
-                        euler_form, hilbert_series, omega, plethystic_factor, prim_dims)
+                        euler_form, plethystic_factor, prim_dims)
 from quivercoha.coha import basis_leading_exponents
-from quivercoha.dtseries import DTReport
+from quivercoha.dtseries import DTReport, _inverse_pochhammers
 from quivercoha.quiver import dim_abs
 
 from conftest import S1, S2, S3, S4, SUITE
@@ -17,7 +17,7 @@ from conftest import S1, S2, S3, S4, SUITE
 
 def test_hilbert_no_loops_gamma_two():
     # q^2 (1 + q + 2 q^2 + 2 q^3 + 3 q^4 + ...), half-unit exponents from 4
-    s = hilbert_series(S1, (2,), 12)
+    s = build_generating_series(S1, (2,), 12).piece((2,))
     assert s.window() == (4, 16)
     assert [s.coeff(4 + 2 * d) for d in range(7)] == [1, 1, 2, 2, 3, 3, 4]
     assert all(s.coeff(k) == 0 for k in range(5, 16, 2))
@@ -25,7 +25,8 @@ def test_hilbert_no_loops_gamma_two():
 
 def test_hilbert_gamma_zero_is_one():
     for q in (S1, S3):
-        s = hilbert_series(q, (0,) * q.vertex_count, 10)
+        zero = (0,) * q.vertex_count
+        s = build_generating_series(q, zero, 10).piece(zero)
         assert s.coeffs == {0: 1}
         assert s.hi is None
 
@@ -34,15 +35,40 @@ def test_hilbert_counts_match_basis(suite_quiver):
     n = suite_quiver.vertex_count
     for gamma in [(1,) * n, (2,) + (0,) * (n - 1), (2,) * n]:
         chi = euler_form(suite_quiver, gamma, gamma)
-        s = hilbert_series(suite_quiver, gamma, 10)
+        s = build_generating_series(suite_quiver, gamma, 10).piece(gamma)
         for k in range(chi, chi + 11):
             assert s.coeff(k) == len(basis_leading_exponents(suite_quiver, gamma, k))
+
+
+def _pochhammer(m):
+    """(q;q)_m = prod_{j=1}^{m} (1 - q^j), an exact Laurent polynomial."""
+    out = HalfSeries.one()
+    for j in range(1, m + 1):
+        out = out * HalfSeries({0: 1, 2 * j: -1}, 0, None)
+    return out
+
+
+@pytest.mark.parametrize("width", [0, 3, 40])
+def test_inverse_pochhammers_count_partitions(width):
+    # the coefficient of q^n in 1/(q;q)_m counts partitions of n into parts
+    # of size at most m: all of them when n <= m, floor(n/2) + 1 when m = 2
+    inv = _inverse_pochhammers(6, width)
+    assert len(inv) == 7
+    for m, s in enumerate(inv):
+        for n in range(width // 2 + 1):
+            if n <= m:
+                assert s.coeff(2 * n) == [1, 1, 2, 3, 5, 7, 11][n]
+            if m == 2:
+                assert s.coeff(2 * n) == n // 2 + 1
+        one = s * _pochhammer(m)
+        assert one.window() == (0, width)
+        assert one.coeffs == {0: 1}
 
 
 def test_hilbert_rejects_asymmetric():
     from quivercoha import Quiver
     with pytest.raises(DomainError):
-        hilbert_series(Quiver.from_lists([[0, 1], [0, 0]]), (1, 1), 4)
+        build_generating_series(Quiver.from_lists([[0, 1], [0, 0]]), (1, 1), 4)
 
 
 # -- independent oracle for the towers: direct expansion of the product -------------
@@ -84,8 +110,9 @@ def test_euler_identity_single_odd_tower_reproduces_no_loop_series():
     # product expansion on the other
     qmax = 14
     tower = _expand_tower_x_coeffs((1,), 1, qmax, (3,))
+    series = build_generating_series(S1, (3,), qmax)
     for g in range(1, 4):
-        s = hilbert_series(S1, (g,), qmax)
+        s = series.piece((g,))
         for k in range(s.lo, qmax + 1):
             assert s.coeff(k) == tower.get((g,), {}).get(k, 0)
 
@@ -163,7 +190,10 @@ def test_round_trip_rebuild(suite_quiver):
 
 def test_extraction_needs_unit_constant_term():
     series = build_generating_series(S1, (2,), 10)
-    for unit in (HalfSeries.monomial(0, 2), HalfSeries({0: 1, 2: 1}, 0, 10)):
+    # the x^0 piece must be exactly 1, certified everywhere: a unit with
+    # a finite window is refused too
+    for unit in (HalfSeries.zero(), HalfSeries.monomial(0, 2),
+                 HalfSeries({0: 1, 2: 1}, 0, 10), HalfSeries({0: 1}, 0, 10)):
         broken = MultiSeries(series.gamma_max, {**series.pieces, (0,): unit})
         with pytest.raises(DomainError):
             plethystic_factor(broken)
@@ -172,14 +202,9 @@ def test_extraction_needs_unit_constant_term():
 # -- omega -----------------------------------------------------------------------
 
 def test_omega_examples():
-    assert omega(S1, (1,), 14).coeffs == {1: 1}
-    assert omega(S1, (2,), 14).coeffs == {}
-    assert omega(S2, (1,), 14).coeffs == {-1: 1}
-
-
-def test_omega_rejects_zero_gamma():
-    with pytest.raises(DomainError):
-        omega(S1, (0,), 8)
+    assert dt_report(S1, (1,), 14).omega[(1,)].coeffs == {1: 1}
+    assert dt_report(S1, (2,), 14).omega[(2,)].coeffs == {}
+    assert dt_report(S2, (1,), 14).omega[(1,)].coeffs == {-1: 1}
 
 
 def test_dt_report_round_trips_through_json():

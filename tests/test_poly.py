@@ -128,6 +128,8 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+    assert a - b == a + (-b)
+    assert (a - a).is_zero()
 
 
 @given(small_polys(), small_polys())

@@ -10,9 +10,10 @@ shuffle-eval        twisted Hall product of two user-supplied elements
 
 Reports are byte-deterministic given the flags and seed: JSON with sorted
 keys (the source of truth) or flattened CSV.  Exit status is 0 on success,
-1 when a check mode finds a disagreement, 2 on bad input, 3 when an
-identity that is a theorem fails at runtime (StructuralViolationError: a bug
-or a corrupted input, never a property of the quiver), and 4 when the input
+1 when a check mode finds a disagreement, 2 on bad input (an --out path that
+cannot be written included), 3 when an identity that is a theorem fails at
+runtime (StructuralViolationError: a bug or a corrupted input, never a
+property of the quiver), and 4 when the input
 is valid but exceeds a capacity limit (LimitExceededError: the size cap of
 the exhaustive genericity search, or the packed-exponent limit of 127 on
 every exponent, including those of the shuffle numerator, which can exceed
@@ -295,8 +296,12 @@ def main(argv=None) -> int:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write report: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -11,6 +11,13 @@ hi = None means the series is exact everywhere (a Laurent polynomial).
 Arithmetic propagates windows: sums certify up to min(hi), products obey the
 convolution rule hi = min(hi1 + lo2, hi2 + lo1).  Recomputing with a wider
 window always agrees on the narrower one; tests rely on that.
+
+Every product, of two ``HalfSeries`` or of two ``MultiSeries``, is one
+accumulation (``_sum_of_products``): a piece (A B)_g = sum_(d <= g) A_d
+B_(g-d) takes its window from all its term products at once, then adds
+every term pair into one dict, walking the second factor in ascending
+exponent order and stopping at that hi.  No intermediate series is built
+and no pair above the certified hi is visited.
 """
 
 from __future__ import annotations
@@ -32,6 +39,29 @@ def _min_hi(h1, h2):
 
 def _hi_plus(h, k):
     return None if h is None else h + k
+
+
+def _sum_of_products(pairs) -> "HalfSeries":
+    """sum of s1 * s2 over the (s1, s2) in ``pairs`` (at least one), as one
+    accumulation: the window of the chain of products and sums, lo = the
+    least lo1 + lo2 and hi = the least min(hi1 + lo2, hi2 + lo1), comes
+    first, and s2 is walked in ascending exponent order and left at the
+    first k1 + k2 above hi, so no term pair above hi is visited."""
+    lo = min(s1.lo + s2.lo for s1, s2 in pairs)
+    hi = None
+    for s1, s2 in pairs:
+        hi = _min_hi(hi, _min_hi(_hi_plus(s1.hi, s2.lo), _hi_plus(s2.hi, s1.lo)))
+    out: dict = {}
+    get = out.get
+    for s1, s2 in pairs:
+        terms2 = sorted(s2.coeffs.items())
+        for k1, c1 in s1.coeffs.items():
+            for k2, c2 in terms2:
+                k = k1 + k2
+                if hi is not None and k > hi:
+                    break
+                out[k] = get(k, 0) + c1 * c2
+    return HalfSeries(out, lo, hi)
 
 
 class HalfSeries:
@@ -131,20 +161,7 @@ class HalfSeries:
             if other:
                 s.coeffs = {k: _norm_coeff(c * other) for k, c in self.coeffs.items()}
             return s
-        lo = self.lo + other.lo
-        hi = _min_hi(_hi_plus(self.hi, other.lo), _hi_plus(other.hi, self.lo))
-        out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                if hi is not None and k > hi:
-                    continue
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return HalfSeries({k: _norm_coeff(c) for k, c in out.items()}, lo, hi)
+        return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -223,25 +240,24 @@ class MultiSeries:
             raise DimensionMismatchError("mismatched truncation boxes")
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
+        """(self * other)_g = sum over d <= g of self_d other_(g-d), one
+        accumulation per piece g (see ``_sum_of_products``): no
+        ``HalfSeries`` per product or partial sum, and no term pair above
+        the certified hi of the piece."""
         self._check_compatible(other)
         out = MultiSeries(self.gamma_max)
         for g in self.domain():
-            acc = None
-            for d, s1 in self.pieces.items():
-                if not dim_leq(d, g):
-                    continue
-                s2 = other.pieces.get(dim_sub(g, d))
-                if s2 is None:
-                    continue
-                term = s1 * s2
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out.pieces[g] = acc
+            pairs = [(s1, s2) for d, s1 in self.pieces.items() if dim_leq(d, g)
+                     and (s2 := other.pieces.get(dim_sub(g, d))) is not None]
+            if pairs:
+                out.pieces[g] = _sum_of_products(pairs)
         return out
 
     def inverse(self) -> "MultiSeries":
         """Inverse of a series whose x^0 piece is exactly 1:
-        out_0 = 1, out_g = -sum_(0 < d <= g) A_d out_(g-d)."""
+        out_0 = 1, out_g = -sum_(0 < d <= g) A_d out_(g-d), walking g in
+        (|g|, lex) order so every out_(g-d) is ready; each piece is one
+        accumulation with the hi cutoff, as in ``__mul__``."""
         g0 = zero_dim(len(self.gamma_max))
         unit = self.piece(g0)
         if unit != HalfSeries.one():
@@ -250,17 +266,11 @@ class MultiSeries:
         for g in self.domain():
             if g == g0:
                 continue
-            acc = None
-            for d, s in self.pieces.items():
-                if d == g0 or not dim_leq(d, g):
-                    continue
-                rest = out.pieces.get(dim_sub(g, d))
-                if rest is None:
-                    continue
-                term = s * rest
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out.pieces[g] = -acc
+            pairs = [(s, rest) for d, s in self.pieces.items()
+                     if d != g0 and dim_leq(d, g)
+                     and (rest := out.pieces.get(dim_sub(g, d))) is not None]
+            if pairs:
+                out.pieces[g] = -_sum_of_products(pairs)
         return out
 
     def __eq__(self, other):

@@ -102,6 +102,20 @@ def test_freeness_loop2_gamma5_matches_golden(tmp_path):
     assert blob == (DATA / "freeness_loop2_g5.json").read_bytes()
 
 
+@pytest.mark.parametrize("quiver, gamma_max, qtrunc, golden", [
+    ("loop3.json", "12", "290", "dt_loop3_g12_q290.json"),
+    ("kronecker2_doubled.json", "6,6", "80", "dt_kronecker2_g6_6_q80.json"),
+], ids=["loop3", "kronecker2_doubled"])
+def test_full_window_dt_table_matches_golden(tmp_path, quiver, gamma_max, qtrunc, golden):
+    # windows wide enough to hold every coefficient, where the product's hi
+    # cutoff skips the most term pairs
+    code, blob = run_to_file(tmp_path, [
+        "--quiver", str(BENCH / "quivers" / quiver), "--mode", "dt-table",
+        "--gamma-max", gamma_max, "--qtrunc", qtrunc])
+    assert code == 0
+    assert blob == (DATA / golden).read_bytes()
+
+
 def test_check_modes_exit_zero_on_agreement(tmp_path, loop1_path, kron_path):
     code, blob = run_to_file(tmp_path, [
         "--quiver", loop1_path, "--mode", "check-nonvanishing",
@@ -157,6 +171,19 @@ def test_malformed_spec_is_exit_2(tmp_path, capsys):
     notjson.write_text("{", encoding="utf-8")
     assert main(["--quiver", str(notjson), "--mode", "dt-table",
                  "--gamma-max", "1,1"]) == 2
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."],
+                         ids=["missing_dir", "directory"])
+def test_unwritable_out_is_exit_2(tmp_path, a1_path, capsys, target):
+    # a missing parent directory, then a directory: both are input errors
+    code = main(["--quiver", a1_path, "--mode", "dt-table", "--gamma-max", "1",
+                 "--out", str(tmp_path / target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ")
+    assert "Traceback" not in captured.err
 
 
 def test_mode_quiver_mismatch_is_exit_2(tmp_path, capsys):

@@ -4,18 +4,72 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quivercoha import DomainError, HalfSeries, MultiSeries
+from quivercoha.quiver import dim_leq, dim_sub, enumerate_dim_vectors
 
 
 @st.composite
 def small_series(draw):
+    """A series with a window of width -2..8 (below 1: empty, hi < lo) or
+    exact (hi None), its terms inserted in a random exponent order."""
     lo = draw(st.integers(-4, 2))
-    width = draw(st.integers(0, 8))
-    hi = lo + width
+    width = draw(st.integers(-2, 8))
+    exponents = draw(st.permutations(range(lo, lo + max(width, 0) + 1)))
     coeffs = {}
-    for k in range(lo, hi + 1):
+    for k in exponents:
         if draw(st.booleans()):
             coeffs[k] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    hi = None if draw(st.booleans()) else lo + width
     return HalfSeries(coeffs, lo, hi)
+
+
+BOXES = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def small_multiseries(draw, gamma_max):
+    """A series on the 2-vertex box gamma_max whose x^0 piece is exactly 1
+    and whose other pieces are absent or drawn by ``small_series``."""
+    pieces = {(0, 0): HalfSeries.one()}
+    for g in enumerate_dim_vectors(gamma_max):
+        if draw(st.booleans()):
+            pieces[g] = draw(small_series())
+    return MultiSeries(gamma_max, pieces)
+
+
+# -- test-side references: every term pair, then the window rule ------------
+
+def _window_min(*his):
+    his = [h for h in his if h is not None]
+    return min(his) if his else None
+
+
+def _brute_product(a, b):
+    """a * b over all term pairs, cut to hi = min(hi_a + lo_b, hi_b + lo_a)."""
+    hi = _window_min(None if a.hi is None else a.hi + b.lo,
+                     None if b.hi is None else b.hi + a.lo)
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return HalfSeries({k: c for k, c in out.items() if hi is None or k <= hi},
+                      a.lo + b.lo, hi)
+
+
+def _brute_sum(terms):
+    """The sum of series certified up to the least hi of the terms."""
+    hi = _window_min(*(t.hi for t in terms))
+    out = {}
+    for t in terms:
+        for k, c in t.coeffs.items():
+            out[k] = out.get(k, 0) + c
+    return HalfSeries({k: c for k, c in out.items() if hi is None or k <= hi},
+                      min(t.lo for t in terms), hi)
+
+
+def _convolution_piece(a_pieces, b_pieces, g):
+    terms = [_brute_product(s, b_pieces[dim_sub(g, d)]) for d, s in a_pieces.items()
+             if dim_leq(d, g) and dim_sub(g, d) in b_pieces]
+    return _brute_sum(terms) if terms else None
 
 
 # -- examples -------------------------------------------------------------------
@@ -55,6 +109,14 @@ def test_window_soundness_recompute_wider(s):
     partner_narrow = HalfSeries({0: 1, 1: -2}, 0, 3)
     partner_wide = HalfSeries({0: 1, 1: -2}, 0, 30)
     assert (s * partner_narrow).agrees_with(s * partner_wide)
+
+
+@given(small_series(), small_series())
+def test_product_equals_all_pairs_reference(a, b):
+    # HalfSeries == compares lo, hi and coefficients: window and terms exactly,
+    # also for exact series and empty windows
+    assert a * b == _brute_product(a, b)
+    assert b * a == _brute_product(b, a)
 
 
 # -- MultiSeries -------------------------------------------------------------------
@@ -97,3 +159,30 @@ def test_multiseries_rejects_out_of_box_pieces():
 def test_canonical_str():
     s = HalfSeries({-1: Fraction(3, 2), 4: -1}, -1, 8)
     assert s.canonical_str() == "3/2*q^{-1/2} - 1*q^{4/2}"
+
+
+@given(BOXES.flatmap(lambda box: st.tuples(small_multiseries(box),
+                                           small_multiseries(box))))
+def test_multiseries_product_equals_piecewise_reference(pair):
+    a, b = pair
+    ref = {}
+    for g in a.domain():
+        piece = _convolution_piece(a.pieces, b.pieces, g)
+        if piece is not None:
+            ref[g] = piece
+    # HalfSeries == compares lo, hi and coefficients
+    assert (a * b).pieces == ref
+
+
+@given(BOXES.flatmap(small_multiseries))
+def test_multiseries_inverse_equals_piecewise_reference(a):
+    g0 = (0, 0)
+    others = {d: s for d, s in a.pieces.items() if d != g0}
+    ref = {g0: HalfSeries.one()}
+    for g in a.domain():
+        if g == g0:
+            continue
+        piece = _convolution_piece(others, ref, g)
+        if piece is not None:
+            ref[g] = -piece
+    assert a.inverse().pieces == ref

@@ -13,22 +13,22 @@ from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
 from .freeness import decomposable_dim, generator_dims, prim_dims
 from .legs import EigenData, LegData, attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
 from .poly import ColoredPoly, exact_divide, parse_colored_poly
-from .quiver import (DimVector, Quiver, SignForm, double, enumerate_dim_vectors,
-                     euler_form, quiver_from_spec, sign_form)
-from .roots import CartanData, RootCertificate, is_positive_root, tits_form
+from .quiver import (DimVector, Quiver, double, enumerate_dim_vectors, euler_form,
+                     quiver_from_spec, sign_twist)
+from .roots import RootCertificate, is_positive_root
 from .series import HalfSeries, MultiSeries
 
 __all__ = [
-    "CartanData", "CohaElement", "ColoredPoly", "DTReport", "DimVector",
+    "CohaElement", "ColoredPoly", "DTReport", "DimVector",
     "DimensionMismatchError", "DivisibilityError", "DomainError", "EigenData",
     "HalfSeries", "LegData", "LimitExceededError", "MultiSeries",
-    "Quiver", "QuiverFormatError", "RootCertificate", "SignForm",
+    "Quiver", "QuiverFormatError", "RootCertificate",
     "StructuralViolationError", "attach_legs", "basis",
     "build_generating_series", "decomposable_dim", "double", "dt_report",
     "enumerate_dim_vectors", "euler_form", "exact_divide",
     "generator_dims", "is_generic", "is_positive_root",
     "lambda_from_eigenvalues",
     "parse_colored_poly", "plethystic_factor", "prim_dims", "quiver_from_spec",
-    "sample_generic", "shuffle_product", "sign_form", "tits_form",
+    "sample_generic", "shuffle_product", "sign_twist",
     "twisted_product",
 ]

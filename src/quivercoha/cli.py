@@ -30,8 +30,8 @@ import sys
 from dataclasses import dataclass
 
 from .dtseries import build_generating_series, dt_report, plethystic_factor
-from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
-                     LimitExceededError, QuiverFormatError, StructuralViolationError)
+from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
+                     QuiverFormatError, StructuralViolationError)
 from .coha import CohaElement, twisted_product
 from .freeness import prim_dims
 from .legs import attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
@@ -285,8 +285,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(argv if argv is not None else sys.argv[1:])
         code, text = run(cfg)
-    except (QuiverFormatError, DomainError, DimensionMismatchError,
-            DivisibilityError) as err:
+    except (QuiverFormatError, DomainError, DimensionMismatchError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except LimitExceededError as err:

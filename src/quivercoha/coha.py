@@ -47,7 +47,7 @@ from itertools import accumulate, permutations, product as iproduct
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      StructuralViolationError)
 from .poly import ColoredPoly, _pack, exact_divide
-from .quiver import DimVector, Quiver, dim_add, euler_form, sign_form
+from .quiver import DimVector, Quiver, dim_add, euler_form, sign_twist
 
 
 @dataclass
@@ -133,7 +133,7 @@ def twisted_product(a: CohaElement, b: CohaElement) -> CohaElement:
     """Hall product twisted by (-1)^psi(gamma1, gamma2); supercommutative
     for the Z-grading."""
     prod = shuffle_product(a, b)
-    if sign_form(a.quiver).value(a.gamma, b.gamma) % 2:
+    if sign_twist(a.quiver, a.gamma, b.gamma):
         return CohaElement(prod.quiver, prod.gamma, -prod.poly)
     return prod
 

@@ -18,7 +18,7 @@ from itertools import combinations, product as iproduct
 
 from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
                      StructuralViolationError)
-from .quiver import DimVector, Quiver, dim_abs, double
+from .quiver import DimVector, Quiver, dim_abs
 
 GENERICITY_SIZE_LIMIT = 8
 
@@ -44,9 +44,9 @@ class EigenData:
 
 @dataclass(frozen=True)
 class LegData:
-    """The leg-extended quiver, its dimension vector, and the vertex map."""
+    """The leg-extended half quiver, its dimension vector, and the vertex map;
+    the leg-extended quiver is ``double(half_quiver)``."""
 
-    tilde_quiver: Quiver
     tilde_gamma: DimVector
     vertex_labels: tuple[tuple[int, int], ...]   # flat index -> (i, j)
     half_quiver: Quiver
@@ -77,7 +77,7 @@ def attach_legs(q0: Quiver, gamma: DimVector) -> LegData:
             half[index[(i, j)]][index[(i, j + 1)]] += 1
     half_quiver = Quiver.from_lists(half)
     tilde_gamma = tuple(gamma[i] - j for (i, j) in labels)
-    return LegData(double(half_quiver), tilde_gamma, tuple(labels), half_quiver)
+    return LegData(tilde_gamma, tuple(labels), half_quiver)
 
 
 def lambda_from_eigenvalues(t: EigenData, legs: LegData):

@@ -1,15 +1,16 @@
 """Quivers, dimension vectors, and the bilinear forms attached to them.
 
 A quiver is stored as its arrow-multiplicity matrix ``arrows[i][j]`` = number
-of arrows i -> j, vertices indexed 0..n-1.  Everything downstream (Euler form,
-doubling, the mod-2 sign form twisting the Hall product, stack dimensions) is
-a pure function of this matrix, so all types here are frozen and hashable.
+of arrows i -> j, vertices indexed 0..n-1.  Everything downstream is a pure
+function of this matrix, read through the Euler form chi: doubling, stack
+dimensions, the mod-2 sign twisting the Hall product, and the Tits form and
+reflection pairing of the root test (``roots``).  All types here are frozen
+and hashable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import DimensionMismatchError, DomainError, QuiverFormatError
@@ -37,10 +38,6 @@ def dim_leq(g1: DimVector, g2: DimVector) -> bool:
 
 def zero_dim(n: int) -> DimVector:
     return (0,) * n
-
-
-def unit_dim(n: int, i: int) -> DimVector:
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def enumerate_dim_vectors(gamma_max: DimVector, include_zero: bool = False):
@@ -121,42 +118,24 @@ def euler_form(q: Quiver, g1: DimVector, g2: DimVector) -> int:
     return diag - arr
 
 
-@dataclass(frozen=True)
-class SignForm:
-    """Mod-2 bilinear form psi with
+def sign_twist(q: Quiver, g1: DimVector, g2: DimVector) -> int:
+    """psi(g1, g2) mod 2, where the mod-2 bilinear form psi solves
     psi(x, y) + psi(y, x) = chi(x, y) + chi(x, x) chi(y, y)  (mod 2),
-    which makes the twisted Hall product supercommutative."""
+    which makes the Hall product twisted by (-1)^psi supercommutative.
 
-    psi: tuple[tuple[int, ...], ...]
-
-    def value(self, g1: DimVector, g2: DimVector) -> int:
-        n = len(self.psi)
-        if len(g1) != n or len(g2) != n:
-            raise DimensionMismatchError("sign form size mismatch")
-        total = sum(g1[i] * self.psi[i][j] * g2[j]
-                    for i in range(n) for j in range(n))
-        return total % 2
-
-
-@lru_cache(maxsize=None)
-def sign_form(q: Quiver) -> SignForm:
-    """Canonical solution: psi[i][j] = rhs(e_i, e_j) for i < j, else 0.
-
-    Valid because rhs(e_i, e_i) = c + c^2 with c = chi(e_i, e_i) is even for
-    every integer c (a product of consecutive integers).
+    The solution taken is upper triangular: psi(e_i, e_j) = chi(e_i, e_j) +
+    chi(e_i, e_i) chi(e_j, e_j) = a_ij + (1 + a_ii)(1 + a_jj) mod 2 for i < j,
+    else 0.  Valid because the diagonal right-hand side c + c^2, with
+    c = chi(e_i, e_i), is even for every integer c.
     """
     if not q.is_symmetric():
         raise DomainError("sign form is defined for symmetric quivers only")
     n = q.vertex_count
-
-    def rhs(i, j):
-        e = [unit_dim(n, v) for v in range(n)]
-        return (euler_form(q, e[i], e[j])
-                + euler_form(q, e[i], e[i]) * euler_form(q, e[j], e[j])) % 2
-
-    psi = tuple(tuple(rhs(i, j) if i < j else 0 for j in range(n))
-                for i in range(n))
-    return SignForm(psi)
+    if len(g1) != n or len(g2) != n:
+        raise DimensionMismatchError("sign form size mismatch")
+    a = q.arrows
+    return sum(g1[i] * g2[j] * (a[i][j] + (1 + a[i][i]) * (1 + a[j][j]))
+               for i in range(n) for j in range(i + 1, n)) % 2
 
 
 def quiver_from_spec(obj) -> Quiver:

@@ -1,15 +1,24 @@
-"""Root combinatorics for quivers that may carry loops.
+"""Root combinatorics for quivers that may carry loops, read off the Euler form.
 
-The underlying graph of a quiver induces the symmetric bilinear form
-(e_u, e_v) = 2 delta_uv (1 - loops_u) - edges_uv and the Tits form
-q(beta) = sum_v (1 - loops_v) beta_v^2 - sum_{u<v} edges_uv beta_u beta_v,
-so (beta, beta) = 2 q(beta).  Loop-free vertices give real simple roots with
-reflections s_v(beta) = beta - (beta, e_v) e_v; vertices with loops give
+For a quiver with arrow matrix a, the Euler form chi(x, y) = sum_v x_v y_v -
+sum_(u,v) a_uv x_u y_v (``quiver.euler_form``) gives the Tits form
+q(beta) = chi(beta, beta) and the symmetric pairing
+  (beta, e_v) = chi(beta, e_v) + chi(e_v, beta)
+              = 2 beta_v - sum_u (a_uv + a_vu) beta_u,
+so (beta, beta) = 2 q(beta).  Both depend only on the underlying graph, not
+on the orientation.  Loop-free vertices (a_vv = 0) give real simple roots
+with reflections s_v(beta) = beta - (beta, e_v) e_v; vertices with loops give
 imaginary simple roots and are never reflected.  A positive vector is a root
 iff, reflecting at loop-free vertices of positive pairing (the height drops
 each time, so this stops), it reaches a simple root or lands in the
-fundamental region (connected support, all pairings <= 0) without any
-coordinate going negative.
+fundamental region (support connected through a_uv + a_vu, all pairings
+<= 0) without any coordinate going negative.
+
+These are the roots of Kac's theorem: the dimension vectors of the
+indecomposable representations (Kac, Invent. Math. 56 (1980), and Kac,
+LNM 996 (1983) for quivers with loops).  For a Dynkin quiver they are the
+beta > 0 with q(beta) = 1 (Gabriel, Manuscripta Math. 6 (1972)); for a
+Euclidean quiver, the beta > 0 with q(beta) <= 1.
 
 The payoff: the quantum DT invariant Omega(gamma) of the double of q0 is
 nonzero exactly when the leg-extended dimension vector is a positive root of
@@ -25,43 +34,8 @@ from .legs import attach_legs
 from .quiver import DimVector, Quiver
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """Loop counts and edge multiplicities of the underlying graph."""
-
-    loops: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]   # symmetric, zero diagonal
-
-    @classmethod
-    def from_quiver(cls, q: Quiver) -> "CartanData":
-        n = q.vertex_count
-        loops = tuple(q.arrows[v][v] for v in range(n))
-        edges = tuple(tuple(0 if u == v else q.arrows[u][v] + q.arrows[v][u]
-                            for v in range(n)) for u in range(n))
-        return cls(loops, edges)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.loops)
-
-    def pairing(self, beta, v: int) -> int:
-        """(beta, e_v) = 2 (1 - loops_v) beta_v - sum_u edges_uv beta_u."""
-        return 2 * (1 - self.loops[v]) * beta[v] - sum(
-            self.edges[u][v] * beta[u] for u in range(self.vertex_count))
-
-
-def tits_form(cartan: CartanData, beta) -> int:
-    n = cartan.vertex_count
-    if len(beta) != n:
-        raise DomainError("vector length does not match the graph")
-    quad = sum((1 - cartan.loops[v]) * beta[v] * beta[v] for v in range(n))
-    cross = sum(cartan.edges[u][v] * beta[u] * beta[v]
-                for u in range(n) for v in range(u + 1, n))
-    return quad - cross
-
-
-def _support_connected(cartan: CartanData, beta) -> bool:
-    support = [v for v in range(cartan.vertex_count) if beta[v]]
+def _support_connected(sym, beta) -> bool:
+    support = [v for v in range(len(beta)) if beta[v]]
     if not support:
         return False
     seen = {support[0]}
@@ -69,7 +43,7 @@ def _support_connected(cartan: CartanData, beta) -> bool:
     while stack:
         u = stack.pop()
         for v in support:
-            if v not in seen and cartan.edges[u][v]:
+            if v not in seen and sym[u][v]:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == len(support)
@@ -90,35 +64,40 @@ class RootCertificate:
                 "witness": list(self.witness)}
 
 
-def is_positive_root(cartan: CartanData, beta) -> tuple[bool, RootCertificate]:
-    """Decide whether beta > 0 is a positive root; see the module docstring."""
-    n = cartan.vertex_count
+def is_positive_root(q: Quiver, beta) -> tuple[bool, RootCertificate]:
+    """Decide whether beta > 0 is a positive root of q; see the module
+    docstring."""
+    n = q.vertex_count
     beta = tuple(beta)
     if len(beta) != n:
-        raise DomainError("vector length does not match the graph")
+        raise DomainError("vector length does not match the quiver")
     if any(b < 0 for b in beta) or not any(beta):
         raise DomainError("the decision procedure takes nonzero beta >= 0")
+    a = q.arrows
+    sym = [[a[u][v] + a[v][u] for v in range(n)] for u in range(n)]
     current = list(beta)
     reflections: list[int] = []
+
+    def pairing(v):   # (current, e_v)
+        return 2 * current[v] - sum(sym[u][v] * current[u] for u in range(n))
 
     while True:
         simple = [v for v in range(n) if current[v]]
         if len(simple) == 1 and current[simple[0]] == 1:
             v = simple[0]
-            kind = "real" if cartan.loops[v] == 0 else "imaginary"
+            kind = "real" if a[v][v] == 0 else "imaginary"
             return True, RootCertificate(True, kind, tuple(reflections),
                                          tuple(current))
         v = next((v for v in range(n)
-                  if cartan.loops[v] == 0 and current[v]
-                  and cartan.pairing(current, v) > 0), None)
+                  if a[v][v] == 0 and current[v] and pairing(v) > 0), None)
         if v is not None:
-            current[v] -= cartan.pairing(current, v)
+            current[v] -= pairing(v)
             reflections.append(v)
             if current[v] < 0:
                 return False, RootCertificate(False, "not_root",
                                               tuple(reflections), tuple(current))
             continue
-        if not _support_connected(cartan, current):
+        if not _support_connected(sym, current):
             return False, RootCertificate(False, "not_root",
                                           tuple(reflections), tuple(current))
         return True, RootCertificate(True, "imaginary", tuple(reflections),
@@ -133,5 +112,4 @@ def nonvanishing_certificate(q0: Quiver, gamma: DimVector):
     if not any(gamma):
         raise DomainError("the criterion concerns nonzero dimension vectors")
     legs = attach_legs(q0, gamma)
-    cartan = CartanData.from_quiver(legs.half_quiver)
-    return is_positive_root(cartan, legs.tilde_gamma)
+    return is_positive_root(legs.half_quiver, legs.tilde_gamma)

@@ -127,8 +127,8 @@ class HalfSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HalfSeries.monomial(0, other) if other else HalfSeries.zero()
+        if not isinstance(other, HalfSeries):
+            return NotImplemented
         lo = min(self.lo, other.lo)
         hi = _min_hi(self.hi, other.hi)
         out = dict(self.coeffs)
@@ -142,16 +142,14 @@ class HalfSeries:
             out = {k: c for k, c in out.items() if k <= hi}
         return HalfSeries(out, lo, hi)
 
-    __radd__ = __add__
-
     def __neg__(self):
         s = HalfSeries.zero(self.lo, self.hi)
         s.coeffs = {k: -c for k, c in self.coeffs.items()}
         return s
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = HalfSeries.monomial(0, other) if other else HalfSeries.zero()
+        if not isinstance(other, HalfSeries):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):

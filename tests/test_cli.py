@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,28 @@ def test_bench_workload_matches_reference(tmp_path, name):
     assert main(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
                  "--gamma-max", gamma_max, "--qtrunc", qtrunc, "--out", str(out)]) == 0
     assert out.read_bytes() == (BENCH / "reference" / f"{name}.json").read_bytes()
+
+
+def _run_module(args):
+    src = str(BENCH.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "quivercoha", *args],
+                          capture_output=True, env=env, cwd=BENCH.parent, timeout=60)
+
+
+def test_module_entry_point(tmp_path):
+    # python -m quivercoha runs __main__.py: the report goes to stdout byte
+    # for byte as --out writes it, and the exit status is main's
+    quiver, mode, gamma_max, qtrunc = BENCH_WORKLOADS["dt_loop3"]
+    proc = _run_module(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
+                        "--gamma-max", gamma_max, "--qtrunc", qtrunc])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (BENCH / "reference" / "dt_loop3.json").read_bytes()
+    bad = write_quiver(tmp_path, "bad.json", {"vertices": 2, "arrows": [[0, 7, 1]]})
+    proc = _run_module(["--quiver", bad, "--mode", "dt-table", "--gamma-max", "1,1"])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: ") and b"arrows[0]" in proc.stderr
 
 
 def test_freeness_loop2_gamma5_matches_golden(tmp_path):

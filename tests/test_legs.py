@@ -17,13 +17,13 @@ def test_attach_legs_two_loops_gamma_three():
     assert legs.vertex_labels == ((0, 0), (0, 1), (0, 2))
     assert legs.tilde_gamma == (3, 2, 1)
     # two loops at the base vertex plus doubled leg edges
-    assert legs.tilde_quiver.arrows == ((2, 1, 0), (1, 0, 1), (0, 1, 0))
+    assert double(legs.half_quiver).arrows == ((2, 1, 0), (1, 0, 1), (0, 1, 0))
     assert legs.half_quiver.arrows == ((1, 1, 0), (0, 0, 1), (0, 0, 0))
 
 
 def test_attach_legs_length_zero_is_identity():
     legs = attach_legs(Quiver.from_lists([[0, 1], [0, 0]]), (1, 1))
-    assert legs.tilde_quiver == S3
+    assert double(legs.half_quiver) == S3
     assert legs.tilde_gamma == (1, 1)
 
 
@@ -31,16 +31,23 @@ def test_attach_legs_double_a2_mixed_gamma():
     legs = attach_legs(Quiver.from_lists([[0, 1], [0, 0]]), (2, 1))
     assert legs.vertex_labels == ((0, 0), (1, 0), (0, 1))
     assert legs.tilde_gamma == (2, 1, 1)
-    assert legs.tilde_quiver == double(legs.half_quiver)
+    # q0 plus one leg edge from [0, 0] to [0, 1]
+    assert legs.half_quiver.arrows == ((0, 1, 1), (0, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize("name,q0", SUITE_HALVES)
 def test_attach_legs_structural_invariants(name, q0):
     for gamma in [(1,) * q0.vertex_count, (3,) + (1,) * (q0.vertex_count - 1)]:
         legs = attach_legs(q0, gamma)
-        assert legs.tilde_quiver == double(legs.half_quiver)
         for v, (i, j) in enumerate(legs.vertex_labels):
             assert legs.tilde_gamma[v] == gamma[i] - j
+        # the half quiver is q0 on the base vertices plus one arrow
+        # [i, j] -> [i, j + 1] per leg edge
+        for u, (i, j) in enumerate(legs.vertex_labels):
+            for v, (k, m) in enumerate(legs.vertex_labels):
+                expected = (q0.arrows[i][k] if j == m == 0
+                            else int(i == k and m == j + 1))
+                assert legs.half_quiver.arrows[u][v] == expected
 
 
 # -- lambda ---------------------------------------------------------------------

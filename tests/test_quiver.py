@@ -3,8 +3,7 @@ from hypothesis import given, strategies as st
 
 from quivercoha import (DimensionMismatchError, DomainError, Quiver,
                         QuiverFormatError, double, euler_form,
-                        quiver_from_spec, sign_form)
-from quivercoha.quiver import unit_dim
+                        quiver_from_spec, sign_twist)
 
 from conftest import S1, S2, S3
 
@@ -73,53 +72,55 @@ def test_double_is_symmetric(q):
     assert double(q).is_symmetric()
 
 
-# -- sign_form ----------------------------------------------------------------
+# -- sign_twist ---------------------------------------------------------------
 
 def _rhs_mod2(q, g1, g2):
     return (euler_form(q, g1, g2)
             + euler_form(q, g1, g1) * euler_form(q, g2, g2)) % 2
 
 
+def _unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
 @pytest.mark.parametrize("loops", [0, 1, 2, 3, 5])
 def test_sign_form_single_vertex_any_loops_is_zero(loops):
     q = Quiver.loop_quiver(loops)
-    psi = sign_form(q)
-    assert psi.psi == ((0,),)
-    # oracle: the congruence must then say rhs == 0 for all pairs
     for g1 in range(6):
         for g2 in range(6):
+            assert sign_twist(q, (g1,), (g2,)) == 0
+            # oracle: the congruence must then say rhs == 0 for all pairs
             assert _rhs_mod2(q, (g1,), (g2,)) == 0
 
 
 def test_sign_form_double_a2_is_zero():
-    psi = sign_form(S3)
-    assert psi.psi == ((0, 0), (0, 0))
     for i in range(2):
         for j in range(2):
-            assert _rhs_mod2(S3, unit_dim(2, i), unit_dim(2, j)) == 0
+            assert sign_twist(S3, _unit(2, i), _unit(2, j)) == 0
+            assert _rhs_mod2(S3, _unit(2, i), _unit(2, j)) == 0
 
 
 def test_sign_form_upper_triangular_convention():
     # loops at vertex 0 flip the diagonal term: rhs(e0, e1) = 1 here
     q = Quiver.from_lists([[1, 1], [1, 0]])
     assert _rhs_mod2(q, (1, 0), (0, 1)) == 1
-    psi = sign_form(q)
-    assert psi.psi[0][1] == 1
-    assert psi.psi[1][0] == 0
+    assert sign_twist(q, (1, 0), (0, 1)) == 1
+    assert sign_twist(q, (0, 1), (1, 0)) == 0
 
 
 def test_sign_form_rejects_non_symmetric():
     with pytest.raises(DomainError):
-        sign_form(Quiver.from_lists([[0, 1], [0, 0]]))
+        sign_twist(Quiver.from_lists([[0, 1], [0, 0]]), (1, 0), (0, 1))
+    with pytest.raises(DimensionMismatchError):
+        sign_twist(S3, (1, 0), (1,))
 
 
 @given(symmetric_quivers(), st.data())
 def test_sign_form_congruence_on_random_pairs(q, data):
-    psi = sign_form(q)
     n = q.vertex_count
     g1 = data.draw(dim_vectors(n))
     g2 = data.draw(dim_vectors(n))
-    lhs = (psi.value(g1, g2) + psi.value(g2, g1)) % 2
+    lhs = (sign_twist(q, g1, g2) + sign_twist(q, g2, g1)) % 2
     assert lhs == _rhs_mod2(q, g1, g2)
 
 
@@ -127,12 +128,11 @@ def test_sign_form_congruence_sampled_100_pairs():
     import random
     rng = random.Random(7)
     for q in (S1, S2, S3):
-        psi = sign_form(q)
         n = q.vertex_count
         for _ in range(100):
             g1 = tuple(rng.randint(0, 5) for _ in range(n))
             g2 = tuple(rng.randint(0, 5) for _ in range(n))
-            assert (psi.value(g1, g2) + psi.value(g2, g1)) % 2 == _rhs_mod2(q, g1, g2)
+            assert (sign_twist(q, g1, g2) + sign_twist(q, g2, g1)) % 2 == _rhs_mod2(q, g1, g2)
 
 
 # -- spec parsing ---------------------------------------------------------------

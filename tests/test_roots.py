@@ -1,47 +1,69 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercoha import CartanData, DomainError, Quiver, is_positive_root, tits_form
+from quivercoha import DomainError, Quiver, euler_form, is_positive_root
 from quivercoha.roots import nonvanishing_certificate
 
 from conftest import S1_HALF, S2_HALF, S3_HALF, S4_HALF
 
-A2 = CartanData.from_quiver(Quiver.from_lists([[0, 1], [0, 0]]))
-LOOP = CartanData.from_quiver(Quiver.loop_quiver(1))
+A2 = Quiver.from_lists([[0, 1], [0, 0]])
+LOOP = Quiver.loop_quiver(1)
 LEG_A2 = A2   # the leg graph of one loop-free vertex with gamma = 2
+KRONECKER = Quiver.from_lists([[0, 2], [0, 0]])
+
+
+def _unit(n, v):
+    return tuple(int(u == v) for u in range(n))
+
+
+def tits(q, x):
+    """chi(x, x) through euler_form, which takes vectors >= 0 only: split x
+    into its positive and negative parts and expand bilinearly."""
+    p = tuple(max(c, 0) for c in x)
+    m = tuple(max(-c, 0) for c in x)
+    return (euler_form(q, p, p) - euler_form(q, p, m)
+            - euler_form(q, m, p) + euler_form(q, m, m))
+
+
+def pairing(q, beta, v):
+    """(beta, e_v) = chi(beta, e_v) + chi(e_v, beta), for beta >= 0."""
+    e = _unit(q.vertex_count, v)
+    return euler_form(q, tuple(beta), e) + euler_form(q, e, tuple(beta))
 
 
 # -- Tits form ---------------------------------------------------------------------
 
 def test_tits_form_examples():
-    assert tits_form(A2, (1, 1)) == 1
+    assert tits(A2, (1, 1)) == 1
     for n in range(5):
-        assert tits_form(LOOP, (n,)) == 0
-    assert tits_form(LEG_A2, (2, 1)) == 3
+        assert tits(LOOP, (n,)) == 0
+    assert tits(LEG_A2, (2, 1)) == 3
 
 
 def test_bilinear_vs_quadratic_identity():
-    graphs = [A2, LOOP, CartanData.from_quiver(Quiver.from_lists([[1, 2], [0, 0]]))]
+    graphs = [A2, LOOP, Quiver.from_lists([[1, 2], [0, 0]])]
     vectors = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 2)]
-    for cartan in graphs:
-        n = cartan.vertex_count
+    for q in graphs:
+        n = q.vertex_count
         for beta in vectors:
             beta = beta[:n] if n <= len(beta) else beta + (1,) * (n - len(beta))
-            pair = sum(beta[v] * cartan.pairing(beta, v) for v in range(n))
-            assert pair == 2 * tits_form(cartan, beta)
+            pair = sum(beta[v] * pairing(q, beta, v) for v in range(n))
+            assert pair == 2 * tits(q, beta)
 
 
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)))
 def test_reflection_preserves_tits_form(beta):
     if not any(beta):
         return
-    for cartan in (A2, CartanData.from_quiver(Quiver.from_lists([[0, 2], [0, 0]]))):
+    for q in (A2, KRONECKER):
         for v in range(2):
-            if cartan.loops[v]:
+            if q.arrows[v][v]:
                 continue
             reflected = list(beta)
-            reflected[v] -= cartan.pairing(beta, v)
-            assert tits_form(cartan, reflected) == tits_form(cartan, beta)
+            reflected[v] -= pairing(q, beta, v)
+            assert tits(q, reflected) == tits(q, beta)
 
 
 # -- positive-root decision -----------------------------------------------------------
@@ -73,8 +95,7 @@ def test_root_rejects_bad_input():
 
 
 def test_root_disconnected_support_rejected():
-    path3 = CartanData.from_quiver(Quiver.from_lists(
-        [[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    path3 = Quiver.from_lists([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     ok, cert = is_positive_root(path3, (1, 0, 1))
     assert not ok and cert.kind == "not_root"
 
@@ -82,8 +103,7 @@ def test_root_disconnected_support_rejected():
 def test_root_disconnected_fundamental_candidate_rejected():
     # loops at the two ends, loop-free middle: (1, 0, 1) has all pairings <= 0
     # but disconnected support, hence is not a root
-    graph = CartanData.from_quiver(Quiver.from_lists(
-        [[1, 1, 0], [0, 0, 1], [0, 0, 1]]))
+    graph = Quiver.from_lists([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
     ok, cert = is_positive_root(graph, (1, 0, 1))
     assert not ok
     # and the vector reflecting onto it is not a root either
@@ -91,30 +111,74 @@ def test_root_disconnected_fundamental_candidate_rejected():
     assert not ok2
 
 
-def _replay(cartan, beta, cert):
+def _replay(q, beta, cert):
     current = list(beta)
     for v in cert.reflections:
-        assert cartan.loops[v] == 0
-        current[v] -= cartan.pairing(current, v)
+        assert q.arrows[v][v] == 0
+        current[v] -= pairing(q, current, v)
     return tuple(current)
 
 
 def test_certificates_replay():
     cases = [(A2, (1, 1)), (A2, (2, 1)), (A2, (3, 2)), (LOOP, (4,)),
-             (CartanData.from_quiver(Quiver.from_lists([[0, 2], [0, 0]])), (1, 1)),
-             (CartanData.from_quiver(Quiver.from_lists([[0, 2], [0, 0]])), (2, 1))]
-    for cartan, beta in cases:
-        ok, cert = is_positive_root(cartan, beta)
-        final = _replay(cartan, beta, cert)
+             (KRONECKER, (1, 1)), (KRONECKER, (2, 1))]
+    for q, beta in cases:
+        ok, cert = is_positive_root(q, beta)
+        final = _replay(q, beta, cert)
         assert final == cert.witness
         if cert.kind == "real":
             assert sorted(final, reverse=True)[0] == 1 and sum(final) == 1
         elif cert.kind == "imaginary":
-            n = cartan.vertex_count
-            assert all(cartan.pairing(final, v) <= 0
-                       for v in range(n) if final[v] and not cartan.loops[v])
+            n = q.vertex_count
+            assert all(pairing(q, final, v) <= 0
+                       for v in range(n) if final[v] and not q.arrows[v][v])
         else:
             assert min(final) < 0 or not ok
+
+
+# -- literature anchor: Gabriel and Kac ------------------------------------------------
+
+def _arrows(n, edges):
+    mat = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        mat[i][j] += 1
+    return Quiver.from_lists(mat)
+
+
+# Gabriel: the positive roots of a Dynkin quiver are the beta > 0 with
+# chi(beta, beta) = 1 (Manuscripta Math. 6 (1972)).
+DYNKIN = [
+    ("A3", _arrows(3, [(0, 1), (1, 2)])),
+    ("D4", _arrows(4, [(0, 3), (1, 3), (2, 3)])),
+    ("A4-alternating", _arrows(4, [(0, 1), (2, 1), (2, 3)])),
+]
+# Kac: the positive roots of a Euclidean quiver are the beta > 0 with
+# chi(beta, beta) <= 1, real for 1 and imaginary (multiples of delta) for 0
+# (Invent. Math. 56 (1980)); the Jordan quiver (one loop) has every beta > 0.
+EUCLIDEAN = [
+    ("Kronecker", KRONECKER),
+    ("A2-tilde", _arrows(3, [(0, 1), (1, 2), (2, 0)])),
+    ("D4-tilde", _arrows(5, [(0, 4), (1, 4), (2, 4), (4, 3)])),
+    ("Jordan", LOOP),
+]
+
+
+@pytest.mark.parametrize("name,q,bound", [(name, q, 1) for name, q in DYNKIN]
+                         + [(name, q, 0) for name, q in EUCLIDEAN],
+                         ids=[name for name, _ in DYNKIN + EUCLIDEAN])
+def test_roots_match_gabriel_and_kac(name, q, bound):
+    # roots are the beta with bound <= chi(beta, beta) <= 1, on the box with
+    # entries <= 4 (up to 3 vertices) or <= 3
+    n = q.vertex_count
+    top = 4 if n <= 3 else 3
+    for beta in product(range(top + 1), repeat=n):
+        if not any(beta):
+            continue
+        ok, cert = is_positive_root(q, beta)
+        chi = euler_form(q, beta, beta)
+        assert ok == (bound <= chi <= 1), (name, beta)
+        if ok:
+            assert cert.kind == ("real" if chi == 1 else "imaginary"), (name, beta)
 
 
 # -- the nonvanishing criterion ----------------------------------------------------

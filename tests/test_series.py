@@ -85,6 +85,17 @@ def test_window_bookkeeping_product_rule():
     assert (wide_a * wide_b).agrees_with(prod)
 
 
+def test_adding_a_scalar_is_a_type_error():
+    # a scalar has no window: adding 0 once lowered lo to 0, so s + 0 != s
+    s = HalfSeries({5: 1}, 5, 10)
+    for add in (lambda: s + 0, lambda: 0 + s, lambda: s - 1, lambda: 1 - s,
+                lambda: s + Fraction(1, 2), lambda: sum([s])):
+        with pytest.raises(TypeError):
+            add()
+    assert s + HalfSeries.zero(5, 10) == s
+    assert s - s == HalfSeries.zero(5, 10)
+
+
 def test_coeff_outside_window_raises():
     s = HalfSeries({0: 1}, 0, 4)
     assert s.coeff(4) == 0

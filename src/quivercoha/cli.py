@@ -23,11 +23,10 @@ the product's own by the kernel degree).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
@@ -36,27 +35,17 @@ from .coha import CohaElement, twisted_product
 from .freeness import prim_dims
 from .legs import attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
 from .poly import parse_colored_poly
-from .quiver import (DimVector, Quiver, double, enumerate_dim_vectors, euler_form,
-                     quiver_from_spec)
+from .quiver import double, enumerate_dim_vectors, euler_form, quiver_from_spec
 from .roots import nonvanishing_certificate
 
 MODES = ("dt-table", "check-freeness", "check-nonvanishing", "genericity",
          "shuffle-eval")
 
 
-@dataclass
-class RunConfig:
-    quiver: Quiver
-    mode: str
-    gamma_max: DimVector
-    qtrunc: int = 12
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    left: str | None = None
-    left_gamma: DimVector | None = None
-    right: str | None = None
-    right_gamma: DimVector | None = None
+RunConfig = namedtuple(
+    "RunConfig",
+    "quiver mode gamma_max qtrunc seed fmt out left left_gamma right right_gamma",
+    defaults=(12, 0, "json", None, None, None, None, None))
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -258,6 +247,8 @@ def _flat(value) -> str:
 
 def render_csv(payload: dict) -> str:
     """Header rows for the scalar fields, then one table of row records."""
+    import csv   # only CSV reports need it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     rows_key = next((k for k in ("omega", "cells", "rows") if k in payload), None)

@@ -41,7 +41,6 @@ product and controls all super-signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations, product as iproduct
 
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
@@ -50,19 +49,27 @@ from .poly import ColoredPoly, _pack, exact_divide
 from .quiver import DimVector, Quiver, dim_add, euler_form, sign_twist
 
 
-@dataclass
 class CohaElement:
-    """An element of H_gamma: a color-symmetric polynomial at a dimension vector."""
+    """An element of H_gamma: a color-symmetric polynomial at a dimension
+    vector.  Equal when quiver, gamma and poly are; unhashable."""
 
-    quiver: Quiver
-    gamma: DimVector
-    poly: ColoredPoly
+    __slots__ = ("quiver", "gamma", "poly")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.gamma = tuple(self.gamma)
-        self.quiver.check_dim(self.gamma)
-        if self.poly.gamma != self.gamma:
+    def __init__(self, quiver: Quiver, gamma: DimVector, poly: ColoredPoly):
+        gamma = tuple(gamma)
+        quiver.check_dim(gamma)
+        if poly.gamma != gamma:
             raise DimensionMismatchError("polynomial variable set disagrees with gamma")
+        self.quiver, self.gamma, self.poly = quiver, gamma, poly
+
+    def __eq__(self, other):
+        if type(other) is not CohaElement:
+            return NotImplemented
+        return (self.quiver, self.gamma, self.poly) == (other.quiver, other.gamma, other.poly)
+
+    def __repr__(self):
+        return f"CohaElement(quiver={self.quiver!r}, gamma={self.gamma!r}, poly={self.poly!r})"
 
     @classmethod
     def checked(cls, quiver, gamma, poly) -> "CohaElement":

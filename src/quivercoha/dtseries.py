@@ -42,7 +42,7 @@ of r are certified zero), so no window needs a separate cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -94,15 +94,12 @@ def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
     return out
 
 
-@dataclass
-class DTReport:
-    """Omega(gamma) for every 0 < gamma <= gamma_max, each a ``HalfSeries``
-    on its certified window, keyed in (|gamma|, lex) order."""
+class DTReport(namedtuple("DTReport", "quiver gamma_max qtrunc omega")):
+    """Omega(gamma) for every 0 < gamma <= gamma_max: ``omega`` maps each
+    gamma, in (|gamma|, lex) order, to a ``HalfSeries`` on its certified
+    window.  A named tuple; unhashable, since ``omega`` is a dict."""
 
-    quiver: Quiver
-    gamma_max: DimVector
-    qtrunc: int
-    omega: dict[DimVector, HalfSeries]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

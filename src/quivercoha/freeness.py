@@ -79,20 +79,21 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
         return 0
     rows = []
     seen_splits = set()
+    d = (k - euler_form(quiver, gamma, gamma)) // 2
     for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = dim_sub(gamma, g1)
         if (g2, g1) in seen_splits:
             continue
         seen_splits.add((g1, g2))
         chi12 = euler_form(quiver, g1, g2)
-        chi = euler_form(quiver, gamma, gamma)
-        d = (k - chi) // 2
+        chi1 = euler_form(quiver, g1, g1)
+        chi2 = euler_form(quiver, g2, g2)
         for d1 in range(0, d + chi12 + 1):
             d2 = d + chi12 - d1
             if d2 < 0 or (g1 == g2 and d1 > d2):
                 continue
-            k1 = 2 * d1 + euler_form(quiver, g1, g1)
-            k2 = 2 * d2 + euler_form(quiver, g2, g2)
+            k1 = 2 * d1 + chi1
+            k2 = 2 * d2 + chi2
             basis1 = basis(quiver, g1, k1)
             same = g1 == g2 and d1 == d2
             basis2 = basis1 if same else basis(quiver, g2, k2)

@@ -12,7 +12,7 @@ that keeps every hyperplane of decompositions away.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -23,17 +23,17 @@ from .quiver import DimVector, Quiver, dim_abs
 GENERICITY_SIZE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class EigenData:
-    """Per-vertex ordered eigenvalue lists, total trace zero."""
+class EigenData(namedtuple("EigenData", "values")):
+    """Per-vertex ordered eigenvalue lists ``values``, coerced to tuples of
+    Fractions, total trace zero; an immutable named tuple."""
 
-    values: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(tuple(Fraction(v) for v in vs) for vs in self.values))
-        if sum((sum(vs) for vs in self.values), Fraction(0)) != 0:
+    def __new__(cls, values):
+        values = tuple(tuple(Fraction(v) for v in vs) for vs in values)
+        if sum((sum(vs) for vs in values), Fraction(0)) != 0:
             raise DomainError("eigenvalue data must have total trace zero")
+        return super().__new__(cls, values)
 
     def gamma(self) -> DimVector:
         return tuple(len(vs) for vs in self.values)
@@ -42,14 +42,12 @@ class EigenData:
         return {"t": [[str(v) for v in vs] for vs in self.values]}
 
 
-@dataclass(frozen=True)
-class LegData:
-    """The leg-extended half quiver, its dimension vector, and the vertex map;
+class LegData(namedtuple("LegData", "tilde_gamma vertex_labels half_quiver")):
+    """The leg-extended dimension vector, the vertex map (flat index ->
+    label (i, j)) and the leg-extended half quiver, an immutable named tuple;
     the leg-extended quiver is ``double(half_quiver)``."""
 
-    tilde_gamma: DimVector
-    vertex_labels: tuple[tuple[int, int], ...]   # flat index -> (i, j)
-    half_quiver: Quiver
+    __slots__ = ()
 
 
 def attach_legs(q0: Quiver, gamma: DimVector) -> LegData:
@@ -108,11 +106,14 @@ def lambda_from_eigenvalues(t: EigenData, legs: LegData):
     return tuple(lam)
 
 
-@dataclass(frozen=True)
-class GenericityCertificate:
-    generic: bool
-    colliding_pair: tuple[int, int, int] | None = None     # (vertex, r, s)
-    violating_subset: tuple[tuple[int, ...], ...] | None = None
+class GenericityCertificate(namedtuple("GenericityCertificate",
+                                        "generic colliding_pair violating_subset",
+                                        defaults=(None, None))):
+    """Outcome of ``is_generic``, an immutable named tuple: ``generic``, and
+    the witness against it, a ``colliding_pair`` (vertex, r, s) or a
+    ``violating_subset`` (per-vertex index tuples)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out: dict = {"generic": self.generic}

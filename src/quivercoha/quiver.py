@@ -5,12 +5,13 @@ of arrows i -> j, vertices indexed 0..n-1.  Everything downstream is a pure
 function of this matrix, read through the Euler form chi: doubling, stack
 dimensions, the mod-2 sign twisting the Hall product, and the Tits form and
 reflection pairing of the root test (``roots``).  All types here are frozen
-and hashable.
+and hashable: dimension vectors are tuples and ``Quiver`` is an immutable
+named tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .errors import DimensionMismatchError, DomainError, QuiverFormatError
@@ -51,19 +52,20 @@ def enumerate_dim_vectors(gamma_max: DimVector, include_zero: bool = False):
     return out
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """A quiver given by its arrow-multiplicity matrix."""
+class Quiver(namedtuple("Quiver", "arrows")):
+    """A quiver given by its arrow-multiplicity matrix ``arrows``, a tuple of
+    row tuples; an immutable named tuple."""
 
-    arrows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.arrows)
-        for row in self.arrows:
+    def __new__(cls, arrows):
+        n = len(arrows)
+        for row in arrows:
             if len(row) != n:
                 raise DimensionMismatchError("arrow matrix must be square")
             if any(a < 0 for a in row):
                 raise DomainError("arrow multiplicities must be >= 0")
+        return super().__new__(cls, arrows)
 
     @property
     def vertex_count(self) -> int:

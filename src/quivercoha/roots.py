@@ -27,7 +27,7 @@ the leg-extended half quiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .legs import attach_legs
@@ -49,14 +49,14 @@ def _support_connected(sym, beta) -> bool:
     return len(seen) == len(support)
 
 
-@dataclass(frozen=True)
-class RootCertificate:
-    """Replayable outcome of the positive-root decision procedure."""
+class RootCertificate(namedtuple("RootCertificate",
+                                  "result kind reflections witness")):
+    """Replayable outcome of the positive-root decision procedure, an
+    immutable named tuple: ``result``, ``kind`` ("real", "imaginary" or
+    "not_root"), ``reflections`` (the loop-free vertices reflected, in
+    order) and ``witness`` (the vector at termination)."""
 
-    result: bool
-    kind: str                       # "real" | "imaginary" | "not_root"
-    reflections: tuple[int, ...]    # loop-free vertices reflected, in order
-    witness: tuple[int, ...]        # the vector at termination
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"result": self.result, "kind": self.kind,

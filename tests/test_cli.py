@@ -127,6 +127,22 @@ def test_freeness_loop2_gamma5_matches_golden(tmp_path):
     assert blob == (DATA / "freeness_loop2_g5.json").read_bytes()
 
 
+@pytest.mark.parametrize("args, golden", [
+    (["--mode", "check-nonvanishing", "--gamma-max", "3,3", "--qtrunc", "8"],
+     "nonvanishing_kronecker2_half_g3_3_q8.csv"),
+    (["--mode", "genericity", "--gamma-max", "2,2", "--seed", "3"],
+     "genericity_kronecker2_half_g2_2_s3.csv"),
+], ids=["check-nonvanishing", "genericity"])
+def test_csv_report_matches_golden(tmp_path, args, golden):
+    # CSV flattens nested records through json.dumps, which would write a
+    # named tuple as a list; the goldens pin every byte of both renderings
+    code, blob = run_to_file(tmp_path, [
+        "--quiver", str(BENCH / "quivers" / "kronecker2_half.json"), *args,
+        "--format", "csv"], name="out.csv")
+    assert code == 0
+    assert blob == (DATA / golden).read_bytes()
+
+
 @pytest.mark.parametrize("quiver, gamma_max, qtrunc, golden", [
     ("loop3.json", "12", "290", "dt_loop3_g12_q290.json"),
     ("kronecker2_doubled.json", "6,6", "80", "dt_kronecker2_g6_6_q80.json"),

@@ -1,12 +1,11 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercoha import (DomainError, EigenData, LimitExceededError, Quiver,
-                        StructuralViolationError, attach_legs, double, is_generic,
-                        lambda_from_eigenvalues, sample_generic)
+from quivercoha import (DomainError, EigenData, LegData, LimitExceededError,
+                        Quiver, StructuralViolationError, attach_legs, double,
+                        is_generic, lambda_from_eigenvalues, sample_generic)
 
 from conftest import S1, S3, SUITE_HALVES
 
@@ -77,7 +76,7 @@ def test_lambda_two_vertices():
 def test_lambda_rejects_nonzero_pairing():
     # a leg entry off by one keeps the base sizes but breaks the pairing
     legs = attach_legs(S1, (2,))
-    broken = dataclasses.replace(legs, tilde_gamma=(2, 2))
+    broken = LegData((2, 2), legs.vertex_labels, legs.half_quiver)
     with pytest.raises(StructuralViolationError):
         lambda_from_eigenvalues(EigenData(((Fraction(1), Fraction(-1)),)), broken)
 

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,10 +26,8 @@ def test_every_export_resolves():
     assert [name for name in quivercoha.__all__ if not hasattr(quivercoha, name)] == []
 
 
-def test_library_is_stdlib_only():
-    # the package declares no dependencies: every import is relative or
-    # names a standard-library module, whatever else is installed
-    found = []
+def _absolute_imports():
+    """(file name, line, module) of every absolute import in the package."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -37,8 +37,15 @@ def test_library_is_stdlib_only():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.partition(".")[0] not in sys.stdlib_module_names]
+            for name in names:
+                yield path.name, node.lineno, name
+
+
+def test_library_is_stdlib_only():
+    # the package declares no dependencies: every import is relative or
+    # names a standard-library module, whatever else is installed
+    found = [f"{name}:{line} {module}" for name, line, module in _absolute_imports()
+             if module.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 
@@ -60,4 +67,22 @@ def test_library_has_no_unused_import():
                 name = alias.asname or alias.name.partition(".")[0]
                 if name not in used:
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # every CLI call starts a fresh interpreter, so its import cost is paid
+    # each time; dataclasses pulls in inspect, ast, dis and tokenize, and csv
+    # is needed only by CSV reports.  -S keeps site's own imports out.
+    script = ("import sys, quivercoha.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_library_does_not_import_dataclasses():
+    found = [f"{name}:{line}" for name, line, module in _absolute_imports()
+             if module == "dataclasses"]
     assert found == []

@@ -9,20 +9,26 @@ genericity          seeded generic eigenvalue data, lambda, and the pairing chec
 shuffle-eval        twisted Hall product of two user-supplied elements
 
 Reports are byte-deterministic given the flags and seed: JSON with sorted
-keys (the source of truth) or flattened CSV.  Exit status is 0 on success,
-1 when a check mode finds a disagreement, 2 on bad input (an --out path that
-cannot be written included), 3 when an identity that is a theorem fails at
-runtime (StructuralViolationError: a bug or a corrupted input, never a
-property of the quiver), and 4 when the input
+keys (the source of truth) or flattened CSV.  Exit status is 0 on success
+(``-h``/``--help`` included), 1 when a check mode finds a disagreement, 2 on
+bad input (an --out path that cannot be written included), 3 when an
+identity that is a theorem fails at runtime (StructuralViolationError: a bug
+or a corrupted input, never a property of the quiver), and 4 when the input
 is valid but exceeds a capacity limit (LimitExceededError: the size cap of
 the exhaustive genericity search, or the packed-exponent limit of 127 on
 every exponent, including those of the shuffle numerator, which can exceed
 the product's own by the kernel degree).
+
+Usage errors (a missing, unknown or ambiguous flag, a flag without its
+value, a value that is not an integer or not one of the choices) are bad
+input too: exit 2, through the same ``error:`` line on stderr as every other
+error, in argparse's wording.  The flags are read from one table by a small
+loop rather than by argparse, whose messages go through gettext and import
+locale: about 2 ms and 150 KB per call under CPython 3.11.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
@@ -44,8 +50,27 @@ MODES = ("dt-table", "check-freeness", "check-nonvanishing", "genericity",
 
 RunConfig = namedtuple(
     "RunConfig",
-    "quiver mode gamma_max qtrunc seed fmt out left left_gamma right right_gamma",
-    defaults=(12, 0, "json", None, None, None, None, None))
+    "quiver mode gamma_max qtrunc seed fmt out left left_gamma right right_gamma")
+
+# flag -> (RunConfig field, converter, default, choices, required, help)
+_OPTIONS = {
+    "--quiver": ("quiver", str, None, None, True,
+                 "path to a JSON quiver spec {\"vertices\": n, \"arrows\": [[i,j,m],...]}"),
+    "--mode": ("mode", str, None, MODES, True, "what to compute"),
+    "--gamma-max": ("gamma_max", str, None, None, True,
+                    "componentwise bound, comma-separated, e.g. 3 or 2,2"),
+    "--qtrunc": ("qtrunc", int, 12, None, False,
+                 "series window width in half powers of q (default 12)"),
+    "--seed": ("seed", int, 0, None, False, "genericity: sampling seed (default 0)"),
+    "--format": ("fmt", str, "json", ("json", "csv"), False, "report format (default json)"),
+    "--out": ("out", str, None, None, False, "output path (default: stdout)"),
+    "--left": ("left", str, None, None, False, "shuffle-eval: left polynomial"),
+    "--left-gamma": ("left_gamma", str, None, None, False,
+                     "shuffle-eval: dimension vector of the left polynomial"),
+    "--right": ("right", str, None, None, False, "shuffle-eval: right polynomial"),
+    "--right-gamma": ("right_gamma", str, None, None, False,
+                      "shuffle-eval: dimension vector of the right polynomial"),
+}
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -55,51 +80,101 @@ def _parse_csv_ints(text: str) -> tuple[int, ...]:
         raise DomainError(f"expected comma-separated integers, got {text!r}") from err
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="quivercoha",
-        description="Exact Hall-algebra and DT-invariant computations on quivers.")
-    p.add_argument("--quiver", required=True,
-                   help="path to a JSON quiver spec {\"vertices\": n, \"arrows\": [[i,j,m],...]}")
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--gamma-max", required=True,
-                   help="componentwise bound, comma-separated, e.g. 3 or 2,2")
-    p.add_argument("--qtrunc", type=int, default=12,
-                   help="series window width in half powers of q (default 12)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--left", default=None, help="shuffle-eval: left polynomial")
-    p.add_argument("--left-gamma", default=None)
-    p.add_argument("--right", default=None, help="shuffle-eval: right polynomial")
-    p.add_argument("--right-gamma", default=None)
-    return p
+def _match(name: str, arg: str) -> str | None:
+    """The flag ``name`` spells, exactly or as a unique prefix; None if none."""
+    if name in _OPTIONS or name == "--help":
+        return name
+    hits = [flag for flag in (*_OPTIONS, "--help") if flag.startswith(name)]
+    if len(hits) > 1:
+        raise DomainError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    return hits[0] if hits else None
 
 
-def load_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
+def _parse_flags(argv) -> dict | None:
+    """RunConfig fields as the command line spells them, or None when it asks
+    for help.  A flag is given as ``--flag value`` or ``--flag=value``, or by
+    a unique prefix; the last of a repeated flag wins.  Usage errors raise
+    DomainError in argparse's wording."""
+    values, unknown = {}, []
+    args = iter(argv)
+    for arg in args:
+        name, eq, text = arg.partition("=")
+        flag = _match(name, arg) if name.startswith("--") and len(name) > 2 else None
+        if arg == "-h" or flag == "--help":
+            return None
+        if flag is None:
+            unknown.append(arg)
+            continue
+        field, convert, _, choices, _, _ = _OPTIONS[flag]
+        if not eq:
+            text = next(args, None)
+            if text is None:
+                raise DomainError(f"argument {flag}: expected one argument")
+        try:
+            value = convert(text)
+        except ValueError:
+            raise DomainError(
+                f"argument {flag}: invalid {convert.__name__} value: {text!r}") from None
+        if choices and value not in choices:
+            raise DomainError(f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+        values[field] = value
+    missing = []
+    for flag, (field, _, default, _, required, _) in _OPTIONS.items():
+        if field not in values:
+            if required:
+                missing.append(flag)
+            values[field] = default
+    if missing:
+        raise DomainError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise DomainError(f"unrecognized arguments: {' '.join(unknown)}")
+    return values
+
+
+def _help_text() -> str:
+    usage, lines = ["usage: quivercoha"], ["  -h, --help", "      print this help and exit"]
+    for flag, (_, _, _, choices, required, text) in _OPTIONS.items():
+        spelled = f"{flag} {flag[2:].upper().replace('-', '_')}"
+        if required:
+            usage.append(spelled)
+        if choices:
+            text += f": one of {', '.join(choices)}"
+        lines += [f"  {spelled}", f"      {text}"]
+    return "\n".join([" ".join(usage) + " [options]", "",
+                      "Exact Hall-algebra and DT-invariant computations on quivers.", "",
+                      "options:", *lines, ""])
+
+
+def load_config(argv) -> RunConfig | None:
+    """The run that the command line ``argv`` asks for, or None when it asks
+    for help."""
+    args = _parse_flags(argv)
+    if args is None:
+        return None
+    path = args["quiver"]
     try:
-        with open(args.quiver, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as err:
-        raise QuiverFormatError(f"cannot read quiver spec: {err}", args.quiver) from err
+        raise QuiverFormatError(f"cannot read quiver spec: {err}", path) from err
     except json.JSONDecodeError as err:
         raise QuiverFormatError(f"invalid JSON: {err.msg}",
-                                f"{args.quiver}:{err.lineno}:{err.colno}") from err
+                                f"{path}:{err.lineno}:{err.colno}") from err
     quiver = quiver_from_spec(raw)
-    gamma_max = _parse_csv_ints(args.gamma_max)
+    gamma_max = _parse_csv_ints(args["gamma_max"])
     if len(gamma_max) != quiver.vertex_count or any(x < 0 for x in gamma_max):
         raise DomainError(f"gamma-max {gamma_max} does not fit a "
                           f"{quiver.vertex_count}-vertex quiver")
-    if args.qtrunc < 0:
+    if args["qtrunc"] < 0:
         raise DomainError("qtrunc must be >= 0")
     return RunConfig(
-        quiver=quiver, mode=args.mode, gamma_max=gamma_max, qtrunc=args.qtrunc,
-        seed=args.seed, fmt=args.fmt, out=args.out,
-        left=args.left,
-        left_gamma=_parse_csv_ints(args.left_gamma) if args.left_gamma else None,
-        right=args.right,
-        right_gamma=_parse_csv_ints(args.right_gamma) if args.right_gamma else None)
+        quiver=quiver, mode=args["mode"], gamma_max=gamma_max, qtrunc=args["qtrunc"],
+        seed=args["seed"], fmt=args["fmt"], out=args["out"],
+        left=args["left"],
+        left_gamma=_parse_csv_ints(args["left_gamma"]) if args["left_gamma"] else None,
+        right=args["right"],
+        right_gamma=_parse_csv_ints(args["right_gamma"]) if args["right_gamma"] else None)
 
 
 # -- modes --------------------------------------------------------------------
@@ -121,8 +196,12 @@ def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
         chi = euler_form(cfg.quiver, gamma, gamma)
-        linear = prim_dims(cfg.quiver, gamma, chi + cfg.qtrunc)
         ser = omegas[gamma]
+        # only cells inside both windows are compared, so the linear side
+        # stops where the series window does
+        if ser.hi < chi:
+            continue
+        linear = prim_dims(cfg.quiver, gamma, min(chi + cfg.qtrunc, ser.hi))
         lo, hi = max(linear.lo, ser.lo), min(linear.hi, ser.hi)
         for k in range(lo, hi + 1):
             if (k - chi) % 2:
@@ -275,6 +354,9 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 def main(argv=None) -> int:
     try:
         cfg = load_config(argv if argv is not None else sys.argv[1:])
+        if cfg is None:
+            sys.stdout.write(_help_text())
+            return 0
         code, text = run(cfg)
     except (QuiverFormatError, DomainError, DimensionMismatchError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -288,3 +288,71 @@ def test_csv_has_header_and_rows(tmp_path, a1_path):
     assert any(line.startswith("#,qtrunc,10") for line in lines)
     header = next(line for line in lines if not line.startswith("#"))
     assert header.split(",") == ["coeffs", "gamma", "nonvanishing", "window"]
+
+
+# The command-line contract, checked through python -m quivercoha: every
+# usage error exits 2 with its message on stderr and nothing on stdout.
+_LOOP3 = str(BENCH / "quivers" / "loop3.json")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--mode", "dt-table", "--gamma-max", "1"],
+     "the following arguments are required: --quiver"),
+    (["--quiver", _LOOP3, "--mode", "nope", "--gamma-max", "1"],
+     "argument --mode: invalid choice: 'nope' (choose from"),
+    (["--quiver", _LOOP3, "--mode", "dt-table", "--gamma-max", "1", "--qtrunc", "abc"],
+     "argument --qtrunc: invalid int value: 'abc'"),
+    (["--quiver", _LOOP3, "--mode", "dt-table", "--gamma-max", "1", "--foo"],
+     "unrecognized arguments: --foo"),
+    (["--mode", "dt-table", "--gamma-max", "1", "--quiver"],
+     "argument --quiver: expected one argument"),
+    (["--quiver", _LOOP3, "--mode", "dt-table", "--gamma-max", "1", "--r", "x"],
+     "ambiguous option: --r could match --right, --right-gamma"),
+], ids=["required", "choice", "int", "unrecognized", "missing_value", "ambiguous"])
+def test_usage_error_is_exit_2(args, message):
+    proc = _run_module(args)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert message in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--gamma-max=5", "--qtrunc", "30"],
+    ["--gamma", "5", "--qtrunc", "30"],
+    ["--gamma-max", "5", "--qtrunc", "4", "--qtrunc", "30"],
+], ids=["equals", "prefix", "repeated"])
+def test_flag_spellings_give_the_plain_report(spelling):
+    # the plain form, --gamma-max 5 --qtrunc 30, writes the dt_loop3 reference
+    proc = _run_module(["--quiver", _LOOP3, "--mode", "dt-table", *spelling])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (BENCH / "reference" / "dt_loop3.json").read_bytes()
+
+
+def test_help_is_exit_0_and_names_every_flag():
+    proc = _run_module(["-h"])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    for flag in ("--quiver", "--mode", "--gamma-max", "--qtrunc", "--seed", "--format",
+                 "--out", "--left", "--left-gamma", "--right", "--right-gamma"):
+        assert flag.encode() in proc.stdout, flag
+
+
+def test_check_freeness_computes_no_cell_above_the_series_window(monkeypatch):
+    # on the doubled 2-Kronecker the series window of (0,2), (2,0) and (3,0)
+    # stops below chi + qtrunc; the linear side must stop there too
+    from quivercoha import cli
+    from quivercoha.dtseries import build_generating_series, plethystic_factor
+    quiver, mode, gamma_max, qtrunc = BENCH_WORKLOADS["freeness_kronecker"]
+    cfg = cli.load_config(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
+                           "--gamma-max", gamma_max, "--qtrunc", qtrunc])
+    omegas = plethystic_factor(build_generating_series(cfg.quiver, cfg.gamma_max,
+                                                       cfg.qtrunc))
+    asked = []
+    real = cli.prim_dims
+
+    def spy(q, gamma, kmax):
+        asked.append((gamma, kmax))
+        return real(q, gamma, kmax)
+
+    monkeypatch.setattr(cli, "prim_dims", spy)
+    assert cli.run(cfg)[0] == 0
+    assert asked
+    assert [(g, k) for g, k in asked if k > omegas[g].hi] == []

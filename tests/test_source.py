@@ -86,3 +86,17 @@ def test_library_does_not_import_dataclasses():
     found = [f"{name}:{line}" for name, line, module in _absolute_imports()
              if module == "dataclasses"]
     assert found == []
+
+
+def test_cli_load_config_loads_no_argparse_gettext_or_locale():
+    # argparse builds its messages through gettext, which imports locale:
+    # about 150 KB and 2 ms of every CLI call, for eleven flags
+    script = ("import sys; from quivercoha.cli import load_config; "
+              "load_config(['--quiver', sys.argv[1], '--mode', 'dt-table', "
+              "'--gamma-max', '2']); "
+              "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    quiver = SRC.parents[1] / "bench" / "quivers" / "loop3.json"
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(quiver)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")

@@ -7,7 +7,7 @@ for moment-map eigenvalue data, and the positive-root nonvanishing test.
 """
 
 from .coha import CohaElement, basis, shuffle_product, twisted_product
-from .dtseries import DTReport, build_generating_series, dt_report, plethystic_factor
+from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      LimitExceededError, QuiverFormatError, StructuralViolationError)
 from .freeness import decomposable_dim, generator_dims, prim_dims
@@ -19,7 +19,7 @@ from .roots import RootCertificate, is_positive_root
 from .series import HalfSeries, MultiSeries
 
 __all__ = [
-    "CohaElement", "ColoredPoly", "DTReport", "DimVector",
+    "CohaElement", "ColoredPoly", "DimVector",
     "DimensionMismatchError", "DivisibilityError", "DomainError", "EigenData",
     "HalfSeries", "LegData", "LimitExceededError", "MultiSeries",
     "Quiver", "QuiverFormatError", "RootCertificate",

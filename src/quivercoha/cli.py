@@ -9,15 +9,20 @@ genericity          seeded generic eigenvalue data, lambda, and the pairing chec
 shuffle-eval        twisted Hall product of two user-supplied elements
 
 Reports are byte-deterministic given the flags and seed: JSON with sorted
-keys (the source of truth) or flattened CSV.  Exit status is 0 on success
-(``-h``/``--help`` included), 1 when a check mode finds a disagreement, 2 on
-bad input (an --out path that cannot be written included), 3 when an
-identity that is a theorem fails at runtime (StructuralViolationError: a bug
-or a corrupted input, never a property of the quiver), and 4 when the input
-is valid but exceeds a capacity limit (LimitExceededError: the size cap of
-the exhaustive genericity search, or the packed-exponent limit of 127 on
-every exponent, including those of the shuffle numerator, which can exceed
-the product's own by the kernel degree).
+keys (the source of truth) or flattened CSV.  This module alone defines the
+report layout: the library returns series dicts and named-tuple records with
+no serializer, and each mode runner below renders them as JSON values.
+
+Exit status is 0 on success (``-h``/``--help`` included), 1 when a check
+mode finds a disagreement, 2 on bad input (an --out path that cannot be
+written, a quiver spec that is not UTF-8 and a malformed polynomial literal
+such as ``1/0`` included), 3 when an identity that is a theorem fails at
+runtime (StructuralViolationError: a bug or a corrupted input, never a
+property of the quiver), and 4 when the input is valid but exceeds a
+capacity limit (LimitExceededError: the size cap of the exhaustive
+genericity search, or the packed-exponent limit of 127 on every exponent,
+including those of the shuffle numerator, which can exceed the product's own
+by the kernel degree).
 
 Usage errors (a missing, unknown or ambiguous flag, a flag without its
 value, a value that is not an integer or not one of the choices) are bad
@@ -47,11 +52,6 @@ from .roots import nonvanishing_certificate
 MODES = ("dt-table", "check-freeness", "check-nonvanishing", "genericity",
          "shuffle-eval")
 
-
-RunConfig = namedtuple(
-    "RunConfig",
-    "quiver mode gamma_max qtrunc seed fmt out left left_gamma right right_gamma")
-
 # flag -> (RunConfig field, converter, default, choices, required, help)
 _OPTIONS = {
     "--quiver": ("quiver", str, None, None, True,
@@ -71,6 +71,8 @@ _OPTIONS = {
     "--right-gamma": ("right_gamma", str, None, None, False,
                       "shuffle-eval: dimension vector of the right polynomial"),
 }
+
+RunConfig = namedtuple("RunConfig", [spec[0] for spec in _OPTIONS.values()])
 
 
 def _parse_csv_ints(text: str) -> tuple[int, ...]:
@@ -156,7 +158,7 @@ def load_config(argv) -> RunConfig | None:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise QuiverFormatError(f"cannot read quiver spec: {err}", path) from err
     except json.JSONDecodeError as err:
         raise QuiverFormatError(f"invalid JSON: {err.msg}",
@@ -168,23 +170,28 @@ def load_config(argv) -> RunConfig | None:
                           f"{quiver.vertex_count}-vertex quiver")
     if args["qtrunc"] < 0:
         raise DomainError("qtrunc must be >= 0")
-    return RunConfig(
-        quiver=quiver, mode=args["mode"], gamma_max=gamma_max, qtrunc=args["qtrunc"],
-        seed=args["seed"], fmt=args["fmt"], out=args["out"],
-        left=args["left"],
-        left_gamma=_parse_csv_ints(args["left_gamma"]) if args["left_gamma"] else None,
-        right=args["right"],
-        right_gamma=_parse_csv_ints(args["right_gamma"]) if args["right_gamma"] else None)
+    return RunConfig(**{
+        **args, "quiver": quiver, "gamma_max": gamma_max,
+        "left_gamma": _parse_csv_ints(args["left_gamma"]) if args["left_gamma"] else None,
+        "right_gamma": _parse_csv_ints(args["right_gamma"]) if args["right_gamma"] else None})
 
 
 # -- modes --------------------------------------------------------------------
 
 
+def _window_header(cfg: RunConfig) -> dict:
+    return {"quiver": cfg.quiver.to_spec_dict(), "gamma_max": list(cfg.gamma_max),
+            "qtrunc": cfg.qtrunc}
+
+
 def run_dt_table(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.quiver.is_symmetric():
         raise DomainError("dt-table needs a symmetric quiver")
-    report = dt_report(cfg.quiver, cfg.gamma_max, cfg.qtrunc)
-    return 0, report.to_dict()
+    omega = dt_report(cfg.quiver, cfg.gamma_max, cfg.qtrunc)
+    rows = [{"gamma": list(gamma), "coeffs": [[k, str(c)] for k, c in series.items()],
+             "nonvanishing": not series.is_zero(), "window": [series.lo, series.hi]}
+            for gamma, series in omega.items()]
+    return 0, {**_window_header(cfg), "omega": rows}
 
 
 def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
@@ -212,32 +219,25 @@ def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
             all_ok = all_ok and ok
             rows.append({"gamma": list(gamma), "k": k, "c_linear": c_lin,
                          "c_series": c_ser, "ok": ok})
-    payload = {
-        "quiver": cfg.quiver.to_spec_dict(),
-        "gamma_max": list(cfg.gamma_max),
-        "qtrunc": cfg.qtrunc,
-        "cells": rows,
-        "verdict": all_ok,
-    }
-    return (0 if all_ok else 1), payload
+    return (0 if all_ok else 1), {**_window_header(cfg), "cells": rows, "verdict": all_ok}
 
 
 def run_check_nonvanishing(cfg: RunConfig) -> tuple[int, dict]:
     q0 = cfg.quiver
     doubled = double(q0)
-    report = dt_report(doubled, cfg.gamma_max, cfg.qtrunc)
+    omega = dt_report(doubled, cfg.gamma_max, cfg.qtrunc)
     rows = []
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
         root, cert = nonvanishing_certificate(q0, gamma)
-        series = report.omega[gamma]
+        series = omega[gamma]
         nonzero = not series.is_zero()
         ok = root == nonzero
         all_ok = all_ok and ok
         rows.append({
             "gamma": list(gamma),
             "root": root,
-            "certificate": cert.to_dict(),
+            "certificate": cert._asdict(),
             "omega_nonzero": nonzero,
             "omega_window": [series.lo, series.hi],
             "ok": ok,
@@ -264,12 +264,12 @@ def run_genericity(cfg: RunConfig) -> tuple[int, dict]:
         pairing = sum(g * l for g, l in zip(legs.tilde_gamma, lam))
         rows.append({
             "gamma": list(gamma),
-            "t": t.to_dict()["t"],
+            "t": [[str(v) for v in vs] for vs in t.values],
             "tilde_gamma": list(legs.tilde_gamma),
             "lambda": [str(x) for x in lam],
             "gamma_dot_lambda": str(pairing),
             "generic": ok,
-            "certificate": cert.to_dict(),
+            "certificate": {k: v for k, v in cert._asdict().items() if v is not None},
         })
     payload = {
         "quiver": cfg.quiver.to_spec_dict(),

@@ -42,7 +42,6 @@ of r are certified zero), so no window needs a separate cap.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -92,42 +91,6 @@ def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
             counts[n] += counts[n - m]
         out.append(HalfSeries({2 * n: c for n, c in enumerate(counts)}, 0, width))
     return out
-
-
-class DTReport(namedtuple("DTReport", "quiver gamma_max qtrunc omega")):
-    """Omega(gamma) for every 0 < gamma <= gamma_max: ``omega`` maps each
-    gamma, in (|gamma|, lex) order, to a ``HalfSeries`` on its certified
-    window.  A named tuple; unhashable, since ``omega`` is a dict."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "quiver": self.quiver.to_spec_dict(),
-            "gamma_max": list(self.gamma_max),
-            "qtrunc": self.qtrunc,
-            "omega": [
-                {
-                    "gamma": list(gamma),
-                    "coeffs": [[k, str(Fraction(c))] for k, c in series.items()],
-                    "nonvanishing": not series.is_zero(),
-                    "window": [series.lo, series.hi],
-                }
-                for gamma, series in self.omega.items()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DTReport":
-        from .quiver import quiver_from_spec
-
-        omega = {}
-        for rec in data["omega"]:
-            lo, hi = rec["window"]
-            coeffs = {int(k): Fraction(c) for k, c in rec["coeffs"]}
-            omega[tuple(rec["gamma"])] = HalfSeries(coeffs, lo, hi)
-        return cls(quiver_from_spec(data["quiver"]), tuple(data["gamma_max"]),
-                   data["qtrunc"], omega)
 
 
 def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
@@ -194,8 +157,8 @@ def _adams(s: HalfSeries, r: int) -> HalfSeries:
                       r * s.lo, None if s.hi is None else r * s.hi)
 
 
-def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> DTReport:
-    """Omega for every 0 < gamma <= gamma_max, one extraction pass; the
-    report's ``omega`` is ``plethystic_factor``'s dict."""
-    series = build_generating_series(quiver, gamma_max, qtrunc)
-    return DTReport(quiver, tuple(gamma_max), qtrunc, plethystic_factor(series))
+def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> dict[DimVector, HalfSeries]:
+    """Omega(gamma) for every 0 < gamma <= gamma_max, in (|gamma|, lex)
+    order, each on its certified window: ``plethystic_factor`` of the
+    generating series, one extraction pass."""
+    return plethystic_factor(build_generating_series(quiver, gamma_max, qtrunc))

@@ -11,7 +11,6 @@ that keeps every hyperplane of decompositions away.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -37,9 +36,6 @@ class EigenData(namedtuple("EigenData", "values")):
 
     def gamma(self) -> DimVector:
         return tuple(len(vs) for vs in self.values)
-
-    def to_dict(self) -> dict:
-        return {"t": [[str(v) for v in vs] for vs in self.values]}
 
 
 class LegData(namedtuple("LegData", "tilde_gamma vertex_labels half_quiver")):
@@ -115,14 +111,6 @@ class GenericityCertificate(namedtuple("GenericityCertificate",
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        out: dict = {"generic": self.generic}
-        if self.colliding_pair is not None:
-            out["colliding_pair"] = list(self.colliding_pair)
-        if self.violating_subset is not None:
-            out["violating_subset"] = [list(s) for s in self.violating_subset]
-        return out
-
 
 def is_generic(t: EigenData, q: Quiver, gamma: DimVector) -> tuple[bool, GenericityCertificate]:
     """Regular (distinct per vertex) and no proper sub-selection sums to zero.
@@ -157,6 +145,8 @@ def sample_generic(q: Quiver, gamma: DimVector, seed) -> EigenData:
     """Deterministic-from-seed generic eigenvalue data; widens the sampling
     range until the genericity test passes (the generic locus misses only
     finitely many hyperplanes, so this terminates)."""
+    import random   # only the genericity mode samples
+
     q.check_dim(gamma)
     gamma = tuple(gamma)
     if not any(gamma):

@@ -99,10 +99,6 @@ class ColoredPoly:
         exps[flat] = 1
         return cls._make(gamma, {_pack(exps): 1})
 
-    @classmethod
-    def monomial(cls, gamma, exps, coeff=1) -> "ColoredPoly":
-        return cls(gamma, {tuple(exps): coeff})
-
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -118,12 +114,6 @@ class ColoredPoly:
 
     def coefficient(self, exps) -> Fraction | int:
         return self._terms.get(_pack(tuple(exps)), 0)
-
-    def degree(self) -> int | None:
-        """Total degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(_unpack(k, self.nvars)) for k in self._terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -162,9 +152,6 @@ class ColoredPoly:
             else:
                 out.pop(k, None)
         return ColoredPoly._make(self.gamma, out)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -430,6 +417,8 @@ class _Parser:
                 den = self.next()
                 if den is None or not den.isdigit():
                     raise DomainError("expected integer denominator after '/'")
+                if not int(den):
+                    raise DomainError(f"zero denominator in {value}/{den}")
                 return ColoredPoly.constant(self.gamma, Fraction(value, int(den)))
             return ColoredPoly.constant(self.gamma, value)
         if tok == "x":

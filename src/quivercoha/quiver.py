@@ -75,11 +75,6 @@ class Quiver(namedtuple("Quiver", "arrows")):
     def from_lists(cls, rows) -> "Quiver":
         return cls(tuple(tuple(int(a) for a in row) for row in rows))
 
-    @classmethod
-    def loop_quiver(cls, loops: int) -> "Quiver":
-        """One vertex carrying ``loops`` loops."""
-        return cls(((loops,),))
-
     def is_symmetric(self) -> bool:
         a = self.arrows
         n = self.vertex_count

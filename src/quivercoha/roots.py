@@ -58,11 +58,6 @@ class RootCertificate(namedtuple("RootCertificate",
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {"result": self.result, "kind": self.kind,
-                "reflections": list(self.reflections),
-                "witness": list(self.witness)}
-
 
 def is_positive_root(q: Quiver, beta) -> tuple[bool, RootCertificate]:
     """Decide whether beta > 0 is a positive root of q; see the module

@@ -92,31 +92,19 @@ class HalfSeries:
     def one(cls, hi: int | None = None) -> "HalfSeries":
         return cls({0: 1}, 0, hi)
 
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "HalfSeries":
-        """The exact Laurent monomial c * q^(k/2)."""
-        return cls({k: c}, k, None)
-
     # -- inspection ----------------------------------------------------------
 
     def items(self):
         return sorted(self.coeffs.items())
 
-    def known(self, k: int) -> bool:
-        return self.hi is None or k <= self.hi
-
     def coeff(self, k: int):
         """Coefficient of q^(k/2); raises outside the certified window."""
-        if not self.known(k):
+        if self.hi is not None and k > self.hi:
             raise DomainError(f"exponent {k} is beyond the certified window {self.window()}")
         return self.coeffs.get(k, 0)
 
     def window(self) -> tuple[int, int | None]:
         return (self.lo, self.hi)
-
-    def order(self) -> int | None:
-        """Lowest exponent with nonzero coefficient, None if zero on window."""
-        return min(self.coeffs) if self.coeffs else None
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -270,20 +258,3 @@ class MultiSeries:
             if pairs:
                 out.pieces[g] = -_sum_of_products(pairs)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        if self.gamma_max != other.gamma_max:
-            return False
-        keys = set(self.pieces) | set(other.pieces)
-        return all(self.pieces.get(k, HalfSeries.zero())
-                   == other.pieces.get(k, HalfSeries.zero()) for k in keys)
-
-    __hash__ = None
-
-    def agrees_with(self, other: "MultiSeries") -> bool:
-        keys = set(self.pieces) | set(other.pieces)
-        return all(self.pieces.get(k, HalfSeries.zero())
-                   .agrees_with(other.pieces.get(k, HalfSeries.zero()))
-                   for k in keys)

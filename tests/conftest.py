@@ -3,14 +3,14 @@ import pytest
 from quivercoha import Quiver
 
 # The four suite quivers: symmetric, used by most cross-checks.
-S1 = Quiver.loop_quiver(0)                 # one vertex, no arrows
-S2 = Quiver.loop_quiver(2)                 # one vertex, two loops (doubled loop)
+S1 = Quiver(((0,),))                       # one vertex, no arrows
+S2 = Quiver(((2,),))                       # one vertex, two loops (doubled loop)
 S3 = Quiver.from_lists([[0, 1], [1, 0]])   # double of A2
 S4 = Quiver.from_lists([[0, 2], [2, 0]])   # double of the 2-Kronecker
 
 # Their half quivers (double(half) == suite quiver).
-S1_HALF = Quiver.loop_quiver(0)
-S2_HALF = Quiver.loop_quiver(1)
+S1_HALF = Quiver(((0,),))
+S2_HALF = Quiver(((1,),))
 S3_HALF = Quiver.from_lists([[0, 1], [0, 0]])
 S4_HALF = Quiver.from_lists([[0, 2], [0, 0]])
 

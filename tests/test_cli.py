@@ -143,6 +143,25 @@ def test_csv_report_matches_golden(tmp_path, args, golden):
     assert blob == (DATA / golden).read_bytes()
 
 
+@pytest.mark.parametrize("quiver, args, golden", [
+    ("kronecker2_half.json", ["--mode", "genericity", "--gamma-max", "2,2", "--seed", "3"],
+     "genericity_kronecker2_half_g2_2_s3.json"),
+    ("kronecker2_half.json", ["--mode", "check-nonvanishing", "--gamma-max", "3,3",
+                              "--qtrunc", "8"],
+     "nonvanishing_kronecker2_half_g3_3_q8.json"),
+    ("loop2.json", ["--mode", "shuffle-eval", "--gamma-max", "3",
+                    "--left", "1/2*x0_1*x0_2 - 3/4", "--left-gamma", "2",
+                    "--right", "x0_1 + 2/3", "--right-gamma", "1"],
+     "shuffle_loop2_g2_by_g1.json"),
+], ids=["genericity", "check-nonvanishing", "shuffle-eval"])
+def test_json_report_matches_golden(tmp_path, quiver, args, golden):
+    # the record layouts (root and genericity certificates, eigenvalue lists,
+    # rational polynomial coefficients) pinned byte for byte
+    code, blob = run_to_file(tmp_path, ["--quiver", str(BENCH / "quivers" / quiver), *args])
+    assert code == 0
+    assert blob == (DATA / golden).read_bytes()
+
+
 @pytest.mark.parametrize("quiver, gamma_max, qtrunc, golden", [
     ("loop3.json", "12", "290", "dt_loop3_g12_q290.json"),
     ("kronecker2_doubled.json", "6,6", "80", "dt_kronecker2_g6_6_q80.json"),
@@ -170,17 +189,6 @@ def test_check_modes_exit_zero_on_agreement(tmp_path, loop1_path, kron_path):
     data = json.loads(blob)
     assert data["verdict"] is True
     assert all(cell["ok"] for cell in data["cells"])
-
-
-def test_json_report_reparses_to_equal_report(tmp_path, kron_path):
-    from quivercoha.dtseries import DTReport
-    code, blob = run_to_file(tmp_path, [
-        "--quiver", kron_path, "--mode", "dt-table",
-        "--gamma-max", "1,1", "--qtrunc", "12"])
-    assert code == 0
-    data = json.loads(blob)
-    report = DTReport.from_dict(data)
-    assert report.to_dict() == data
 
 
 def test_shuffle_eval_output(tmp_path, a1_path):
@@ -212,6 +220,11 @@ def test_malformed_spec_is_exit_2(tmp_path, capsys):
     notjson.write_text("{", encoding="utf-8")
     assert main(["--quiver", str(notjson), "--mode", "dt-table",
                  "--gamma-max", "1,1"]) == 2
+    # a UTF-16 byte-order mark is not UTF-8: the error names the file
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"vertices": 1}'.encode("utf-16-le"))
+    assert main(["--quiver", str(utf16), "--mode", "dt-table", "--gamma-max", "1"]) == 2
+    assert str(utf16) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."],
@@ -291,7 +304,8 @@ def test_csv_has_header_and_rows(tmp_path, a1_path):
 
 
 # The command-line contract, checked through python -m quivercoha: every
-# usage error exits 2 with its message on stderr and nothing on stdout.
+# usage error, and a polynomial literal with a zero denominator, exits 2 with
+# its message on stderr and nothing on stdout.
 _LOOP3 = str(BENCH / "quivers" / "loop3.json")
 
 
@@ -308,7 +322,14 @@ _LOOP3 = str(BENCH / "quivers" / "loop3.json")
      "argument --quiver: expected one argument"),
     (["--quiver", _LOOP3, "--mode", "dt-table", "--gamma-max", "1", "--r", "x"],
      "ambiguous option: --r could match --right, --right-gamma"),
-], ids=["required", "choice", "int", "unrecognized", "missing_value", "ambiguous"])
+    (["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2", "--left", "1/0",
+      "--left-gamma", "1", "--right", "1", "--right-gamma", "1"],
+     "error: zero denominator in 1/0"),
+    (["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2", "--left", "0/0",
+      "--left-gamma", "1", "--right", "1", "--right-gamma", "1"],
+     "error: zero denominator in 0/0"),
+], ids=["required", "choice", "int", "unrecognized", "missing_value", "ambiguous",
+        "zero_denominator", "zero_over_zero"])
 def test_usage_error_is_exit_2(args, message):
     proc = _run_module(args)
     assert (proc.returncode, proc.stdout) == (2, b"")

@@ -11,7 +11,7 @@ from conftest import S1, S3, SUITE_HALVES
 
 
 def test_attach_legs_two_loops_gamma_three():
-    q0 = Quiver.loop_quiver(1)
+    q0 = Quiver(((1,),))
     legs = attach_legs(q0, (3,))
     assert legs.vertex_labels == ((0, 0), (0, 1), (0, 2))
     assert legs.tilde_gamma == (3, 2, 1)
@@ -107,7 +107,7 @@ def test_single_vertex_gamma_one_always_generic():
 def test_generic_size_limit():
     t = EigenData(((1, 2, 3, 4, 5, 6, 7, 8, -36),))
     with pytest.raises(LimitExceededError):
-        is_generic(t, Quiver.loop_quiver(0), (9,))
+        is_generic(t, Quiver(((0,),)), (9,))
 
 
 @given(st.permutations(list(range(4))))
@@ -115,14 +115,14 @@ def test_is_generic_invariant_under_reordering(perm):
     base = [Fraction(3), Fraction(-1), Fraction(5, 2), Fraction(-9, 2)]
     t1 = EigenData((tuple(base),))
     t2 = EigenData((tuple(base[i] for i in perm),))
-    q = Quiver.loop_quiver(0)
+    q = Quiver(((0,),))
     assert is_generic(t1, q, (4,))[0] == is_generic(t2, q, (4,))[0]
 
 
 def test_violating_subset_certificate_replays():
     # 1 + 2 - 3 = 0 hidden inside a trace-zero tuple
     t = EigenData(((1, 2, -3, 5, -5),))
-    ok, cert = is_generic(t, Quiver.loop_quiver(0), (5,))
+    ok, cert = is_generic(t, Quiver(((0,),)), (5,))
     assert not ok
     subset = cert.violating_subset
     total = sum(t.values[i][r] for i, p in enumerate(subset) for r in p)

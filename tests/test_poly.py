@@ -152,9 +152,9 @@ def exponent_pairs(draw):
 def test_monomial_product_adds_exponents_up_to_127(case):
     g, e1, e2 = case
     total = [a + b for a, b in zip(e1, e2)]
-    m1, m2 = ColoredPoly.monomial(g, e1), ColoredPoly.monomial(g, e2)
+    m1, m2 = ColoredPoly(g, {tuple(e1): 1}), ColoredPoly(g, {tuple(e2): 1})
     if max(total, default=0) <= 127:
-        assert m1 * m2 == ColoredPoly.monomial(g, total)
+        assert m1 * m2 == ColoredPoly(g, {tuple(total): 1})
     else:
         with pytest.raises(LimitExceededError):
             m1 * m2
@@ -162,13 +162,13 @@ def test_monomial_product_adds_exponents_up_to_127(case):
 
 def test_exponent_range_is_checked():
     g = (2,)
-    assert (ColoredPoly.monomial(g, (100, 0)) * ColoredPoly.monomial(g, (0, 100))
+    assert (ColoredPoly(g, {(100, 0): 1}) * ColoredPoly(g, {(0, 100): 1})
             ).coefficient((100, 100)) == 1
-    assert ColoredPoly.monomial(g, (127, 127)).coefficient((127, 127)) == 1
+    assert ColoredPoly(g, {(127, 127): 1}).coefficient((127, 127)) == 1
     with pytest.raises(DomainError):
-        ColoredPoly.monomial(g, (0, -1))
+        ColoredPoly(g, {(0, -1): 1})
     with pytest.raises(LimitExceededError):
-        ColoredPoly.monomial(g, (128, 0))
+        ColoredPoly(g, {(128, 0): 1})
     with pytest.raises(LimitExceededError):
         v(g, 0, 1).coefficient((0, 128))
 
@@ -208,8 +208,8 @@ def test_block_symmetry_detection():
 def test_degree_and_zero_poly():
     g = (1,)
     x = v(g, 0, 1)
-    assert (x * x * x).degree() == 3
-    assert ColoredPoly.zero(g).degree() is None
+    assert max(sum(exps) for exps, _ in (x * x * x).terms()) == 3
+    assert list(ColoredPoly.zero(g).terms()) == []
     assert len({sum(exps) for exps, _ in ColoredPoly.zero(g).terms()}) <= 1
 
 

@@ -60,7 +60,7 @@ def test_euler_form_symmetric_for_symmetric_quivers(q, data):
 # -- double -------------------------------------------------------------------
 
 def test_double_examples():
-    assert double(Quiver.loop_quiver(1)) == Quiver.loop_quiver(2)
+    assert double(Quiver(((1,),))) == Quiver(((2,),))
     one_arrow = Quiver.from_lists([[0, 1], [0, 0]])
     assert double(one_arrow) == S3
     empty = Quiver.from_lists([[0, 0], [0, 0]])
@@ -85,7 +85,7 @@ def _unit(n, i):
 
 @pytest.mark.parametrize("loops", [0, 1, 2, 3, 5])
 def test_sign_form_single_vertex_any_loops_is_zero(loops):
-    q = Quiver.loop_quiver(loops)
+    q = Quiver(((loops,),))
     for g1 in range(6):
         for g2 in range(6):
             assert sign_twist(q, (g1,), (g2,)) == 0

@@ -9,7 +9,7 @@ from quivercoha.roots import nonvanishing_certificate
 from conftest import S1_HALF, S2_HALF, S3_HALF, S4_HALF
 
 A2 = Quiver.from_lists([[0, 1], [0, 0]])
-LOOP = Quiver.loop_quiver(1)
+LOOP = Quiver(((1,),))
 LEG_A2 = A2   # the leg graph of one loop-free vertex with gamma = 2
 KRONECKER = Quiver.from_lists([[0, 2], [0, 0]])
 

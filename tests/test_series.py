@@ -135,9 +135,9 @@ def test_product_equals_all_pairs_reference(a, b):
 def test_multiseries_product_convolves_pieces():
     gmax = (2,)
     a = MultiSeries(gmax, {(0,): HalfSeries.one(),
-                           (1,): HalfSeries.monomial(1)})
+                           (1,): HalfSeries({1: 1}, 1, None)})
     b = MultiSeries(gmax, {(0,): HalfSeries.one(),
-                           (1,): HalfSeries.monomial(-1)})
+                           (1,): HalfSeries({-1: 1}, -1, None)})
     prod = a * b
     assert prod.piece((0,)).coeffs == {0: 1}
     assert prod.piece((1,)).coeffs == {-1: 1, 1: 1}

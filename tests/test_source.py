@@ -72,10 +72,11 @@ def test_library_has_no_unused_import():
 
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     # every CLI call starts a fresh interpreter, so its import cost is paid
-    # each time; dataclasses pulls in inspect, ast, dis and tokenize, and csv
-    # is needed only by CSV reports.  -S keeps site's own imports out.
-    script = ("import sys, quivercoha.cli; "
-              "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+    # each time; dataclasses pulls in inspect, ast, dis and tokenize, csv is
+    # needed only by CSV reports and random only by the genericity mode.  -S
+    # keeps site's own imports out.
+    script = ("import sys, quivercoha.cli; print(sorted("
+              "{'dataclasses', 'inspect', 'csv', 'random'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                           timeout=60)

@@ -34,6 +34,12 @@ ch. II).  So the product costs sum_i gamma1^i gamma2^i exact divisions by a
 binomial.  Each division certifies that its step is a polynomial (a nonzero
 remainder would be a correctness bug, not an input error).
 
+K depends only on the split, and ``decomposable_dim`` multiplies all pairs
+of one split in a row, so the product keeps the kernel of the last (quiver,
+gamma1, gamma2) it saw and builds K once per split.  Each step forms the
+numerator F - s_p F in one pass over F (``ColoredPoly.alternate``) and frees
+F before the division allocates its quotient.
+
 A homogeneous element of polynomial degree d has cohomological degree 2d and
 bidegree (gamma, 2d + chi(gamma, gamma)); the Z-grading is additive under the
 product and controls all super-signs.
@@ -89,11 +95,18 @@ def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
     return ColoredPoly._make(gamma, {1 << (top - 8 * s): 1, 1 << (top - 8 * r): -1})
 
 
+# ((quiver, gamma1, gamma2), K) of the last split the product saw (see the
+# module docstring).  It is read once and replaced whole, so a product never
+# pairs one split's key with another's kernel, even when threads share it.
+_last_kernel = (None, None)
+
+
 def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
     """The Hall product as a chain of divided differences of F = f(x') g(x'') K:
     for each color, x'_r for r = gamma1^i - 1 down to 0 is moved across the
     x'' block by one exact division by x_{p+1} - x_p per slot p it passes
     (see the module docstring)."""
+    global _last_kernel
     if a.quiver != b.quiver:
         raise DomainError("elements live over different quivers")
     q = a.quiver
@@ -112,27 +125,32 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
     seconds = [range(offs[i] + g1[i], offs[i + 1]) for i in range(n)]
     fa = a.poly.reindex(gamma, [v for slots in firsts for v in slots])
     fb = b.poly.reindex(gamma, [v for slots in seconds for v in slots])
-    kernel = ColoredPoly.constant(gamma, 1)
-    for i in range(n):
-        for j in range(n):
-            a_ij = q.arrows[i][j]
-            if not a_ij:
-                continue
-            for r in firsts[i]:
-                for s in seconds[j]:
-                    kernel = kernel * (_difference(gamma, s, r) ** a_ij)
+    split, kernel = _last_kernel
+    if split != (q, g1, g2):
+        kernel = ColoredPoly.constant(gamma, 1)
+        for i in range(n):
+            for j in range(n):
+                a_ij = q.arrows[i][j]
+                if not a_ij:
+                    continue
+                for r in firsts[i]:
+                    for s in seconds[j]:
+                        kernel = kernel * (_difference(gamma, s, r) ** a_ij)
+        _last_kernel = ((q, g1, g2), kernel)
     poly = (fb * kernel) * fa
-    del fa, fb, kernel
+    del fa, fb
     for i in range(n):
         for r in reversed(range(g1[i])):
             for p in range(offs[i] + r, offs[i] + r + g2[i]):
+                num = poly.alternate(p)
+                del poly   # F is not needed once its numerator is built
                 try:
-                    poly = exact_divide(poly - poly.swap_variables(p, p + 1),
-                                        _difference(gamma, p + 1, p))
+                    poly = exact_divide(num, _difference(gamma, p + 1, p))
                 except DivisibilityError as err:  # pragma: no cover - would be a bug
                     raise StructuralViolationError(
                         f"divided difference at slots {p}, {p + 1} left a remainder for "
                         f"gamma1={g1}, gamma2={g2}; remainder={err.remainder!r}") from err
+                del num
     return CohaElement(q, gamma, poly)
 
 
@@ -171,44 +189,55 @@ def _compositions(d: int, parts: int):
             yield (first,) + rest
 
 
-def _monomial_symmetric(gamma: DimVector, vertex: int, lam) -> ColoredPoly:
-    """m_lambda in the variables of one color block (coefficients all 1)."""
-    size = gamma[vertex]
-    padded = tuple(lam) + (0,) * (size - len(lam))
-    _pack(padded)   # exponent range check, once for the whole orbit
-    shift = 8 * (sum(gamma[vertex + 1:]))
-    return ColoredPoly._make(gamma, {int.from_bytes(bytes(perm), "big") << shift: 1
-                                     for perm in set(permutations(padded))})
+def _basis_shapes(gamma: DimVector, d: int):
+    """Tuples of per-vertex partitions indexing the polynomial-degree-d basis."""
+    parts = [[list(_partitions(c, c, size)) for c in range(d + 1)] for size in gamma]
+    shapes = []
+    for comp in _compositions(d, len(gamma)):
+        # a list: unpacking a generator builds an oversized argument tuple and
+        # shrinks it, which leaves one more block in the interpreter's
+        # free list of small tuples on every call
+        shapes.extend(iproduct(*[p[c] for p, c in zip(parts, comp)]))
+    return shapes
 
 
-def _basis_shapes(quiver: Quiver, gamma: DimVector, k: int):
-    """Tuples of per-vertex partitions indexing the bidegree-(gamma, k) basis."""
+def _degree(quiver: Quiver, gamma: DimVector, k: int):
+    """The polynomial degree d = (k - chi(gamma, gamma)) / 2, or None off
+    parity or below chi."""
     quiver.check_dim(gamma)
     chi = euler_form(quiver, gamma, gamma)
-    if (k - chi) % 2 or k < chi:
-        return []
-    d = (k - chi) // 2
-    n = quiver.vertex_count
-    shapes = []
-    for comp in _compositions(d, n):
-        parts_per_vertex = [list(_partitions(c, c, size)) for c, size in zip(comp, gamma)]
-        if any(not p for p in parts_per_vertex):
-            continue
-        shapes.extend(iproduct(*parts_per_vertex))
-    return shapes
+    return None if (k - chi) % 2 or k < chi else (k - chi) // 2
+
+
+def _orbit_keys(gamma: DimVector, vertex: int, lam) -> list[int]:
+    """Packed keys of the monomials of m_lambda in one color block."""
+    padded = tuple(lam) + (0,) * (gamma[vertex] - len(lam))
+    _pack(padded)   # exponent range check, once for the whole orbit
+    shift = 8 * sum(gamma[vertex + 1:])
+    return [int.from_bytes(bytes(perm), "big") << shift for perm in set(permutations(padded))]
 
 
 def basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
     """A basis of the bidegree-(gamma, k) piece: products over the vertices of
     monomial symmetric polynomials, one partition of d_i with at most gamma^i
     parts per vertex, over all splittings d = sum d_i of the polynomial degree
-    d = (k - chi(gamma, gamma)) / 2.  Off-parity or negative d gives []."""
+    d = (k - chi(gamma, gamma)) / 2.  Off-parity or negative d gives [].
+    The terms of a product of m_lambda_i are the sums of one orbit key per
+    block, all with coefficient 1."""
+    gamma = tuple(gamma)
+    d = _degree(quiver, gamma, k)
+    if d is None:
+        return []
+    orbits = [{} for _ in gamma]   # per vertex: partition -> its orbit keys
     out = []
-    for lams in _basis_shapes(quiver, gamma, k):
-        poly = ColoredPoly.constant(gamma, 1)
+    for lams in _basis_shapes(gamma, d):
+        keys = [0]
         for i, lam in enumerate(lams):
-            poly = poly * _monomial_symmetric(gamma, i, lam)
-        out.append(CohaElement(quiver, gamma, poly))
+            orbit = orbits[i].get(lam)
+            if orbit is None:
+                orbit = orbits[i][lam] = _orbit_keys(gamma, i, lam)
+            keys = [key + o for key in keys for o in orbit]
+        out.append(CohaElement(quiver, gamma, ColoredPoly._make(gamma, dict.fromkeys(keys, 1))))
     return out
 
 
@@ -217,8 +246,12 @@ def basis_leading_exponents(quiver: Quiver, gamma: DimVector, k: int):
     per-block partitions laid out in slot order.  Coordinates of any
     block-symmetric polynomial on the monomial basis can be read off at
     these exponents."""
+    gamma = tuple(gamma)
+    d = _degree(quiver, gamma, k)
+    if d is None:
+        return []
     reps = []
-    for lams in _basis_shapes(quiver, gamma, k):
+    for lams in _basis_shapes(gamma, d):
         exps = []
         for i, lam in enumerate(lams):
             exps.extend(tuple(lam) + (0,) * (gamma[i] - len(lam)))

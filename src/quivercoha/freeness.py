@@ -20,10 +20,11 @@ freeness theorem.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .coha import basis, basis_leading_exponents, twisted_product
 from .errors import DomainError, StructuralViolationError
+from .poly import coefficient_reader
 from .quiver import DimVector, Quiver, dim_abs, dim_sub, enumerate_dim_vectors, euler_form
 from .series import HalfSeries
 
@@ -37,9 +38,9 @@ def exact_rank(rows: list[list]) -> int:
     """
     mat = []
     for row in rows:
-        denoms = [c.denominator for c in row if isinstance(c, Fraction)]
+        denoms = [c.denominator for c in row if type(c) is Fraction]
         scale = lcm(*denoms) if denoms else 1
-        ints = [int(c * scale) if isinstance(c, Fraction) else c * scale for c in row]
+        ints = [int(c * scale) if type(c) is Fraction else c * scale for c in row]
         if any(ints):
             mat.append(ints)
     if not mat:
@@ -66,17 +67,37 @@ def exact_rank(rows: list[list]) -> int:
     return rank
 
 
+def _orbit_size(gamma: DimVector, rep) -> int:
+    """Number of monomials in the block-symmetric orbit of the exponent
+    vector rep: per block, gamma^i! over the factorials of the multiplicities."""
+    size, off = 1, 0
+    for g in gamma:
+        block = rep[off:off + g]
+        off += g
+        size *= factorial(g)
+        for e in set(block):
+            size //= factorial(block.count(e))
+    return size
+
+
 def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
     """Dimension of the span in H_{gamma,k} of all twisted products of
     elements at proper decompositions gamma1 + gamma2.  Products are
     supercommutative, a b = +-b a, so each unordered pair of basis elements
     is multiplied once: one split of each {gamma1, gamma2}, and when
-    gamma1 == gamma2 only d1 <= d2, with f no later than g when d1 == d2."""
+    gamma1 == gamma2 only d1 <= d2, with f no later than g when d1 == d2.
+
+    A product is read at the cell's ``basis_leading_exponents``; being
+    block-symmetric and homogeneous, it has exactly the orbit sizes of its
+    nonzero reps as terms, and any other count raises
+    StructuralViolationError."""
     quiver.check_dim(gamma)
     gamma = tuple(gamma)
     reps = basis_leading_exponents(quiver, gamma, k)
     if not reps or dim_abs(gamma) <= 1:
         return 0
+    sizes = [_orbit_size(gamma, rep) for rep in reps]
+    read = coefficient_reader(reps)
     rows = []
     seen_splits = set()
     d = (k - euler_form(quiver, gamma, gamma)) // 2
@@ -99,9 +120,15 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
             basis2 = basis1 if same else basis(quiver, g2, k2)
             for i, f in enumerate(basis1):
                 for g in basis2[i:] if same else basis2:
-                    prod = twisted_product(f, g)
-                    if not prod.is_zero():
-                        rows.append([prod.poly.coefficient(r) for r in reps])
+                    prod = twisted_product(f, g).poly
+                    if not prod:
+                        continue
+                    row = read(prod)
+                    if len(prod) != sum(n for n, c in zip(sizes, row) if c):
+                        raise StructuralViolationError(
+                            f"a product at gamma={gamma}, k={k} from {g1} + {g2} is not "
+                            f"block-symmetric of degree {d}")
+                    rows.append(row)
     return exact_rank(rows) if rows else 0
 
 
@@ -116,11 +143,7 @@ def generator_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:
     dims = {}
     for k in range(chi, kmax + 1, 2):
         dim_h = len(basis_leading_exponents(quiver, gamma, k))
-        dec = decomposable_dim(quiver, gamma, k)
-        if dec > dim_h:
-            raise StructuralViolationError(
-                f"decomposables exceed the ambient space at gamma={gamma}, k={k}")
-        dims[k] = dim_h - dec
+        dims[k] = dim_h - decomposable_dim(quiver, gamma, k)
     return HalfSeries(dims, chi, kmax)
 
 

@@ -112,6 +112,10 @@ class ColoredPoly:
         for key in sorted(self._terms, reverse=True):
             yield _unpack(key, self.nvars), self._terms[key]
 
+    def __len__(self):
+        """The number of terms."""
+        return len(self._terms)
+
     def coefficient(self, exps) -> Fraction | int:
         return self._terms.get(_pack(tuple(exps)), 0)
 
@@ -244,6 +248,32 @@ class ColoredPoly:
             k + (((k >> s2) & 255) - ((k >> s1) & 255)) * step: c
             for k, c in self._terms.items()})
 
+    def alternate(self, v: int) -> "ColoredPoly":
+        """self - s(self), s swapping variables v and v + 1, in one pass over
+        self: a term symmetric in the two variables cancels, and each pair of
+        terms that s swaps into one another is visited once."""
+        if not 0 <= v < self.nvars - 1:
+            raise DomainError(f"no variables {v}, {v + 1} among {self.nvars}")
+        s1, s2 = 8 * (self.nvars - 1 - v), 8 * (self.nvars - 2 - v)
+        step = (1 << s1) - (1 << s2)
+        terms = self._terms
+        out = {}
+        for k, c in terms.items():
+            e1, e2 = (k >> s1) & 255, (k >> s2) & 255
+            if e1 == e2:
+                continue
+            swapped = k + (e2 - e1) * step
+            if e1 > e2:
+                c = _norm_coeff(c - terms.get(swapped, 0))
+            elif swapped in terms:
+                continue   # the pair is taken from its other key
+            else:
+                k, swapped, c = swapped, k, -c
+            if c:
+                out[k] = c
+                out[swapped] = -c
+        return ColoredPoly._make(self.gamma, out)
+
     def is_block_symmetric(self) -> bool:
         """Invariance under permuting variables within each color block.
 
@@ -286,6 +316,18 @@ class ColoredPoly:
         return f"ColoredPoly(gamma={self.gamma}, {self.canonical_str()})"
 
 
+def coefficient_reader(exps_list):
+    """A function mapping a ColoredPoly to its coefficients at each exponent
+    vector of exps_list, in order.  The vectors are packed once, here, so
+    reading many polynomials at the same monomials packs nothing per read."""
+    keys = [_pack(tuple(exps)) for exps in exps_list]
+
+    def read(poly: ColoredPoly) -> list:
+        get = poly._terms.get
+        return [get(key, 0) for key in keys]
+    return read
+
+
 def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     """Return q with q * den == num, or raise DivisibilityError.
 
@@ -301,7 +343,8 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     r = dict(num._terms)
     kd = max(den._terms)
     cd = den._terms[kd]
-    den_items = list(den._terms.items())
+    # the leading term cancels r's leading key exactly, so only the rest is applied
+    den_rest = [(k, v) for k, v in den._terms.items() if k != kd]
     q: dict = {}
     heap = [-k for k in r]
     heapq.heapify(heap)
@@ -316,13 +359,13 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
                 "polynomial division left a nonzero remainder",
                 remainder=ColoredPoly._make(num.gamma, r))
         t = kr - kd
-        c = r[kr]
+        c = r.pop(kr)
         if type(c) is int and type(cd) is int and not c % cd:
             c //= cd
         else:
             c = _norm_coeff(Fraction(c) / cd)
         q[t] = c
-        for k, v in den_items:
+        for k, v in den_rest:
             kk = t + k
             if kk not in r:   # queued on entering r; a cancelled key's entry goes stale
                 heapq.heappush(heap, -kk)

@@ -9,6 +9,7 @@ from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError
                         Quiver, StructuralViolationError, basis,
                         enumerate_dim_vectors, euler_form,
                         shuffle_product, sign_twist, twisted_product)
+from quivercoha import coha
 from quivercoha.coha import basis_leading_exponents
 
 from conftest import S1, S2, S3, S4, SUITE
@@ -349,3 +350,35 @@ def test_shuffle_matches_per_shuffle_oracle(name, quiver):
         b = _random_symmetric(rng, quiver, g2, rng.choice(degrees))
         numerator, vandermonde = _shuffle_oracle(a, b)
         assert shuffle_product(a, b).poly * vandermonde == numerator
+
+
+def test_kernel_slot_follows_the_split_and_the_quiver():
+    # the product keeps only the kernel of the last (quiver, gamma1, gamma2):
+    # splits A, B, A in a row, then A on a second quiver with the same
+    # dimension vectors, must each be multiplied with their own kernel
+    rng = random.Random("kernel-slot")
+    mixed1 = Quiver.from_lists([[1, 1], [1, 0]])
+    mixed3 = Quiver.from_lists([[3, 1], [1, 0]])
+    split_a, split_b = ((1, 0), (1, 1)), ((1, 1), (1, 0))
+    for quiver, (g1, g2) in [(mixed1, split_a), (mixed1, split_b), (mixed1, split_a),
+                             (mixed3, split_a)]:
+        a = _random_symmetric(rng, quiver, g1, 1)
+        b = _random_symmetric(rng, quiver, g2, 1)
+        numerator, vandermonde = _shuffle_oracle(a, b)
+        assert shuffle_product(a, b).poly * vandermonde == numerator
+
+
+def test_kernel_is_built_once_per_split(monkeypatch):
+    # the kernel is the only power the product takes, so powers count builds
+    powers = []
+    real = ColoredPoly.__pow__
+    monkeypatch.setattr(coha, "_last_kernel", (None, None))   # no split left by other tests
+    monkeypatch.setattr(ColoredPoly, "__pow__", lambda p, n: powers.append(n) or real(p, n))
+    x, one = elt(S2, (1,), "x"), elt(S2, (1,), "1")
+    shuffle_product(elt(S2, (2,), "1"), one)
+    built = len(powers)
+    assert built == 2          # one factor (x''_s - x'_r)^2 per pair of slots
+    shuffle_product(elt(S2, (2,), "x0_1 + x0_2"), x)
+    assert len(powers) == built
+    shuffle_product(one, elt(S2, (2,), "1"))
+    assert len(powers) == 2 * built

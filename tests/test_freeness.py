@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoha import (DomainError, HalfSeries, StructuralViolationError, basis,
-                        decomposable_dim, enumerate_dim_vectors, euler_form,
-                        generator_dims, prim_dims, twisted_product)
+from quivercoha import (CohaElement, ColoredPoly, DomainError, HalfSeries,
+                        StructuralViolationError, basis, decomposable_dim,
+                        enumerate_dim_vectors, euler_form, generator_dims, prim_dims,
+                        twisted_product)
 from quivercoha import freeness
 from quivercoha.freeness import exact_rank
 
@@ -128,3 +129,19 @@ def test_prim_dims_rejects_negative_multiplicity(monkeypatch):
                         lambda quiver, gamma, kmax: HalfSeries({1: 2, 3: 1}, 1, kmax))
     with pytest.raises(StructuralViolationError):
         prim_dims(S1, (1,), 5)
+
+
+def test_generator_dims_rejects_a_product_with_a_stray_monomial(monkeypatch):
+    # a block-symmetric product of degree d has exactly the orbit sizes of its
+    # nonzero reps as terms, so one monomial of another degree is caught
+    real = freeness.twisted_product
+
+    def stray(a, b):
+        prod = real(a, b)
+        top = max((sum(e) for e, _ in prod.poly.terms()), default=0)
+        extra = ColoredPoly(prod.gamma, {(top + 1,) + (0,) * (sum(prod.gamma) - 1): 1})
+        return CohaElement(prod.quiver, prod.gamma, prod.poly + extra)
+
+    monkeypatch.setattr(freeness, "twisted_product", stray)
+    with pytest.raises(StructuralViolationError, match="block-symmetric"):
+        generator_dims(S2, (2,), 2)

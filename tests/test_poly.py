@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from quivercoha import (ColoredPoly, DimensionMismatchError, DivisibilityError,
                         DomainError, LimitExceededError, exact_divide, parse_colored_poly)
+from quivercoha.poly import coefficient_reader
 
 
 def v(gamma, vertex, slot):
@@ -55,6 +56,17 @@ def test_swap_variables_is_a_transposition(p, v1, v2):
 def test_swap_variables_range_is_checked():
     with pytest.raises(DomainError):
         v((2,), 0, 1).swap_variables(1, 2)
+
+
+@given(small_polys(gamma=(2, 1), exponents=st.sampled_from((0, 1, 126, 127))),
+       st.integers(0, 1))
+def test_alternate_is_p_minus_its_swap(p, v1):
+    assert p.alternate(v1) == p - p.swap_variables(v1, v1 + 1)
+
+
+def test_alternate_range_is_checked():
+    with pytest.raises(DomainError):
+        v((2,), 0, 1).alternate(1)
 
 
 def test_substitution_must_be_injective():
@@ -181,6 +193,25 @@ def test_exact_divide_remainder_beyond_127_is_reported():
     assert list(exc.value.remainder.terms()) == [((1, 254), 1)]
 
 
+def test_exact_divide_recreates_a_cancelled_numerator_key():
+    # (x^4 + x^2 + 1) / (x^2 - x + 1): the first step cancels the numerator's
+    # x^2, its heap entry goes stale, and the step at x^3 creates it again
+    x = v((1,), 0, 1)
+    den = x * x - x + 1
+    q = x * x + x + 1
+    num = q * den
+    assert list(num.terms()) == [((4,), 1), ((2,), 1), ((0,), 1)]
+    assert exact_divide(num, den) == q
+    # the same steps with a Fraction lead coefficient
+    scaled = den * Fraction(2, 3)
+    assert exact_divide(num, scaled) == q * Fraction(3, 2)
+    # a failing division reports the remainder it reached, 1 - x on both
+    for divisor in (den, scaled):
+        with pytest.raises(DivisibilityError) as exc:
+            exact_divide(num + x ** 5, divisor)
+        assert list(exc.value.remainder.terms()) == [((1,), -1), ((0,), 1)]
+
+
 @given(small_polys(exponents=st.sampled_from((0, 1, 126, 127))),
        small_polys(exponents=st.sampled_from((0, 1, 126, 127))))
 def test_divide_is_exact_or_raises(a, b):
@@ -235,6 +266,18 @@ def test_parse_two_color_expression():
     assert p.coefficient((1, 0, 1)) == 1
     assert p.coefficient((0, 2, 0)) == -1
     assert p.coefficient((0, 0, 0)) == Fraction(1, 3)
+
+
+@given(small_polys(gamma=(2, 1)))
+def test_coefficient_reader_matches_coefficient(p):
+    exps = [(1, 0, 1), (0, 0, 0), (3, 3, 3), (1, 0, 1), (0, 2, 0)]
+    assert coefficient_reader(exps)(p) == [p.coefficient(e) for e in exps]
+    assert len(p) == len(list(p.terms()))
+
+
+def test_coefficient_reader_checks_the_exponents_once():
+    with pytest.raises(LimitExceededError):
+        coefficient_reader([(0, 0), (0, 128)])
 
 
 def test_parse_bare_x_single_variable_only():

@@ -10,7 +10,7 @@ from .coha import CohaElement, basis, shuffle_product, twisted_product
 from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      LimitExceededError, QuiverFormatError, StructuralViolationError)
-from .freeness import decomposable_dim, generator_dims, prim_dims
+from .freeness import decomposable_dim, prim_dims
 from .legs import EigenData, LegData, attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
 from .poly import ColoredPoly, exact_divide, parse_colored_poly
 from .quiver import (DimVector, Quiver, double, enumerate_dim_vectors, euler_form,
@@ -26,7 +26,7 @@ __all__ = [
     "StructuralViolationError", "attach_legs", "basis",
     "build_generating_series", "decomposable_dim", "double", "dt_report",
     "enumerate_dim_vectors", "euler_form", "exact_divide",
-    "generator_dims", "is_generic", "is_positive_root",
+    "is_generic", "is_positive_root",
     "lambda_from_eigenvalues",
     "parse_colored_poly", "plethystic_factor", "prim_dims", "quiver_from_spec",
     "sample_generic", "shuffle_product", "sign_twist",

@@ -43,11 +43,26 @@ F before the division allocates its quotient.
 A homogeneous element of polynomial degree d has cohomological degree 2d and
 bidegree (gamma, 2d + chi(gamma, gamma)); the Z-grading is additive under the
 product and controls all super-signs.
+
+The cell (gamma, k) has the monomial basis of ``basis``: one product of
+monomial symmetric polynomials m_lambda per shape, a partition lambda of d_i
+with at most gamma^i parts at each vertex, d = sum d_i.  Its terms are the
+sums of one orbit key per color block, all with coefficient 1, and its
+lex-leading key lays each lambda out in slot order.  Distinct shapes have
+distinct leading keys, and every monomial of a shape's orbit has coefficient
+1 in it alone, so the coefficients of a block-symmetric polynomial of the
+cell at the leading keys are its coordinates on the basis
+(``basis_coordinates``).  Such a polynomial has exactly as many terms as the
+orbits of its nonzero coordinates hold (per block, gamma^i! over the
+factorials of the multiplicities in lambda); any other term count means it is
+not block-symmetric of degree d, and the reader raises
+StructuralViolationError.  This module alone knows that layout.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, permutations, product as iproduct
+from math import factorial, prod
 
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      StructuralViolationError)
@@ -84,9 +99,6 @@ class CohaElement:
         if not poly.is_block_symmetric():
             raise DomainError("polynomial is not symmetric within color blocks")
         return elt
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
 
 
 def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
@@ -157,10 +169,10 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
 def twisted_product(a: CohaElement, b: CohaElement) -> CohaElement:
     """Hall product twisted by (-1)^psi(gamma1, gamma2); supercommutative
     for the Z-grading."""
-    prod = shuffle_product(a, b)
+    ab = shuffle_product(a, b)
     if sign_twist(a.quiver, a.gamma, b.gamma):
-        return CohaElement(prod.quiver, prod.gamma, -prod.poly)
-    return prod
+        return CohaElement(ab.quiver, ab.gamma, -ab.poly)
+    return ab
 
 
 # -- bases -------------------------------------------------------------------
@@ -189,8 +201,33 @@ def _compositions(d: int, parts: int):
             yield (first,) + rest
 
 
-def _basis_shapes(gamma: DimVector, d: int):
-    """Tuples of per-vertex partitions indexing the polynomial-degree-d basis."""
+def _degree(quiver: Quiver, gamma: DimVector, k: int):
+    """The polynomial degree d = (k - chi(gamma, gamma)) / 2, or None off
+    parity or below chi."""
+    quiver.check_dim(gamma)
+    chi = euler_form(quiver, gamma, gamma)
+    return None if (k - chi) % 2 or k < chi else (k - chi) // 2
+
+
+def _padded(gamma: DimVector, vertex: int, lam) -> tuple[int, ...]:
+    """lambda with zeros appended up to the gamma^vertex slots of its block."""
+    return lam + (0,) * (gamma[vertex] - len(lam))
+
+
+def _orbit_keys(gamma: DimVector, vertex: int, lam) -> list[int]:
+    """Packed keys of the monomials of m_lambda in one color block."""
+    padded = _padded(gamma, vertex, lam)
+    _pack(padded)   # exponent range check, once for the whole orbit
+    shift = 8 * sum(gamma[vertex + 1:])
+    return [int.from_bytes(bytes(perm), "big") << shift for perm in set(permutations(padded))]
+
+
+def _cell_shapes(quiver: Quiver, gamma: DimVector, k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Per basis element of the cell (gamma, k), in ``basis`` order, its
+    partition at each vertex; [] off parity or below chi."""
+    d = _degree(quiver, gamma, k)
+    if d is None:
+        return []
     parts = [[list(_partitions(c, c, size)) for c in range(d + 1)] for size in gamma]
     shapes = []
     for comp in _compositions(d, len(gamma)):
@@ -201,22 +238,6 @@ def _basis_shapes(gamma: DimVector, d: int):
     return shapes
 
 
-def _degree(quiver: Quiver, gamma: DimVector, k: int):
-    """The polynomial degree d = (k - chi(gamma, gamma)) / 2, or None off
-    parity or below chi."""
-    quiver.check_dim(gamma)
-    chi = euler_form(quiver, gamma, gamma)
-    return None if (k - chi) % 2 or k < chi else (k - chi) // 2
-
-
-def _orbit_keys(gamma: DimVector, vertex: int, lam) -> list[int]:
-    """Packed keys of the monomials of m_lambda in one color block."""
-    padded = tuple(lam) + (0,) * (gamma[vertex] - len(lam))
-    _pack(padded)   # exponent range check, once for the whole orbit
-    shift = 8 * sum(gamma[vertex + 1:])
-    return [int.from_bytes(bytes(perm), "big") << shift for perm in set(permutations(padded))]
-
-
 def basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
     """A basis of the bidegree-(gamma, k) piece: products over the vertices of
     monomial symmetric polynomials, one partition of d_i with at most gamma^i
@@ -225,12 +246,9 @@ def basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
     The terms of a product of m_lambda_i are the sums of one orbit key per
     block, all with coefficient 1."""
     gamma = tuple(gamma)
-    d = _degree(quiver, gamma, k)
-    if d is None:
-        return []
     orbits = [{} for _ in gamma]   # per vertex: partition -> its orbit keys
     out = []
-    for lams in _basis_shapes(gamma, d):
+    for lams in _cell_shapes(quiver, gamma, k):
         keys = [0]
         for i, lam in enumerate(lams):
             orbit = orbits[i].get(lam)
@@ -241,19 +259,27 @@ def basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
     return out
 
 
-def basis_leading_exponents(quiver: Quiver, gamma: DimVector, k: int):
-    """The orbit-representative exponent vector of each basis element: the
-    per-block partitions laid out in slot order.  Coordinates of any
-    block-symmetric polynomial on the monomial basis can be read off at
-    these exponents."""
+def basis_coordinates(quiver: Quiver, gamma: DimVector, k: int):
+    """(dim H_{gamma,k}, read): read(poly) is the list of coordinates on
+    ``basis(quiver, gamma, k)`` of a block-symmetric polynomial of the cell,
+    its coefficients at the lex-leading key of each basis element.  It raises
+    StructuralViolationError when poly's term count is not the sum of the
+    orbit sizes at its nonzero coordinates (see the module docstring)."""
     gamma = tuple(gamma)
-    d = _degree(quiver, gamma, k)
-    if d is None:
-        return []
-    reps = []
-    for lams in _basis_shapes(gamma, d):
-        exps = []
-        for i, lam in enumerate(lams):
-            exps.extend(tuple(lam) + (0,) * (gamma[i] - len(lam)))
-        reps.append(tuple(exps))
-    return reps
+    keys, sizes = [], []
+    for shape in _cell_shapes(quiver, gamma, k):
+        blocks = [_padded(gamma, i, lam) for i, lam in enumerate(shape)]
+        keys.append(_pack(sum(blocks, ())))
+        # per block, gamma^i! over the factorials of the multiplicities
+        sizes.append(prod(factorial(len(b)) // prod(map(factorial, map(b.count, set(b))))
+                          for b in blocks))
+
+    def read(poly: ColoredPoly) -> list:
+        get = poly._terms.get
+        row = [get(key, 0) for key in keys]
+        if len(poly) != sum(n for n, c in zip(sizes, row) if c):
+            raise StructuralViolationError(
+                f"a polynomial at gamma={gamma}, k={k} is not block-symmetric "
+                f"of degree {(k - euler_form(quiver, gamma, gamma)) // 2}")
+        return row
+    return len(keys), read

@@ -6,11 +6,13 @@ bidegree-(gamma, k) generator space has a well-defined dimension
     dim V_{gamma,k} = dim H_{gamma,k} - dim (sum of products of lower pieces),
 
 and the primitive part satisfies c_{gamma,k} = dim V_{gamma,k} -
-dim V_{gamma,k-2} (one polynomial generator of degree (0, 2) is split off):
-Omega(gamma) = sum_k c_{gamma,k} q^(k/2) is (1 - q) times the V-series
-sum_k dim V_{gamma,k} q^(k/2).  Everything is computed by fraction-free
-Gaussian elimination over exact integers after clearing denominators; there
-are no rank thresholds.
+dim V_{gamma,k-2} (one polynomial generator of degree (0, 2) is split off),
+which ``prim_dims`` takes directly, cell by cell, as
+Omega(gamma) = sum_k c_{gamma,k} q^(k/2).  dim H_{gamma,k} and the
+coordinates of each product on the basis of H_{gamma,k} come from
+``coha.basis_coordinates``, which alone knows the layout of that basis.
+Ranks are computed by fraction-free Gaussian elimination over exact integers
+after clearing denominators; there are no rank thresholds.
 
 These numbers are the independent oracle for the series-side extraction in
 ``dtseries``: the two must agree, which is the computational content of the
@@ -20,11 +22,10 @@ freeness theorem.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
-from .coha import basis, basis_leading_exponents, twisted_product
+from .coha import basis, basis_coordinates, twisted_product
 from .errors import DomainError, StructuralViolationError
-from .poly import coefficient_reader
 from .quiver import DimVector, Quiver, dim_abs, dim_sub, enumerate_dim_vectors, euler_form
 from .series import HalfSeries
 
@@ -67,19 +68,6 @@ def exact_rank(rows: list[list]) -> int:
     return rank
 
 
-def _orbit_size(gamma: DimVector, rep) -> int:
-    """Number of monomials in the block-symmetric orbit of the exponent
-    vector rep: per block, gamma^i! over the factorials of the multiplicities."""
-    size, off = 1, 0
-    for g in gamma:
-        block = rep[off:off + g]
-        off += g
-        size *= factorial(g)
-        for e in set(block):
-            size //= factorial(block.count(e))
-    return size
-
-
 def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
     """Dimension of the span in H_{gamma,k} of all twisted products of
     elements at proper decompositions gamma1 + gamma2.  Products are
@@ -87,17 +75,13 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
     is multiplied once: one split of each {gamma1, gamma2}, and when
     gamma1 == gamma2 only d1 <= d2, with f no later than g when d1 == d2.
 
-    A product is read at the cell's ``basis_leading_exponents``; being
-    block-symmetric and homogeneous, it has exactly the orbit sizes of its
-    nonzero reps as terms, and any other count raises
-    StructuralViolationError."""
-    quiver.check_dim(gamma)
+    Each product becomes a row of its coordinates on the cell's basis,
+    read by ``coha.basis_coordinates``, which raises StructuralViolationError
+    on a product that is not block-symmetric of the cell's degree."""
     gamma = tuple(gamma)
-    reps = basis_leading_exponents(quiver, gamma, k)
-    if not reps or dim_abs(gamma) <= 1:
+    dim_h, read = basis_coordinates(quiver, gamma, k)
+    if not dim_h or dim_abs(gamma) <= 1:
         return 0
-    sizes = [_orbit_size(gamma, rep) for rep in reps]
-    read = coefficient_reader(reps)
     rows = []
     seen_splits = set()
     d = (k - euler_form(quiver, gamma, gamma)) // 2
@@ -121,40 +105,31 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
             for i, f in enumerate(basis1):
                 for g in basis2[i:] if same else basis2:
                     prod = twisted_product(f, g).poly
-                    if not prod:
-                        continue
-                    row = read(prod)
-                    if len(prod) != sum(n for n, c in zip(sizes, row) if c):
-                        raise StructuralViolationError(
-                            f"a product at gamma={gamma}, k={k} from {g1} + {g2} is not "
-                            f"block-symmetric of degree {d}")
-                    rows.append(row)
+                    if prod:
+                        rows.append(read(prod))
     return exact_rank(rows) if rows else 0
 
 
-def generator_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:
-    """sum_k dim V_{gamma,k} q^(k/2), dim V = dim H_{gamma,k} -
-    decomposable_dim, certified on [chi(gamma, gamma), kmax]."""
+def prim_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:
+    """Omega(gamma) = sum_k c_{gamma,k} q^(k/2), certified on
+    [chi(gamma, gamma), kmax]: one pass over the cells k takes the
+    difference c_{gamma,k} = dim V_{gamma,k} - dim V_{gamma,k-2} directly,
+    with dim V_{gamma,k} = dim H_{gamma,k} (the dimension that
+    ``coha.basis_coordinates`` gives) - decomposable_dim; below the bottom
+    degree V vanishes.  A negative c would contradict the tensor
+    factorization V = Vprim (x) Q[x] and raises StructuralViolationError."""
     quiver.check_dim(gamma)
     gamma = tuple(gamma)
     chi = euler_form(quiver, gamma, gamma)
     if kmax < chi:
         raise DomainError(f"kmax={kmax} below the bottom degree chi={chi}")
-    dims = {}
+    prims, dim_below = {}, 0
     for k in range(chi, kmax + 1, 2):
-        dim_h = len(basis_leading_exponents(quiver, gamma, k))
-        dims[k] = dim_h - decomposable_dim(quiver, gamma, k)
-    return HalfSeries(dims, chi, kmax)
-
-
-def prim_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:
-    """Omega(gamma) = sum_k c_{gamma,k} q^(k/2) = (1 - q) * generator_dims,
-    certified on [chi(gamma, gamma), kmax]; below the bottom degree V
-    vanishes.  A negative c would contradict the tensor factorization
-    V = Vprim (x) Q[x] and raises StructuralViolationError."""
-    prim = generator_dims(quiver, gamma, kmax) * HalfSeries({0: 1, 2: -1}, 0, None)
-    for k, c in prim.items():
-        if c < 0:
+        dim_v = basis_coordinates(quiver, gamma, k)[0] - decomposable_dim(quiver, gamma, k)
+        if dim_v < dim_below:
             raise StructuralViolationError(
-                f"c_{{gamma={tuple(gamma)}, k={k}}} = {c} < 0: freeness bookkeeping broken")
-    return prim
+                f"c_{{gamma={gamma}, k={k}}} = {dim_v - dim_below} < 0: "
+                f"freeness bookkeeping broken")
+        prims[k] = dim_v - dim_below
+        dim_below = dim_v
+    return HalfSeries(prims, chi, kmax)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DimensionMismatchError, DivisibilityError, DomainError, LimitExceededError
 from .quiver import DimVector
@@ -32,8 +33,6 @@ def _norm_coeff(c):
 
 
 def _pack(exps):
-    if min(exps, default=0) < 0:
-        raise DomainError(f"negative exponent {min(exps)}")
     if max(exps, default=0) > _MAXEXP:
         raise LimitExceededError(
             f"exponent {max(exps)} exceeds the packed-exponent limit {_MAXEXP}")
@@ -45,37 +44,21 @@ def _unpack(key, nvars):
 
 
 class ColoredPoly:
-    """A polynomial in the variable set declared by ``gamma``."""
+    """A polynomial in the variable set declared by ``gamma``, built from
+    ``zero``, ``constant``, ``variable`` and ``parse_colored_poly`` by ring
+    operations."""
 
     __slots__ = ("gamma", "nvars", "_terms")
 
-    def __init__(self, gamma: DimVector, terms=None):
-        self.gamma = tuple(gamma)
-        self.nvars = sum(self.gamma)
-        self._terms = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != self.nvars:
-                    raise DimensionMismatchError(
-                        f"exponent vector of length {len(exps)}, expected {self.nvars}")
-                c = _norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-                if c:
-                    key = _pack(exps)
-                    self._terms[key] = self._terms.get(key, 0) + c
-            self._prune()
-
     @classmethod
     def _make(cls, gamma, packed):
+        """The polynomial with packed terms {key: nonzero coefficient},
+        taken as they are."""
         p = cls.__new__(cls)
         p.gamma = tuple(gamma)
         p.nvars = sum(gamma)
         p._terms = packed
         return p
-
-    def _prune(self):
-        dead = [k for k, c in self._terms.items() if not c]
-        for k in dead:
-            del self._terms[k]
 
     # -- constructors ------------------------------------------------------
 
@@ -116,9 +99,6 @@ class ColoredPoly:
         """The number of terms."""
         return len(self._terms)
 
-    def coefficient(self, exps) -> Fraction | int:
-        return self._terms.get(_pack(tuple(exps)), 0)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other):
@@ -143,19 +123,6 @@ class ColoredPoly:
 
     def __neg__(self):
         return ColoredPoly._make(self.gamma, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ColoredPoly.constant(self.gamma, other)
-        self._check_compatible(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = _norm_coeff(s)
-            else:
-                out.pop(k, None)
-        return ColoredPoly._make(self.gamma, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -238,16 +205,6 @@ class ColoredPoly:
             out[int.from_bytes(bytes(map(exps.__getitem__, source)), "big")] = c
         return ColoredPoly._make(new_gamma, out)
 
-    def swap_variables(self, v1: int, v2: int) -> "ColoredPoly":
-        if not (0 <= v1 < self.nvars and 0 <= v2 < self.nvars):
-            raise DomainError(f"no variables {v1}, {v2} among {self.nvars}")
-        # add (e2 - e1) to the byte of v1 and subtract it from that of v2
-        s1, s2 = 8 * (self.nvars - 1 - v1), 8 * (self.nvars - 1 - v2)
-        step = (1 << s1) - (1 << s2)
-        return ColoredPoly._make(self.gamma, {
-            k + (((k >> s2) & 255) - ((k >> s1) & 255)) * step: c
-            for k, c in self._terms.items()})
-
     def alternate(self, v: int) -> "ColoredPoly":
         """self - s(self), s swapping variables v and v + 1, in one pass over
         self: a term symmetric in the two variables cancels, and each pair of
@@ -278,15 +235,11 @@ class ColoredPoly:
         """Invariance under permuting variables within each color block.
 
         Checked on adjacent transpositions, which generate each block's
-        symmetric group.
+        symmetric group: ``alternate(v)`` vanishes for every pair of slots
+        v, v + 1 inside one block.
         """
-        offset = 0
-        for size in self.gamma:
-            for r in range(size - 1):
-                if self.swap_variables(offset + r, offset + r + 1) != self:
-                    return False
-            offset += size
-        return True
+        starts = set(accumulate(self.gamma))   # v + 1 in starts: v ends a block
+        return not any(self.alternate(v) for v in range(self.nvars - 1) if v + 1 not in starts)
 
     # -- rendering ----------------------------------------------------------
 
@@ -316,18 +269,6 @@ class ColoredPoly:
         return f"ColoredPoly(gamma={self.gamma}, {self.canonical_str()})"
 
 
-def coefficient_reader(exps_list):
-    """A function mapping a ColoredPoly to its coefficients at each exponent
-    vector of exps_list, in order.  The vectors are packed once, here, so
-    reading many polynomials at the same monomials packs nothing per read."""
-    keys = [_pack(tuple(exps)) for exps in exps_list]
-
-    def read(poly: ColoredPoly) -> list:
-        get = poly._terms.get
-        return [get(key, 0) for key in keys]
-    return read
-
-
 def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     """Return q with q * den == num, or raise DivisibilityError.
 
@@ -355,9 +296,7 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
         # an exact division's remainder has no exponent above num's, so a guard
         # bit proves inexactness; bit 7 of a byte of (kr | guard) - kd marks kd <= kr
         if kr & guard or ((kr | guard) - kd) & guard != guard:
-            raise DivisibilityError(
-                "polynomial division left a nonzero remainder",
-                remainder=ColoredPoly._make(num.gamma, r))
+            break   # kr stays in r
         t = kr - kd
         c = r.pop(kr)
         if type(c) is int and type(cd) is int and not c % cd:
@@ -377,7 +316,7 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     if r:
         raise DivisibilityError(
             "polynomial division left a nonzero remainder",
-            remainder=ColoredPoly._make(num.gamma, r))
+            remainder=ColoredPoly._make(num.gamma, {k: _norm_coeff(c) for k, c in r.items()}))
     return ColoredPoly._make(num.gamma, q)
 
 

@@ -165,16 +165,6 @@ class HalfSeries:
 
     __hash__ = None
 
-    def agrees_with(self, other: "HalfSeries") -> bool:
-        """Coefficientwise equality on the overlap of the two windows."""
-        hi = _min_hi(self.hi, other.hi)
-        lo = min(self.lo, other.lo)
-        if hi is None:
-            keys = set(self.coeffs) | set(other.coeffs)
-            return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0) for k in keys)
-        return all(self.coeffs.get(k, 0) == other.coeffs.get(k, 0)
-                   for k in range(lo, hi + 1))
-
     def canonical_str(self) -> str:
         """Terms ascending, coefficients 'p/q', exponents 'q^{k/2}'."""
         if not self.coeffs:

@@ -28,3 +28,27 @@ def gammas_up_to(quiver, total):
     from quivercoha import enumerate_dim_vectors
     n = quiver.vertex_count
     return [g for g in enumerate_dim_vectors((total,) * n) if sum(g) <= total]
+
+
+def poly_from_terms(gamma, terms):
+    """sum of c * x^exps over terms {exponent tuple: c}, built from
+    ColoredPoly.variable, so the library's multiplication checks the range."""
+    from quivercoha import ColoredPoly
+    xs = [ColoredPoly.variable(gamma, i, s)
+          for i, size in enumerate(gamma) for s in range(1, size + 1)]
+    out = ColoredPoly.zero(gamma)
+    for exps, c in terms.items():
+        monomial = ColoredPoly.constant(gamma, c)
+        for x, e in zip(xs, exps):
+            monomial = monomial * x ** e
+        out = out + monomial
+    return out
+
+
+def agree(a, b):
+    """Two HalfSeries agree coefficientwise on the overlap of their windows."""
+    his = [s.hi for s in (a, b) if s.hi is not None]
+    keys = set(a.coeffs) | set(b.coeffs)
+    if his:
+        keys = range(min(a.lo, b.lo), min(his) + 1)
+    return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0) for k in keys)

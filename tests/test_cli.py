@@ -248,6 +248,18 @@ def test_mode_quiver_mismatch_is_exit_2(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+def test_shuffle_eval_asymmetric_in_block_1_only_is_exit_2(kron_path, capsys):
+    # block 0 (x0_1, x0_2) is symmetric; block 1 (x1_1, x1_2) is not
+    code = main(["--quiver", kron_path, "--mode", "shuffle-eval", "--gamma-max", "3,2",
+                 "--left", "x0_1 + x0_2 + x1_1", "--left-gamma", "2,2",
+                 "--right", "1", "--right-gamma", "1,0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: polynomial is not symmetric within color blocks\n"
+    assert "Traceback" not in captured.err
+
+
 def test_structural_violation_is_exit_3(a1_path, monkeypatch, capsys):
     from quivercoha import cli
     from quivercoha.errors import StructuralViolationError

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError,
-                        Quiver, StructuralViolationError, basis,
-                        enumerate_dim_vectors, euler_form,
+                        LimitExceededError, Quiver, StructuralViolationError, basis,
+                        enumerate_dim_vectors, euler_form, parse_colored_poly,
                         shuffle_product, sign_twist, twisted_product)
 from quivercoha import coha
-from quivercoha.coha import basis_leading_exponents
+from quivercoha.coha import basis_coordinates
 
-from conftest import S1, S2, S3, S4, SUITE
+from conftest import S1, S2, S3, S4, SUITE, poly_from_terms
 
 
 def elt(quiver, gamma, text_or_poly):
     if isinstance(text_or_poly, ColoredPoly):
         return CohaElement(quiver, gamma, text_or_poly)
-    from quivercoha import parse_colored_poly
     return CohaElement(quiver, gamma, parse_colored_poly(gamma, text_or_poly))
 
 
@@ -43,13 +42,14 @@ def _two_term_shuffle_oracle(quiver, f_deg, g_deg):
     g = (2,)
     x1 = ColoredPoly.variable(g, 0, 1)
     x2 = ColoredPoly.variable(g, 0, 2)
-    kernel_12 = (x2 - x1) ** m          # f on slot 1
-    kernel_21 = (x1 - x2) ** m          # f on slot 2
-    num = (x1 ** f_deg) * (x2 ** g_deg) * kernel_12 * (x2 - x1) \
-        - (x2 ** f_deg) * (x1 ** g_deg) * kernel_21 * (x2 - x1)
+    x2_x1 = parse_colored_poly(g, "x0_2 - x0_1")
+    kernel_12 = x2_x1 ** m              # f on slot 1
+    kernel_21 = (-x2_x1) ** m           # f on slot 2
+    num = (x1 ** f_deg) * (x2 ** g_deg) * kernel_12 * x2_x1 \
+        + -((x2 ** f_deg) * (x1 ** g_deg) * kernel_21 * x2_x1)
     # the common denominator of the two summands is (x2 - x1) up to the sign
     # already folded in
-    return num, (x2 - x1) * (x2 - x1)
+    return num, x2_x1 * x2_x1
 
 
 def test_shuffle_x_times_one_no_loops():
@@ -68,10 +68,7 @@ def test_shuffle_one_times_x_no_loops():
 
 def test_shuffle_two_loops_squared_difference():
     prod = shuffle_product(elt(S2, (1,), "x"), elt(S2, (1,), "1"))
-    g = (2,)
-    x1 = ColoredPoly.variable(g, 0, 1)
-    x2 = ColoredPoly.variable(g, 0, 2)
-    assert prod.poly == -((x1 - x2) ** 2)
+    assert prod.poly == -(parse_colored_poly((2,), "x0_1 - x0_2") ** 2)
     num, den = _two_term_shuffle_oracle(S2, 1, 0)
     assert prod.poly * den == num
 
@@ -186,14 +183,54 @@ def test_basis_count_formula(suite_quiver):
 
 
 def test_basis_elements_are_block_symmetric():
-    for e in basis(S4, (2, 2), euler_form(S4, (2, 2), (2, 2)) + 6):
+    k = euler_form(S4, (2, 2), (2, 2)) + 6
+    bas = basis(S4, (2, 2), k)
+    for e in bas:
         assert e.poly.is_block_symmetric()
-    reps = basis_leading_exponents(S4, (2, 2), euler_form(S4, (2, 2), (2, 2)) + 6)
-    bas = basis(S4, (2, 2), euler_form(S4, (2, 2), (2, 2)) + 6)
-    # coordinates on representatives are a Kronecker pairing
-    for i, e in enumerate(bas):
-        for j, rep in enumerate(reps):
-            assert e.poly.coefficient(rep) == (1 if i == j else 0)
+    # the coordinates of the basis elements are the identity matrix
+    dim, read = basis_coordinates(S4, (2, 2), k)
+    assert dim == len(bas)
+    assert [read(e.poly) for e in bas] == [[int(i == j) for j in range(dim)]
+                                           for i in range(dim)]
+
+
+CELLS = [(S1, (3,)), (S2, (3,)), (S3, (3, 1)), (S4, (3, 2)),
+         (Quiver.from_lists([[0, 1, 0], [1, 1, 2], [0, 2, 0]]), (3, 0, 2))]
+
+
+@pytest.mark.parametrize("quiver,gamma", CELLS, ids=["S1", "S2", "S3", "S4", "three-vertex"])
+def test_basis_coordinates_read_any_symmetric_polynomial(quiver, gamma):
+    # a rational combination of the basis reads back as its coefficients; one
+    # more monomial, off the cell's degree or in an orbit but off its leading
+    # key, breaks the term count that the reader checks
+    k = euler_form(quiver, gamma, gamma) + 4   # polynomial degree 2
+    rng = random.Random(f"read-{gamma}")
+    bas = basis(quiver, gamma, k)
+    dim, read = basis_coordinates(quiver, gamma, k)
+    assert dim == len(bas) > 1
+    assert read(ColoredPoly.zero(gamma)) == [0] * dim
+    for _ in range(5):
+        coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in bas]
+        poly = ColoredPoly.zero(gamma)
+        for c, e in zip(coords, bas):
+            poly = poly + e.poly * c
+        assert read(poly) == coords
+    # bas[-1] is m_(1, 1) on the first block, of 3 slots: its last
+    # monomial is not its leading one
+    last, lead = min(bas[-1].poly.terms())[0], max(bas[-1].poly.terms())[0]
+    assert last != lead
+    for stray in (poly_from_terms(gamma, {last: 1}), ColoredPoly.variable(gamma, 0, 1)):
+        with pytest.raises(StructuralViolationError, match="block-symmetric"):
+            read(bas[0].poly + stray)
+
+
+def test_basis_coordinates_check_the_exponent_range():
+    # a cell whose monomials need an exponent above 127 is over the packing
+    # limit; one at 127 is not
+    assert basis_coordinates(S1, (1,), 1 + 2 * 127)[0] == 1
+    with pytest.raises(LimitExceededError):
+        basis_coordinates(S1, (1,), 1 + 2 * 128)
+    assert basis_coordinates(S1, (1,), 2)[0] == 0
 
 
 # -- randomized algebra properties (small sizes; the acceptance suite scales up) --
@@ -275,16 +312,19 @@ def _shuffle_oracle(a, b):
     uses no division."""
     quiver, g1 = a.quiver, a.gamma
     gamma = tuple(x + y for x, y in zip(g1, b.gamma))
-    n, nvars = len(gamma), sum(gamma)
+    n = len(gamma)
     offs = [sum(gamma[:i]) for i in range(n)]
 
-    def var(v):
-        return ColoredPoly(gamma, {tuple(int(u == v) for u in range(nvars)): 1})
+    xs = [ColoredPoly.variable(gamma, i, s)
+          for i in range(n) for s in range(1, gamma[i] + 1)]
+
+    def diff(s, r):
+        return xs[s] + -xs[r]
 
     def vandermonde(slots):
         out = ColoredPoly.constant(gamma, 1)
         for p, r in combinations(slots, 2):
-            out = out * (var(r) - var(p))
+            out = out * diff(r, p)
         return out
 
     numerator = ColoredPoly.zero(gamma)
@@ -299,7 +339,7 @@ def _shuffle_oracle(a, b):
             for j in range(n):
                 for r in firsts[i]:
                     for s in seconds[j]:
-                        summand = summand * (var(s) - var(r)) ** quiver.arrows[i][j]
+                        summand = summand * diff(s, r) ** quiver.arrows[i][j]
         # one -1 per pair p < r of a color with p on b's side and r on a's
         inv = sum(1 for i in range(n) for r in pick[i] for p in range(r)
                   if p not in pick[i])

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver,
                         build_generating_series, dt_report, enumerate_dim_vectors,
                         euler_form, plethystic_factor, prim_dims)
-from quivercoha.coha import basis_leading_exponents
+from quivercoha.coha import basis_coordinates
 from quivercoha.dtseries import _inverse_pochhammers
 from quivercoha.quiver import dim_abs
 
-from conftest import S1, S2, S3, S4, SUITE
+from conftest import S1, S2, S3, S4, SUITE, agree
 
 
 # -- Hilbert series ---------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_hilbert_counts_match_basis(suite_quiver):
         chi = euler_form(suite_quiver, gamma, gamma)
         s = build_generating_series(suite_quiver, gamma, 10).piece(gamma)
         for k in range(chi, chi + 11):
-            assert s.coeff(k) == len(basis_leading_exponents(suite_quiver, gamma, k))
+            assert s.coeff(k) == basis_coordinates(suite_quiver, gamma, k)[0]
 
 
 def _pochhammer(m):
@@ -238,7 +238,7 @@ def test_dt_report_windows_sound_and_lowest_term_is_one(case):
     assert list(narrow) == list(wide)
     for gamma, s1 in narrow.items():
         s2 = wide[gamma]
-        assert s1.agrees_with(s2), gamma
+        assert agree(s1, s2), gamma
         assert s2.hi >= s1.hi, gamma
         chi = euler_form(quiver, gamma, gamma)
         for s in (s1, s2):
@@ -257,7 +257,38 @@ def test_prim_dims_agree_with_extraction_small(suite_quiver):
         chi = euler_form(suite_quiver, gamma, gamma)
         linear = prim_dims(suite_quiver, gamma, chi + 12)
         assert max(linear.lo, omegas[gamma].lo) <= min(linear.hi, omegas[gamma].hi)
-        assert linear.agrees_with(omegas[gamma]), gamma
+        assert agree(linear, omegas[gamma]), gamma
+
+
+@st.composite
+def _random_cells(draw):
+    """A symmetric quiver on 1-3 vertices, loops and edges of multiplicity
+    <= 2, and a box with entries <= 2."""
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 2))
+    gmax = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                      .filter(any)))
+    return Quiver.from_lists(rows), gmax
+
+
+@settings(deadline=None, max_examples=40)
+@given(_random_cells())
+def test_prim_dims_agree_with_extraction_on_random_quivers(case):
+    # the two routes to Omega at breadth: every cell with |gamma| <= 4 inside
+    # both windows at qtrunc 8, as check-freeness compares them
+    quiver, gmax = case
+    omegas = plethystic_factor(build_generating_series(quiver, gmax, 8))
+    for gamma in enumerate_dim_vectors(gmax):
+        chi = euler_form(quiver, gamma, gamma)
+        series = omegas[gamma]
+        if sum(gamma) > 4 or series.hi < chi:
+            continue
+        linear = prim_dims(quiver, gamma, min(chi + 8, series.hi))
+        assert linear.window() == (chi, min(chi + 8, series.hi)), gamma
+        assert agree(linear, series), gamma
 
 
 # -- literature anchor: Reineke's closed formula for the m-loop quiver --------------

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoha import (CohaElement, ColoredPoly, DomainError, HalfSeries,
-                        StructuralViolationError, basis, decomposable_dim,
-                        enumerate_dim_vectors, euler_form, generator_dims, prim_dims,
+from quivercoha import (CohaElement, DomainError, StructuralViolationError, basis,
+                        decomposable_dim, enumerate_dim_vectors, euler_form, prim_dims,
                         twisted_product)
 from quivercoha import freeness
+from quivercoha.coha import basis_coordinates
 from quivercoha.freeness import exact_rank
 
-from conftest import S1, S2, S4
+from conftest import S1, S2, S4, agree, poly_from_terms
 
 
 # -- exact rank ----------------------------------------------------------------
@@ -74,8 +74,9 @@ def _full_product_rank(quiver, gamma, k):
             for f in basis(quiver, g1, k1):
                 for g in basis(quiver, g2, k - k1):
                     prods.append(twisted_product(f, g).poly)
-    monomials = sorted({exps for p in prods for exps, _ in p.terms()})
-    return exact_rank([[p.coefficient(m) for m in monomials] for p in prods])
+    coefficients = [dict(p.terms()) for p in prods]
+    monomials = sorted({exps for c in coefficients for exps in c})
+    return exact_rank([[c.get(m, 0) for m in monomials] for c in coefficients])
 
 
 @pytest.mark.parametrize("quiver,gamma", [(S2, (2,)), (S2, (4,)), (S4, (2, 2))])
@@ -89,21 +90,40 @@ def test_decomposable_dim_spans_every_ordered_product(quiver, gamma):
 
 # -- generator series --------------------------------------------------------------
 
+def _generator_dims(quiver, gamma, kmax):
+    """{k: dim V_{gamma,k}} for chi <= k <= kmax of k's parity, dim V =
+    dim H - decomposable_dim, from the public pieces."""
+    chi = euler_form(quiver, gamma, gamma)
+    return {k: basis_coordinates(quiver, gamma, k)[0] - decomposable_dim(quiver, gamma, k)
+            for k in range(chi, kmax + 1, 2)}
+
+
+def _check_prim_is_the_first_difference(quiver, gamma, kmax):
+    # c_k = dim V_k - dim V_(k-2), on the window [chi, kmax]
+    dims = _generator_dims(quiver, gamma, kmax)
+    prim = prim_dims(quiver, gamma, kmax)
+    assert prim.window() == (euler_form(quiver, gamma, gamma), kmax)
+    diffs = {k: v - dims.get(k - 2, 0) for k, v in dims.items()}
+    assert prim.coeffs == {k: c for k, c in diffs.items() if c}
+    return dims
+
+
 def test_generator_dims_one_vertex_free_column():
-    series = generator_dims(S1, (1,), 13)
-    assert series.window() == (1, 13)
-    assert series.coeffs == {k: 1 for k in range(1, 14, 2)}
+    assert _check_prim_is_the_first_difference(S1, (1,), 13) == {
+        k: 1 for k in range(1, 14, 2)}
 
 
 def test_generator_dims_no_loops_gamma_two_all_zero():
-    series = generator_dims(S1, (2,), 16)
-    assert series.window() == (4, 16)
-    assert series.is_zero()
+    dims = _check_prim_is_the_first_difference(S1, (2,), 16)
+    assert list(dims) == list(range(4, 17, 2))
+    assert not any(dims.values())
 
 
 def test_generator_dims_two_loops_gamma_one():
-    series = generator_dims(S2, (1,), 9)
-    assert series.coeffs == {k: 1 for k in range(-1, 10, 2)}
+    assert _check_prim_is_the_first_difference(S2, (1,), 9) == {
+        k: 1 for k in range(-1, 10, 2)}
+    _check_prim_is_the_first_difference(S2, (3,), 3)
+    _check_prim_is_the_first_difference(S4, (2, 1), 8)
 
 
 def test_prim_dims_examples():
@@ -120,14 +140,15 @@ def test_prim_dims_monotone_under_larger_window():
     large = prim_dims(S2, (2,), 8)
     assert small.window() == (-4, 2)
     assert large.window() == (-4, 8)
-    assert large.agrees_with(small)
+    assert agree(large, small)
 
 
 def test_prim_dims_rejects_negative_multiplicity(monkeypatch):
-    # a V-series that drops from one degree to the next would need c < 0
-    monkeypatch.setattr(freeness, "generator_dims",
-                        lambda quiver, gamma, kmax: HalfSeries({1: 2, 3: 1}, 1, kmax))
-    with pytest.raises(StructuralViolationError):
+    # a V-series that drops from one degree to the next would need c < 0:
+    # dim H is 1 at k = 1, 3, 5, so V reads 1, 0, 1
+    monkeypatch.setattr(freeness, "decomposable_dim",
+                        lambda quiver, gamma, k: int(k == 3))
+    with pytest.raises(StructuralViolationError, match="k=3"):
         prim_dims(S1, (1,), 5)
 
 
@@ -139,9 +160,9 @@ def test_generator_dims_rejects_a_product_with_a_stray_monomial(monkeypatch):
     def stray(a, b):
         prod = real(a, b)
         top = max((sum(e) for e, _ in prod.poly.terms()), default=0)
-        extra = ColoredPoly(prod.gamma, {(top + 1,) + (0,) * (sum(prod.gamma) - 1): 1})
+        extra = poly_from_terms(prod.gamma, {(top + 1,) + (0,) * (sum(prod.gamma) - 1): 1})
         return CohaElement(prod.quiver, prod.gamma, prod.poly + extra)
 
     monkeypatch.setattr(freeness, "twisted_product", stray)
     with pytest.raises(StructuralViolationError, match="block-symmetric"):
-        generator_dims(S2, (2,), 2)
+        prim_dims(S2, (2,), 2)

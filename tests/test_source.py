@@ -70,6 +70,30 @@ def test_library_has_no_unused_import():
     assert found == []
 
 
+def test_every_library_function_is_used_by_the_library():
+    # a function, method or class that only the tests call is code that no CLI
+    # mode runs; every one must be named (as a name or an attribute) somewhere
+    # in the package outside its own definition.  __all__ strings and
+    # __init__.py's imports do not count, and dunders are called implicitly
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(ref == node.name and where not in own for ref, where in refs):
+                found.append(f"{name}:{node.lineno} {node.name}")
+    assert trees
+    assert found == []
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     # every CLI call starts a fresh interpreter, so its import cost is paid
     # each time; dataclasses pulls in inspect, ast, dis and tokenize, csv is

@@ -34,7 +34,7 @@ ch. II).  So the product costs sum_i gamma1^i gamma2^i exact divisions by a
 binomial.  Each division certifies that its step is a polynomial (a nonzero
 remainder would be a correctness bug, not an input error).
 
-K depends only on the split, and ``decomposable_dim`` multiplies all pairs
+K depends only on the split, and ``decomposable_dim`` multiplies the pairs
 of one split in a row, so the product keeps the kernel of the last (quiver,
 gamma1, gamma2) it saw and builds K once per split.  Each step forms the
 numerator F - s_p F in one pass over F (``ColoredPoly.alternate``) and frees
@@ -51,12 +51,20 @@ sums of one orbit key per color block, all with coefficient 1, and its
 lex-leading key lays each lambda out in slot order.  Distinct shapes have
 distinct leading keys, and every monomial of a shape's orbit has coefficient
 1 in it alone, so the coefficients of a block-symmetric polynomial of the
-cell at the leading keys are its coordinates on the basis
-(``basis_coordinates``).  Such a polynomial has exactly as many terms as the
-orbits of its nonzero coordinates hold (per block, gamma^i! over the
-factorials of the multiplicities in lambda); any other term count means it is
-not block-symmetric of degree d, and the reader raises
-StructuralViolationError.  This module alone knows that layout.
+cell at the leading keys are its coordinates on the basis (``Cell.read``).
+Such a polynomial has exactly as many terms as the orbits of its nonzero
+coordinates hold (per block, gamma^i! over the factorials of the
+multiplicities in lambda); any other term count means it is not
+block-symmetric of degree d, and the reader raises StructuralViolationError.
+
+The same layout gives the quotient by p1, the sum of all the variables, that
+``freeness`` counts in (its docstring has the proofs).  With i0 the first
+vertex where gamma^i0 > 0, p1 m_mu for a shape mu of (gamma, k - 2) leads at
+mu + e_1 at i0 with coefficient 1, and its other shapes come lower in the
+order by degree, then lex, at i0.  So ``Cell.p1_reducer`` clears those
+pivots from a polynomial's coordinates top-down and keeps the complement
+shapes, lambda_1 == lambda_2 at i0; ``complement_basis`` lists their
+elements.  This module alone knows that layout.
 """
 
 from __future__ import annotations
@@ -238,48 +246,129 @@ def _cell_shapes(quiver: Quiver, gamma: DimVector, k: int) -> list[tuple[tuple[i
     return shapes
 
 
-def basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
-    """A basis of the bidegree-(gamma, k) piece: products over the vertices of
-    monomial symmetric polynomials, one partition of d_i with at most gamma^i
-    parts per vertex, over all splittings d = sum d_i of the polynomial degree
-    d = (k - chi(gamma, gamma)) / 2.  Off-parity or negative d gives [].
-    The terms of a product of m_lambda_i are the sums of one orbit key per
-    block, all with coefficient 1."""
-    gamma = tuple(gamma)
+def _elements(quiver: Quiver, gamma: DimVector, shapes):
+    """The basis element of each shape, in order: per vertex the monomial
+    symmetric polynomial m_lambda, whose terms are the sums of one orbit key
+    per block, all with coefficient 1."""
     orbits = [{} for _ in gamma]   # per vertex: partition -> its orbit keys
-    out = []
-    for lams in _cell_shapes(quiver, gamma, k):
+    for lams in shapes:
         keys = [0]
         for i, lam in enumerate(lams):
             orbit = orbits[i].get(lam)
             if orbit is None:
                 orbit = orbits[i][lam] = _orbit_keys(gamma, i, lam)
             keys = [key + o for key in keys for o in orbit]
-        out.append(CohaElement(quiver, gamma, ColoredPoly._make(gamma, dict.fromkeys(keys, 1))))
-    return out
+        yield CohaElement(quiver, gamma, ColoredPoly._make(gamma, dict.fromkeys(keys, 1)))
 
 
-def basis_coordinates(quiver: Quiver, gamma: DimVector, k: int):
-    """(dim H_{gamma,k}, read): read(poly) is the list of coordinates on
-    ``basis(quiver, gamma, k)`` of a block-symmetric polynomial of the cell,
-    its coefficients at the lex-leading key of each basis element.  It raises
-    StructuralViolationError when poly's term count is not the sum of the
-    orbit sizes at its nonzero coordinates (see the module docstring)."""
+def basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
+    """A basis of the bidegree-(gamma, k) piece: products over the vertices of
+    monomial symmetric polynomials, one partition of d_i with at most gamma^i
+    parts per vertex, over all splittings d = sum d_i of the polynomial degree
+    d = (k - chi(gamma, gamma)) / 2.  Off-parity or negative d gives []."""
     gamma = tuple(gamma)
-    keys, sizes = [], []
-    for shape in _cell_shapes(quiver, gamma, k):
-        blocks = [_padded(gamma, i, lam) for i, lam in enumerate(shape)]
-        keys.append(_pack(sum(blocks, ())))
-        # per block, gamma^i! over the factorials of the multiplicities
-        sizes.append(prod(factorial(len(b)) // prod(map(factorial, map(b.count, set(b))))
-                          for b in blocks))
+    return list(_elements(quiver, gamma, _cell_shapes(quiver, gamma, k)))
 
-    def read(poly: ColoredPoly) -> list:
+
+def _first_vertex(gamma: DimVector) -> int:
+    """i0, the first vertex with gamma^i0 > 0."""
+    return next(i for i, n in enumerate(gamma) if n)
+
+
+def _in_complement(shape, i0: int) -> bool:
+    """lambda_1 == lambda_2 at i0, zeros padding lambda: no p1 multiple
+    leads at this shape (see the module docstring)."""
+    lam = shape[i0]
+    return lam[:1] == lam[1:2]
+
+
+def complement_basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
+    """The elements of ``basis(quiver, gamma, k)`` with lambda_1 == lambda_2
+    at the first vertex i0 of gamma: a basis of a complement of
+    p1 H_{gamma,k-2} in H_{gamma,k}."""
+    gamma = tuple(gamma)
+    i0 = _first_vertex(gamma)
+    return list(_elements(quiver, gamma, [shape for shape in _cell_shapes(quiver, gamma, k)
+                                          if _in_complement(shape, i0)]))
+
+
+def _p1(gamma: DimVector) -> ColoredPoly:
+    """p1, the sum of all the variables."""
+    return ColoredPoly._make(gamma, dict.fromkeys((1 << 8 * v for v in range(sum(gamma))), 1))
+
+
+class Cell:
+    """The cell (gamma, k) and its monomial basis: ``shapes`` holds each basis
+    element's partition per vertex, in ``basis`` order, and len(cell) is
+    dim H_{gamma,k}.  Off parity or below chi the cell is empty."""
+
+    __slots__ = ("quiver", "gamma", "k", "shapes", "_keys", "_sizes")
+
+    def __init__(self, quiver: Quiver, gamma: DimVector, k: int):
+        gamma = tuple(gamma)
+        self.quiver, self.gamma, self.k = quiver, gamma, k
+        self.shapes = _cell_shapes(quiver, gamma, k)
+        self._keys, self._sizes = [], []
+        for shape in self.shapes:
+            blocks = [_padded(gamma, i, lam) for i, lam in enumerate(shape)]
+            self._keys.append(_pack(sum(blocks, ())))
+            # per block, gamma^i! over the factorials of the multiplicities
+            self._sizes.append(prod(factorial(len(b)) // prod(map(factorial, map(b.count, set(b))))
+                                    for b in blocks))
+
+    def __len__(self):
+        return len(self.shapes)
+
+    def read(self, poly: ColoredPoly) -> list:
+        """The coordinates of a block-symmetric polynomial of the cell on its
+        basis: its coefficients at the lex-leading key of each element.  A
+        term count other than the sum of the orbit sizes at the nonzero
+        coordinates raises StructuralViolationError (see the module
+        docstring)."""
         get = poly._terms.get
-        row = [get(key, 0) for key in keys]
-        if len(poly) != sum(n for n, c in zip(sizes, row) if c):
+        row = [get(key, 0) for key in self._keys]
+        if len(poly) != sum(n for n, c in zip(self._sizes, row) if c):
             raise StructuralViolationError(
-                f"a polynomial at gamma={gamma}, k={k} is not block-symmetric "
-                f"of degree {(k - euler_form(quiver, gamma, gamma)) // 2}")
+                f"a polynomial at gamma={self.gamma}, k={self.k} is not block-symmetric "
+                f"of degree {(self.k - euler_form(self.quiver, self.gamma, self.gamma)) // 2}")
         return row
-    return len(keys), read
+
+    def p1_reducer(self, below: "Cell"):
+        """reduce(poly): the coordinates of a polynomial of the cell modulo
+        p1 H_{gamma,k-2}, on the complement shapes (lambda_1 == lambda_2 at
+        i0) in ``basis`` order.  below is the cell (gamma, k - 2).  Each row
+        p1 m_mu must lead at its pivot mu + e_1 at i0 with coefficient 1, in
+        the order of the triangular pass, or StructuralViolationError is
+        raised (see the module docstring)."""
+        gamma, k = self.gamma, self.k
+        if (below.quiver, below.gamma, below.k) != (self.quiver, gamma, k - 2):
+            raise DomainError(f"p1 multiples of the cell (gamma={gamma}, k={k}) come from "
+                              f"(gamma, k - 2), not (gamma={below.gamma}, k={below.k})")
+        i0 = _first_vertex(gamma)
+        index = {shape: j for j, shape in enumerate(self.shapes)}
+        order = [(sum(shape[i0]), shape[i0]) for shape in self.shapes]
+        p1 = _p1(gamma)
+        steps = []
+        for mu, m_mu in zip(below.shapes, _elements(self.quiver, gamma, below.shapes)):
+            lam = mu[i0]
+            pivot = index[mu[:i0] + ((lam[0] + 1,) + lam[1:] if lam else (1,),) + mu[i0 + 1:]]
+            row = self.read(p1 * m_mu.poly)
+            rest = [(j, c) for j, c in enumerate(row) if c and j != pivot]
+            if row[pivot] != 1 or any(order[j] >= order[pivot] for j, _ in rest):
+                raise StructuralViolationError(
+                    f"p1 m_mu at gamma={gamma}, k={k} does not lead at mu + e_1 = "
+                    f"{self.shapes[pivot]} with coefficient 1 (mu={mu})")
+            steps.append((order[pivot], pivot, rest))
+        # top-down: a step writes only to columns below its pivot
+        steps.sort(key=lambda step: step[0], reverse=True)
+        complement = [j for j, shape in enumerate(self.shapes) if _in_complement(shape, i0)]
+
+        def reduce(poly: ColoredPoly) -> list:
+            row = self.read(poly)
+            for _, pivot, rest in steps:
+                c = row[pivot]
+                if c:
+                    for j, v in rest:
+                        row[j] -= c * v
+            return [row[j] for j in complement]
+        return reduce

@@ -1,22 +1,50 @@
 """Generator counting by exact linear algebra.
 
-For a symmetric quiver the Hall algebra is free supercommutative, so the
-bidegree-(gamma, k) generator space has a well-defined dimension
+For a symmetric quiver the Hall algebra H is free supercommutative on a
+generator space V = Vprim (x) Q[x], x of bidegree (0, 2) acting as
+multiplication by p1, the sum of all the variables (Efimov, arXiv:1103.2736;
+Kontsevich-Soibelman, arXiv:1006.2706, Section 2), and
+Omega(gamma) = sum_k c_{gamma,k} q^(k/2) with c_{gamma,k} = dim Vprim_{gamma,k}.
+``prim_dims`` reads c off the quotient by p1, cell by cell:
 
-    dim V_{gamma,k} = dim H_{gamma,k} - dim (sum of products of lower pieces),
+    c_{gamma,k} = dim H_{gamma,k} - dim (D_k + p1 H_{gamma,k-2}),
 
-and the primitive part satisfies c_{gamma,k} = dim V_{gamma,k} -
-dim V_{gamma,k-2} (one polynomial generator of degree (0, 2) is split off),
-which ``prim_dims`` takes directly, cell by cell, as
-Omega(gamma) = sum_k c_{gamma,k} q^(k/2).  dim H_{gamma,k} and the
-coordinates of each product on the basis of H_{gamma,k} come from
-``coha.basis_coordinates``, which alone knows the layout of that basis.
+with D_k the span of the products of lower pieces (``decomposable_dim``).
+
+The derivation.  p1(x) = p1(x') + p1(x'') is invariant under every shuffle,
+so it passes through the symmetrization of the Hall product:
+p1 (f g) = (p1 f) g + f (p1 g), and multiplication by p1 is a derivation.  A
+derivation maps products to sums of products, so it acts on the
+indecomposables H / D = V, there as x.  Hence H / (D + p1 H) = V / x V =
+Vprim, which is the formula above.
+
+The columns.  dim H_{gamma,k} and the coordinates on the cell's monomial basis
+come from ``coha.Cell``, which alone knows that layout.  Let i0 be the first
+vertex with gamma^i0 > 0.  For a basis element m_mu of H_{gamma,k-2}, the
+lex-leading monomial of p1 m_mu is x_{i0,1} times that of m_mu: the shape
+mu + e_1, whose partition at i0 is (mu_1 + 1, mu_2, ...).  Its coefficient
+is exactly 1, since taking one from any other slot or block leaves a
+monomial outside the orbit of mu.  Every other shape of p1 m_mu comes lower in
+the column order of the triangular pass, degree at i0 and then lex on the
+partition at i0: a step at another vertex lowers the degree at i0, a step at
+another slot of i0 the partition.  So a top-down pass over the p1 rows, with
+integer pivots 1 and no division, clears every pivot column of a product's
+row.  mu -> mu + e_1 is a bijection onto the shapes with lambda_1 > lambda_2
+at i0 (zeros padding lambda); the columns left, the complement shapes with
+lambda_1 == lambda_2 at i0, are dim H_{gamma,k} - dim H_{gamma,k-2} in
+number, and the rank of the reduced products on them is
+dim (D_k + p1 H) / p1 H.  p1 has no zero divisors, so
+dim (D_k + p1 H_{gamma,k-2}) = dim H_{gamma,k-2} + that rank.
+
+c >= 0 by construction: the rank is at most the number of complement
+columns, so no bookkeeping check remains to fail.  What can fail is the
+layout, and ``Cell.p1_reducer`` raises StructuralViolationError when a p1 row
+does not lead at its pivot with coefficient 1.
+
 Ranks are computed by fraction-free Gaussian elimination over exact integers
-after clearing denominators; there are no rank thresholds.
-
-These numbers are the independent oracle for the series-side extraction in
-``dtseries``: the two must agree, which is the computational content of the
-freeness theorem.
+after clearing denominators; there are no rank thresholds.  These numbers are
+the independent oracle for the series-side extraction in ``dtseries``: the
+two must agree, which is the computational content of the freeness theorem.
 """
 
 from __future__ import annotations
@@ -24,9 +52,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .coha import basis, basis_coordinates, twisted_product
-from .errors import DomainError, StructuralViolationError
-from .quiver import DimVector, Quiver, dim_abs, dim_sub, enumerate_dim_vectors, euler_form
+from .coha import Cell, basis, complement_basis, twisted_product
+from .errors import DomainError
+from .quiver import DimVector, Quiver, dim_sub, enumerate_dim_vectors, euler_form
 from .series import HalfSeries
 
 
@@ -68,20 +96,28 @@ def exact_rank(rows: list[list]) -> int:
     return rank
 
 
-def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
-    """Dimension of the span in H_{gamma,k} of all twisted products of
-    elements at proper decompositions gamma1 + gamma2.  Products are
-    supercommutative, a b = +-b a, so each unordered pair of basis elements
-    is multiplied once: one split of each {gamma1, gamma2}, and when
-    gamma1 == gamma2 only d1 <= d2, with f no later than g when d1 == d2.
+def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int, cells=None) -> int:
+    """dim (D_k + p1 H_{gamma,k-2}) in H_{gamma,k}, D_k the span of the
+    twisted products of elements at proper decompositions gamma1 + gamma2.
 
-    Each product becomes a row of its coordinates on the cell's basis,
-    read by ``coha.basis_coordinates``, which raises StructuralViolationError
-    on a product that is not block-symmetric of the cell's degree."""
+    This is dim H_{gamma,k-2} plus the rank of the products modulo p1 H, read
+    on the complement shapes by ``Cell.p1_reducer`` (see the module
+    docstring).  Products are supercommutative, a b = +-b a, so one split of
+    each {gamma1, gamma2} is taken.  Its first factor runs over
+    ``complement_basis`` only: f = f' + p1 h with f' there gives
+    f g = f' g - h (p1 g) modulo p1 H, as p1 is a derivation, and induction
+    on the degree of h reaches the rest.  When gamma1 == gamma2, d1 <= d2
+    still suffices: for d1 > d2, f g = +-g f, and the same step on g leaves
+    products whose first factor is a complement shape of degree d2 or less
+    and whose second has degree d1 or more.
+
+    cells, when given, is (Cell(quiver, gamma, k), Cell(quiver, gamma, k - 2))
+    already built by the caller."""
     gamma = tuple(gamma)
-    dim_h, read = basis_coordinates(quiver, gamma, k)
-    if not dim_h or dim_abs(gamma) <= 1:
-        return 0
+    cell, below = cells or (Cell(quiver, gamma, k), Cell(quiver, gamma, k - 2))
+    if len(cell) == len(below):
+        return len(below)   # no complement shapes: p1 H_{gamma,k-2} is all of H_{gamma,k}
+    reduce = cell.p1_reducer(below)
     rows = []
     seen_splits = set()
     d = (k - euler_form(quiver, gamma, gamma)) // 2
@@ -95,41 +131,34 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int) -> int:
         chi2 = euler_form(quiver, g2, g2)
         for d1 in range(0, d + chi12 + 1):
             d2 = d + chi12 - d1
-            if d2 < 0 or (g1 == g2 and d1 > d2):
+            if g1 == g2 and d1 > d2:
                 continue
-            k1 = 2 * d1 + chi1
-            k2 = 2 * d2 + chi2
-            basis1 = basis(quiver, g1, k1)
-            same = g1 == g2 and d1 == d2
-            basis2 = basis1 if same else basis(quiver, g2, k2)
-            for i, f in enumerate(basis1):
-                for g in basis2[i:] if same else basis2:
-                    prod = twisted_product(f, g).poly
-                    if prod:
-                        rows.append(read(prod))
-    return exact_rank(rows) if rows else 0
+            # factor bases are built per (split, d1) and let go
+            left = complement_basis(quiver, g1, 2 * d1 + chi1)
+            right = basis(quiver, g2, 2 * d2 + chi2) if left else []
+            for f in left:
+                for g in right:
+                    row = reduce(twisted_product(f, g).poly)
+                    if any(row):
+                        rows.append(row)
+    return len(below) + (exact_rank(rows) if rows else 0)
 
 
 def prim_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:
     """Omega(gamma) = sum_k c_{gamma,k} q^(k/2), certified on
-    [chi(gamma, gamma), kmax]: one pass over the cells k takes the
-    difference c_{gamma,k} = dim V_{gamma,k} - dim V_{gamma,k-2} directly,
-    with dim V_{gamma,k} = dim H_{gamma,k} (the dimension that
-    ``coha.basis_coordinates`` gives) - decomposable_dim; below the bottom
-    degree V vanishes.  A negative c would contradict the tensor
-    factorization V = Vprim (x) Q[x] and raises StructuralViolationError."""
+    [chi(gamma, gamma), kmax]: one pass over the cells k takes
+    c_{gamma,k} = dim H_{gamma,k} - decomposable_dim, building each cell
+    once and handing it on as the next cell's (gamma, k - 2).  Below the
+    bottom degree H vanishes.  c >= 0 holds by construction: the rank read
+    off the complement shapes is at most their number, dim H_k - dim H_{k-2}."""
     quiver.check_dim(gamma)
     gamma = tuple(gamma)
     chi = euler_form(quiver, gamma, gamma)
     if kmax < chi:
         raise DomainError(f"kmax={kmax} below the bottom degree chi={chi}")
-    prims, dim_below = {}, 0
+    prims, below = {}, Cell(quiver, gamma, chi - 2)
     for k in range(chi, kmax + 1, 2):
-        dim_v = basis_coordinates(quiver, gamma, k)[0] - decomposable_dim(quiver, gamma, k)
-        if dim_v < dim_below:
-            raise StructuralViolationError(
-                f"c_{{gamma={gamma}, k={k}}} = {dim_v - dim_below} < 0: "
-                f"freeness bookkeeping broken")
-        prims[k] = dim_v - dim_below
-        dim_below = dim_v
+        cell = Cell(quiver, gamma, k)
+        prims[k] = len(cell) - decomposable_dim(quiver, gamma, k, (cell, below))
+        below = cell
     return HalfSeries(prims, chi, kmax)

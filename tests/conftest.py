@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from quivercoha import Quiver
 
@@ -52,3 +53,17 @@ def agree(a, b):
     if his:
         keys = range(min(a.lo, b.lo), min(his) + 1)
     return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0) for k in keys)
+
+
+@st.composite
+def random_cells(draw):
+    """A symmetric quiver on 1-3 vertices, loops and edges of multiplicity
+    <= 2, and a box with entries <= 2."""
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 2))
+    gmax = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                      .filter(any)))
+    return Quiver.from_lists(rows), gmax

@@ -10,7 +10,7 @@ from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError
                         enumerate_dim_vectors, euler_form, parse_colored_poly,
                         shuffle_product, sign_twist, twisted_product)
 from quivercoha import coha
-from quivercoha.coha import basis_coordinates
+from quivercoha.coha import Cell, complement_basis
 
 from conftest import S1, S2, S3, S4, SUITE, poly_from_terms
 
@@ -188,7 +188,8 @@ def test_basis_elements_are_block_symmetric():
     for e in bas:
         assert e.poly.is_block_symmetric()
     # the coordinates of the basis elements are the identity matrix
-    dim, read = basis_coordinates(S4, (2, 2), k)
+    cell = Cell(S4, (2, 2), k)
+    dim, read = len(cell), cell.read
     assert dim == len(bas)
     assert [read(e.poly) for e in bas] == [[int(i == j) for j in range(dim)]
                                            for i in range(dim)]
@@ -206,7 +207,8 @@ def test_basis_coordinates_read_any_symmetric_polynomial(quiver, gamma):
     k = euler_form(quiver, gamma, gamma) + 4   # polynomial degree 2
     rng = random.Random(f"read-{gamma}")
     bas = basis(quiver, gamma, k)
-    dim, read = basis_coordinates(quiver, gamma, k)
+    cell = Cell(quiver, gamma, k)
+    dim, read = len(cell), cell.read
     assert dim == len(bas) > 1
     assert read(ColoredPoly.zero(gamma)) == [0] * dim
     for _ in range(5):
@@ -227,10 +229,31 @@ def test_basis_coordinates_read_any_symmetric_polynomial(quiver, gamma):
 def test_basis_coordinates_check_the_exponent_range():
     # a cell whose monomials need an exponent above 127 is over the packing
     # limit; one at 127 is not
-    assert basis_coordinates(S1, (1,), 1 + 2 * 127)[0] == 1
+    assert len(Cell(S1, (1,), 1 + 2 * 127)) == 1
     with pytest.raises(LimitExceededError):
-        basis_coordinates(S1, (1,), 1 + 2 * 128)
-    assert basis_coordinates(S1, (1,), 2)[0] == 0
+        Cell(S1, (1,), 1 + 2 * 128)
+    assert len(Cell(S1, (1,), 2)) == 0
+
+
+@pytest.mark.parametrize("quiver,gamma", CELLS + [(S4, (0, 2))],
+                         ids=["S1", "S2", "S3", "S4", "three-vertex", "S4-second-vertex"])
+def test_p1_reducer_kills_p1_multiples_and_reads_the_complement(quiver, gamma):
+    # p1 H_{gamma,k-2} reduces to zero, and the complement shapes, as many as
+    # dim H_k - dim H_(k-2), read as the unit vectors
+    k = euler_form(quiver, gamma, gamma) + 8   # polynomial degree 4
+    cell, below = Cell(quiver, gamma, k), Cell(quiver, gamma, k - 2)
+    reduce = cell.p1_reducer(below)
+    rest = complement_basis(quiver, gamma, k)
+    assert len(rest) == len(cell) - len(below) > 0
+    p1 = sum((ColoredPoly.variable(gamma, i, s)
+              for i, size in enumerate(gamma) for s in range(1, size + 1)),
+             ColoredPoly.zero(gamma))
+    for m in basis(quiver, gamma, k - 2):
+        assert not any(reduce(p1 * m.poly))
+    assert [reduce(e.poly) for e in rest] == [[int(i == j) for j in range(len(rest))]
+                                              for i in range(len(rest))]
+    with pytest.raises(DomainError, match="k - 2"):
+        cell.p1_reducer(cell)
 
 
 # -- randomized algebra properties (small sizes; the acceptance suite scales up) --

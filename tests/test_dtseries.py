@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver,
                         build_generating_series, dt_report, enumerate_dim_vectors,
                         euler_form, plethystic_factor, prim_dims)
-from quivercoha.coha import basis_coordinates
+from quivercoha.coha import Cell
 from quivercoha.dtseries import _inverse_pochhammers
 from quivercoha.quiver import dim_abs
 
-from conftest import S1, S2, S3, S4, SUITE, agree
+from conftest import S1, S2, S3, S4, SUITE, agree, random_cells
 
 
 # -- Hilbert series ---------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_hilbert_counts_match_basis(suite_quiver):
         chi = euler_form(suite_quiver, gamma, gamma)
         s = build_generating_series(suite_quiver, gamma, 10).piece(gamma)
         for k in range(chi, chi + 11):
-            assert s.coeff(k) == basis_coordinates(suite_quiver, gamma, k)[0]
+            assert s.coeff(k) == len(Cell(suite_quiver, gamma, k))
 
 
 def _pochhammer(m):
@@ -260,22 +260,23 @@ def test_prim_dims_agree_with_extraction_small(suite_quiver):
         assert agree(linear, omegas[gamma]), gamma
 
 
-@st.composite
-def _random_cells(draw):
-    """A symmetric quiver on 1-3 vertices, loops and edges of multiplicity
-    <= 2, and a box with entries <= 2."""
-    n = draw(st.integers(1, 3))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = draw(st.integers(0, 2))
-    gmax = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
-                      .filter(any)))
-    return Quiver.from_lists(rows), gmax
+def test_prim_dims_agree_with_extraction_on_doubled_kronecker_3_3():
+    # every cell of check-freeness on the doubled 2-Kronecker quiver, box
+    # (3,3), qtrunc 12: the p1 quotient with factors such as (0, 1) restricted
+    # at their own first vertex, and with splits gamma1 == gamma2 whose first
+    # factor is restricted to complement shapes and taken at d1 <= d2 only
+    omegas = plethystic_factor(build_generating_series(S4, (3, 3), 12))
+    for gamma, series in omegas.items():
+        chi = euler_form(S4, gamma, gamma)
+        if series.hi < chi:
+            continue
+        linear = prim_dims(S4, gamma, min(chi + 12, series.hi))
+        assert linear.window() == (chi, min(chi + 12, series.hi)), gamma
+        assert agree(linear, series), gamma
 
 
 @settings(deadline=None, max_examples=40)
-@given(_random_cells())
+@given(random_cells())
 def test_prim_dims_agree_with_extraction_on_random_quivers(case):
     # the two routes to Omega at breadth: every cell with |gamma| <= 4 inside
     # both windows at qtrunc 8, as check-freeness compares them

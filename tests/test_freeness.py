@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoha import (CohaElement, DomainError, StructuralViolationError, basis,
+from hypothesis import given, settings
+
+from quivercoha import (CohaElement, ColoredPoly, DomainError, StructuralViolationError, basis,
                         decomposable_dim, enumerate_dim_vectors, euler_form, prim_dims,
                         twisted_product)
-from quivercoha import freeness
-from quivercoha.coha import basis_coordinates
+from quivercoha import coha, freeness
+from quivercoha.coha import Cell
 from quivercoha.freeness import exact_rank
 
-from conftest import S1, S2, S4, agree, poly_from_terms
+from conftest import S1, S2, S4, agree, poly_from_terms, random_cells
 
 
 # -- exact rank ----------------------------------------------------------------
@@ -54,19 +56,49 @@ def test_exact_rank_matches_brute_force():
 
 # -- decomposables ----------------------------------------------------------------
 
+def _decomposable_oracle(quiver, gamma, k):
+    """dim D_k alone: the rank of the twisted products of all basis elements
+    at proper splits gamma1 + gamma2, one per unordered pair (a b = +-b a),
+    on the coordinates of the cell's basis."""
+    gamma = tuple(gamma)
+    read = Cell(quiver, gamma, k).read
+    rows, seen = [], set()
+    for g1 in enumerate_dim_vectors(gamma)[:-1]:
+        g2 = tuple(x - y for x, y in zip(gamma, g1))
+        if (g2, g1) in seen:
+            continue
+        seen.add((g1, g2))
+        for k1 in range(euler_form(quiver, g1, g1), k - euler_form(quiver, g2, g2) + 1, 2):
+            k2 = k - k1
+            if g1 == g2 and k1 > k2:
+                continue
+            basis1 = basis(quiver, g1, k1)
+            same = g1 == g2 and k1 == k2
+            basis2 = basis1 if same else basis(quiver, g2, k2)
+            for i, f in enumerate(basis1):
+                for g in basis2[i:] if same else basis2:
+                    rows.append(read(twisted_product(f, g).poly))
+    return exact_rank(rows)
+
+
 def test_decomposable_examples():
-    # products of bidegrees (1,1) x (1,5) span a line in H_{(2),6}
+    # products of bidegrees (1,1) x (1,5) span a line in H_{(2),6}, and so
+    # does p1 H_{(2),4} = Q (x1 + x2): the same line
     assert decomposable_dim(S1, (2,), 6) == 1
-    # no proper decomposition at |gamma| = 1
-    assert decomposable_dim(S2, (1,), 5) == 0
+    assert _decomposable_oracle(S1, (2,), 6) == 1
+    # no proper decomposition at |gamma| = 1, but p1 H_{(1),3} = Q x^2 is
+    # all of H_{(1),5}
+    assert _decomposable_oracle(S2, (1,), 5) == 0
+    assert decomposable_dim(S2, (1,), 5) == 1
     # below the bottom of the bidegree window the space is empty
     assert decomposable_dim(S1, (2,), 2) == 0
 
 
-def _full_product_rank(quiver, gamma, k):
+def _full_product_rank(quiver, gamma, k, p1_multiples=False):
     """Rank of every twisted product f g, f and g basis elements at an
-    ordered split gamma1 + gamma2 with k1 + k2 = k, on coordinates at every
-    monomial that occurs."""
+    ordered split gamma1 + gamma2 with k1 + k2 = k, and with p1_multiples of
+    every p1 m_mu, m_mu a basis element of H_{gamma,k-2}, on coordinates at
+    every monomial that occurs."""
     prods = []
     for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = tuple(x - y for x, y in zip(gamma, g1))
@@ -74,6 +106,11 @@ def _full_product_rank(quiver, gamma, k):
             for f in basis(quiver, g1, k1):
                 for g in basis(quiver, g2, k - k1):
                     prods.append(twisted_product(f, g).poly)
+    if p1_multiples:
+        p1 = sum((ColoredPoly.variable(gamma, i, s)
+                  for i, size in enumerate(gamma) for s in range(1, size + 1)),
+                 ColoredPoly.zero(gamma))
+        prods += [p1 * m.poly for m in basis(quiver, gamma, k - 2)]
     coefficients = [dict(p.terms()) for p in prods]
     monomials = sorted({exps for c in coefficients for exps in c})
     return exact_rank([[c.get(m, 0) for m in monomials] for c in coefficients])
@@ -81,20 +118,24 @@ def _full_product_rank(quiver, gamma, k):
 
 @pytest.mark.parametrize("quiver,gamma", [(S2, (2,)), (S2, (4,)), (S4, (2, 2))])
 def test_decomposable_dim_spans_every_ordered_product(quiver, gamma):
-    # decomposable_dim multiplies each unordered pair once; a b = +-b a, so
-    # the span must be that of all ordered products
+    # decomposable_dim multiplies complement shapes on the left of one order
+    # of each split, and the oracle each unordered pair once; a b = +-b a and
+    # (p1 f) g = -f (p1 g) modulo p1 H, so the spans must be those of all
+    # ordered products, with and without every p1 multiple
     chi = euler_form(quiver, gamma, gamma)
     for k in range(chi, chi + 13, 2):
-        assert decomposable_dim(quiver, gamma, k) == _full_product_rank(quiver, gamma, k)
+        assert decomposable_dim(quiver, gamma, k) == _full_product_rank(
+            quiver, gamma, k, p1_multiples=True), k
+        assert _decomposable_oracle(quiver, gamma, k) == _full_product_rank(quiver, gamma, k), k
 
 
 # -- generator series --------------------------------------------------------------
 
 def _generator_dims(quiver, gamma, kmax):
     """{k: dim V_{gamma,k}} for chi <= k <= kmax of k's parity, dim V =
-    dim H - decomposable_dim, from the public pieces."""
+    dim H - dim D, D from the oracle."""
     chi = euler_form(quiver, gamma, gamma)
-    return {k: basis_coordinates(quiver, gamma, k)[0] - decomposable_dim(quiver, gamma, k)
+    return {k: len(Cell(quiver, gamma, k)) - _decomposable_oracle(quiver, gamma, k)
             for k in range(chi, kmax + 1, 2)}
 
 
@@ -126,6 +167,17 @@ def test_generator_dims_two_loops_gamma_one():
     _check_prim_is_the_first_difference(S4, (2, 1), 8)
 
 
+@settings(deadline=None, max_examples=40)
+@given(random_cells())
+def test_prim_dims_is_the_first_difference_on_random_quivers(case):
+    # the p1 quotient against the rank of D_k alone, cell by cell
+    quiver, gmax = case
+    for gamma in enumerate_dim_vectors(gmax):
+        if sum(gamma) <= 3:
+            _check_prim_is_the_first_difference(quiver, gamma,
+                                                euler_form(quiver, gamma, gamma) + 8)
+
+
 def test_prim_dims_examples():
     assert prim_dims(S1, (1,), 13).coeffs == {1: 1}
     assert prim_dims(S2, (1,), 9).coeffs == {-1: 1}
@@ -143,13 +195,13 @@ def test_prim_dims_monotone_under_larger_window():
     assert agree(large, small)
 
 
-def test_prim_dims_rejects_negative_multiplicity(monkeypatch):
-    # a V-series that drops from one degree to the next would need c < 0:
-    # dim H is 1 at k = 1, 3, 5, so V reads 1, 0, 1
-    monkeypatch.setattr(freeness, "decomposable_dim",
-                        lambda quiver, gamma, k: int(k == 3))
-    with pytest.raises(StructuralViolationError, match="k=3"):
-        prim_dims(S1, (1,), 5)
+def test_prim_dims_rejects_a_p1_multiple_off_its_pivot(monkeypatch):
+    # p1 m_mu has coefficient 1 at mu + e_1; with 2 p1 in its place the
+    # reader still sees a block-symmetric polynomial, but the pivot reads 2
+    real = coha._p1
+    monkeypatch.setattr(coha, "_p1", lambda gamma: real(gamma) * 2)
+    with pytest.raises(StructuralViolationError, match=r"gamma=\(2,\), k=0"):
+        prim_dims(S2, (2,), 2)
 
 
 def test_generator_dims_rejects_a_product_with_a_stray_monomial(monkeypatch):

@@ -267,7 +267,7 @@ def run_genericity(cfg: RunConfig) -> tuple[int, dict]:
             "tilde_gamma": list(legs.tilde_gamma),
             "lambda": [str(x) for x in lam],
             "gamma_dot_lambda": str(pairing),
-            "generic": is_generic(t, q, gamma)[0],
+            "generic": is_generic(t, q, gamma),
         })
     payload = {
         "quiver": cfg.quiver.to_spec_dict(),

@@ -59,12 +59,25 @@ block-symmetric of degree d, and the reader raises StructuralViolationError.
 
 The same layout gives the quotient by p1, the sum of all the variables, that
 ``freeness`` counts in (its docstring has the proofs).  With i0 the first
-vertex where gamma^i0 > 0, p1 m_mu for a shape mu of (gamma, k - 2) leads at
-mu + e_1 at i0 with coefficient 1, and its other shapes come lower in the
-order by degree, then lex, at i0.  So ``Cell.p1_reducer`` clears those
-pivots from a polynomial's coordinates top-down and keeps the complement
-shapes, lambda_1 == lambda_2 at i0; ``complement_basis`` lists their
-elements.  This module alone knows that layout.
+vertex where gamma^i0 > 0, the basis of H_{gamma,k-2} is indexed by the
+shapes lambda of the cell with lambda_1 > lambda_2 at i0 (zeros padding
+lambda), through mu = lambda - e_1 at i0, so dim H_{gamma,k-2} is their
+number.  p1 m_mu is read off the cell by Pieri's rule for monomial symmetric
+functions (Macdonald, *Symmetric Functions*, ch. I): it is the sum over the
+vertices i, and over the distinct values v of mu^i padded to gamma^i parts,
+of c m_nu, nu being mu with its first part equal to v raised to v + 1 and c
+the multiplicity of v + 1 in nu^i.  Proof: the coefficient of x^nu in
+p1 m_mu counts the slots s with nu - e_s in the orbit of mu; lowering a part
+w of nu^i by one gives the parts of mu^i exactly when w = v + 1.  On the
+packed leading keys mu is lambda's key minus the unit of slot (i0, 1), and
+nu is mu's key plus the unit of the raised slot.  The row of lambda leads at
+lambda with coefficient 1 (lambda_1 is the only part of its size at i0), and
+its other shapes come lower in the order by degree, then lex, at i0: a raise
+at another vertex lowers the degree at i0, one at a later slot of i0 the
+partition.  So ``Cell.p1_reducer`` clears those pivots from a polynomial's
+coordinates top-down and keeps the complement shapes, lambda_1 == lambda_2
+at i0; ``complement_basis`` lists their elements.  This module alone knows
+that layout.
 """
 
 from __future__ import annotations
@@ -292,11 +305,6 @@ def complement_basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaEleme
                                           if _in_complement(shape, i0)]))
 
 
-def _p1(gamma: DimVector) -> ColoredPoly:
-    """p1, the sum of all the variables."""
-    return ColoredPoly._make(gamma, dict.fromkeys((1 << 8 * v for v in range(sum(gamma))), 1))
-
-
 class Cell:
     """The cell (gamma, k) and its monomial basis: ``shapes`` holds each basis
     element's partition per vertex, in ``basis`` order, and len(cell) is
@@ -333,31 +341,46 @@ class Cell:
                 f"of degree {(self.k - euler_form(self.quiver, self.gamma, self.gamma)) // 2}")
         return row
 
-    def p1_reducer(self, below: "Cell"):
-        """reduce(poly): the coordinates of a polynomial of the cell modulo
-        p1 H_{gamma,k-2}, on the complement shapes (lambda_1 == lambda_2 at
-        i0) in ``basis`` order.  below is the cell (gamma, k - 2).  Each row
-        p1 m_mu must lead at its pivot mu + e_1 at i0 with coefficient 1, in
+    def _p1_rows(self):
+        """(pivot lambda, the (index, coefficient) pairs of p1 m_mu) per shape
+        with lambda_1 > lambda_2 at i0, by Pieri's rule on the packed keys."""
+        gamma, nvars = self.gamma, sum(self.gamma)
+        i0 = _first_vertex(gamma)
+        offs = [0, *accumulate(gamma)]
+        units = [1 << 8 * (nvars - 1 - s) for s in range(nvars)]
+        index = {key: j for j, key in enumerate(self._keys)}
+        for pivot, (shape, key) in enumerate(zip(self.shapes, self._keys)):
+            if _in_complement(shape, i0):
+                continue
+            mu = key - units[offs[i0]]
+            exps = mu.to_bytes(nvars, "big")
+            row = []
+            for a, b in zip(offs, offs[1:]):
+                for s in range(a, b):
+                    if s == a or exps[s - 1] != exps[s]:   # first slot of a run of v
+                        row.append((index[mu + units[s]], exps[a:b].count(exps[s] + 1) + 1))
+            yield pivot, row
+
+    def p1_reducer(self):
+        """(dim H_{gamma,k-2}, reduce): reduce(poly) gives the coordinates of
+        a polynomial of the cell modulo p1 H_{gamma,k-2}, on the complement
+        shapes (lambda_1 == lambda_2 at i0) in ``basis`` order.  Each p1 row
+        must lead at its pivot with coefficient 1, every other shape lower in
         the order of the triangular pass, or StructuralViolationError is
         raised (see the module docstring)."""
-        gamma, k = self.gamma, self.k
-        if (below.quiver, below.gamma, below.k) != (self.quiver, gamma, k - 2):
-            raise DomainError(f"p1 multiples of the cell (gamma={gamma}, k={k}) come from "
-                              f"(gamma, k - 2), not (gamma={below.gamma}, k={below.k})")
+        gamma = self.gamma
         i0 = _first_vertex(gamma)
-        index = {shape: j for j, shape in enumerate(self.shapes)}
-        order = [(sum(shape[i0]), shape[i0]) for shape in self.shapes]
-        p1 = _p1(gamma)
+        size, shift, mask = gamma[i0], 8 * sum(gamma[i0 + 1:]), (1 << 8 * gamma[i0]) - 1
+        # (degree, lex) of the block at i0, as one integer per shape
+        blocks = [key >> shift & mask for key in self._keys]
+        order = [sum(b.to_bytes(size, "big")) << 8 * size | b for b in blocks]
         steps = []
-        for mu, m_mu in zip(below.shapes, _elements(self.quiver, gamma, below.shapes)):
-            lam = mu[i0]
-            pivot = index[mu[:i0] + ((lam[0] + 1,) + lam[1:] if lam else (1,),) + mu[i0 + 1:]]
-            row = self.read(p1 * m_mu.poly)
-            rest = [(j, c) for j, c in enumerate(row) if c and j != pivot]
-            if row[pivot] != 1 or any(order[j] >= order[pivot] for j, _ in rest):
+        for pivot, row in self._p1_rows():
+            rest = [(j, c) for j, c in row if j != pivot]
+            if (pivot, 1) not in row or any(order[j] >= order[pivot] for j, _ in rest):
                 raise StructuralViolationError(
-                    f"p1 m_mu at gamma={gamma}, k={k} does not lead at mu + e_1 = "
-                    f"{self.shapes[pivot]} with coefficient 1 (mu={mu})")
+                    f"p1 m_mu at gamma={gamma}, k={self.k} does not lead at mu + e_1 = "
+                    f"{self.shapes[pivot]} with coefficient 1")
             steps.append((order[pivot], pivot, rest))
         # top-down: a step writes only to columns below its pivot
         steps.sort(key=lambda step: step[0], reverse=True)
@@ -371,4 +394,4 @@ class Cell:
                     for j, v in rest:
                         row[j] -= c * v
             return [row[j] for j in complement]
-        return reduce
+        return len(steps), reduce

@@ -18,23 +18,21 @@ derivation maps products to sums of products, so it acts on the
 indecomposables H / D = V, there as x.  Hence H / (D + p1 H) = V / x V =
 Vprim, which is the formula above.
 
-The columns.  dim H_{gamma,k} and the coordinates on the cell's monomial basis
-come from ``coha.Cell``, which alone knows that layout.  Let i0 be the first
-vertex with gamma^i0 > 0.  For a basis element m_mu of H_{gamma,k-2}, the
-lex-leading monomial of p1 m_mu is x_{i0,1} times that of m_mu: the shape
-mu + e_1, whose partition at i0 is (mu_1 + 1, mu_2, ...).  Its coefficient
-is exactly 1, since taking one from any other slot or block leaves a
-monomial outside the orbit of mu.  Every other shape of p1 m_mu comes lower in
-the column order of the triangular pass, degree at i0 and then lex on the
-partition at i0: a step at another vertex lowers the degree at i0, a step at
-another slot of i0 the partition.  So a top-down pass over the p1 rows, with
-integer pivots 1 and no division, clears every pivot column of a product's
-row.  mu -> mu + e_1 is a bijection onto the shapes with lambda_1 > lambda_2
-at i0 (zeros padding lambda); the columns left, the complement shapes with
-lambda_1 == lambda_2 at i0, are dim H_{gamma,k} - dim H_{gamma,k-2} in
-number, and the rank of the reduced products on them is
-dim (D_k + p1 H) / p1 H.  p1 has no zero divisors, so
-dim (D_k + p1 H_{gamma,k-2}) = dim H_{gamma,k-2} + that rank.
+The columns.  dim H_{gamma,k}, the coordinates on the cell's monomial basis
+and the p1 rows all come from ``coha.Cell``, which alone knows that layout
+(its docstring has Pieri's rule for the rows).  Let i0 be the first vertex
+with gamma^i0 > 0.  p1 m_mu, for m_mu a basis element of H_{gamma,k-2},
+leads at the shape mu + e_1, whose partition at i0 is (mu_1 + 1, mu_2, ...),
+with coefficient 1, and its other shapes come lower in the column order of
+the triangular pass, degree at i0 and then lex on the partition at i0.  So a
+top-down pass over the p1 rows, with integer pivots 1 and no division,
+clears every pivot column of a product's row.  mu -> mu + e_1 is a
+bijection onto the shapes with lambda_1 > lambda_2 at i0 (zeros padding
+lambda), so dim H_{gamma,k-2} is their number, read off the cell (gamma, k)
+alone.  The columns left, the complement shapes with lambda_1 == lambda_2
+at i0, are dim H_{gamma,k} - dim H_{gamma,k-2} in number, and the rank of
+the reduced products on them is dim (D_k + p1 H) / p1 H.  p1 has no zero
+divisors, so dim (D_k + p1 H_{gamma,k-2}) = dim H_{gamma,k-2} + that rank.
 
 c >= 0 by construction: the rank is at most the number of complement
 columns, so no bookkeeping check remains to fail.  What can fail is the
@@ -96,28 +94,24 @@ def exact_rank(rows: list[list]) -> int:
     return rank
 
 
-def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int, cells=None) -> int:
-    """dim (D_k + p1 H_{gamma,k-2}) in H_{gamma,k}, D_k the span of the
-    twisted products of elements at proper decompositions gamma1 + gamma2.
+def decomposable_dim(cell: Cell) -> int:
+    """dim (D_k + p1 H_{gamma,k-2}) in the cell H_{gamma,k}, D_k the span of
+    the twisted products of elements at proper decompositions gamma1 + gamma2.
 
-    This is dim H_{gamma,k-2} plus the rank of the products modulo p1 H, read
-    on the complement shapes by ``Cell.p1_reducer`` (see the module
-    docstring).  Products are supercommutative, a b = +-b a, so one split of
-    each {gamma1, gamma2} is taken.  Its first factor runs over
+    This is dim H_{gamma,k-2} plus the rank of the products modulo p1 H, both
+    read off the cell by ``Cell.p1_reducer`` (see the module docstring).
+    Products are supercommutative, a b = +-b a, so one split of each
+    {gamma1, gamma2} is taken.  Its first factor runs over
     ``complement_basis`` only: f = f' + p1 h with f' there gives
     f g = f' g - h (p1 g) modulo p1 H, as p1 is a derivation, and induction
     on the degree of h reaches the rest.  When gamma1 == gamma2, d1 <= d2
     still suffices: for d1 > d2, f g = +-g f, and the same step on g leaves
     products whose first factor is a complement shape of degree d2 or less
-    and whose second has degree d1 or more.
-
-    cells, when given, is (Cell(quiver, gamma, k), Cell(quiver, gamma, k - 2))
-    already built by the caller."""
-    gamma = tuple(gamma)
-    cell, below = cells or (Cell(quiver, gamma, k), Cell(quiver, gamma, k - 2))
-    if len(cell) == len(below):
-        return len(below)   # no complement shapes: p1 H_{gamma,k-2} is all of H_{gamma,k}
-    reduce = cell.p1_reducer(below)
+    and whose second has degree d1 or more."""
+    quiver, gamma, k = cell.quiver, cell.gamma, cell.k
+    below, reduce = cell.p1_reducer()
+    if below == len(cell):
+        return below   # no complement shapes: p1 H_{gamma,k-2} is all of H_{gamma,k}
     rows = []
     seen_splits = set()
     d = (k - euler_form(quiver, gamma, gamma)) // 2
@@ -141,24 +135,23 @@ def decomposable_dim(quiver: Quiver, gamma: DimVector, k: int, cells=None) -> in
                     row = reduce(twisted_product(f, g).poly)
                     if any(row):
                         rows.append(row)
-    return len(below) + (exact_rank(rows) if rows else 0)
+    return below + (exact_rank(rows) if rows else 0)
 
 
 def prim_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:
     """Omega(gamma) = sum_k c_{gamma,k} q^(k/2), certified on
     [chi(gamma, gamma), kmax]: one pass over the cells k takes
     c_{gamma,k} = dim H_{gamma,k} - decomposable_dim, building each cell
-    once and handing it on as the next cell's (gamma, k - 2).  Below the
-    bottom degree H vanishes.  c >= 0 holds by construction: the rank read
-    off the complement shapes is at most their number, dim H_k - dim H_{k-2}."""
+    once.  Below the bottom degree H vanishes.  c >= 0 holds by
+    construction: the rank read off the complement shapes is at most their
+    number, dim H_k - dim H_{k-2}."""
     quiver.check_dim(gamma)
     gamma = tuple(gamma)
     chi = euler_form(quiver, gamma, gamma)
     if kmax < chi:
         raise DomainError(f"kmax={kmax} below the bottom degree chi={chi}")
-    prims, below = {}, Cell(quiver, gamma, chi - 2)
+    prims = {}
     for k in range(chi, kmax + 1, 2):
         cell = Cell(quiver, gamma, k)
-        prims[k] = len(cell) - decomposable_dim(quiver, gamma, k, (cell, below))
-        below = cell
+        prims[k] = len(cell) - decomposable_dim(cell)
     return HalfSeries(prims, chi, kmax)

@@ -102,17 +102,7 @@ def lambda_from_eigenvalues(t: EigenData, legs: LegData):
     return tuple(lam)
 
 
-class GenericityCertificate(namedtuple("GenericityCertificate",
-                                        "generic colliding_pair violating_subset",
-                                        defaults=(None, None))):
-    """Outcome of ``is_generic``, an immutable named tuple: ``generic``, and
-    the witness against it, a ``colliding_pair`` (vertex, r, s) or a
-    ``violating_subset`` (per-vertex index tuples)."""
-
-    __slots__ = ()
-
-
-def is_generic(t: EigenData, q: Quiver, gamma: DimVector) -> tuple[bool, GenericityCertificate]:
+def is_generic(t: EigenData, q: Quiver, gamma: DimVector) -> bool:
     """Regular (distinct per vertex) and no proper sub-selection sums to zero.
 
     Exhaustive over per-vertex subsets; |gamma| is capped at
@@ -124,10 +114,8 @@ def is_generic(t: EigenData, q: Quiver, gamma: DimVector) -> tuple[bool, Generic
     if dim_abs(gamma) > GENERICITY_SIZE_LIMIT:
         raise LimitExceededError(
             f"genericity test is exhaustive; |gamma| <= {GENERICITY_SIZE_LIMIT}")
-    for i, vs in enumerate(t.values):
-        for r, s in combinations(range(len(vs)), 2):
-            if vs[r] == vs[s]:
-                return False, GenericityCertificate(False, colliding_pair=(i, r, s))
+    if any(len(set(vs)) < len(vs) for vs in t.values):
+        return False
     per_vertex = [[c for size in range(len(vs) + 1)
                    for c in combinations(range(len(vs)), size)] for vs in t.values]
     total = dim_abs(gamma)
@@ -137,8 +125,8 @@ def is_generic(t: EigenData, q: Quiver, gamma: DimVector) -> tuple[bool, Generic
             continue
         s = sum((t.values[i][r] for i, p in enumerate(pick) for r in p), Fraction(0))
         if s == 0:
-            return False, GenericityCertificate(False, violating_subset=tuple(pick))
-    return True, GenericityCertificate(True)
+            return False
+    return True
 
 
 def sample_generic(q: Quiver, gamma: DimVector, seed) -> EigenData:
@@ -164,7 +152,6 @@ def sample_generic(q: Quiver, gamma: DimVector, seed) -> EigenData:
             values.append(tuple(flat[pos:pos + size]))
             pos += size
         candidate = EigenData(tuple(values))
-        ok, _ = is_generic(candidate, q, gamma)
-        if ok:
+        if is_generic(candidate, q, gamma):
             return candidate
         spread *= 2

@@ -107,8 +107,8 @@ class ColoredPoly:
                 f"variable sets differ: gamma {self.gamma} vs {other.gamma}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ColoredPoly.constant(self.gamma, other)
+        if not isinstance(other, ColoredPoly):
+            return NotImplemented
         self._check_compatible(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
@@ -118,8 +118,6 @@ class ColoredPoly:
             else:
                 out.pop(k, None)
         return ColoredPoly._make(self.gamma, out)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return ColoredPoly._make(self.gamma, {k: -c for k, c in self._terms.items()})
@@ -171,8 +169,6 @@ class ColoredPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ColoredPoly.constant(self.gamma, other)
         if not isinstance(other, ColoredPoly):
             return NotImplemented
         return self.gamma == other.gamma and self._terms == other._terms

@@ -67,3 +67,14 @@ def random_cells(draw):
     gmax = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
                       .filter(any)))
     return Quiver.from_lists(rows), gmax
+
+
+@st.composite
+def random_half_quivers(draw):
+    """A quiver on 1-3 vertices, not necessarily symmetric, loops and arrows
+    of multiplicity <= 2, and a box with entries <= 3."""
+    n = draw(st.integers(1, 3))
+    rows = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
+    gmax = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                      .filter(any)))
+    return Quiver.from_lists(rows), gmax

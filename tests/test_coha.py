@@ -12,7 +12,7 @@ from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError
 from quivercoha import coha
 from quivercoha.coha import Cell, complement_basis
 
-from conftest import S1, S2, S3, S4, SUITE, poly_from_terms
+from conftest import S1, S2, S3, S4, SUITE, poly_from_terms, random_cells
 
 
 def elt(quiver, gamma, text_or_poly):
@@ -235,25 +235,46 @@ def test_basis_coordinates_check_the_exponent_range():
     assert len(Cell(S1, (1,), 2)) == 0
 
 
-@pytest.mark.parametrize("quiver,gamma", CELLS + [(S4, (0, 2))],
-                         ids=["S1", "S2", "S3", "S4", "three-vertex", "S4-second-vertex"])
-def test_p1_reducer_kills_p1_multiples_and_reads_the_complement(quiver, gamma):
-    # p1 H_{gamma,k-2} reduces to zero, and the complement shapes, as many as
-    # dim H_k - dim H_(k-2), read as the unit vectors
-    k = euler_form(quiver, gamma, gamma) + 8   # polynomial degree 4
-    cell, below = Cell(quiver, gamma, k), Cell(quiver, gamma, k - 2)
-    reduce = cell.p1_reducer(below)
-    rest = complement_basis(quiver, gamma, k)
-    assert len(rest) == len(cell) - len(below) > 0
+def _check_p1_reducer(quiver, gamma, k):
+    """The Pieri rows of the cell (gamma, k) are the coordinates of p1 m_mu
+    over the basis of (gamma, k - 2), the reducer kills those, and the
+    complement shapes, as many as dim H_k - dim H_(k-2), read as the unit
+    vectors."""
+    cell = Cell(quiver, gamma, k)
+    below, reduce = cell.p1_reducer()
+    lower, rest = basis(quiver, gamma, k - 2), complement_basis(quiver, gamma, k)
+    assert below == len(lower) and len(rest) == len(cell) - below
     p1 = sum((ColoredPoly.variable(gamma, i, s)
               for i, size in enumerate(gamma) for s in range(1, size + 1)),
              ColoredPoly.zero(gamma))
-    for m in basis(quiver, gamma, k - 2):
-        assert not any(reduce(p1 * m.poly))
+    products = [cell.read(p1 * m.poly) for m in lower]
+    pieri = []
+    for _, row in cell._p1_rows():
+        dense = [0] * len(cell)
+        for j, c in row:
+            dense[j] = c
+        pieri.append(dense)
+    assert sorted(pieri) == sorted(products)
+    assert not any(any(reduce(p1 * m.poly)) for m in lower)
     assert [reduce(e.poly) for e in rest] == [[int(i == j) for j in range(len(rest))]
                                               for i in range(len(rest))]
-    with pytest.raises(DomainError, match="k - 2"):
-        cell.p1_reducer(cell)
+    return len(rest)
+
+
+@pytest.mark.parametrize("quiver,gamma", CELLS + [(S4, (0, 2))],
+                         ids=["S1", "S2", "S3", "S4", "three-vertex", "S4-second-vertex"])
+def test_p1_reducer_kills_p1_multiples_and_reads_the_complement(quiver, gamma):
+    assert _check_p1_reducer(quiver, gamma, euler_form(quiver, gamma, gamma) + 8) > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_cells())
+def test_p1_reducer_on_random_cells(case):
+    # looped, multi-vertex cells, i0 > 0 among them, at polynomial degrees 1-4
+    quiver, gmax = case
+    for gamma in enumerate_dim_vectors(gmax):
+        for d in range(1, 5):
+            _check_p1_reducer(quiver, gamma, euler_form(quiver, gamma, gamma) + 2 * d)
 
 
 # -- randomized algebra properties (small sizes; the acceptance suite scales up) --

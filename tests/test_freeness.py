@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from quivercoha import (CohaElement, ColoredPoly, DomainError, StructuralViolationError, basis,
                         decomposable_dim, enumerate_dim_vectors, euler_form, prim_dims,
                         twisted_product)
-from quivercoha import coha, freeness
+from quivercoha import freeness
 from quivercoha.coha import Cell
 from quivercoha.freeness import exact_rank
 
@@ -84,14 +84,14 @@ def _decomposable_oracle(quiver, gamma, k):
 def test_decomposable_examples():
     # products of bidegrees (1,1) x (1,5) span a line in H_{(2),6}, and so
     # does p1 H_{(2),4} = Q (x1 + x2): the same line
-    assert decomposable_dim(S1, (2,), 6) == 1
+    assert decomposable_dim(Cell(S1, (2,), 6)) == 1
     assert _decomposable_oracle(S1, (2,), 6) == 1
     # no proper decomposition at |gamma| = 1, but p1 H_{(1),3} = Q x^2 is
     # all of H_{(1),5}
     assert _decomposable_oracle(S2, (1,), 5) == 0
-    assert decomposable_dim(S2, (1,), 5) == 1
+    assert decomposable_dim(Cell(S2, (1,), 5)) == 1
     # below the bottom of the bidegree window the space is empty
-    assert decomposable_dim(S1, (2,), 2) == 0
+    assert decomposable_dim(Cell(S1, (2,), 2)) == 0
 
 
 def _full_product_rank(quiver, gamma, k, p1_multiples=False):
@@ -124,7 +124,7 @@ def test_decomposable_dim_spans_every_ordered_product(quiver, gamma):
     # ordered products, with and without every p1 multiple
     chi = euler_form(quiver, gamma, gamma)
     for k in range(chi, chi + 13, 2):
-        assert decomposable_dim(quiver, gamma, k) == _full_product_rank(
+        assert decomposable_dim(Cell(quiver, gamma, k)) == _full_product_rank(
             quiver, gamma, k, p1_multiples=True), k
         assert _decomposable_oracle(quiver, gamma, k) == _full_product_rank(quiver, gamma, k), k
 
@@ -196,11 +196,12 @@ def test_prim_dims_monotone_under_larger_window():
 
 
 def test_prim_dims_rejects_a_p1_multiple_off_its_pivot(monkeypatch):
-    # p1 m_mu has coefficient 1 at mu + e_1; with 2 p1 in its place the
-    # reader still sees a block-symmetric polynomial, but the pivot reads 2
-    real = coha._p1
-    monkeypatch.setattr(coha, "_p1", lambda gamma: real(gamma) * 2)
-    with pytest.raises(StructuralViolationError, match=r"gamma=\(2,\), k=0"):
+    # p1 m_mu has coefficient 1 at mu + e_1; with the Pieri rows of 2 p1 in
+    # its place the pivot reads 2, caught at the first cell with a row
+    real = Cell._p1_rows
+    monkeypatch.setattr(Cell, "_p1_rows", lambda cell: (
+        (pivot, [(j, 2 * c) for j, c in row]) for pivot, row in real(cell)))
+    with pytest.raises(StructuralViolationError, match=r"gamma=\(2,\), k=-2"):
         prim_dims(S2, (2,), 2)
 
 

@@ -37,6 +37,16 @@ def test_add_cancels():
     assert (x1 + x2) + -(x1 + x2) == ColoredPoly.zero(g)
 
 
+def test_a_number_is_not_a_polynomial_operand():
+    # numbers enter through ColoredPoly.constant; + and == take polynomials only
+    x = v((1,), 0, 1)
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        1 + x
+    assert x * x != 1 and ColoredPoly.constant((1,), 1) != 1
+
+
 def test_mul_difference_of_squares():
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)
@@ -189,7 +199,7 @@ def test_exact_divide_recreates_a_cancelled_numerator_key():
     # x^2, its heap entry goes stale, and the step at x^3 creates it again
     x = v((1,), 0, 1)
     den = parsed("x^2 - x + 1", (1,))
-    q = x * x + x + 1
+    q = x * x + x + ColoredPoly.constant((1,), 1)
     num = q * den
     assert list(num.terms()) == [((4,), 1), ((2,), 1), ((0,), 1)]
     assert exact_divide(num, den) == q

@@ -7,7 +7,6 @@ import pytest
 
 from quivercoha import (CohaElement, DimensionMismatchError, DomainError, EigenData,
                         LegData, Quiver, RootCertificate, parse_colored_poly)
-from quivercoha.legs import GenericityCertificate
 
 FROZEN = [
     (lambda: Quiver(((2,),)), "Quiver(arrows=((2,),))"),
@@ -18,9 +17,6 @@ FROZEN = [
     (lambda: LegData((2, 1), ((0, 0), (0, 1)), Quiver(((0, 1), (0, 0)))),
      "LegData(tilde_gamma=(2, 1), vertex_labels=((0, 0), (0, 1)), "
      "half_quiver=Quiver(arrows=((0, 1), (0, 0))))"),
-    (lambda: GenericityCertificate(False, colliding_pair=(0, 0, 1)),
-     "GenericityCertificate(generic=False, colliding_pair=(0, 0, 1), "
-     "violating_subset=None)"),
 ]
 
 
@@ -40,8 +36,6 @@ def test_frozen_record_is_a_hashable_value(make, text):
 
 def test_records_differ_by_field():
     assert Quiver(((2,),)) != Quiver(((3,),))
-    assert GenericityCertificate(True) != GenericityCertificate(False)
-    assert GenericityCertificate(True).colliding_pair is None
 
 
 def test_quiver_validates_its_matrix():

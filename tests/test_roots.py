@@ -1,12 +1,12 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quivercoha import DomainError, Quiver, euler_form, is_positive_root
+from quivercoha import DomainError, Quiver, double, dt_report, euler_form, is_positive_root
 from quivercoha.roots import nonvanishing_certificate
 
-from conftest import S1_HALF, S2_HALF, S3_HALF, S4_HALF
+from conftest import S1_HALF, S2_HALF, S3_HALF, S4_HALF, random_half_quivers
 
 A2 = Quiver.from_lists([[0, 1], [0, 0]])
 LOOP = Quiver(((1,),))
@@ -207,3 +207,18 @@ def test_nonvanishing_a2_and_kronecker():
 def test_nonvanishing_rejects_zero():
     with pytest.raises(DomainError):
         nonvanishing_certificate(S1_HALF, (0,))
+
+
+@settings(deadline=None, max_examples=100)
+@given(random_half_quivers())
+def test_nonvanishing_certificate_is_a_root_exactly_when_omega_is_nonzero(case):
+    # a nonzero Omega(gamma) has the term 1 q^(chi/2), so once every window
+    # reaches chi(gamma, gamma) the series route decides Omega != 0
+    q0, gmax = case
+    quiver, qtrunc = double(q0), 1
+    omegas = dt_report(quiver, gmax, qtrunc)
+    while any(s.hi < euler_form(quiver, g, g) for g, s in omegas.items()):
+        qtrunc *= 2
+        omegas = dt_report(quiver, gmax, qtrunc)
+    for gamma, series in omegas.items():
+        assert nonvanishing_certificate(q0, gamma)[0] == (not series.is_zero()), gamma

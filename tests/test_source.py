@@ -125,3 +125,20 @@ def test_cli_load_config_loads_no_argparse_gettext_or_locale():
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_byte_conversions_name_their_byteorder():
+    # int.to_bytes and int.from_bytes default byteorder (and length) only
+    # from Python 3.11 on; without one a call raises TypeError on 3.10
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("to_bytes", "from_bytes")):
+                continue
+            named = {kw.arg for kw in node.keywords}
+            if len(node.args) + len(named & {"length", "bytes", "byteorder"}) < 2 \
+                    or len(node.args) < 2 and "byteorder" not in named:
+                found.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    assert found == []

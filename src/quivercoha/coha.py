@@ -31,8 +31,9 @@ S_gamma / (S_gamma1 x S_gamma2).  Since F is symmetric within each side, the
 composite is the sum over all shuffles of sigma_S(F / prod (x''_s - x'_r)),
 which is the shuffle sum above (Macdonald, *Notes on Schubert Polynomials*,
 ch. II).  So the product costs sum_i gamma1^i gamma2^i exact divisions by a
-binomial.  Each division certifies that its step is a polynomial (a nonzero
-remainder would be a correctness bug, not an input error).
+binomial, each one walk per strand of the numerator's keys (``exact_divide``).
+Each division certifies that its step is a polynomial (a nonzero remainder
+would be a correctness bug, not an input error).
 
 K depends only on the split, and ``decomposable_dim`` multiplies the pairs
 of one split in a row, so the product keeps the kernel of the last (quiver,

@@ -10,6 +10,15 @@ overflow guard: the sum of two keys never carries into the next byte, and a
 set guard bit marks an exponent above 127.  Coefficients are ints or
 Fractions; Fractions that reduce to integers are normalized back to int.
 
+``exact_divide`` divides by a binomial, the divisor of every divided
+difference, by synthetic division along strands.  With cd x^kd the leading
+term and c2 x^k2 the other, a quotient term cancels the remainder at a key kr
+and changes it only at kr - (kd - k2).  So the keys split into arithmetic
+strands of step kd - k2, each key has one predecessor on its strand, and a
+walk down each strand from its highest key, carrying one coefficient, takes
+every quotient term in turn with no ordered queue of pending keys.  Other
+divisors take leading-term division in lex order.
+
 No floating point appears anywhere in this module.
 """
 
@@ -268,8 +277,21 @@ class ColoredPoly:
 def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     """Return q with q * den == num, or raise DivisibilityError.
 
-    Leading-term division in lex order; for exact inputs the loop terminates
-    with remainder zero, otherwise the error carries the remainder reached.
+    A divisor of two terms cd x^kd + c2 x^k2, kd the lex-leading key, is
+    walked strand by strand (see the module docstring), step = kd - k2.
+    The walk is exact because only the predecessor kr + step writes to a
+    key kr: taking num's keys in descending order, the first key of a strand
+    met still in the remainder has no work left above it, so its value is
+    final.  The walk from it divides that value by cd, emitting the quotient
+    term at kr - kd, and carries the value at kr - step minus the quotient
+    term times c2 down the strand while the carry is nonzero.  Any other
+    divisor takes leading-term division in lex order.
+
+    A key that x^kd does not divide, or that has an exponent above 127,
+    keeps its value: it ends its strand, or the whole lex-order division.
+    The remainder is num - q * den for the partial quotient q reached (on a
+    two-term divisor, what remains after every strand is walked), and a
+    nonzero remainder raises DivisibilityError carrying it.
     """
     if den.is_zero():
         raise DomainError("division by the zero polynomial")
@@ -282,16 +304,52 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     cd = den._terms[kd]
     # the leading term cancels r's leading key exactly, so only the rest is applied
     den_rest = [(k, v) for k, v in den._terms.items() if k != kd]
-    q: dict = {}
+    if len(den_rest) == 1:
+        q = _walk_strands(r, kd, cd, *den_rest[0], guard)
+    else:
+        q = _lex_divide(r, kd, cd, den_rest, guard)
+    if r:
+        raise DivisibilityError(
+            "polynomial division left a nonzero remainder",
+            remainder=ColoredPoly._make(num.gamma, {k: _norm_coeff(c) for k, c in r.items()}))
+    return ColoredPoly._make(num.gamma, q)
+
+
+def _walk_strands(r, kd, cd, k2, c2, guard):
+    """Divide r in place by cd x^kd + c2 x^k2, one walk per strand; return
+    the quotient's terms."""
+    step = kd - k2
+    pop = r.pop
+    q = {}
+    for kr in sorted(r, reverse=True):
+        c = pop(kr, 0)
+        while c:
+            # an exact division's remainder has no exponent above num's, so a guard
+            # bit proves inexactness; bit 7 of a byte of (kr | guard) - kd marks kd <= kr
+            if kr & guard or ((kr | guard) - kd) & guard != guard:
+                r[kr] = c   # kr stays in r and ends its strand
+                break
+            if type(c) is int and type(cd) is int and not c % cd:
+                c //= cd
+            else:
+                c = _norm_coeff(Fraction(c) / cd)
+            q[kr - kd] = c
+            kr -= step
+            c = pop(kr, 0) - c * c2
+    return q
+
+
+def _lex_divide(r, kd, cd, den_rest, guard):
+    """Divide r in place by cd x^kd + den_rest, leading term first in lex
+    order; return the quotient's terms."""
+    q = {}
     heap = [-k for k in r]
     heapq.heapify(heap)
     while heap:
         kr = -heapq.heappop(heap)
         if kr not in r:
             continue
-        # an exact division's remainder has no exponent above num's, so a guard
-        # bit proves inexactness; bit 7 of a byte of (kr | guard) - kd marks kd <= kr
-        if kr & guard or ((kr | guard) - kd) & guard != guard:
+        if kr & guard or ((kr | guard) - kd) & guard != guard:   # as in _walk_strands
             break   # kr stays in r
         t = kr - kd
         c = r.pop(kr)
@@ -309,11 +367,7 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
                 r[kk] = s
             else:
                 del r[kk]
-    if r:
-        raise DivisibilityError(
-            "polynomial division left a nonzero remainder",
-            remainder=ColoredPoly._make(num.gamma, {k: _norm_coeff(c) for k, c in r.items()}))
-    return ColoredPoly._make(num.gamma, q)
+    return q
 
 
 # -- parsing ----------------------------------------------------------------

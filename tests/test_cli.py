@@ -153,10 +153,15 @@ def test_csv_report_matches_golden(tmp_path, args, golden):
                     "--left", "1/2*x0_1*x0_2 - 3/4", "--left-gamma", "2",
                     "--right", "x0_1 + 2/3", "--right-gamma", "1"],
      "shuffle_loop2_g2_by_g1.json"),
-], ids=["genericity", "check-nonvanishing", "shuffle-eval"])
+    ("kronecker2_doubled.json", ["--mode", "check-freeness", "--gamma-max", "3,3",
+                                 "--qtrunc", "12"],
+     "freeness_kronecker2_doubled_g3_3_q12.json"),
+], ids=["genericity", "check-nonvanishing", "shuffle-eval", "check-freeness"])
 def test_json_report_matches_golden(tmp_path, quiver, args, golden):
     # the record layouts (root and genericity certificates, eigenvalue lists,
-    # rational polynomial coefficients) pinned byte for byte
+    # rational polynomial coefficients) pinned byte for byte, and a freeness
+    # check whose loop-free colors take wider chains of divided differences
+    # than the bench workload's
     code, blob = run_to_file(tmp_path, ["--quiver", str(BENCH / "quivers" / quiver), *args])
     assert code == 0
     assert blob == (DATA / golden).read_bytes()

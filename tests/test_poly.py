@@ -224,17 +224,52 @@ def test_exact_divide_remainder_coefficients_are_normalized():
     assert all(type(c) is int for _, c in terms)
 
 
+def assert_divides_or_leaves_remainder(num, den):
+    """exact_divide(num, den) is num / den, or raises with the remainder
+    num - q * den of a partial quotient q: when every exponent of the
+    remainder is in range, num minus it divides exactly by den."""
+    try:
+        q = exact_divide(num, den)
+    except DivisibilityError as exc:
+        rem = exc.remainder
+        assert not rem.is_zero()
+        if all(e <= 127 for exps, _ in rem.terms() for e in exps):
+            rest = num + -rem
+            assert exact_divide(rest, den) * den == rest
+        return
+    assert q * den == num
+    assert all(e <= 127 for exps, _ in q.terms() for e in exps)
+
+
 @given(small_polys(exponents=st.sampled_from((0, 1, 126, 127))),
        small_polys(exponents=st.sampled_from((0, 1, 126, 127))))
 def test_divide_is_exact_or_raises(a, b):
     if b.is_zero():
         return
-    try:
-        q = exact_divide(a, b)
-    except DivisibilityError:
-        return
-    assert q * b == a
-    assert all(e <= 127 for exps, _ in q.terms() for e in exps)
+    assert_divides_or_leaves_remainder(a, b)
+
+
+@st.composite
+def binomial_divisions(draw):
+    """(a, b, e): gamma of 1 to 3 blocks of at most 2 variables, a and e with
+    Fraction coefficients and exponents 0 to 3, b = c1 x^u + c2 x^w, u != w."""
+    gamma = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(sum)))
+    exps = st.tuples(*[st.integers(0, 3)] * sum(gamma))
+    u, w = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    c1, c2 = (Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+              for _ in range(2))
+    b = poly_from_terms(gamma, {u: c1, w: c2})
+    return draw(small_polys(gamma)), b, draw(small_polys(gamma))
+
+
+@given(binomial_divisions())
+def test_binomial_divide_undoes_multiplication(case):
+    # the strand walk: every strand of a * b is walked to a zero carry
+    a, b, e = case
+    q = exact_divide(a * b, b)
+    assert q == a
+    assert all(type(c) is int or c.denominator != 1 for _, c in q.terms())
+    assert_divides_or_leaves_remainder(a * b + e, b)
 
 
 # -- structure helpers -------------------------------------------------------------

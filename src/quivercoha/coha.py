@@ -30,8 +30,9 @@ word of the longest shuffle, the longest minimal coset representative of
 S_gamma / (S_gamma1 x S_gamma2).  Since F is symmetric within each side, the
 composite is the sum over all shuffles of sigma_S(F / prod (x''_s - x'_r)),
 which is the shuffle sum above (Macdonald, *Notes on Schubert Polynomials*,
-ch. II).  So the product costs sum_i gamma1^i gamma2^i exact divisions by a
-binomial, each one walk per strand of the numerator's keys (``exact_divide``).
+ch. II).  So every product, a zero factor's too, costs sum_i gamma1^i gamma2^i
+exact divisions by a binomial, each one walk per strand of the numerator's
+keys (``exact_divide``).
 Each division certifies that its step is a polynomial (a nonzero remainder
 would be a correctness bug, not an input error).
 
@@ -148,10 +149,6 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
         raise DomainError("the Hall product is implemented for symmetric quivers")
     g1, g2 = a.gamma, b.gamma
     gamma = dim_add(g1, g2)
-
-    if a.poly.is_zero() or b.poly.is_zero():
-        return CohaElement(q, gamma, ColoredPoly.zero(gamma))
-
     n = q.vertex_count
     offs = [0, *accumulate(gamma)]
     # canonical placement: a's variables take the first g1^i slots of block i

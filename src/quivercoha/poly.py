@@ -16,15 +16,13 @@ term and c2 x^k2 the other, a quotient term cancels the remainder at a key kr
 and changes it only at kr - (kd - k2).  So the keys split into arithmetic
 strands of step kd - k2, each key has one predecessor on its strand, and a
 walk down each strand from its highest key, carrying one coefficient, takes
-every quotient term in turn with no ordered queue of pending keys.  Other
-divisors take leading-term division in lex order.
+every quotient term in turn with no ordered queue of pending keys.
 
 No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
 from itertools import accumulate
@@ -92,9 +90,6 @@ class ColoredPoly:
         return cls._make(gamma, {_pack(exps): 1})
 
     # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self):
         return bool(self._terms)
@@ -277,37 +272,28 @@ class ColoredPoly:
 def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     """Return q with q * den == num, or raise DivisibilityError.
 
-    A divisor of two terms cd x^kd + c2 x^k2, kd the lex-leading key, is
-    walked strand by strand (see the module docstring), step = kd - k2.
-    The walk is exact because only the predecessor kr + step writes to a
-    key kr: taking num's keys in descending order, the first key of a strand
-    met still in the remainder has no work left above it, so its value is
-    final.  The walk from it divides that value by cd, emitting the quotient
-    term at kr - kd, and carries the value at kr - step minus the quotient
-    term times c2 down the strand while the carry is nonzero.  Any other
-    divisor takes leading-term division in lex order.
+    The divisor must have exactly two terms, cd x^kd + c2 x^k2 with kd the
+    lex-leading key, as every divided difference's has; any other divisor,
+    the zero polynomial included, raises DomainError.  num is walked strand
+    by strand (see the module docstring), step = kd - k2.  The walk is exact
+    because only the predecessor kr + step writes to a key kr: taking num's
+    keys in descending order, the first key of a strand met still in the
+    remainder has no work left above it, so its value is final.  The walk
+    from it divides that value by cd, emitting the quotient term at kr - kd,
+    and carries the value at kr - step minus the quotient term times c2 down
+    the strand while the carry is nonzero.
 
     A key that x^kd does not divide, or that has an exponent above 127,
-    keeps its value: it ends its strand, or the whole lex-order division.
-    The remainder is num - q * den for the partial quotient q reached (on a
-    two-term divisor, what remains after every strand is walked), and a
-    nonzero remainder raises DivisibilityError carrying it.
+    keeps its value and ends its strand.  What remains after every strand
+    is walked is num - q * den for the quotient q reached, and a nonzero
+    remainder raises DivisibilityError carrying it.
     """
-    if den.is_zero():
-        raise DomainError("division by the zero polynomial")
+    if len(den) != 2:
+        raise DomainError(f"exact_divide takes a divisor of two terms, not {len(den)}")
     num._check_compatible(den)
-    if num.is_zero():
-        return ColoredPoly.zero(num.gamma)
-    guard = int.from_bytes(b"\x80" * num.nvars, "big")
     r = dict(num._terms)
-    kd = max(den._terms)
-    cd = den._terms[kd]
-    # the leading term cancels r's leading key exactly, so only the rest is applied
-    den_rest = [(k, v) for k, v in den._terms.items() if k != kd]
-    if len(den_rest) == 1:
-        q = _walk_strands(r, kd, cd, *den_rest[0], guard)
-    else:
-        q = _lex_divide(r, kd, cd, den_rest, guard)
+    (kd, cd), (k2, c2) = sorted(den._terms.items(), reverse=True)
+    q = _walk_strands(r, kd, cd, k2, c2, int.from_bytes(b"\x80" * num.nvars, "big"))
     if r:
         raise DivisibilityError(
             "polynomial division left a nonzero remainder",
@@ -336,37 +322,6 @@ def _walk_strands(r, kd, cd, k2, c2, guard):
             q[kr - kd] = c
             kr -= step
             c = pop(kr, 0) - c * c2
-    return q
-
-
-def _lex_divide(r, kd, cd, den_rest, guard):
-    """Divide r in place by cd x^kd + den_rest, leading term first in lex
-    order; return the quotient's terms."""
-    q = {}
-    heap = [-k for k in r]
-    heapq.heapify(heap)
-    while heap:
-        kr = -heapq.heappop(heap)
-        if kr not in r:
-            continue
-        if kr & guard or ((kr | guard) - kd) & guard != guard:   # as in _walk_strands
-            break   # kr stays in r
-        t = kr - kd
-        c = r.pop(kr)
-        if type(c) is int and type(cd) is int and not c % cd:
-            c //= cd
-        else:
-            c = _norm_coeff(Fraction(c) / cd)
-        q[t] = c
-        for k, v in den_rest:
-            kk = t + k
-            if kk not in r:   # queued on entering r; a cancelled key's entry goes stale
-                heapq.heappush(heap, -kk)
-            s = r.get(kk, 0) - c * v
-            if s:
-                r[kk] = s
-            else:
-                del r[kk]
     return q
 
 
@@ -403,18 +358,15 @@ class _Parser:
         return p
 
     def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -sign
-        p = self.term() * sign
-        while self.peek() in ("+", "-"):
+        p = ColoredPoly.zero(self.gamma)
+        while True:
             sign = 1
             while self.peek() in ("+", "-"):
                 if self.next() == "-":
                     sign = -sign
             p = p + self.term() * sign
-        return p
+            if self.peek() not in ("+", "-"):
+                return p
 
     def term(self):
         p = self.factor()

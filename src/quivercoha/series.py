@@ -117,18 +117,10 @@ class HalfSeries:
     def __add__(self, other):
         if not isinstance(other, HalfSeries):
             return NotImplemented
-        lo = min(self.lo, other.lo)
-        hi = _min_hi(self.hi, other.hi)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        if hi is not None:
-            out = {k: c for k, c in out.items() if k <= hi}
-        return HalfSeries(out, lo, hi)
+            out[k] = out.get(k, 0) + c
+        return HalfSeries(out, min(self.lo, other.lo), _min_hi(self.hi, other.hi))
 
     def __neg__(self):
         s = HalfSeries.zero(self.lo, self.hi)
@@ -165,20 +157,8 @@ class HalfSeries:
 
     __hash__ = None
 
-    def canonical_str(self) -> str:
-        """Terms ascending, coefficients 'p/q', exponents 'q^{k/2}'."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in self.items():
-            body = f"{abs(Fraction(c))}*q^{{{k}/2}}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
     def __repr__(self):
-        hi = "inf" if self.hi is None else self.hi
-        return f"HalfSeries([{self.lo},{hi}]: {self.canonical_str()})"
+        return f"HalfSeries({dict(self.items())!r}, {self.lo}, {self.hi})"
 
 
 class MultiSeries:

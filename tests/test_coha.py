@@ -75,7 +75,7 @@ def test_shuffle_two_loops_squared_difference():
 
 def test_shuffle_odd_element_squares_to_zero():
     one = elt(S1, (1,), "1")
-    assert shuffle_product(one, one).poly.is_zero()
+    assert not shuffle_product(one, one).poly
 
 
 def test_unit_is_neutral(suite_quiver):
@@ -85,6 +85,19 @@ def test_unit_is_neutral(suite_quiver):
     a = elt(suite_quiver, gamma, "x0_1*x0_2 + x0_1 + x0_2")
     assert shuffle_product(a, unit) == a
     assert shuffle_product(unit, a) == a
+
+
+def test_zero_factor_gives_zero(suite_quiver):
+    # a zero factor runs the whole chain of divided differences
+    n = suite_quiver.vertex_count
+    g1, g2 = (2,) + (0,) * (n - 1), (1,) * n
+    gamma = tuple(a + b for a, b in zip(g1, g2))
+    zero = CohaElement(suite_quiver, gamma, ColoredPoly.zero(gamma))
+    a = elt(suite_quiver, g1, "x0_1*x0_2 + x0_1 + x0_2")
+    b = CohaElement(suite_quiver, g2, ColoredPoly.zero(g2))
+    for product in (shuffle_product, twisted_product):
+        assert product(b, a) == zero
+        assert product(a, b) == zero
 
 
 def test_shuffle_rejects_mismatched_quivers():
@@ -110,7 +123,7 @@ def test_degree_shift_matches_euler_form(suite_quiver):
     a = elt(suite_quiver, g1, "x0_1^2")
     b = elt(suite_quiver, g2, "x0_1")
     prod = shuffle_product(a, b)
-    if prod.poly.is_zero():
+    if not prod.poly:
         return
     expected = (degree(a.poly) + degree(b.poly)
                 - euler_form(suite_quiver, g1, g2))
@@ -285,7 +298,7 @@ def _random_homogeneous(rng, quiver, gamma, degree):
     poly = ColoredPoly.zero(gamma)
     for e in elements:
         poly = poly + e.poly * rng.randint(-2, 2)
-    if poly.is_zero():
+    if not poly:
         poly = elements[0].poly if elements else ColoredPoly.constant(gamma, 1)
     return CohaElement(quiver, gamma, poly)
 

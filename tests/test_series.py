@@ -169,11 +169,6 @@ def test_multiseries_rejects_out_of_box_pieces():
         MultiSeries((1,), {(2,): HalfSeries.one()})
 
 
-def test_canonical_str():
-    s = HalfSeries({-1: Fraction(3, 2), 4: -1}, -1, 8)
-    assert s.canonical_str() == "3/2*q^{-1/2} - 1*q^{4/2}"
-
-
 @given(BOXES.flatmap(lambda box: st.tuples(small_multiseries(box),
                                            small_multiseries(box))))
 def test_multiseries_product_equals_piecewise_reference(pair):

@@ -42,7 +42,6 @@ of r are certified zero), so no window needs a separate cap.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, StructuralViolationError
@@ -105,9 +104,13 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
 
         Omega(gamma) = (1 - q) / |gamma| * sum_{r | gamma} mu(r) psi_r(M_(gamma/r)).
 
-    Every window is the one the series arithmetic certifies.  Walking gamma
-    by (|gamma|, lex), a multiplicity that is not a non-negative integer
-    raises StructuralViolationError and an empty window raises DomainError.
+    A has integer coefficients and A_0 = 1, so M and the sum over r are
+    integral, and the division by |gamma| is an exact integer division of
+    each coefficient: freeness makes every c_{gamma,k} a non-negative
+    integer.  Every window is the one the series arithmetic certifies.
+    Walking gamma by (|gamma|, lex), a nonzero remainder or a negative
+    quotient raises StructuralViolationError and an empty window raises
+    DomainError.
     """
     graded = MultiSeries(series.gamma_max,
                          {g: s * dim_abs(g) for g, s in series.pieces.items()})
@@ -123,12 +126,18 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
                 continue
             term = _adams(log_derivative.piece(tuple(x // r for x in gamma)), r)
             total = total + term if mu > 0 else total - term
-        col = total * one_minus_q * Fraction(1, dim_abs(gamma))
+        col = total * one_minus_q
+        size = dim_abs(gamma)
+        counts = {}
         for k, c in col.items():
-            if (isinstance(c, Fraction) and c.denominator != 1) or c < 0:
+            count, rest = divmod(c, size)
+            if rest or count < 0:
+                shown = f"{c}/{size}" if rest else count
                 raise StructuralViolationError(
-                    f"extracted multiplicity {c} at gamma={gamma}, k={k} "
+                    f"extracted multiplicity {shown} at gamma={gamma}, k={k} "
                     "is not a non-negative integer")
+            counts[k] = count
+        col = HalfSeries(counts, col.lo, col.hi)
         if col.window_empty():
             raise DomainError(
                 f"certified window collapsed at gamma={gamma}; rerun with a "

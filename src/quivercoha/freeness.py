@@ -39,16 +39,16 @@ columns, so no bookkeeping check remains to fail.  What can fail is the
 layout, and ``Cell.p1_reducer`` raises StructuralViolationError when a p1 row
 does not lead at its pivot with coefficient 1.
 
-Ranks are computed by fraction-free Gaussian elimination over exact integers
-after clearing denominators; there are no rank thresholds.  These numbers are
+Every row is integral: K has integer coefficients, basis elements have
+coefficient 1, each divided difference divides by x_(p+1) - x_p, whose lead
+is -1, and the p1 rows have pivot 1 and integer Pieri coefficients.  So
+ranks are computed by fraction-free Gaussian elimination over the integers,
+with no rational arithmetic and no rank thresholds.  These numbers are
 the independent oracle for the series-side extraction in ``dtseries``: the
 two must agree, which is the computational content of the freeness theorem.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 from .coha import Cell, basis, complement_basis, twisted_product
 from .errors import DomainError
@@ -56,23 +56,17 @@ from .quiver import DimVector, Quiver, dim_sub, enumerate_dim_vectors, euler_for
 from .series import HalfSeries
 
 
-def exact_rank(rows: list[list]) -> int:
-    """Rank of an exact rational matrix.
-
-    Rows are scaled to integers, then reduced by Bareiss fraction-free
-    elimination (two-step exact divisions, no rational arithmetic inside
-    the loop).
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix (the module docstring says why every row
+    the linear route builds is integral), by Bareiss fraction-free
+    elimination on a copy of its nonzero rows: each step divides exactly by
+    the previous pivot.  An entry that is not an int raises DomainError,
+    since ``//`` would give a wrong rank for a Fraction.
     """
-    mat = []
-    for row in rows:
-        denoms = [c.denominator for c in row if type(c) is Fraction]
-        scale = lcm(*denoms) if denoms else 1
-        ints = [int(c * scale) if type(c) is Fraction else c * scale for c in row]
-        if any(ints):
-            mat.append(ints)
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+    if any(type(c) is not int for row in rows for c in row):
+        raise DomainError("exact_rank takes integer entries only")
+    mat = [list(row) for row in rows if any(row)]
+    ncols = len(mat[0]) if mat else 0
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -135,7 +129,7 @@ def decomposable_dim(cell: Cell) -> int:
                     row = reduce(twisted_product(f, g).poly)
                     if any(row):
                         rows.append(row)
-    return below + (exact_rank(rows) if rows else 0)
+    return below + exact_rank(rows)
 
 
 def prim_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:

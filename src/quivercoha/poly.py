@@ -7,8 +7,11 @@ variable with the first variable most significant, so that monomial
 multiplication is integer addition and lexicographic comparison is integer
 comparison.  Every exponent is at most 127, so bit 7 of each byte is an
 overflow guard: the sum of two keys never carries into the next byte, and a
-set guard bit marks an exponent above 127.  Coefficients are ints or
-Fractions; Fractions that reduce to integers are normalized back to int.
+set guard bit marks an exponent above 127.  Int coefficients stay ints
+through sums, products, ``alternate`` and division by a binomial whose lead
+divides them.  Fractions come only from the literals p/q of
+``parse_colored_poly`` and from a lead that does not divide; one that
+reduces to an integer compares, hashes and renders like that integer.
 
 ``exact_divide`` divides by a binomial, the divisor of every divided
 difference, by synthetic division along strands.  With cd x^kd the leading
@@ -31,12 +34,6 @@ from .errors import DimensionMismatchError, DivisibilityError, DomainError, Limi
 from .quiver import DimVector
 
 _MAXEXP = 127
-
-
-def _norm_coeff(c):
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def _pack(exps):
@@ -75,7 +72,7 @@ class ColoredPoly:
 
     @classmethod
     def constant(cls, gamma, c) -> "ColoredPoly":
-        c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         return cls._make(gamma, {0: c} if c else {})
 
     @classmethod
@@ -118,7 +115,7 @@ class ColoredPoly:
         for k, c in other._terms.items():
             s = out.get(k, 0) + c
             if s:
-                out[k] = _norm_coeff(s)
+                out[k] = s
             else:
                 out.pop(k, None)
         return ColoredPoly._make(self.gamma, out)
@@ -128,11 +125,9 @@ class ColoredPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
             if not other:
                 return ColoredPoly.zero(self.gamma)
-            return ColoredPoly._make(
-                self.gamma, {k: _norm_coeff(c * other) for k, c in self._terms.items()})
+            return ColoredPoly._make(self.gamma, {k: c * other for k, c in self._terms.items()})
         self._check_compatible(other)
         a, b = self._terms, other._terms
         if len(a) > len(b):
@@ -148,12 +143,10 @@ class ColoredPoly:
                 else:
                     del out[k]
         guard = int.from_bytes(b"\x80" * self.nvars, "big")
-        for k, c in out.items():
-            if k & guard:
-                top = max(max(_unpack(key, self.nvars)) for key in out)
-                raise LimitExceededError(
-                    f"product exponent {top} exceeds the packed-exponent limit {_MAXEXP}")
-            out[k] = _norm_coeff(c)
+        if any(k & guard for k in out):
+            top = max(max(_unpack(key, self.nvars)) for key in out)
+            raise LimitExceededError(
+                f"product exponent {top} exceeds the packed-exponent limit {_MAXEXP}")
         return ColoredPoly._make(self.gamma, out)
 
     __rmul__ = __mul__
@@ -221,7 +214,7 @@ class ColoredPoly:
                 continue
             swapped = k + (e2 - e1) * step
             if e1 > e2:
-                c = _norm_coeff(c - terms.get(swapped, 0))
+                c -= terms.get(swapped, 0)
             elif swapped in terms:
                 continue   # the pair is taken from its other key
             else:
@@ -297,7 +290,7 @@ def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
     if r:
         raise DivisibilityError(
             "polynomial division left a nonzero remainder",
-            remainder=ColoredPoly._make(num.gamma, {k: _norm_coeff(c) for k, c in r.items()}))
+            remainder=ColoredPoly._make(num.gamma, r))
     return ColoredPoly._make(num.gamma, q)
 
 
@@ -318,7 +311,7 @@ def _walk_strands(r, kd, cd, k2, c2, guard):
             if type(c) is int and type(cd) is int and not c % cd:
                 c //= cd
             else:
-                c = _norm_coeff(Fraction(c) / cd)
+                c = Fraction(c) / cd
             q[kr - kd] = c
             kr -= step
             c = pop(kr, 0) - c * c2

@@ -22,10 +22,7 @@ and no pair above the certified hi is visited.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DimensionMismatchError, DomainError
-from .poly import _norm_coeff
 from .quiver import DimVector, dim_sub, dim_leq, enumerate_dim_vectors, zero_dim
 
 
@@ -78,7 +75,6 @@ class HalfSeries:
                 raise DomainError(f"stored exponent {k} below window start {lo}")
             if hi is not None and k > hi:
                 continue
-            c = _norm_coeff(c)
             if c:
                 self.coeffs[k] = c
 
@@ -133,12 +129,13 @@ class HalfSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
+        if isinstance(other, int):
             s = HalfSeries.zero(self.lo, self.hi)
             if other:
-                s.coeffs = {k: _norm_coeff(c * other) for k, c in self.coeffs.items()}
+                s.coeffs = {k: c * other for k, c in self.coeffs.items()}
             return s
+        if not isinstance(other, HalfSeries):
+            return NotImplemented
         return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__

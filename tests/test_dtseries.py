@@ -3,7 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver,
+from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver, StructuralViolationError,
                         build_generating_series, dt_report, enumerate_dim_vectors,
                         euler_form, plethystic_factor, prim_dims)
 from quivercoha.coha import Cell
@@ -197,6 +197,18 @@ def test_extraction_needs_unit_constant_term():
         broken = MultiSeries(series.gamma_max, {**series.pieces, (0,): unit})
         with pytest.raises(DomainError):
             plethystic_factor(broken)
+
+
+def test_extraction_refuses_a_negative_multiplicity():
+    # A = 1 + x/(1 - q) on the box (2,): Omega(1) = 1, and the division of
+    # (1 - q)(M_2 - psi_2(M_1)) = -2/(1 - q^2) by |gamma| = 2 is exact, with
+    # quotient -1 at k = 0, which no generator count can be
+    series = MultiSeries((2,), {(0,): HalfSeries.one(),
+                                (1,): HalfSeries({2 * n: 1 for n in range(6)}, 0, 10)})
+    with pytest.raises(StructuralViolationError) as exc:
+        plethystic_factor(series)
+    assert str(exc.value) == ("extracted multiplicity -1 at gamma=(2,), k=0 "
+                              "is not a non-negative integer")
 
 
 # -- omega -----------------------------------------------------------------------

@@ -17,15 +17,17 @@ def parsed(text, gamma=(2,)):
     return parse_colored_poly(gamma, text)
 
 
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
 @st.composite
-def small_polys(draw, gamma=(2,), exponents=st.integers(0, 3)):
+def small_polys(draw, gamma=(2,), exponents=st.integers(0, 3), coeffs=FRACTIONS):
     nvars = sum(gamma)
     nterms = draw(st.integers(0, 4))
     terms = {}
     for _ in range(nterms):
         exps = tuple(draw(exponents) for _ in range(nvars))
-        coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-        terms[exps] = terms.get(exps, 0) + coeff
+        terms[exps] = terms.get(exps, 0) + draw(coeffs)
     return poly_from_terms(gamma, terms)
 
 
@@ -195,17 +197,13 @@ def test_exact_divide_remainder_beyond_127_is_reported():
     assert list(exc.value.remainder.terms()) == [((1, 254), 1)]
 
 
-def test_exact_divide_remainder_coefficients_are_normalized():
-    # Fractions that reduce to integers are ints everywhere else in a
-    # ColoredPoly, so also in the remainder a failed division reports:
-    # x^2 + 1 = (3/2 x + 3/2) * (2/3)(x - 1) + 2, and the carry 2 reaches
-    # the constant key as Fraction(2, 1)
+def test_exact_divide_remainder_at_a_rational_lead():
+    # x^2 + 1 = (3/2 x + 3/2) * (2/3)(x - 1) + 2: the failed division reports
+    # the remainder 2 at the constant key
     divisor = parsed("2/3*x - 2/3", (1,))
     with pytest.raises(DivisibilityError) as exc:
         exact_divide(parsed("x^2 + 1", (1,)), divisor)
-    terms = list(exc.value.remainder.terms())
-    assert terms == [((0,), 2)]
-    assert all(type(c) is int for _, c in terms)
+    assert list(exc.value.remainder.terms()) == [((0,), 2)]
 
 
 def assert_divides_or_leaves_remainder(num, den):
@@ -255,10 +253,23 @@ def binomial_divisions(draw):
 def test_binomial_divide_undoes_multiplication(case):
     # the strand walk: every strand of a * b is walked to a zero carry
     a, b, e = case
-    q = exact_divide(a * b, b)
-    assert q == a
-    assert all(type(c) is int or c.denominator != 1 for _, c in q.terms())
+    assert exact_divide(a * b, b) == a
     assert_divides_or_leaves_remainder(a * b + e, b)
+
+
+@given(small_polys((2, 1), coeffs=st.integers(-4, 4)),
+       small_polys((2, 1), coeffs=st.integers(-4, 4)),
+       st.permutations(range(3)))
+def test_int_coefficients_stay_int(a, c, order):
+    # the linear route's rows are integral only if products, sums, alternation
+    # and division by x_s - x_r, the divisor of a divided difference, keep int
+    # coefficients ints
+    xs = [v((2, 1), 0, 1), v((2, 1), 0, 2), v((2, 1), 1, 1)]
+    b = xs[order[0]] + -xs[order[1]]
+    results = [a * c, a * b, a * -3, a + c, a.alternate(0), a.alternate(1),
+               exact_divide(a * b, b)]
+    assert results[-1] == a
+    assert all(type(coeff) is int for p in results for _, coeff in p.terms())
 
 
 # -- structure helpers -------------------------------------------------------------

@@ -98,6 +98,17 @@ def test_adding_a_scalar_is_a_type_error():
     assert s - s == HalfSeries.zero(5, 10)
 
 
+def test_scalar_product_takes_an_int_only():
+    # the series route is integral, so a scalar is an int; any other operand
+    # that is not a series is a TypeError, as for +
+    s = HalfSeries({5: 1, 6: -2}, 5, 10)
+    assert 3 * s == s * 3 == HalfSeries({5: 3, 6: -6}, 5, 10)
+    assert s * 0 == HalfSeries.zero(5, 10)
+    for mul in (lambda: s * Fraction(1, 2), lambda: Fraction(1, 2) * s, lambda: s * "2"):
+        with pytest.raises(TypeError):
+            mul()
+
+
 def test_coeff_outside_window_raises():
     s = HalfSeries({0: 1}, 0, 4)
     assert s.coeff(4) == 0

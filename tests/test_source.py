@@ -113,6 +113,18 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
+def test_fractions_stay_where_the_algebra_is_not_integral():
+    # both routes to Omega work over the integers; Fractions enter only
+    # through polynomial literals (poly) and leg eigenvalues (legs), and the
+    # series layer borrows no coefficient rule from poly
+    importers = sorted({name for name, _, module in _absolute_imports()
+                        if module == "fractions"})
+    assert importers == ["legs.py", "poly.py"]
+    tree = ast.parse((SRC / "series.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.level and node.module == "poly"] == []
+
+
 def test_cli_load_config_loads_no_argparse_gettext_or_locale():
     # argparse builds its messages through gettext, which imports locale:
     # about 150 KB and 2 ms of every CLI call, for eleven flags

@@ -15,10 +15,12 @@ no serializer, and each mode runner below renders them as JSON values.
 
 Exit status is 0 on success (``-h``/``--help`` included), 1 when a check
 mode finds a disagreement, 2 on bad input (an --out path that cannot be
-written, a quiver spec that is not UTF-8 and a malformed polynomial literal
-such as ``1/0`` included), 3 when an identity that is a theorem fails at
-runtime (StructuralViolationError: a bug or a corrupted input, never a
-property of the quiver), and 4 when the input is valid but exceeds a
+written, a quiver spec that is not UTF-8, a malformed polynomial literal
+such as ``1/0``, and a quiver spec or a polynomial literal nested deeper
+than the interpreter recurses or holding an integer longer than it converts
+included), 3 when an identity that is a theorem fails at runtime
+(StructuralViolationError: a bug or a corrupted input, never a property of
+the quiver), and 4 when the input is valid but exceeds a
 capacity limit (LimitExceededError: the size cap of the exhaustive
 genericity search, or the packed-exponent limit of 127 on every exponent,
 including those of the shuffle numerator, which can exceed the product's own
@@ -157,12 +159,18 @@ def load_config(argv) -> RunConfig | None:
     path = args["quiver"]
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise QuiverFormatError(f"cannot read quiver spec: {err}", path) from err
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise QuiverFormatError(f"invalid JSON: {err.msg}",
                                 f"{path}:{err.lineno}:{err.colno}") from err
+    except RecursionError:
+        raise QuiverFormatError("invalid JSON: nested too deeply", path) from None
+    except ValueError:   # an integer longer than the interpreter converts
+        raise QuiverFormatError("invalid JSON: integer too long", path) from None
     quiver = quiver_from_spec(raw)
     gamma_max = _parse_csv_ints(args["gamma_max"])
     if len(gamma_max) != quiver.vertex_count or any(x < 0 for x in gamma_max):

@@ -43,14 +43,17 @@ numerator F - s_p F in one pass over F (``ColoredPoly.alternate``) and frees
 F before the division allocates its quotient.
 
 A homogeneous element of polynomial degree d has cohomological degree 2d and
-bidegree (gamma, 2d + chi(gamma, gamma)); the Z-grading is additive under the
-product and controls all super-signs.
+bidegree (gamma, k), k = chi(gamma, gamma) + 2d; the Z-grading is additive
+under the product and controls all super-signs.  A product of polynomial
+degrees d1 and d2 has degree d1 + d2 - chi(gamma1, gamma2): K adds
+sum a_ij gamma1^i gamma2^j and the divisions take sum gamma1^i gamma2^i.
 
-The cell (gamma, k) has the monomial basis of ``basis``: one product of
-monomial symmetric polynomials m_lambda per shape, a partition lambda of d_i
-with at most gamma^i parts at each vertex, d = sum d_i.  Its terms are the
-sums of one orbit key per color block, all with coefficient 1, and its
-lex-leading key lays each lambda out in slot order.  Distinct shapes have
+The cell (gamma, d), H_{gamma,d}, holds the elements of polynomial degree d;
+it depends on gamma and d alone.  Its monomial basis (``basis``) has one
+product of monomial symmetric polynomials m_lambda per shape, a partition
+lambda of d_i with at most gamma^i parts at each vertex, d = sum d_i.  Its
+terms are the sums of one orbit key per color block, all with coefficient 1,
+and its lex-leading key lays each lambda out in slot order.  Distinct shapes have
 distinct leading keys, and every monomial of a shape's orbit has coefficient
 1 in it alone, so the coefficients of a block-symmetric polynomial of the
 cell at the leading keys are its coordinates on the basis (``Cell.read``).
@@ -61,9 +64,9 @@ block-symmetric of degree d, and the reader raises StructuralViolationError.
 
 The same layout gives the quotient by p1, the sum of all the variables, that
 ``freeness`` counts in (its docstring has the proofs).  With i0 the first
-vertex where gamma^i0 > 0, the basis of H_{gamma,k-2} is indexed by the
+vertex where gamma^i0 > 0, the basis of H_{gamma,d-1} is indexed by the
 shapes lambda of the cell with lambda_1 > lambda_2 at i0 (zeros padding
-lambda), through mu = lambda - e_1 at i0, so dim H_{gamma,k-2} is their
+lambda), through mu = lambda - e_1 at i0, so dim H_{gamma,d-1} is their
 number.  p1 m_mu is read off the cell by Pieri's rule for monomial symmetric
 functions (Macdonald, *Symmetric Functions*, ch. I): it is the sum over the
 vertices i, and over the distinct values v of mu^i padded to gamma^i parts,
@@ -90,7 +93,7 @@ from math import factorial, prod
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      StructuralViolationError)
 from .poly import ColoredPoly, _pack, exact_divide
-from .quiver import DimVector, Quiver, dim_add, euler_form, sign_twist
+from .quiver import DimVector, Quiver, dim_add, sign_twist
 
 
 class CohaElement:
@@ -220,14 +223,6 @@ def _compositions(d: int, parts: int):
             yield (first,) + rest
 
 
-def _degree(quiver: Quiver, gamma: DimVector, k: int):
-    """The polynomial degree d = (k - chi(gamma, gamma)) / 2, or None off
-    parity or below chi."""
-    quiver.check_dim(gamma)
-    chi = euler_form(quiver, gamma, gamma)
-    return None if (k - chi) % 2 or k < chi else (k - chi) // 2
-
-
 def _padded(gamma: DimVector, vertex: int, lam) -> tuple[int, ...]:
     """lambda with zeros appended up to the gamma^vertex slots of its block."""
     return lam + (0,) * (gamma[vertex] - len(lam))
@@ -241,12 +236,11 @@ def _orbit_keys(gamma: DimVector, vertex: int, lam) -> list[int]:
     return [int.from_bytes(bytes(perm), "big") << shift for perm in set(permutations(padded))]
 
 
-def _cell_shapes(quiver: Quiver, gamma: DimVector, k: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Per basis element of the cell (gamma, k), in ``basis`` order, its
-    partition at each vertex; [] off parity or below chi."""
-    d = _degree(quiver, gamma, k)
-    if d is None:
-        return []
+def _shapes(gamma: DimVector, d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Per basis element of the cell (gamma, d), in ``basis`` order, its
+    partition at each vertex."""
+    if any(n < 0 for n in gamma):
+        raise DomainError("dimension vector entries must be >= 0")
     parts = [[list(_partitions(c, c, size)) for c in range(d + 1)] for size in gamma]
     shapes = []
     for comp in _compositions(d, len(gamma)):
@@ -257,7 +251,7 @@ def _cell_shapes(quiver: Quiver, gamma: DimVector, k: int) -> list[tuple[tuple[i
     return shapes
 
 
-def _elements(quiver: Quiver, gamma: DimVector, shapes):
+def _elements(gamma: DimVector, shapes):
     """The basis element of each shape, in order: per vertex the monomial
     symmetric polynomial m_lambda, whose terms are the sums of one orbit key
     per block, all with coefficient 1."""
@@ -269,16 +263,16 @@ def _elements(quiver: Quiver, gamma: DimVector, shapes):
             if orbit is None:
                 orbit = orbits[i][lam] = _orbit_keys(gamma, i, lam)
             keys = [key + o for key in keys for o in orbit]
-        yield CohaElement(quiver, gamma, ColoredPoly._make(gamma, dict.fromkeys(keys, 1)))
+        yield ColoredPoly._make(gamma, dict.fromkeys(keys, 1))
 
 
-def basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
-    """A basis of the bidegree-(gamma, k) piece: products over the vertices of
-    monomial symmetric polynomials, one partition of d_i with at most gamma^i
-    parts per vertex, over all splittings d = sum d_i of the polynomial degree
-    d = (k - chi(gamma, gamma)) / 2.  Off-parity or negative d gives []."""
+def basis(gamma: DimVector, d: int) -> list[ColoredPoly]:
+    """A basis of the cell (gamma, d), the polynomials of degree d in H_gamma:
+    products over the vertices of monomial symmetric polynomials, one
+    partition of d_i with at most gamma^i parts per vertex, over all
+    splittings d = sum d_i."""
     gamma = tuple(gamma)
-    return list(_elements(quiver, gamma, _cell_shapes(quiver, gamma, k)))
+    return list(_elements(gamma, _shapes(gamma, d)))
 
 
 def _first_vertex(gamma: DimVector) -> int:
@@ -293,27 +287,27 @@ def _in_complement(shape, i0: int) -> bool:
     return lam[:1] == lam[1:2]
 
 
-def complement_basis(quiver: Quiver, gamma: DimVector, k: int) -> list[CohaElement]:
-    """The elements of ``basis(quiver, gamma, k)`` with lambda_1 == lambda_2
-    at the first vertex i0 of gamma: a basis of a complement of
-    p1 H_{gamma,k-2} in H_{gamma,k}."""
+def complement_basis(gamma: DimVector, d: int) -> list[ColoredPoly]:
+    """The elements of ``basis(gamma, d)`` with lambda_1 == lambda_2 at the
+    first vertex i0 of gamma: a basis of a complement of p1 H_{gamma,d-1} in
+    H_{gamma,d}."""
     gamma = tuple(gamma)
     i0 = _first_vertex(gamma)
-    return list(_elements(quiver, gamma, [shape for shape in _cell_shapes(quiver, gamma, k)
-                                          if _in_complement(shape, i0)]))
+    return list(_elements(gamma, [shape for shape in _shapes(gamma, d)
+                                  if _in_complement(shape, i0)]))
 
 
 class Cell:
-    """The cell (gamma, k) and its monomial basis: ``shapes`` holds each basis
+    """The cell (gamma, d) and its monomial basis: ``shapes`` holds each basis
     element's partition per vertex, in ``basis`` order, and len(cell) is
-    dim H_{gamma,k}.  Off parity or below chi the cell is empty."""
+    dim H_{gamma,d}."""
 
-    __slots__ = ("quiver", "gamma", "k", "shapes", "_keys", "_sizes")
+    __slots__ = ("gamma", "d", "shapes", "_keys", "_sizes")
 
-    def __init__(self, quiver: Quiver, gamma: DimVector, k: int):
+    def __init__(self, gamma: DimVector, d: int):
         gamma = tuple(gamma)
-        self.quiver, self.gamma, self.k = quiver, gamma, k
-        self.shapes = _cell_shapes(quiver, gamma, k)
+        self.gamma, self.d = gamma, d
+        self.shapes = _shapes(gamma, d)
         self._keys, self._sizes = [], []
         for shape in self.shapes:
             blocks = [_padded(gamma, i, lam) for i, lam in enumerate(shape)]
@@ -335,8 +329,8 @@ class Cell:
         row = [get(key, 0) for key in self._keys]
         if len(poly) != sum(n for n, c in zip(self._sizes, row) if c):
             raise StructuralViolationError(
-                f"a polynomial at gamma={self.gamma}, k={self.k} is not block-symmetric "
-                f"of degree {(self.k - euler_form(self.quiver, self.gamma, self.gamma)) // 2}")
+                f"a polynomial at gamma={self.gamma}, d={self.d} is not block-symmetric "
+                "of degree d")
         return row
 
     def _p1_rows(self):
@@ -360,8 +354,8 @@ class Cell:
             yield pivot, row
 
     def p1_reducer(self):
-        """(dim H_{gamma,k-2}, reduce): reduce(poly) gives the coordinates of
-        a polynomial of the cell modulo p1 H_{gamma,k-2}, on the complement
+        """(dim H_{gamma,d-1}, reduce): reduce(poly) gives the coordinates of
+        a polynomial of the cell modulo p1 H_{gamma,d-1}, on the complement
         shapes (lambda_1 == lambda_2 at i0) in ``basis`` order.  Each p1 row
         must lead at its pivot with coefficient 1, every other shape lower in
         the order of the triangular pass, or StructuralViolationError is
@@ -377,7 +371,7 @@ class Cell:
             rest = [(j, c) for j, c in row if j != pivot]
             if (pivot, 1) not in row or any(order[j] >= order[pivot] for j, _ in rest):
                 raise StructuralViolationError(
-                    f"p1 m_mu at gamma={gamma}, k={self.k} does not lead at mu + e_1 = "
+                    f"p1 m_mu at gamma={gamma}, d={self.d} does not lead at mu + e_1 = "
                     f"{self.shapes[pivot]} with coefficient 1")
             steps.append((order[pivot], pivot, rest))
         # top-down: a step writes only to columns below its pivot

@@ -5,11 +5,13 @@ generator space V = Vprim (x) Q[x], x of bidegree (0, 2) acting as
 multiplication by p1, the sum of all the variables (Efimov, arXiv:1103.2736;
 Kontsevich-Soibelman, arXiv:1006.2706, Section 2), and
 Omega(gamma) = sum_k c_{gamma,k} q^(k/2) with c_{gamma,k} = dim Vprim_{gamma,k}.
-``prim_dims`` reads c off the quotient by p1, cell by cell:
+The cells are indexed by the polynomial degree d, as in ``coha``: H_{gamma,d}
+sits at k = chi(gamma, gamma) + 2d, which ``prim_dims`` alone writes.  It
+reads c off the quotient by p1, cell by cell:
 
-    c_{gamma,k} = dim H_{gamma,k} - dim (D_k + p1 H_{gamma,k-2}),
+    c_{gamma,k} = dim H_{gamma,d} - dim (D_d + p1 H_{gamma,d-1}),
 
-with D_k the span of the products of lower pieces (``decomposable_dim``).
+with D_d the span of the products of lower pieces (``decomposable_dim``).
 
 The derivation.  p1(x) = p1(x') + p1(x'') is invariant under every shuffle,
 so it passes through the symmetrization of the Hall product:
@@ -18,21 +20,21 @@ derivation maps products to sums of products, so it acts on the
 indecomposables H / D = V, there as x.  Hence H / (D + p1 H) = V / x V =
 Vprim, which is the formula above.
 
-The columns.  dim H_{gamma,k}, the coordinates on the cell's monomial basis
+The columns.  dim H_{gamma,d}, the coordinates on the cell's monomial basis
 and the p1 rows all come from ``coha.Cell``, which alone knows that layout
 (its docstring has Pieri's rule for the rows).  Let i0 be the first vertex
-with gamma^i0 > 0.  p1 m_mu, for m_mu a basis element of H_{gamma,k-2},
+with gamma^i0 > 0.  p1 m_mu, for m_mu a basis element of H_{gamma,d-1},
 leads at the shape mu + e_1, whose partition at i0 is (mu_1 + 1, mu_2, ...),
 with coefficient 1, and its other shapes come lower in the column order of
 the triangular pass, degree at i0 and then lex on the partition at i0.  So a
 top-down pass over the p1 rows, with integer pivots 1 and no division,
 clears every pivot column of a product's row.  mu -> mu + e_1 is a
 bijection onto the shapes with lambda_1 > lambda_2 at i0 (zeros padding
-lambda), so dim H_{gamma,k-2} is their number, read off the cell (gamma, k)
+lambda), so dim H_{gamma,d-1} is their number, read off the cell (gamma, d)
 alone.  The columns left, the complement shapes with lambda_1 == lambda_2
-at i0, are dim H_{gamma,k} - dim H_{gamma,k-2} in number, and the rank of
-the reduced products on them is dim (D_k + p1 H) / p1 H.  p1 has no zero
-divisors, so dim (D_k + p1 H_{gamma,k-2}) = dim H_{gamma,k-2} + that rank.
+at i0, are dim H_{gamma,d} - dim H_{gamma,d-1} in number, and the rank of
+the reduced products on them is dim (D_d + p1 H) / p1 H.  p1 has no zero
+divisors, so dim (D_d + p1 H_{gamma,d-1}) = dim H_{gamma,d-1} + that rank.
 
 c >= 0 by construction: the rank is at most the number of complement
 columns, so no bookkeeping check remains to fail.  What can fail is the
@@ -50,7 +52,7 @@ two must agree, which is the computational content of the freeness theorem.
 
 from __future__ import annotations
 
-from .coha import Cell, basis, complement_basis, twisted_product
+from .coha import Cell, CohaElement, basis, complement_basis, twisted_product
 from .errors import DomainError
 from .quiver import DimVector, Quiver, dim_sub, enumerate_dim_vectors, euler_form
 from .series import HalfSeries
@@ -59,13 +61,13 @@ from .series import HalfSeries
 def exact_rank(rows: list[list[int]]) -> int:
     """Rank of an integer matrix (the module docstring says why every row
     the linear route builds is integral), by Bareiss fraction-free
-    elimination on a copy of its nonzero rows: each step divides exactly by
+    elimination on a copy of its rows: each step divides exactly by
     the previous pivot.  An entry that is not an int raises DomainError,
     since ``//`` would give a wrong rank for a Fraction.
     """
     if any(type(c) is not int for row in rows for c in row):
         raise DomainError("exact_rank takes integer entries only")
-    mat = [list(row) for row in rows if any(row)]
+    mat = [list(row) for row in rows]
     ncols = len(mat[0]) if mat else 0
     rank = 0
     prev = 1
@@ -88,12 +90,13 @@ def exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def decomposable_dim(cell: Cell) -> int:
-    """dim (D_k + p1 H_{gamma,k-2}) in the cell H_{gamma,k}, D_k the span of
-    the twisted products of elements at proper decompositions gamma1 + gamma2.
+def decomposable_dim(quiver: Quiver, cell: Cell) -> int:
+    """dim (D_d + p1 H_{gamma,d-1}) in the cell H_{gamma,d}, D_d the span of the
+    twisted products of elements at proper decompositions gamma1 + gamma2.
 
-    This is dim H_{gamma,k-2} plus the rank of the products modulo p1 H, both
+    This is dim H_{gamma,d-1} plus the rank of the products modulo p1 H, both
     read off the cell by ``Cell.p1_reducer`` (see the module docstring).
+    Factors of degrees d1 + d2 = d + chi(gamma1, gamma2) land in the cell.
     Products are supercommutative, a b = +-b a, so one split of each
     {gamma1, gamma2} is taken.  Its first factor runs over
     ``complement_basis`` only: f = f' + p1 h with f' there gives
@@ -102,28 +105,25 @@ def decomposable_dim(cell: Cell) -> int:
     still suffices: for d1 > d2, f g = +-g f, and the same step on g leaves
     products whose first factor is a complement shape of degree d2 or less
     and whose second has degree d1 or more."""
-    quiver, gamma, k = cell.quiver, cell.gamma, cell.k
+    gamma = cell.gamma
     below, reduce = cell.p1_reducer()
     if below == len(cell):
-        return below   # no complement shapes: p1 H_{gamma,k-2} is all of H_{gamma,k}
+        return below   # no complement shapes: p1 H_{gamma,d-1} is all of H_{gamma,d}
     rows = []
     seen_splits = set()
-    d = (k - euler_form(quiver, gamma, gamma)) // 2
     for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = dim_sub(gamma, g1)
         if (g2, g1) in seen_splits:
             continue
         seen_splits.add((g1, g2))
-        chi12 = euler_form(quiver, g1, g2)
-        chi1 = euler_form(quiver, g1, g1)
-        chi2 = euler_form(quiver, g2, g2)
-        for d1 in range(0, d + chi12 + 1):
-            d2 = d + chi12 - d1
+        total = cell.d + euler_form(quiver, g1, g2)
+        for d1 in range(total + 1):
+            d2 = total - d1
             if g1 == g2 and d1 > d2:
                 continue
             # factor bases are built per (split, d1) and let go
-            left = complement_basis(quiver, g1, 2 * d1 + chi1)
-            right = basis(quiver, g2, 2 * d2 + chi2) if left else []
+            left = [CohaElement(quiver, g1, f) for f in complement_basis(g1, d1)]
+            right = [CohaElement(quiver, g2, g) for g in basis(g2, d2)] if left else []
             for f in left:
                 for g in right:
                     row = reduce(twisted_product(f, g).poly)
@@ -134,18 +134,18 @@ def decomposable_dim(cell: Cell) -> int:
 
 def prim_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:
     """Omega(gamma) = sum_k c_{gamma,k} q^(k/2), certified on
-    [chi(gamma, gamma), kmax]: one pass over the cells k takes
-    c_{gamma,k} = dim H_{gamma,k} - decomposable_dim, building each cell
-    once.  Below the bottom degree H vanishes.  c >= 0 holds by
-    construction: the rank read off the complement shapes is at most their
-    number, dim H_k - dim H_{k-2}."""
+    [chi(gamma, gamma), kmax]: one pass over the cells d = 0, ...,
+    (kmax - chi) / 2 takes c_{gamma,k} = dim H_{gamma,d} - decomposable_dim,
+    building each cell once.  Below the bottom degree H vanishes.  c >= 0
+    holds by construction: the rank read off the complement shapes is at
+    most their number, dim H_d - dim H_{d-1}."""
     quiver.check_dim(gamma)
     gamma = tuple(gamma)
     chi = euler_form(quiver, gamma, gamma)
     if kmax < chi:
         raise DomainError(f"kmax={kmax} below the bottom degree chi={chi}")
     prims = {}
-    for k in range(chi, kmax + 1, 2):
-        cell = Cell(quiver, gamma, k)
-        prims[k] = len(cell) - decomposable_dim(cell)
+    for d in range((kmax - chi) // 2 + 1):
+        cell = Cell(gamma, d)
+        prims[chi + 2 * d] = len(cell) - decomposable_dim(quiver, cell)
     return HalfSeries(prims, chi, kmax)

@@ -72,7 +72,6 @@ class ColoredPoly:
 
     @classmethod
     def constant(cls, gamma, c) -> "ColoredPoly":
-        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         return cls._make(gamma, {0: c} if c else {})
 
     @classmethod
@@ -323,6 +322,15 @@ def _walk_strands(r, kd, cd, k2, c2, guard):
 _TOKEN = re.compile(r"\s*(x\d+_\d+|x|\d+|\^|\*|\+|-|/|\(|\))")
 
 
+def _integer(tok: str) -> int:
+    """int(tok); DomainError when tok is longer than the interpreter converts
+    (sys.get_int_max_str_digits, 4300 digits by default)."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise DomainError(f"integer of {len(tok)} digits in polynomial is too long") from None
+
+
 class _Parser:
     def __init__(self, gamma, text):
         self.gamma = tuple(gamma)
@@ -375,7 +383,7 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise DomainError("expected integer exponent after '^'")
-            base = base ** int(tok)
+            base = base ** _integer(tok)
         return base
 
     def atom(self):
@@ -388,13 +396,13 @@ class _Parser:
                 raise DomainError("unbalanced parenthesis in polynomial")
             return p
         if tok.isdigit():
-            value = int(tok)
+            value = _integer(tok)
             if self.peek() == "/":
                 self.next()
                 den = self.next()
                 if den is None or not den.isdigit():
                     raise DomainError("expected integer denominator after '/'")
-                if not int(den):
+                if not _integer(den):
                     raise DomainError(f"zero denominator in {value}/{den}")
                 return ColoredPoly.constant(self.gamma, Fraction(value, int(den)))
             return ColoredPoly.constant(self.gamma, value)
@@ -405,7 +413,7 @@ class _Parser:
             return ColoredPoly.variable(self.gamma, vertex, 1)
         m = re.fullmatch(r"x(\d+)_(\d+)", tok)
         if m:
-            return ColoredPoly.variable(self.gamma, int(m.group(1)), int(m.group(2)))
+            return ColoredPoly.variable(self.gamma, _integer(m.group(1)), _integer(m.group(2)))
         raise DomainError(f"unexpected token {tok!r} in polynomial")
 
 
@@ -415,5 +423,9 @@ def parse_colored_poly(gamma, text: str) -> ColoredPoly:
     Grammar: sums of '*'-separated factors; factors are integers, rational
     literals p/q, variables ``x<vertex>_<slot>`` (1-based slot), or a bare
     ``x`` when the variable set has a single member; '^' takes powers.
+    A literal nested deeper than the interpreter recurses raises DomainError.
     """
-    return _Parser(gamma, text).parse()
+    try:
+        return _Parser(gamma, text).parse()
+    except RecursionError:
+        raise DomainError("polynomial nested too deeply") from None

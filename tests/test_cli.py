@@ -10,6 +10,8 @@ from quivercoha.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 DATA = Path(__file__).resolve().parent / "data"
+# the interpreter's int-string limit, 0 when it has none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # The benchmark's workloads (bench/workloads.py): quiver file, mode,
 # gamma-max and qtrunc of each, and its reference report in bench/reference.
@@ -230,6 +232,17 @@ def test_malformed_spec_is_exit_2(tmp_path, capsys):
     utf16.write_bytes(b"\xff\xfe" + '{"vertices": 1}'.encode("utf-16-le"))
     assert main(["--quiver", str(utf16), "--mode", "dt-table", "--gamma-max", "1"]) == 2
     assert str(utf16) in capsys.readouterr().err
+    # nested deeper than the decoder recurses, then an integer longer than
+    # the interpreter converts: both name the file
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["--quiver", str(deep), "--mode", "dt-table", "--gamma-max", "1"]) == 2
+    assert capsys.readouterr().err == f"error: invalid JSON: nested too deeply (at {deep})\n"
+    if DIGIT_LIMIT:
+        digits = tmp_path / "digits.json"
+        digits.write_text(f'{{"vertices": {"1" * (DIGIT_LIMIT + 1)}}}', encoding="utf-8")
+        assert main(["--quiver", str(digits), "--mode", "dt-table", "--gamma-max", "1"]) == 2
+        assert capsys.readouterr().err == f"error: invalid JSON: integer too long (at {digits})\n"
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."],
@@ -321,8 +334,9 @@ def test_csv_has_header_and_rows(tmp_path, a1_path):
 
 
 # The command-line contract, checked through python -m quivercoha: every
-# usage error, and a polynomial literal with a zero denominator, exits 2 with
-# its message on stderr and nothing on stdout.
+# usage error, and a polynomial literal with a zero denominator, too deep a
+# nesting or too long an integer, exits 2 with its message on stderr and
+# nothing on stdout.
 _LOOP3 = str(BENCH / "quivers" / "loop3.json")
 
 
@@ -345,8 +359,19 @@ _LOOP3 = str(BENCH / "quivers" / "loop3.json")
     (["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2", "--left", "0/0",
       "--left-gamma", "1", "--right", "1", "--right-gamma", "1"],
      "error: zero denominator in 0/0"),
+    # nested deeper than the parser recurses, and an integer longer than the
+    # interpreter converts
+    (["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2",
+      "--left", "(" * 300 + "x0_1" + ")" * 300, "--left-gamma", "1", "--right", "1",
+      "--right-gamma", "1"],
+     "error: polynomial nested too deeply\n"),
+    pytest.param(["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2",
+                  "--left", "9" * (DIGIT_LIMIT + 1), "--left-gamma", "1", "--right", "1",
+                  "--right-gamma", "1"],
+                 f"error: integer of {DIGIT_LIMIT + 1} digits in polynomial is too long\n",
+                 marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string limit")),
 ], ids=["required", "choice", "int", "unrecognized", "missing_value", "ambiguous",
-        "zero_denominator", "zero_over_zero"])
+        "zero_denominator", "zero_over_zero", "nested_literal", "long_integer"])
 def test_usage_error_is_exit_2(args, message):
     proc = _run_module(args)
     assert (proc.returncode, proc.stdout) == (2, b"")

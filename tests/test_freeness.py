@@ -60,12 +60,22 @@ def test_exact_rank_matches_brute_force():
 
 # -- decomposables ----------------------------------------------------------------
 
+def _cell_degree(quiver, gamma, k):
+    """The polynomial degree of the cell at bidegree (gamma, k)."""
+    return (k - euler_form(quiver, gamma, gamma)) // 2
+
+
+def _basis(quiver, gamma, k):
+    """The basis of the cell at bidegree (gamma, k), as elements."""
+    return [CohaElement(quiver, gamma, e) for e in basis(gamma, _cell_degree(quiver, gamma, k))]
+
+
 def _decomposable_oracle(quiver, gamma, k):
     """dim D_k alone: the rank of the twisted products of all basis elements
-    at proper splits gamma1 + gamma2, one per unordered pair (a b = +-b a),
-    on the coordinates of the cell's basis."""
+    at proper splits gamma1 + gamma2 with k1 + k2 = k, one per unordered pair
+    (a b = +-b a), on the coordinates of the cell's basis."""
     gamma = tuple(gamma)
-    read = Cell(quiver, gamma, k).read
+    read = Cell(gamma, _cell_degree(quiver, gamma, k)).read
     rows, seen = [], set()
     for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = tuple(x - y for x, y in zip(gamma, g1))
@@ -76,9 +86,9 @@ def _decomposable_oracle(quiver, gamma, k):
             k2 = k - k1
             if g1 == g2 and k1 > k2:
                 continue
-            basis1 = basis(quiver, g1, k1)
+            basis1 = _basis(quiver, g1, k1)
             same = g1 == g2 and k1 == k2
-            basis2 = basis1 if same else basis(quiver, g2, k2)
+            basis2 = basis1 if same else _basis(quiver, g2, k2)
             for i, f in enumerate(basis1):
                 for g in basis2[i:] if same else basis2:
                     rows.append(read(twisted_product(f, g).poly))
@@ -88,14 +98,12 @@ def _decomposable_oracle(quiver, gamma, k):
 def test_decomposable_examples():
     # products of bidegrees (1,1) x (1,5) span a line in H_{(2),6}, and so
     # does p1 H_{(2),4} = Q (x1 + x2): the same line
-    assert decomposable_dim(Cell(S1, (2,), 6)) == 1
+    assert decomposable_dim(S1, Cell((2,), 1)) == 1
     assert _decomposable_oracle(S1, (2,), 6) == 1
     # no proper decomposition at |gamma| = 1, but p1 H_{(1),3} = Q x^2 is
     # all of H_{(1),5}
     assert _decomposable_oracle(S2, (1,), 5) == 0
-    assert decomposable_dim(Cell(S2, (1,), 5)) == 1
-    # below the bottom of the bidegree window the space is empty
-    assert decomposable_dim(Cell(S1, (2,), 2)) == 0
+    assert decomposable_dim(S2, Cell((1,), 3)) == 1
 
 
 def _full_product_rank(quiver, gamma, k, p1_multiples=False):
@@ -107,14 +115,15 @@ def _full_product_rank(quiver, gamma, k, p1_multiples=False):
     for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = tuple(x - y for x, y in zip(gamma, g1))
         for k1 in range(euler_form(quiver, g1, g1), k - euler_form(quiver, g2, g2) + 1, 2):
-            for f in basis(quiver, g1, k1):
-                for g in basis(quiver, g2, k - k1):
+            for f in _basis(quiver, g1, k1):
+                for g in _basis(quiver, g2, k - k1):
                     prods.append(twisted_product(f, g).poly)
     if p1_multiples:
         p1 = sum((ColoredPoly.variable(gamma, i, s)
                   for i, size in enumerate(gamma) for s in range(1, size + 1)),
                  ColoredPoly.zero(gamma))
-        prods += [p1 * m.poly for m in basis(quiver, gamma, k - 2)]
+        if k - 2 >= euler_form(quiver, gamma, gamma):
+            prods += [p1 * m.poly for m in _basis(quiver, gamma, k - 2)]
     coefficients = [dict(p.terms()) for p in prods]
     monomials = sorted({exps for c in coefficients for exps in c})
     return exact_rank([[c.get(m, 0) for m in monomials] for c in coefficients])
@@ -128,7 +137,8 @@ def test_decomposable_dim_spans_every_ordered_product(quiver, gamma):
     # ordered products, with and without every p1 multiple
     chi = euler_form(quiver, gamma, gamma)
     for k in range(chi, chi + 13, 2):
-        assert decomposable_dim(Cell(quiver, gamma, k)) == _full_product_rank(
+        cell = Cell(gamma, _cell_degree(quiver, gamma, k))
+        assert decomposable_dim(quiver, cell) == _full_product_rank(
             quiver, gamma, k, p1_multiples=True), k
         assert _decomposable_oracle(quiver, gamma, k) == _full_product_rank(quiver, gamma, k), k
 
@@ -139,7 +149,8 @@ def _generator_dims(quiver, gamma, kmax):
     """{k: dim V_{gamma,k}} for chi <= k <= kmax of k's parity, dim V =
     dim H - dim D, D from the oracle."""
     chi = euler_form(quiver, gamma, gamma)
-    return {k: len(Cell(quiver, gamma, k)) - _decomposable_oracle(quiver, gamma, k)
+    return {k: len(Cell(gamma, _cell_degree(quiver, gamma, k)))
+            - _decomposable_oracle(quiver, gamma, k)
             for k in range(chi, kmax + 1, 2)}
 
 
@@ -205,7 +216,7 @@ def test_prim_dims_rejects_a_p1_multiple_off_its_pivot(monkeypatch):
     real = Cell._p1_rows
     monkeypatch.setattr(Cell, "_p1_rows", lambda cell: (
         (pivot, [(j, 2 * c) for j, c in row]) for pivot, row in real(cell)))
-    with pytest.raises(StructuralViolationError, match=r"gamma=\(2,\), k=-2"):
+    with pytest.raises(StructuralViolationError, match=r"gamma=\(2,\), d=1"):
         prim_dims(S2, (2,), 2)
 
 

@@ -24,7 +24,9 @@ the quiver), and 4 when the input is valid but exceeds a
 capacity limit (LimitExceededError: the size cap of the exhaustive
 genericity search, or the packed-exponent limit of 127 on every exponent,
 including those of the shuffle numerator, which can exceed the product's own
-by the kernel degree).
+by the kernel degree) or the interpreter's (OverflowError or MemoryError: a
+flag such as ``--qtrunc 99999999999999999999999``, whose series window no
+list can hold, or one whose work does not fit in memory).
 
 Usage errors (a missing, unknown or ambiguous flag, a flag without its
 value, a value that is not an integer or not one of the choices) are bad
@@ -265,7 +267,7 @@ def run_genericity(cfg: RunConfig) -> tuple[int, dict]:
     q = cfg.quiver
     rows = []
     for idx, gamma in enumerate(enumerate_dim_vectors(cfg.gamma_max)):
-        t = sample_generic(q, gamma, (cfg.seed, idx))
+        t = sample_generic(gamma, (cfg.seed, idx))
         legs = attach_legs(q, gamma)
         lam = lambda_from_eigenvalues(t, legs)
         pairing = sum(g * l for g, l in zip(legs.tilde_gamma, lam))
@@ -275,7 +277,7 @@ def run_genericity(cfg: RunConfig) -> tuple[int, dict]:
             "tilde_gamma": list(legs.tilde_gamma),
             "lambda": [str(x) for x in lam],
             "gamma_dot_lambda": str(pairing),
-            "generic": is_generic(t, q, gamma),
+            "generic": is_generic(t),
         })
     payload = {
         "quiver": cfg.quiver.to_spec_dict(),
@@ -369,6 +371,10 @@ def main(argv=None) -> int:
         return 2
     except LimitExceededError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 4
+    except (OverflowError, MemoryError):
+        print("error: input exceeds this interpreter's capacity: a flag asks for more "
+              "than a list index or the memory holds", file=sys.stderr)
         return 4
     except StructuralViolationError as err:
         print(f"internal error: {err}", file=sys.stderr)

@@ -31,8 +31,8 @@ S_gamma / (S_gamma1 x S_gamma2).  Since F is symmetric within each side, the
 composite is the sum over all shuffles of sigma_S(F / prod (x''_s - x'_r)),
 which is the shuffle sum above (Macdonald, *Notes on Schubert Polynomials*,
 ch. II).  So every product, a zero factor's too, costs sum_i gamma1^i gamma2^i
-exact divisions by a binomial, each one walk per strand of the numerator's
-keys (``exact_divide``).
+exact divisions by x_{p+1} - x_p, each one walk per strand of the
+numerator's keys (``exact_divide``).
 Each division certifies that its step is a polynomial (a nonzero remainder
 would be a correctness bug, not an input error).
 
@@ -51,15 +51,17 @@ sum a_ij gamma1^i gamma2^j and the divisions take sum gamma1^i gamma2^i.
 The cell (gamma, d), H_{gamma,d}, holds the elements of polynomial degree d;
 it depends on gamma and d alone.  Its monomial basis (``basis``) has one
 product of monomial symmetric polynomials m_lambda per shape, a partition
-lambda of d_i with at most gamma^i parts at each vertex, d = sum d_i.  Its
+lambda of d_i with at most gamma^i parts at each vertex, d = sum d_i.  The
+basis order is that of the p1 pass below: by degree, then lex on the
+partition, at the first vertex, then the same at the next, and so on.  Its
 terms are the sums of one orbit key per color block, all with coefficient 1,
-and its lex-leading key lays each lambda out in slot order.  Distinct shapes have
-distinct leading keys, and every monomial of a shape's orbit has coefficient
-1 in it alone, so the coefficients of a block-symmetric polynomial of the
-cell at the leading keys are its coordinates on the basis (``Cell.read``).
-Such a polynomial has exactly as many terms as the orbits of its nonzero
-coordinates hold (per block, gamma^i! over the factorials of the
-multiplicities in lambda); any other term count means it is not
+and its lex-leading key lays each lambda out in slot order.  Distinct shapes
+have distinct leading keys, and every monomial of a shape's orbit has
+coefficient 1 in it alone, so the coefficients of a block-symmetric
+polynomial of the cell at the leading keys are its coordinates on the basis
+(``Cell.read``).  Such a polynomial has exactly as many terms as the orbits
+of its nonzero coordinates hold (per block, gamma^i! over the factorials of
+the multiplicities in lambda); any other term count means it is not
 block-symmetric of degree d, and the reader raises StructuralViolationError.
 
 The same layout gives the quotient by p1, the sum of all the variables, that
@@ -77,17 +79,18 @@ w of nu^i by one gives the parts of mu^i exactly when w = v + 1.  On the
 packed leading keys mu is lambda's key minus the unit of slot (i0, 1), and
 nu is mu's key plus the unit of the raised slot.  The row of lambda leads at
 lambda with coefficient 1 (lambda_1 is the only part of its size at i0), and
-its other shapes come lower in the order by degree, then lex, at i0: a raise
-at another vertex lowers the degree at i0, one at a later slot of i0 the
-partition.  So ``Cell.p1_reducer`` clears those pivots from a polynomial's
-coordinates top-down and keeps the complement shapes, lambda_1 == lambda_2
-at i0; ``complement_basis`` lists their elements.  This module alone knows
-that layout.
+its other shapes come before lambda in basis order: a raise at a later
+vertex lowers the degree at i0, one at a later slot of i0 the partition, and
+i0 leads the order, as the blocks before it hold only the empty partition.
+So ``Cell.p1_reducer`` clears those pivots from a polynomial's coordinates
+in reverse basis order and keeps the complement shapes, lambda_1 ==
+lambda_2 at i0; ``complement_basis`` lists their elements.  This module
+alone knows that layout.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations, product as iproduct
+from itertools import accumulate, permutations
 from math import factorial, prod
 
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
@@ -179,7 +182,7 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
                 num = poly.alternate(p)
                 del poly   # F is not needed once its numerator is built
                 try:
-                    poly = exact_divide(num, _difference(gamma, p + 1, p))
+                    poly = exact_divide(num, p)
                 except DivisibilityError as err:  # pragma: no cover - would be a bug
                     raise StructuralViolationError(
                         f"divided difference at slots {p}, {p + 1} left a remainder for "
@@ -202,25 +205,15 @@ def twisted_product(a: CohaElement, b: CohaElement) -> CohaElement:
 
 def _partitions(d: int, max_part: int, max_len: int):
     """Partitions of d into at most max_len parts of size at most max_part,
-    descending tuples."""
+    descending tuples, in lex order."""
     if d == 0:
         yield ()
         return
     if max_len == 0:
         return
-    for part in range(min(d, max_part), 0, -1):
+    for part in range(1, min(d, max_part) + 1):
         for rest in _partitions(d - part, part, max_len - 1):
             yield (part,) + rest
-
-
-def _compositions(d: int, parts: int):
-    if parts == 0:
-        if d == 0:
-            yield ()
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, parts - 1):
-            yield (first,) + rest
 
 
 def _padded(gamma: DimVector, vertex: int, lam) -> tuple[int, ...]:
@@ -237,18 +230,16 @@ def _orbit_keys(gamma: DimVector, vertex: int, lam) -> list[int]:
 
 
 def _shapes(gamma: DimVector, d: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Per basis element of the cell (gamma, d), in ``basis`` order, its
+    """Per basis element of the cell (gamma, d), in basis order, its
     partition at each vertex."""
     if any(n < 0 for n in gamma):
         raise DomainError("dimension vector entries must be >= 0")
-    parts = [[list(_partitions(c, c, size)) for c in range(d + 1)] for size in gamma]
-    shapes = []
-    for comp in _compositions(d, len(gamma)):
-        # a list: unpacking a generator builds an oversized argument tuple and
-        # shrinks it, which leaves one more block in the interpreter's
-        # free list of small tuples on every call
-        shapes.extend(iproduct(*[p[c] for p, c in zip(parts, comp)]))
-    return shapes
+    shapes = [((), d)]   # (the partitions at the vertices so far, the degree left)
+    for size in gamma:
+        parts = [list(_partitions(e, e, size)) for e in range(d + 1)]
+        shapes = [(shape + (lam,), left - e) for shape, left in shapes
+                  for e in range(left + 1) for lam in parts[e]]
+    return [shape for shape, left in shapes if not left]
 
 
 def _elements(gamma: DimVector, shapes):
@@ -356,31 +347,25 @@ class Cell:
     def p1_reducer(self):
         """(dim H_{gamma,d-1}, reduce): reduce(poly) gives the coordinates of
         a polynomial of the cell modulo p1 H_{gamma,d-1}, on the complement
-        shapes (lambda_1 == lambda_2 at i0) in ``basis`` order.  Each p1 row
-        must lead at its pivot with coefficient 1, every other shape lower in
-        the order of the triangular pass, or StructuralViolationError is
-        raised (see the module docstring)."""
-        gamma = self.gamma
-        i0 = _first_vertex(gamma)
-        size, shift, mask = gamma[i0], 8 * sum(gamma[i0 + 1:]), (1 << 8 * gamma[i0]) - 1
-        # (degree, lex) of the block at i0, as one integer per shape
-        blocks = [key >> shift & mask for key in self._keys]
-        order = [sum(b.to_bytes(size, "big")) << 8 * size | b for b in blocks]
+        shapes (lambda_1 == lambda_2 at i0) in basis order.  Each p1 row
+        must lead at its pivot with coefficient 1, every other shape below
+        it in basis order, or StructuralViolationError is raised (see the
+        module docstring)."""
         steps = []
         for pivot, row in self._p1_rows():
             rest = [(j, c) for j, c in row if j != pivot]
-            if (pivot, 1) not in row or any(order[j] >= order[pivot] for j, _ in rest):
+            if (pivot, 1) not in row or any(j > pivot for j, _ in rest):
                 raise StructuralViolationError(
-                    f"p1 m_mu at gamma={gamma}, d={self.d} does not lead at mu + e_1 = "
+                    f"p1 m_mu at gamma={self.gamma}, d={self.d} does not lead at mu + e_1 = "
                     f"{self.shapes[pivot]} with coefficient 1")
-            steps.append((order[pivot], pivot, rest))
-        # top-down: a step writes only to columns below its pivot
-        steps.sort(key=lambda step: step[0], reverse=True)
+            steps.append((pivot, rest))
+        steps.reverse()   # top-down: a step writes only to columns below its pivot
+        i0 = _first_vertex(self.gamma)
         complement = [j for j, shape in enumerate(self.shapes) if _in_complement(shape, i0)]
 
         def reduce(poly: ColoredPoly) -> list:
             row = self.read(poly)
-            for _, pivot, rest in steps:
+            for pivot, rest in steps:
                 c = row[pivot]
                 if c:
                     for j, v in rest:

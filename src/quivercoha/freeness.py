@@ -25,10 +25,10 @@ and the p1 rows all come from ``coha.Cell``, which alone knows that layout
 (its docstring has Pieri's rule for the rows).  Let i0 be the first vertex
 with gamma^i0 > 0.  p1 m_mu, for m_mu a basis element of H_{gamma,d-1},
 leads at the shape mu + e_1, whose partition at i0 is (mu_1 + 1, mu_2, ...),
-with coefficient 1, and its other shapes come lower in the column order of
-the triangular pass, degree at i0 and then lex on the partition at i0.  So a
-top-down pass over the p1 rows, with integer pivots 1 and no division,
-clears every pivot column of a product's row.  mu -> mu + e_1 is a
+with coefficient 1, and its other shapes come before it in the basis order,
+by degree and then lex on the partition, at i0 first.  So a pass over the p1
+rows in reverse basis order, with integer pivots 1 and no division, clears
+every pivot column of a product's row.  mu -> mu + e_1 is a
 bijection onto the shapes with lambda_1 > lambda_2 at i0 (zeros padding
 lambda), so dim H_{gamma,d-1} is their number, read off the cell (gamma, d)
 alone.  The columns left, the complement shapes with lambda_1 == lambda_2

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
                      StructuralViolationError)
@@ -102,45 +102,33 @@ def lambda_from_eigenvalues(t: EigenData, legs: LegData):
     return tuple(lam)
 
 
-def is_generic(t: EigenData, q: Quiver, gamma: DimVector) -> bool:
+def is_generic(t: EigenData) -> bool:
     """Regular (distinct per vertex) and no proper sub-selection sums to zero.
 
-    Exhaustive over per-vertex subsets; |gamma| is capped at
+    Exhaustive over the subsets of all the eigenvalues; |gamma| is capped at
     GENERICITY_SIZE_LIMIT because the search is exponential.
     """
-    q.check_dim(gamma)
-    if t.gamma() != tuple(gamma):
-        raise DimensionMismatchError("eigenvalue data does not match gamma")
-    if dim_abs(gamma) > GENERICITY_SIZE_LIMIT:
+    flat = [v for vs in t.values for v in vs]
+    if len(flat) > GENERICITY_SIZE_LIMIT:
         raise LimitExceededError(
             f"genericity test is exhaustive; |gamma| <= {GENERICITY_SIZE_LIMIT}")
     if any(len(set(vs)) < len(vs) for vs in t.values):
         return False
-    per_vertex = [[c for size in range(len(vs) + 1)
-                   for c in combinations(range(len(vs)), size)] for vs in t.values]
-    total = dim_abs(gamma)
-    for pick in iproduct(*per_vertex):
-        chosen = sum(len(p) for p in pick)
-        if chosen == 0 or chosen == total:
-            continue
-        s = sum((t.values[i][r] for i, p in enumerate(pick) for r in p), Fraction(0))
-        if s == 0:
-            return False
-    return True
+    return not any(sum(pick) == 0 for size in range(1, len(flat))
+                   for pick in combinations(flat, size))
 
 
-def sample_generic(q: Quiver, gamma: DimVector, seed) -> EigenData:
+def sample_generic(gamma: DimVector, seed) -> EigenData:
     """Deterministic-from-seed generic eigenvalue data; widens the sampling
     range until the genericity test passes (the generic locus misses only
     finitely many hyperplanes, so this terminates)."""
     import random   # only the genericity mode samples
 
-    q.check_dim(gamma)
     gamma = tuple(gamma)
-    if not any(gamma):
-        raise DomainError("cannot sample eigenvalues for gamma = 0")
+    if any(n < 0 for n in gamma) or not any(gamma):
+        raise DomainError(f"cannot sample eigenvalues for gamma = {gamma}")
     rng = random.Random(repr((seed, gamma)))
-    spread = 8 * max(1, dim_abs(gamma))
+    spread = 8 * dim_abs(gamma)
     while True:
         flat = [Fraction(rng.randint(-spread, spread),
                          rng.choice((1, 1, 1, 2, 3)))
@@ -152,6 +140,6 @@ def sample_generic(q: Quiver, gamma: DimVector, seed) -> EigenData:
             values.append(tuple(flat[pos:pos + size]))
             pos += size
         candidate = EigenData(tuple(values))
-        if is_generic(candidate, q, gamma):
+        if is_generic(candidate):
             return candidate
         spread *= 2

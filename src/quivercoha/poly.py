@@ -8,18 +8,18 @@ multiplication is integer addition and lexicographic comparison is integer
 comparison.  Every exponent is at most 127, so bit 7 of each byte is an
 overflow guard: the sum of two keys never carries into the next byte, and a
 set guard bit marks an exponent above 127.  Int coefficients stay ints
-through sums, products, ``alternate`` and division by a binomial whose lead
-divides them.  Fractions come only from the literals p/q of
-``parse_colored_poly`` and from a lead that does not divide; one that
-reduces to an integer compares, hashes and renders like that integer.
+through sums, products, ``alternate`` and ``exact_divide``.  Fractions come
+only from the literals p/q of ``parse_colored_poly``; one that reduces to an
+integer compares, hashes and renders like that integer.
 
-``exact_divide`` divides by a binomial, the divisor of every divided
-difference, by synthetic division along strands.  With cd x^kd the leading
-term and c2 x^k2 the other, a quotient term cancels the remainder at a key kr
-and changes it only at kr - (kd - k2).  So the keys split into arithmetic
-strands of step kd - k2, each key has one predecessor on its strand, and a
-walk down each strand from its highest key, carrying one coefficient, takes
-every quotient term in turn with no ordered queue of pending keys.
+``exact_divide`` divides by x_(p+1) - x_p, the divisor of every divided
+difference, by synthetic division along strands.  Its lead is -x_p, with
+coefficient -1, so each quotient term is the negated remainder term, and
+the term x_(p+1) changes the remainder only at kr - (kd - k2), kd and k2
+the keys of x_p and x_(p+1).  So the keys split into arithmetic strands of
+step kd - k2, each key has one predecessor on its strand, and a walk down
+each strand from its highest key, carrying one coefficient, takes every
+quotient term in turn with no ordered queue of pending keys.
 
 No floating point appears anywhere in this module.
 """
@@ -261,42 +261,29 @@ class ColoredPoly:
         return f"ColoredPoly(gamma={self.gamma}, {self.canonical_str()})"
 
 
-def exact_divide(num: ColoredPoly, den: ColoredPoly) -> ColoredPoly:
-    """Return q with q * den == num, or raise DivisibilityError.
+def exact_divide(num: ColoredPoly, p: int) -> ColoredPoly:
+    """Return q with q * (x_(p+1) - x_p) == num, or raise DivisibilityError.
 
-    The divisor must have exactly two terms, cd x^kd + c2 x^k2 with kd the
-    lex-leading key, as every divided difference's has; any other divisor,
-    the zero polynomial included, raises DomainError.  num is walked strand
-    by strand (see the module docstring), step = kd - k2.  The walk is exact
-    because only the predecessor kr + step writes to a key kr: taking num's
-    keys in descending order, the first key of a strand met still in the
-    remainder has no work left above it, so its value is final.  The walk
-    from it divides that value by cd, emitting the quotient term at kr - kd,
-    and carries the value at kr - step minus the quotient term times c2 down
-    the strand while the carry is nonzero.
+    num is walked strand by strand (see the module docstring), step =
+    kd - k2 for the lead -x^kd = -x_p and the other term x^k2 = x_(p+1).
+    The walk is exact because only the predecessor kr + step writes to a key
+    kr: taking num's keys in descending order, the first key of a strand met
+    still in the remainder has no work left above it, so its value is final.
+    The walk from it emits the negated value as the quotient term at
+    kr - kd and carries the value at kr - step plus that value down the
+    strand while the carry is nonzero.
 
-    A key that x^kd does not divide, or that has an exponent above 127,
-    keeps its value and ends its strand.  What remains after every strand
-    is walked is num - q * den for the quotient q reached, and a nonzero
-    remainder raises DivisibilityError carrying it.
+    A key that x_p does not divide, or that has an exponent above 127, keeps
+    its value and ends its strand.  What remains after every strand is
+    walked is num - q * (x_(p+1) - x_p) for the quotient q reached, and a
+    nonzero remainder raises DivisibilityError carrying it.
     """
-    if len(den) != 2:
-        raise DomainError(f"exact_divide takes a divisor of two terms, not {len(den)}")
-    num._check_compatible(den)
+    if not 0 <= p < num.nvars - 1:
+        raise DomainError(f"no variables {p}, {p + 1} among {num.nvars}")
+    kd = 1 << 8 * (num.nvars - 1 - p)
+    step = kd - (kd >> 8)
+    guard = int.from_bytes(b"\x80" * num.nvars, "big")
     r = dict(num._terms)
-    (kd, cd), (k2, c2) = sorted(den._terms.items(), reverse=True)
-    q = _walk_strands(r, kd, cd, k2, c2, int.from_bytes(b"\x80" * num.nvars, "big"))
-    if r:
-        raise DivisibilityError(
-            "polynomial division left a nonzero remainder",
-            remainder=ColoredPoly._make(num.gamma, r))
-    return ColoredPoly._make(num.gamma, q)
-
-
-def _walk_strands(r, kd, cd, k2, c2, guard):
-    """Divide r in place by cd x^kd + c2 x^k2, one walk per strand; return
-    the quotient's terms."""
-    step = kd - k2
     pop = r.pop
     q = {}
     for kr in sorted(r, reverse=True):
@@ -307,14 +294,14 @@ def _walk_strands(r, kd, cd, k2, c2, guard):
             if kr & guard or ((kr | guard) - kd) & guard != guard:
                 r[kr] = c   # kr stays in r and ends its strand
                 break
-            if type(c) is int and type(cd) is int and not c % cd:
-                c //= cd
-            else:
-                c = Fraction(c) / cd
-            q[kr - kd] = c
+            q[kr - kd] = -c
             kr -= step
-            c = pop(kr, 0) - c * c2
-    return q
+            c += pop(kr, 0)
+    if r:
+        raise DivisibilityError(
+            "polynomial division left a nonzero remainder",
+            remainder=ColoredPoly._make(num.gamma, r))
+    return ColoredPoly._make(num.gamma, q)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -317,6 +317,34 @@ def test_capacity_limit_is_exit_4(tmp_path, a1_path, loop1_path, kron_path, caps
     assert json.loads(blob)["product"]["poly"] == "0"
 
 
+@pytest.mark.parametrize("quiver, mode, gamma_max", [
+    ("loop3.json", "dt-table", "2"),
+    ("loop2.json", "check-freeness", "2"),
+    ("kronecker2_half.json", "check-nonvanishing", "1,1"),
+], ids=["dt-table", "check-freeness", "check-nonvanishing"])
+def test_a_window_no_list_can_hold_is_exit_4(quiver, mode, gamma_max, capsys):
+    # --qtrunc 10^23 - 1 sizes the first list of the series window past the
+    # largest index, so the OverflowError comes before anything is allocated
+    assert main(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
+                 "--gamma-max", gamma_max, "--qtrunc", "9" * 23]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: input exceeds this interpreter's capacity")
+    assert len(err.splitlines()) == 1
+
+
+def test_memory_error_is_exit_4(a1_path, monkeypatch, capsys):
+    from quivercoha import cli
+
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._RUNNERS, "dt-table", exhausted)
+    assert main(["--quiver", a1_path, "--mode", "dt-table", "--gamma-max", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: input exceeds this interpreter's capacity")
+    assert len(err.splitlines()) == 1
+
+
 def test_gamma_max_length_mismatch_is_exit_2(a1_path):
     assert main(["--quiver", a1_path, "--mode", "dt-table",
                  "--gamma-max", "1,1"]) == 2

@@ -89,21 +89,21 @@ def test_eigendata_requires_zero_trace():
 # -- genericity --------------------------------------------------------------------
 
 def test_is_generic_examples():
-    assert is_generic(EigenData(((1, -1),)), S1, (2,)) is True
+    assert is_generic(EigenData(((1, -1),))) is True
     # a repeated eigenvalue at one vertex, and a zero sum across vertices
-    assert is_generic(EigenData(((0, 0),)), S1, (2,)) is False
-    assert is_generic(EigenData(((Fraction(1, 2),), (Fraction(-1, 2),))), S3, (1, 1)) is True
-    assert is_generic(EigenData(((0,), (0,))), S3, (1, 1)) is False
+    assert is_generic(EigenData(((0, 0),))) is False
+    assert is_generic(EigenData(((Fraction(1, 2),), (Fraction(-1, 2),)))) is True
+    assert is_generic(EigenData(((0,), (0,)))) is False
 
 
 def test_single_vertex_gamma_one_always_generic():
-    assert is_generic(EigenData(((0,),)), S1, (1,))
+    assert is_generic(EigenData(((0,),)))
 
 
 def test_generic_size_limit():
     t = EigenData(((1, 2, 3, 4, 5, 6, 7, 8, -36),))
     with pytest.raises(LimitExceededError):
-        is_generic(t, Quiver(((0,),)), (9,))
+        is_generic(t)
 
 
 @given(st.permutations(list(range(4))))
@@ -111,14 +111,13 @@ def test_is_generic_invariant_under_reordering(perm):
     base = [Fraction(3), Fraction(-1), Fraction(5, 2), Fraction(-9, 2)]
     t1 = EigenData((tuple(base),))
     t2 = EigenData((tuple(base[i] for i in perm),))
-    q = Quiver(((0,),))
-    assert is_generic(t1, q, (4,)) == is_generic(t2, q, (4,))
+    assert is_generic(t1) == is_generic(t2)
 
 
 def test_is_generic_finds_a_hidden_zero_subset():
     # 1 + 2 - 3 = 0 hidden inside a trace-zero tuple; no pair collides
-    assert is_generic(EigenData(((1, 2, -3, 5, -5),)), Quiver(((0,),)), (5,)) is False
-    assert is_generic(EigenData(((1, 2, -7, 9, -5),)), Quiver(((0,),)), (5,)) is True
+    assert is_generic(EigenData(((1, 2, -3, 5, -5),))) is False
+    assert is_generic(EigenData(((1, 2, -7, 9, -5),))) is True
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -126,27 +125,32 @@ def test_is_generic_finds_a_hidden_zero_subset():
 def test_sample_generic_deterministic_and_verified(suite_quiver):
     n = suite_quiver.vertex_count
     gamma = (2,) + (1,) * (n - 1)
-    t1 = sample_generic(suite_quiver, gamma, 1)
-    t2 = sample_generic(suite_quiver, gamma, 1)
+    t1 = sample_generic(gamma, 1)
+    t2 = sample_generic(gamma, 1)
     assert t1 == t2
-    assert is_generic(t1, suite_quiver, gamma)
-    t3 = sample_generic(suite_quiver, gamma, 2)
-    assert is_generic(t3, suite_quiver, gamma)
+    assert is_generic(t1)
+    t3 = sample_generic(gamma, 2)
+    assert is_generic(t3)
 
 
 def test_sample_generic_nonzero_entries_for_unit_pairs():
-    t = sample_generic(S3, (1, 1), 3)
+    t = sample_generic((1, 1), 3)
     assert all(vs[0] != 0 for vs in t.values)
     assert sum(vs[0] for vs in t.values) == 0
 
 
+def test_sample_generic_rejects_a_zero_or_negative_gamma():
+    for gamma in ((0,), (0, 0), (2, -1)):
+        with pytest.raises(DomainError):
+            sample_generic(gamma, 0)
+
+
 def test_sampled_lambda_pairing_vanishes():
     for name, q0 in SUITE_HALVES:
-        q = double(q0)
         n = q0.vertex_count
         for seed in range(10):
             gamma = ((seed % 3) + 1,) + (1,) * (n - 1)
-            t = sample_generic(q, gamma, seed)
+            t = sample_generic(gamma, seed)
             legs = attach_legs(q0, gamma)
             lam = lambda_from_eigenvalues(t, legs)
             assert sum(g * l for g, l in zip(legs.tilde_gamma, lam)) == 0

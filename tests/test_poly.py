@@ -88,60 +88,50 @@ def test_add_rejects_mismatched_variable_sets():
 
 # -- exact division --------------------------------------------------------------
 
+def difference(gamma, p):
+    """x_(p+1) - x_p, the divisor of exact_divide(num, p), in flat indices."""
+    xs = [v(gamma, i, s) for i, size in enumerate(gamma) for s in range(1, size + 1)]
+    return xs[p + 1] + -xs[p]
+
+
 def test_exact_divide_difference_of_squares():
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)
-    q = exact_divide(parsed("x0_1^2 - x0_2^2"), parsed("x0_1 - x0_2"))
+    q = exact_divide(parsed("x0_2^2 - x0_1^2"), 0)
     assert q == x1 + x2
 
 
 def test_exact_divide_reports_failure_with_remainder():
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)
+    # x1 x2 = -x2 (x2 - x1) + x2^2
     with pytest.raises(DivisibilityError) as exc:
-        exact_divide(x1 * x2, parsed("x0_1 - x0_2"))
-    assert exc.value.remainder is not None
-    assert exc.value.remainder
-    # the lead x2 of x2 + 1 precedes x1 in lex order but does not divide it
+        exact_divide(x1 * x2, 0)
+    assert exc.value.remainder == x2 * x2
+    # the lead x0_2 of x0_3 - x0_2 does not divide x0_1
+    x = v((3,), 0, 1)
     with pytest.raises(DivisibilityError) as exc:
-        exact_divide(x1, parsed("x0_2 + 1"))
-    assert exc.value.remainder == x1
+        exact_divide(x, 1)
+    assert exc.value.remainder == x
 
 
 def test_exact_divide_zero_numerator():
     g = (2,)
-    assert exact_divide(ColoredPoly.zero(g), parsed("x0_1 - x0_2")) == ColoredPoly.zero(g)
+    assert exact_divide(ColoredPoly.zero(g), 0) == ColoredPoly.zero(g)
 
 
-def test_exact_divide_rejects_zero_divisor():
-    g = (1,)
-    with pytest.raises(DomainError):
-        exact_divide(v(g, 0, 1), ColoredPoly.zero(g))
-
-
-def test_exact_divide_takes_only_a_divisor_of_two_terms():
-    x = v((1,), 0, 1)
-    for den in ("0", "x", "2", "x^2 - x + 1"):
+def test_exact_divide_rejects_an_out_of_range_p():
+    for g, p in (((2,), -1), ((2,), 1), ((1, 1), 2), ((1,), 0)):
         with pytest.raises(DomainError):
-            exact_divide(x * x, parsed(den, (1,)))
-
-
-def test_exact_divide_rational_lead():
-    g = (1,)
-    x = v(g, 0, 1)
-    q = exact_divide(parsed("x^2 - x", g), parsed("2/3*x - 2/3", g))
-    assert q == x * Fraction(3, 2)
+            exact_divide(ColoredPoly.constant(g, 1), p)
 
 
 def test_exact_divide_int_quotient_stays_int():
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)
-    q = exact_divide(parsed("6*x0_1^3 - 6*x0_2^3"), parsed("2*x0_1 - 2*x0_2"))
-    assert q == (x1 * x1 + x1 * x2 + x2 * x2) * 3
+    q = exact_divide(parsed("6*x0_2^3 - 6*x0_1^3"), 0)
+    assert q == (x1 * x1 + x1 * x2 + x2 * x2) * 6
     assert all(type(c) is int for _, c in q.terms())
-    # an int lead that does not divide gives a Fraction
-    half = exact_divide(parsed("3*x0_1 - 3*x0_2"), parsed("2*x0_1 - 2*x0_2"))
-    assert list(half.terms()) == [((0, 0), Fraction(3, 2))]
 
 
 # -- ring axioms -----------------------------------------------------------------
@@ -190,86 +180,73 @@ def test_exponent_range_is_checked():
 
 
 def test_exact_divide_remainder_beyond_127_is_reported():
+    # x1^2 x2^127 = -x1 x2^127 (x2 - x1) + x1 x2^128: the carry reaches
+    # exponent 128 at a key that x1 still divides, and the walk stops there
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)
     with pytest.raises(DivisibilityError) as exc:
-        exact_divide(x1 ** 3, x1 + -x2 ** 127)
-    assert list(exc.value.remainder.terms()) == [((1, 254), 1)]
+        exact_divide(x1 ** 2 * x2 ** 127, 0)
+    assert list(exc.value.remainder.terms()) == [((1, 128), 1)]
 
 
-def test_exact_divide_remainder_at_a_rational_lead():
-    # x^2 + 1 = (3/2 x + 3/2) * (2/3)(x - 1) + 2: the failed division reports
-    # the remainder 2 at the constant key
-    divisor = parsed("2/3*x - 2/3", (1,))
-    with pytest.raises(DivisibilityError) as exc:
-        exact_divide(parsed("x^2 + 1", (1,)), divisor)
-    assert list(exc.value.remainder.terms()) == [((0,), 2)]
-
-
-def assert_divides_or_leaves_remainder(num, den):
-    """exact_divide(num, den) is num / den, or raises with the remainder
-    num - q * den of a partial quotient q: when every exponent of the
-    remainder is in range, num minus it divides exactly by den."""
+def assert_divides_or_leaves_remainder(num, p):
+    """exact_divide(num, p) is num / (x_(p+1) - x_p), or raises with the
+    remainder num - q * (x_(p+1) - x_p) of a partial quotient q: when every
+    exponent of the remainder is in range, num minus it divides exactly."""
+    den = difference(num.gamma, p)
     try:
-        q = exact_divide(num, den)
+        q = exact_divide(num, p)
     except DivisibilityError as exc:
         rem = exc.remainder
         assert rem
         if all(e <= 127 for exps, _ in rem.terms() for e in exps):
             rest = num + -rem
-            assert exact_divide(rest, den) * den == rest
+            assert exact_divide(rest, p) * den == rest
         return
     assert q * den == num
     assert all(e <= 127 for exps, _ in q.terms() for e in exps)
 
 
-@st.composite
-def binomials(draw, gamma, exponents=st.integers(0, 3)):
-    """c1 x^u + c2 x^w, u != w, with nonzero Fraction coefficients."""
-    exps = st.tuples(*[exponents] * sum(gamma))
-    u, w = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
-    c1, c2 = (Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
-              for _ in range(2))
-    return poly_from_terms(gamma, {u: c1, w: c2})
-
-
 EDGE_EXPONENTS = st.sampled_from((0, 1, 126, 127))
 
 
-@given(small_polys(exponents=EDGE_EXPONENTS), binomials((2,), EDGE_EXPONENTS))
-def test_divide_is_exact_or_raises(a, b):
-    assert_divides_or_leaves_remainder(a, b)
+@given(small_polys(exponents=EDGE_EXPONENTS))
+def test_divide_is_exact_or_raises(a):
+    assert_divides_or_leaves_remainder(a, 0)
 
 
 @st.composite
-def binomial_divisions(draw):
-    """(a, b, e): gamma of 1 to 3 blocks of at most 2 variables, a and e with
-    Fraction coefficients and exponents 0 to 3, b a binomial."""
-    gamma = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(sum)))
-    return draw(small_polys(gamma)), draw(binomials(gamma)), draw(small_polys(gamma))
+def divisions(draw):
+    """(a, p, e): gamma of 1 to 3 blocks of at most 2 variables, 2 or more in
+    all, a and e with Fraction coefficients and exponents 0 to 3, and p a
+    flat index with a variable after it."""
+    gamma = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)
+                       .filter(lambda g: sum(g) > 1)))
+    p = draw(st.integers(0, sum(gamma) - 2))
+    return draw(small_polys(gamma)), p, draw(small_polys(gamma))
 
 
-@given(binomial_divisions())
+@given(divisions())
 def test_binomial_divide_undoes_multiplication(case):
-    # the strand walk: every strand of a * b is walked to a zero carry
-    a, b, e = case
-    assert exact_divide(a * b, b) == a
-    assert_divides_or_leaves_remainder(a * b + e, b)
+    # the strand walk: every strand of a * (x_(p+1) - x_p) is walked to a
+    # zero carry
+    a, p, e = case
+    assert exact_divide(a * difference(a.gamma, p), p) == a
+    assert_divides_or_leaves_remainder(a * difference(a.gamma, p) + e, p)
 
 
 @given(small_polys((2, 1), coeffs=st.integers(-4, 4)),
        small_polys((2, 1), coeffs=st.integers(-4, 4)),
-       st.permutations(range(3)))
-def test_int_coefficients_stay_int(a, c, order):
+       st.integers(0, 1))
+def test_int_coefficients_stay_int(a, c, p):
     # the linear route's rows are integral only if products, sums, alternation
-    # and division by x_s - x_r, the divisor of a divided difference, keep int
-    # coefficients ints
-    xs = [v((2, 1), 0, 1), v((2, 1), 0, 2), v((2, 1), 1, 1)]
-    b = xs[order[0]] + -xs[order[1]]
+    # and division by x_(p+1) - x_p, the divisor of a divided difference, keep
+    # int coefficients ints
+    b = difference((2, 1), p)
     results = [a * c, a * b, a * -3, a + c, a.alternate(0), a.alternate(1),
-               exact_divide(a * b, b)]
+               exact_divide(a * b, p)]
     assert results[-1] == a
-    assert all(type(coeff) is int for p in results for _, coeff in p.terms())
+    assert all(type(coeff) is int for r in results for _, coeff in r.terms())
 
 
 # -- structure helpers -------------------------------------------------------------

@@ -204,10 +204,10 @@ def test_basis_elements_are_block_symmetric():
     assert [read(e) for e in bas] == [[int(i == j) for j in range(dim)] for i in range(dim)]
 
 
-# cells named by SUITE's quivers; a cell depends on gamma alone, so the cell
-# of S1 serves S2 too
+# cells named by SUITE's quivers; a cell depends on gamma alone, so the two
+# one-vertex quivers S1 and S2 take two different one-vertex cells
 CELLS = [pytest.param(gamma, id=name) for name, gamma in
-         [("S1", (3,)), ("S3", (3, 1)), ("S4", (3, 2)), ("three-vertex", (3, 0, 2))]]
+         [("S1", (3,)), ("S2", (4,)), ("S3", (3, 1)), ("S4", (3, 2)), ("three-vertex", (3, 0, 2))]]
 
 
 @pytest.mark.parametrize("gamma", CELLS)
@@ -227,8 +227,8 @@ def test_basis_coordinates_read_any_symmetric_polynomial(gamma):
         for c, e in zip(coords, bas):
             poly = poly + e * c
         assert read(poly) == coords
-    # bas[-1] is m_(2) on the first block, of 3 slots: its last monomial is
-    # not its leading one
+    # bas[-1] is m_(2) on the first block, of 3 or 4 slots: its last monomial
+    # is not its leading one
     last, lead = min(bas[-1].terms())[0], max(bas[-1].terms())[0]
     assert last != lead
     for stray in (poly_from_terms(gamma, {last: 1}), ColoredPoly.variable(gamma, 0, 1)):

@@ -6,7 +6,7 @@ routes to the quantum DT invariants Omega(gamma)(q)), the leg construction
 for moment-map eigenvalue data, and the positive-root nonvanishing test.
 """
 
-from .coha import CohaElement, basis, shuffle_product, twisted_product
+from .coha import basis, shuffle_product, twisted_product
 from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
                      LimitExceededError, QuiverFormatError, StructuralViolationError)
@@ -19,7 +19,7 @@ from .roots import RootCertificate, is_positive_root
 from .series import HalfSeries, MultiSeries
 
 __all__ = [
-    "CohaElement", "ColoredPoly", "DimVector",
+    "ColoredPoly", "DimVector",
     "DimensionMismatchError", "DivisibilityError", "DomainError", "EigenData",
     "HalfSeries", "LegData", "LimitExceededError", "MultiSeries",
     "Quiver", "QuiverFormatError", "RootCertificate",

@@ -46,7 +46,7 @@ from collections import namedtuple
 from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
                      QuiverFormatError, StructuralViolationError)
-from .coha import CohaElement, twisted_product
+from .coha import twisted_product
 from .freeness import prim_dims
 from .legs import attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
 from .poly import parse_colored_poly
@@ -239,14 +239,14 @@ def run_check_nonvanishing(cfg: RunConfig) -> tuple[int, dict]:
     rows = []
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
-        root, cert = nonvanishing_certificate(q0, gamma)
+        cert = nonvanishing_certificate(q0, gamma)
         series = omega[gamma]
         nonzero = not series.is_zero()
-        ok = root == nonzero
+        ok = cert.result == nonzero
         all_ok = all_ok and ok
         rows.append({
             "gamma": list(gamma),
-            "root": root,
+            "root": cert.result,
             "certificate": cert._asdict(),
             "omega_nonzero": nonzero,
             "omega_window": [series.lo, series.hi],
@@ -288,22 +288,30 @@ def run_genericity(cfg: RunConfig) -> tuple[int, dict]:
     return 0, payload
 
 
+def _element(quiver, gamma, text):
+    """The element of H_gamma that a polynomial literal spells: parsed, its
+    gamma checked against the quiver, then its block symmetry."""
+    poly = parse_colored_poly(gamma, text)
+    quiver.check_dim(gamma)
+    if not poly.is_block_symmetric():
+        raise DomainError("polynomial is not symmetric within color blocks")
+    return poly
+
+
 def run_shuffle_eval(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.quiver.is_symmetric():
         raise DomainError("shuffle-eval needs a symmetric quiver")
     if None in (cfg.left, cfg.left_gamma, cfg.right, cfg.right_gamma):
         raise DomainError(
             "shuffle-eval needs --left, --left-gamma, --right, --right-gamma")
-    left = CohaElement.checked(cfg.quiver, cfg.left_gamma,
-                               parse_colored_poly(cfg.left_gamma, cfg.left))
-    right = CohaElement.checked(cfg.quiver, cfg.right_gamma,
-                                parse_colored_poly(cfg.right_gamma, cfg.right))
-    prod = twisted_product(left, right)
+    left = _element(cfg.quiver, cfg.left_gamma, cfg.left)
+    right = _element(cfg.quiver, cfg.right_gamma, cfg.right)
+    prod = twisted_product(left, right, quiver=cfg.quiver)
     payload = {
         "quiver": cfg.quiver.to_spec_dict(),
-        "left": {"gamma": list(left.gamma), "poly": left.poly.canonical_str()},
-        "right": {"gamma": list(right.gamma), "poly": right.poly.canonical_str()},
-        "product": {"gamma": list(prod.gamma), "poly": prod.poly.canonical_str()},
+        "left": {"gamma": list(left.gamma), "poly": left.canonical_str()},
+        "right": {"gamma": list(right.gamma), "poly": right.canonical_str()},
+        "product": {"gamma": list(prod.gamma), "poly": prod.canonical_str()},
     }
     return 0, payload
 

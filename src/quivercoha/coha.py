@@ -2,8 +2,12 @@
 
 H_gamma is modeled by polynomials in gamma^i variables of color i, symmetric
 within each color block (the equivariant cohomology of a point for the gauge
-group, with variable degree 2).  The Hall product of f at gamma1 and g at
-gamma2 is the shuffle sum
+group, with variable degree 2).  An element of H_gamma is a block-symmetric
+``ColoredPoly``, which carries gamma itself; the quiver enters only through
+the product's kernel, so both products take it as the keyword argument
+``quiver``.  It is keyword-only because the benchmark's tracer calls its
+counter with the product's positional arguments and reads ``.gamma`` off
+both.  The Hall product of f at gamma1 and g at gamma2 is the shuffle sum
 
     sum_S  f(x') g(x'') *
            prod_{i,j} prod_{r in S-side of i, s in comp side of j}
@@ -93,41 +97,9 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from math import factorial, prod
 
-from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
-                     StructuralViolationError)
+from .errors import DivisibilityError, DomainError, StructuralViolationError
 from .poly import ColoredPoly, _pack, exact_divide
 from .quiver import DimVector, Quiver, dim_add, sign_twist
-
-
-class CohaElement:
-    """An element of H_gamma: a color-symmetric polynomial at a dimension
-    vector.  Equal when quiver, gamma and poly are; unhashable."""
-
-    __slots__ = ("quiver", "gamma", "poly")
-    __hash__ = None
-
-    def __init__(self, quiver: Quiver, gamma: DimVector, poly: ColoredPoly):
-        gamma = tuple(gamma)
-        quiver.check_dim(gamma)
-        if poly.gamma != gamma:
-            raise DimensionMismatchError("polynomial variable set disagrees with gamma")
-        self.quiver, self.gamma, self.poly = quiver, gamma, poly
-
-    def __eq__(self, other):
-        if type(other) is not CohaElement:
-            return NotImplemented
-        return (self.quiver, self.gamma, self.poly) == (other.quiver, other.gamma, other.poly)
-
-    def __repr__(self):
-        return f"CohaElement(quiver={self.quiver!r}, gamma={self.gamma!r}, poly={self.poly!r})"
-
-    @classmethod
-    def checked(cls, quiver, gamma, poly) -> "CohaElement":
-        """Construct and verify block symmetry (construction itself trusts)."""
-        elt = cls(quiver, gamma, poly)
-        if not poly.is_block_symmetric():
-            raise DomainError("polynomial is not symmetric within color blocks")
-        return elt
 
 
 def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
@@ -142,38 +114,40 @@ def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
 _last_kernel = (None, None)
 
 
-def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
-    """The Hall product as a chain of divided differences of F = f(x') g(x'') K:
-    for each color, x'_r for r = gamma1^i - 1 down to 0 is moved across the
-    x'' block by one exact division by x_{p+1} - x_p per slot p it passes
-    (see the module docstring)."""
+def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> ColoredPoly:
+    """The Hall product of f in H_gamma1 and g in H_gamma2 over ``quiver``,
+    an element of H_(gamma1 + gamma2), as a chain of divided differences of
+    F = f(x') g(x'') K: for each color, x'_r for r = gamma1^i - 1 down to 0
+    is moved across the x'' block by one exact division by x_{p+1} - x_p per
+    slot p it passes (see the module docstring).  The factors are trusted to
+    be block-symmetric; a quiver that is not symmetric raises DomainError and
+    a gamma that does not fit it DimensionMismatchError or DomainError."""
     global _last_kernel
-    if a.quiver != b.quiver:
-        raise DomainError("elements live over different quivers")
-    q = a.quiver
-    if not q.is_symmetric():
+    if not quiver.is_symmetric():
         raise DomainError("the Hall product is implemented for symmetric quivers")
-    g1, g2 = a.gamma, b.gamma
+    g1, g2 = f.gamma, g.gamma
+    quiver.check_dim(g1)
+    quiver.check_dim(g2)
     gamma = dim_add(g1, g2)
-    n = q.vertex_count
+    n = quiver.vertex_count
     offs = [0, *accumulate(gamma)]
-    # canonical placement: a's variables take the first g1^i slots of block i
+    # canonical placement: f's variables take the first g1^i slots of block i
     firsts = [range(offs[i], offs[i] + g1[i]) for i in range(n)]
     seconds = [range(offs[i] + g1[i], offs[i + 1]) for i in range(n)]
-    fa = a.poly.reindex(gamma, [v for slots in firsts for v in slots])
-    fb = b.poly.reindex(gamma, [v for slots in seconds for v in slots])
+    fa = f.reindex(gamma, [v for slots in firsts for v in slots])
+    fb = g.reindex(gamma, [v for slots in seconds for v in slots])
     split, kernel = _last_kernel
-    if split != (q, g1, g2):
+    if split != (quiver, g1, g2):
         kernel = ColoredPoly.constant(gamma, 1)
         for i in range(n):
             for j in range(n):
-                a_ij = q.arrows[i][j]
+                a_ij = quiver.arrows[i][j]
                 if not a_ij:
                     continue
                 for r in firsts[i]:
                     for s in seconds[j]:
                         kernel = kernel * (_difference(gamma, s, r) ** a_ij)
-        _last_kernel = ((q, g1, g2), kernel)
+        _last_kernel = ((quiver, g1, g2), kernel)
     poly = (fb * kernel) * fa
     del fa, fb
     for i in range(n):
@@ -188,16 +162,14 @@ def shuffle_product(a: CohaElement, b: CohaElement) -> CohaElement:
                         f"divided difference at slots {p}, {p + 1} left a remainder for "
                         f"gamma1={g1}, gamma2={g2}; remainder={err.remainder!r}") from err
                 del num
-    return CohaElement(q, gamma, poly)
+    return poly
 
 
-def twisted_product(a: CohaElement, b: CohaElement) -> CohaElement:
-    """Hall product twisted by (-1)^psi(gamma1, gamma2); supercommutative
-    for the Z-grading."""
-    ab = shuffle_product(a, b)
-    if sign_twist(a.quiver, a.gamma, b.gamma):
-        return CohaElement(ab.quiver, ab.gamma, -ab.poly)
-    return ab
+def twisted_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> ColoredPoly:
+    """Hall product over ``quiver`` twisted by (-1)^psi(gamma1, gamma2);
+    supercommutative for the Z-grading."""
+    fg = shuffle_product(f, g, quiver=quiver)
+    return -fg if sign_twist(quiver, f.gamma, g.gamma) else fg
 
 
 # -- bases -------------------------------------------------------------------

@@ -52,7 +52,7 @@ two must agree, which is the computational content of the freeness theorem.
 
 from __future__ import annotations
 
-from .coha import Cell, CohaElement, basis, complement_basis, twisted_product
+from .coha import Cell, basis, complement_basis, twisted_product
 from .errors import DomainError
 from .quiver import DimVector, Quiver, dim_sub, enumerate_dim_vectors, euler_form
 from .series import HalfSeries
@@ -110,23 +110,21 @@ def decomposable_dim(quiver: Quiver, cell: Cell) -> int:
     if below == len(cell):
         return below   # no complement shapes: p1 H_{gamma,d-1} is all of H_{gamma,d}
     rows = []
-    seen_splits = set()
     for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = dim_sub(gamma, g1)
-        if (g2, g1) in seen_splits:
+        if (sum(g1), g1) > (sum(g2), g2):   # the split {g2, g1} came first
             continue
-        seen_splits.add((g1, g2))
         total = cell.d + euler_form(quiver, g1, g2)
         for d1 in range(total + 1):
             d2 = total - d1
             if g1 == g2 and d1 > d2:
                 continue
             # factor bases are built per (split, d1) and let go
-            left = [CohaElement(quiver, g1, f) for f in complement_basis(g1, d1)]
-            right = [CohaElement(quiver, g2, g) for g in basis(g2, d2)] if left else []
+            left = complement_basis(g1, d1)
+            right = basis(g2, d2) if left else []
             for f in left:
                 for g in right:
-                    row = reduce(twisted_product(f, g).poly)
+                    row = reduce(twisted_product(f, g, quiver=quiver))
                     if any(row):
                         rows.append(row)
     return below + exact_rank(rows)

@@ -59,9 +59,9 @@ class RootCertificate(namedtuple("RootCertificate",
     __slots__ = ()
 
 
-def is_positive_root(q: Quiver, beta) -> tuple[bool, RootCertificate]:
-    """Decide whether beta > 0 is a positive root of q; see the module
-    docstring."""
+def is_positive_root(q: Quiver, beta) -> RootCertificate:
+    """Decide whether beta > 0 is a positive root of q; the certificate's
+    ``result`` holds the verdict.  See the module docstring."""
     n = q.vertex_count
     beta = tuple(beta)
     if len(beta) != n:
@@ -81,28 +81,24 @@ def is_positive_root(q: Quiver, beta) -> tuple[bool, RootCertificate]:
         if len(simple) == 1 and current[simple[0]] == 1:
             v = simple[0]
             kind = "real" if a[v][v] == 0 else "imaginary"
-            return True, RootCertificate(True, kind, tuple(reflections),
-                                         tuple(current))
+            return RootCertificate(True, kind, tuple(reflections), tuple(current))
         v = next((v for v in range(n)
                   if a[v][v] == 0 and current[v] and pairing(v) > 0), None)
         if v is not None:
             current[v] -= pairing(v)
             reflections.append(v)
             if current[v] < 0:
-                return False, RootCertificate(False, "not_root",
-                                              tuple(reflections), tuple(current))
+                return RootCertificate(False, "not_root", tuple(reflections), tuple(current))
             continue
         if not _support_connected(sym, current):
-            return False, RootCertificate(False, "not_root",
-                                          tuple(reflections), tuple(current))
-        return True, RootCertificate(True, "imaginary", tuple(reflections),
-                                     tuple(current))
+            return RootCertificate(False, "not_root", tuple(reflections), tuple(current))
+        return RootCertificate(True, "imaginary", tuple(reflections), tuple(current))
 
 
-def nonvanishing_certificate(q0: Quiver, gamma: DimVector):
+def nonvanishing_certificate(q0: Quiver, gamma: DimVector) -> RootCertificate:
     """Omega(gamma) of double(q0) is nonzero iff the leg-extended dimension
-    vector is a positive root of the leg-extended half quiver; returns
-    (is_root, RootCertificate)."""
+    vector is a positive root of the leg-extended half quiver; returns the
+    RootCertificate of that vector, whose ``result`` is the verdict."""
     q0.check_dim(gamma)
     if not any(gamma):
         raise DomainError("the criterion concerns nonzero dimension vectors")

@@ -278,6 +278,18 @@ def test_shuffle_eval_asymmetric_in_block_1_only_is_exit_2(kron_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_shuffle_eval_checks_the_left_side_before_the_right(capsys):
+    # both sides are bad input: the left side's gamma has the wrong length,
+    # the right side is not symmetric; the left side's error is the one seen
+    code = main(["--quiver", str(BENCH / "quivers" / "loop2.json"), "--mode", "shuffle-eval",
+                 "--gamma-max", "2", "--left", "1", "--left-gamma", "1,0",
+                 "--right", "x0_1", "--right-gamma", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dimension vector of length 2 on a 1-vertex quiver\n"
+
+
 def test_structural_violation_is_exit_3(a1_path, monkeypatch, capsys):
     from quivercoha import cli
     from quivercoha.errors import StructuralViolationError

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivercoha import (ColoredPoly, CohaElement, DivisibilityError, DomainError,
+from quivercoha import (ColoredPoly, DimensionMismatchError, DivisibilityError, DomainError,
                         LimitExceededError, Quiver, StructuralViolationError, basis,
                         enumerate_dim_vectors, euler_form, parse_colored_poly,
                         shuffle_product, sign_twist, twisted_product)
@@ -15,10 +15,8 @@ from quivercoha.coha import Cell, complement_basis
 from conftest import S1, S2, S3, SUITE, poly_from_terms
 
 
-def elt(quiver, gamma, text_or_poly):
-    if isinstance(text_or_poly, ColoredPoly):
-        return CohaElement(quiver, gamma, text_or_poly)
-    return CohaElement(quiver, gamma, parse_colored_poly(gamma, text_or_poly))
+def elt(gamma, text):
+    return parse_colored_poly(gamma, text)
 
 
 def degree(poly):
@@ -26,9 +24,9 @@ def degree(poly):
     return max(sum(exps) for exps, _ in poly.terms())
 
 
-def k_degree(e):
+def k_degree(quiver, e):
     """k of a homogeneous nonzero element: 2 * polynomial degree + chi(gamma, gamma)."""
-    return 2 * degree(e.poly) + euler_form(e.quiver, e.gamma, e.gamma)
+    return 2 * degree(e) + euler_form(quiver, e.gamma, e.gamma)
 
 
 # -- shuffle examples at gamma = 1 + 1, computed from the two-term sum ----------
@@ -53,38 +51,38 @@ def _two_term_shuffle_oracle(quiver, f_deg, g_deg):
 
 
 def test_shuffle_x_times_one_no_loops():
-    prod = shuffle_product(elt(S1, (1,), "x"), elt(S1, (1,), "1"))
-    assert prod.poly == ColoredPoly.constant((2,), -1)
+    prod = shuffle_product(elt((1,), "x"), elt((1,), "1"), quiver=S1)
+    assert prod == ColoredPoly.constant((2,), -1)
     num, den = _two_term_shuffle_oracle(S1, 1, 0)
-    assert prod.poly * den == num
+    assert prod * den == num
 
 
 def test_shuffle_one_times_x_no_loops():
-    prod = shuffle_product(elt(S1, (1,), "1"), elt(S1, (1,), "x"))
-    assert prod.poly == ColoredPoly.constant((2,), 1)
+    prod = shuffle_product(elt((1,), "1"), elt((1,), "x"), quiver=S1)
+    assert prod == ColoredPoly.constant((2,), 1)
     num, den = _two_term_shuffle_oracle(S1, 0, 1)
-    assert prod.poly * den == num
+    assert prod * den == num
 
 
 def test_shuffle_two_loops_squared_difference():
-    prod = shuffle_product(elt(S2, (1,), "x"), elt(S2, (1,), "1"))
-    assert prod.poly == -(parse_colored_poly((2,), "x0_1 - x0_2") ** 2)
+    prod = shuffle_product(elt((1,), "x"), elt((1,), "1"), quiver=S2)
+    assert prod == -(parse_colored_poly((2,), "x0_1 - x0_2") ** 2)
     num, den = _two_term_shuffle_oracle(S2, 1, 0)
-    assert prod.poly * den == num
+    assert prod * den == num
 
 
 def test_shuffle_odd_element_squares_to_zero():
-    one = elt(S1, (1,), "1")
-    assert not shuffle_product(one, one).poly
+    one = elt((1,), "1")
+    assert not shuffle_product(one, one, quiver=S1)
 
 
 def test_unit_is_neutral(suite_quiver):
     n = suite_quiver.vertex_count
-    unit = CohaElement(suite_quiver, (0,) * n, ColoredPoly.constant((0,) * n, 1))
+    unit = ColoredPoly.constant((0,) * n, 1)
     gamma = (2,) + (0,) * (n - 1)
-    a = elt(suite_quiver, gamma, "x0_1*x0_2 + x0_1 + x0_2")
-    assert shuffle_product(a, unit) == a
-    assert shuffle_product(unit, a) == a
+    a = elt(gamma, "x0_1*x0_2 + x0_1 + x0_2")
+    assert shuffle_product(a, unit, quiver=suite_quiver) == a
+    assert shuffle_product(unit, a, quiver=suite_quiver) == a
 
 
 def test_zero_factor_gives_zero(suite_quiver):
@@ -92,17 +90,29 @@ def test_zero_factor_gives_zero(suite_quiver):
     n = suite_quiver.vertex_count
     g1, g2 = (2,) + (0,) * (n - 1), (1,) * n
     gamma = tuple(a + b for a, b in zip(g1, g2))
-    zero = CohaElement(suite_quiver, gamma, ColoredPoly.zero(gamma))
-    a = elt(suite_quiver, g1, "x0_1*x0_2 + x0_1 + x0_2")
-    b = CohaElement(suite_quiver, g2, ColoredPoly.zero(g2))
+    zero = ColoredPoly.zero(gamma)
+    a = elt(g1, "x0_1*x0_2 + x0_1 + x0_2")
+    b = ColoredPoly.zero(g2)
     for product in (shuffle_product, twisted_product):
-        assert product(b, a) == zero
-        assert product(a, b) == zero
+        assert product(b, a, quiver=suite_quiver) == zero
+        assert product(a, b, quiver=suite_quiver) == zero
 
 
-def test_shuffle_rejects_mismatched_quivers():
-    with pytest.raises(DomainError):
-        shuffle_product(elt(S1, (1,), "x"), elt(S2, (1,), "x"))
+@pytest.mark.parametrize("product", [shuffle_product, twisted_product])
+def test_products_reject_a_gamma_that_does_not_fit_the_quiver(product):
+    # a factor on two colors over a one-vertex quiver, on either side
+    x, y = elt((1,), "x"), elt((1, 0), "x0_1")
+    with pytest.raises(DimensionMismatchError):
+        product(x, y, quiver=S1)
+    with pytest.raises(DimensionMismatchError):
+        product(y, x, quiver=S1)
+
+
+@pytest.mark.parametrize("product", [shuffle_product, twisted_product])
+def test_products_reject_a_non_symmetric_quiver(product):
+    a2 = Quiver.from_lists([[0, 1], [0, 0]])
+    with pytest.raises(DomainError, match="symmetric"):
+        product(elt((1, 0), "x0_1"), elt((0, 1), "x1_1"), quiver=a2)
 
 
 def test_shuffle_uncleared_denominator_is_structural(monkeypatch):
@@ -113,23 +123,23 @@ def test_shuffle_uncleared_denominator_is_structural(monkeypatch):
 
     monkeypatch.setattr(coha, "exact_divide", fail)
     with pytest.raises(StructuralViolationError, match="REMAINDER"):
-        shuffle_product(elt(S1, (1,), "x"), elt(S1, (1,), "1"))
+        shuffle_product(elt((1,), "x"), elt((1,), "1"), quiver=S1)
 
 
 def test_degree_shift_matches_euler_form(suite_quiver):
     n = suite_quiver.vertex_count
     g1 = (1,) * n
     g2 = (1,) + (0,) * (n - 1)
-    a = elt(suite_quiver, g1, "x0_1^2")
-    b = elt(suite_quiver, g2, "x0_1")
-    prod = shuffle_product(a, b)
-    if not prod.poly:
+    a = elt(g1, "x0_1^2")
+    b = elt(g2, "x0_1")
+    prod = shuffle_product(a, b, quiver=suite_quiver)
+    if not prod:
         return
-    expected = (degree(a.poly) + degree(b.poly)
-                - euler_form(suite_quiver, g1, g2))
-    assert {sum(exps) for exps, _ in prod.poly.terms()} == {expected}
+    expected = degree(a) + degree(b) - euler_form(suite_quiver, g1, g2)
+    assert {sum(exps) for exps, _ in prod.terms()} == {expected}
     # bidegrees add
-    assert k_degree(prod) == k_degree(a) + k_degree(b)
+    assert k_degree(suite_quiver, prod) == \
+        k_degree(suite_quiver, a) + k_degree(suite_quiver, b)
 
 
 # -- twisted product -------------------------------------------------------------
@@ -139,15 +149,15 @@ def test_twist_trivial_when_psi_zero():
         units = [tuple(int(j == i) for j in range(q.vertex_count))
                  for i in range(q.vertex_count)]
         assert all(sign_twist(q, e, f) == 0 for e in units for f in units)
-    a, b = elt(S3, (1, 0), "x0_1"), elt(S3, (0, 1), "x1_1")
-    assert twisted_product(a, b) == shuffle_product(a, b)
+    a, b = elt((1, 0), "x0_1"), elt((0, 1), "x1_1")
+    assert twisted_product(a, b, quiver=S3) == shuffle_product(a, b, quiver=S3)
 
 
 def test_twist_flips_sign_when_psi_is_one():
     q = Quiver.from_lists([[1, 1], [1, 0]])
     assert sign_twist(q, (1, 0), (0, 1)) == 1
-    a, b = elt(q, (1, 0), "x0_1"), elt(q, (0, 1), "x1_1")
-    assert twisted_product(a, b).poly == -shuffle_product(a, b).poly
+    a, b = elt((1, 0), "x0_1"), elt((0, 1), "x1_1")
+    assert twisted_product(a, b, quiver=q) == -shuffle_product(a, b, quiver=q)
 
 
 # -- basis -----------------------------------------------------------------------
@@ -299,14 +309,14 @@ def test_p1_reducer_rejects_a_row_entry_above_its_pivot(monkeypatch):
 
 # -- randomized algebra properties (small sizes; the acceptance suite scales up) --
 
-def _random_homogeneous(rng, quiver, gamma, degree):
+def _random_homogeneous(rng, gamma, degree):
     elements = basis(gamma, degree)
     poly = ColoredPoly.zero(gamma)
     for e in elements:
         poly = poly + e * rng.randint(-2, 2)
     if not poly:
         poly = elements[0] if elements else ColoredPoly.constant(gamma, 1)
-    return CohaElement(quiver, gamma, poly)
+    return poly
 
 
 def _gammas_abs_at_most(quiver, bound):
@@ -322,17 +332,17 @@ def test_products_are_block_symmetric_and_supercommute(name, quiver):
     for _ in range(12):
         g1 = rng.choice(_gammas_abs_at_most(quiver, 2))
         g2 = rng.choice(_gammas_abs_at_most(quiver, 2))
-        a = _random_homogeneous(rng, quiver, g1, rng.randint(0, 2))
-        b = _random_homogeneous(rng, quiver, g2, rng.randint(0, 2))
-        ab = shuffle_product(a, b)
-        ba = shuffle_product(b, a)
-        assert ab.poly.is_block_symmetric()
+        a = _random_homogeneous(rng, g1, rng.randint(0, 2))
+        b = _random_homogeneous(rng, g2, rng.randint(0, 2))
+        ab = shuffle_product(a, b, quiver=quiver)
+        ba = shuffle_product(b, a, quiver=quiver)
+        assert ab.is_block_symmetric()
         sign = -1 if chi(g1, g2) % 2 else 1
-        assert ab.poly == ba.poly * sign
-        tw_ab = twisted_product(a, b)
-        tw_ba = twisted_product(b, a)
-        tsign = -1 if (k_degree(a) * k_degree(b)) % 2 else 1
-        assert tw_ab.poly == tw_ba.poly * tsign
+        assert ab == ba * sign
+        tw_ab = twisted_product(a, b, quiver=quiver)
+        tw_ba = twisted_product(b, a, quiver=quiver)
+        tsign = -1 if (k_degree(quiver, a) * k_degree(quiver, b)) % 2 else 1
+        assert tw_ab == tw_ba * tsign
 
 
 @pytest.mark.parametrize("name,quiver", SUITE)
@@ -344,36 +354,35 @@ def test_associativity_small(name, quiver):
         g1, g2, g3 = (rng.choice(gammas) for _ in range(3))
         if sum(g1) + sum(g2) + sum(g3) > 4:
             continue
-        a = _random_homogeneous(rng, quiver, g1, rng.randint(0, 2))
-        b = _random_homogeneous(rng, quiver, g2, rng.randint(0, 2))
-        c = _random_homogeneous(rng, quiver, g3, rng.randint(0, 2))
-        assert shuffle_product(shuffle_product(a, b), c) == \
-            shuffle_product(a, shuffle_product(b, c))
-        assert twisted_product(twisted_product(a, b), c) == \
-            twisted_product(a, twisted_product(b, c))
+        a = _random_homogeneous(rng, g1, rng.randint(0, 2))
+        b = _random_homogeneous(rng, g2, rng.randint(0, 2))
+        c = _random_homogeneous(rng, g3, rng.randint(0, 2))
+        for product in (shuffle_product, twisted_product):
+            assert product(product(a, b, quiver=quiver), c, quiver=quiver) == \
+                product(a, product(b, c, quiver=quiver), quiver=quiver)
         triples += 1
 
 
 def test_inhomogeneous_products_distribute():
     g = (1,)
-    total = shuffle_product(elt(S2, g, "x^2 + x"), elt(S2, g, "x + 1"))
+    total = shuffle_product(elt(g, "x^2 + x"), elt(g, "x + 1"), quiver=S2)
     pieces = ColoredPoly.zero((2,))
     for pa in ("x^2", "x"):
         for pb in ("x", "1"):
-            pieces = pieces + shuffle_product(elt(S2, g, pa), elt(S2, g, pb)).poly
-    assert total.poly == pieces
+            pieces = pieces + shuffle_product(elt(g, pa), elt(g, pb), quiver=S2)
+    assert total == pieces
 
 
 # -- the relabeled shuffle sum against the per-shuffle evaluation ------------------
 
-def _shuffle_oracle(a, b):
+def _shuffle_oracle(quiver, a, b):
     """The Hall product evaluated shuffle by shuffle: for each S, place a's
     variables on S and b's on the complement, build the kernel and the
     Vandermondes of both sides from scratch, and put the summand over the
     full Vandermonde V with the sign of S.  Returns (numerator, V): the
     product is numerator / V, checked by multiplying back, so the oracle
     uses no division."""
-    quiver, g1 = a.quiver, a.gamma
+    g1 = a.gamma
     gamma = tuple(x + y for x, y in zip(g1, b.gamma))
     n = len(gamma)
     offs = [sum(gamma[:i]) for i in range(n)]
@@ -395,8 +404,8 @@ def _shuffle_oracle(a, b):
         firsts = [[offs[i] + r for r in pick[i]] for i in range(n)]
         seconds = [[offs[i] + s for s in range(gamma[i]) if s not in pick[i]]
                    for i in range(n)]
-        summand = (a.poly.reindex(gamma, sum(firsts, []))
-                   * b.poly.reindex(gamma, sum(seconds, [])))
+        summand = (a.reindex(gamma, sum(firsts, []))
+                   * b.reindex(gamma, sum(seconds, [])))
         for i in range(n):
             summand = summand * vandermonde(firsts[i]) * vandermonde(seconds[i])
             for j in range(n):
@@ -413,7 +422,7 @@ def _shuffle_oracle(a, b):
     return numerator, full
 
 
-def _random_symmetric(rng, quiver, gamma, degree):
+def _random_symmetric(rng, gamma, degree):
     """A block-symmetric element of degree <= degree: a nonzero rational
     constant plus a random rational combination of the basis in each degree
     1, ..., degree."""
@@ -421,7 +430,7 @@ def _random_symmetric(rng, quiver, gamma, degree):
     for d in range(1, degree + 1):
         for e in basis(gamma, d):
             poly = poly + e * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return CohaElement(quiver, gamma, poly)
+    return poly
 
 
 ORACLE_QUIVERS = SUITE + [
@@ -448,10 +457,10 @@ def test_shuffle_matches_per_shuffle_oracle(name, quiver):
     # all, the other quivers keep degree <= 1
     degrees = (2, 3) if name in DEEP_ORACLE else (1,)
     for g1, g2 in rng.sample(pairs, min(8, len(pairs))):
-        a = _random_symmetric(rng, quiver, g1, rng.choice(degrees))
-        b = _random_symmetric(rng, quiver, g2, rng.choice(degrees))
-        numerator, vandermonde = _shuffle_oracle(a, b)
-        assert shuffle_product(a, b).poly * vandermonde == numerator
+        a = _random_symmetric(rng, g1, rng.choice(degrees))
+        b = _random_symmetric(rng, g2, rng.choice(degrees))
+        numerator, vandermonde = _shuffle_oracle(quiver, a, b)
+        assert shuffle_product(a, b, quiver=quiver) * vandermonde == numerator
 
 
 def test_kernel_slot_follows_the_split_and_the_quiver():
@@ -464,10 +473,10 @@ def test_kernel_slot_follows_the_split_and_the_quiver():
     split_a, split_b = ((1, 0), (1, 1)), ((1, 1), (1, 0))
     for quiver, (g1, g2) in [(mixed1, split_a), (mixed1, split_b), (mixed1, split_a),
                              (mixed3, split_a)]:
-        a = _random_symmetric(rng, quiver, g1, 1)
-        b = _random_symmetric(rng, quiver, g2, 1)
-        numerator, vandermonde = _shuffle_oracle(a, b)
-        assert shuffle_product(a, b).poly * vandermonde == numerator
+        a = _random_symmetric(rng, g1, 1)
+        b = _random_symmetric(rng, g2, 1)
+        numerator, vandermonde = _shuffle_oracle(quiver, a, b)
+        assert shuffle_product(a, b, quiver=quiver) * vandermonde == numerator
 
 
 def test_kernel_is_built_once_per_split(monkeypatch):
@@ -476,11 +485,11 @@ def test_kernel_is_built_once_per_split(monkeypatch):
     real = ColoredPoly.__pow__
     monkeypatch.setattr(coha, "_last_kernel", (None, None))   # no split left by other tests
     monkeypatch.setattr(ColoredPoly, "__pow__", lambda p, n: powers.append(n) or real(p, n))
-    x, one = elt(S2, (1,), "x"), elt(S2, (1,), "1")
-    shuffle_product(elt(S2, (2,), "1"), one)
+    x, one = elt((1,), "x"), elt((1,), "1")
+    shuffle_product(elt((2,), "1"), one, quiver=S2)
     built = len(powers)
     assert built == 2          # one factor (x''_s - x'_r)^2 per pair of slots
-    shuffle_product(elt(S2, (2,), "x0_1 + x0_2"), x)
+    shuffle_product(elt((2,), "x0_1 + x0_2"), x, quiver=S2)
     assert len(powers) == built
-    shuffle_product(one, elt(S2, (2,), "1"))
+    shuffle_product(one, elt((2,), "1"), quiver=S2)
     assert len(powers) == 2 * built

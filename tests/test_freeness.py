@@ -4,7 +4,7 @@ import pytest
 
 from hypothesis import given, settings
 
-from quivercoha import (CohaElement, ColoredPoly, DomainError, StructuralViolationError, basis,
+from quivercoha import (ColoredPoly, DomainError, StructuralViolationError, basis,
                         decomposable_dim, enumerate_dim_vectors, euler_form, prim_dims,
                         twisted_product)
 from quivercoha import freeness
@@ -66,8 +66,8 @@ def _cell_degree(quiver, gamma, k):
 
 
 def _basis(quiver, gamma, k):
-    """The basis of the cell at bidegree (gamma, k), as elements."""
-    return [CohaElement(quiver, gamma, e) for e in basis(gamma, _cell_degree(quiver, gamma, k))]
+    """The basis of the cell at bidegree (gamma, k)."""
+    return basis(gamma, _cell_degree(quiver, gamma, k))
 
 
 def _decomposable_oracle(quiver, gamma, k):
@@ -91,7 +91,7 @@ def _decomposable_oracle(quiver, gamma, k):
             basis2 = basis1 if same else _basis(quiver, g2, k2)
             for i, f in enumerate(basis1):
                 for g in basis2[i:] if same else basis2:
-                    rows.append(read(twisted_product(f, g).poly))
+                    rows.append(read(twisted_product(f, g, quiver=quiver)))
     return exact_rank(rows)
 
 
@@ -117,13 +117,13 @@ def _full_product_rank(quiver, gamma, k, p1_multiples=False):
         for k1 in range(euler_form(quiver, g1, g1), k - euler_form(quiver, g2, g2) + 1, 2):
             for f in _basis(quiver, g1, k1):
                 for g in _basis(quiver, g2, k - k1):
-                    prods.append(twisted_product(f, g).poly)
+                    prods.append(twisted_product(f, g, quiver=quiver))
     if p1_multiples:
         p1 = sum((ColoredPoly.variable(gamma, i, s)
                   for i, size in enumerate(gamma) for s in range(1, size + 1)),
                  ColoredPoly.zero(gamma))
         if k - 2 >= euler_form(quiver, gamma, gamma):
-            prods += [p1 * m.poly for m in _basis(quiver, gamma, k - 2)]
+            prods += [p1 * m for m in _basis(quiver, gamma, k - 2)]
     coefficients = [dict(p.terms()) for p in prods]
     monomials = sorted({exps for c in coefficients for exps in c})
     return exact_rank([[c.get(m, 0) for m in monomials] for c in coefficients])
@@ -225,11 +225,11 @@ def test_generator_dims_rejects_a_product_with_a_stray_monomial(monkeypatch):
     # nonzero reps as terms, so one monomial of another degree is caught
     real = freeness.twisted_product
 
-    def stray(a, b):
-        prod = real(a, b)
-        top = max((sum(e) for e, _ in prod.poly.terms()), default=0)
+    def stray(a, b, *, quiver):
+        prod = real(a, b, quiver=quiver)
+        top = max((sum(e) for e, _ in prod.terms()), default=0)
         extra = poly_from_terms(prod.gamma, {(top + 1,) + (0,) * (sum(prod.gamma) - 1): 1})
-        return CohaElement(prod.quiver, prod.gamma, prod.poly + extra)
+        return prod + extra
 
     monkeypatch.setattr(freeness, "twisted_product", stray)
     with pytest.raises(StructuralViolationError, match="block-symmetric"):

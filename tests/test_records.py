@@ -1,12 +1,11 @@
-"""The package's records: immutable values that hash and compare by value,
-and CohaElement, which compares by value but is unhashable."""
+"""The package's records: immutable values that hash and compare by value."""
 
 from fractions import Fraction
 
 import pytest
 
-from quivercoha import (CohaElement, DimensionMismatchError, DomainError, EigenData,
-                        LegData, Quiver, RootCertificate, parse_colored_poly)
+from quivercoha import (DimensionMismatchError, DomainError, EigenData, LegData, Quiver,
+                        RootCertificate)
 
 FROZEN = [
     (lambda: Quiver(((2,),)), "Quiver(arrows=((2,),))"),
@@ -52,20 +51,3 @@ def test_eigendata_coerces_and_validates():
     with pytest.raises(DomainError):
         EigenData(((1, 1),))
 
-
-def test_coha_element_compares_by_value_and_is_unhashable():
-    q = Quiver(((1,),))
-
-    def elt(text, quiver=q):
-        return CohaElement(quiver, [2], parse_colored_poly((2,), text))
-
-    a = elt("x0_1 + x0_2")
-    assert a.gamma == (2,)
-    assert a == elt("x0_2 + x0_1")
-    assert a != elt("x0_1 * x0_2")
-    assert a != elt("x0_1 + x0_2", Quiver(((2,),)))
-    assert a != (a.quiver, a.gamma, a.poly)
-    with pytest.raises(TypeError):
-        hash(a)
-    with pytest.raises(DimensionMismatchError):
-        CohaElement(q, (1,), a.poly)

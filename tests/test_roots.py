@@ -69,22 +69,22 @@ def test_reflection_preserves_tits_form(beta):
 # -- positive-root decision -----------------------------------------------------------
 
 def test_root_a2_examples():
-    ok, cert = is_positive_root(A2, (1, 1))
-    assert ok and cert.kind == "real" and cert.reflections == (0,)
-    ok, cert = is_positive_root(A2, (2, 1))
-    assert not ok and cert.kind == "not_root"
+    cert = is_positive_root(A2, (1, 1))
+    assert cert.result and cert.kind == "real" and cert.reflections == (0,)
+    cert = is_positive_root(A2, (2, 1))
+    assert not cert.result and cert.kind == "not_root"
     assert min(cert.witness) < 0
 
 
 def test_root_single_loop_vertex_all_imaginary():
     for n in range(1, 6):
-        ok, cert = is_positive_root(LOOP, (n,))
-        assert ok and cert.kind == "imaginary"
+        cert = is_positive_root(LOOP, (n,))
+        assert cert.result and cert.kind == "imaginary"
 
 
 def test_root_simple_real():
-    ok, cert = is_positive_root(A2, (1, 0))
-    assert ok and cert.kind == "real" and cert.reflections == ()
+    cert = is_positive_root(A2, (1, 0))
+    assert cert.result and cert.kind == "real" and cert.reflections == ()
 
 
 def test_root_rejects_bad_input():
@@ -96,19 +96,17 @@ def test_root_rejects_bad_input():
 
 def test_root_disconnected_support_rejected():
     path3 = Quiver.from_lists([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    ok, cert = is_positive_root(path3, (1, 0, 1))
-    assert not ok and cert.kind == "not_root"
+    cert = is_positive_root(path3, (1, 0, 1))
+    assert not cert.result and cert.kind == "not_root"
 
 
 def test_root_disconnected_fundamental_candidate_rejected():
     # loops at the two ends, loop-free middle: (1, 0, 1) has all pairings <= 0
     # but disconnected support, hence is not a root
     graph = Quiver.from_lists([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
-    ok, cert = is_positive_root(graph, (1, 0, 1))
-    assert not ok
+    assert not is_positive_root(graph, (1, 0, 1)).result
     # and the vector reflecting onto it is not a root either
-    ok2, _ = is_positive_root(graph, (1, 2, 1))
-    assert not ok2
+    assert not is_positive_root(graph, (1, 2, 1)).result
 
 
 def _replay(q, beta, cert):
@@ -123,7 +121,7 @@ def test_certificates_replay():
     cases = [(A2, (1, 1)), (A2, (2, 1)), (A2, (3, 2)), (LOOP, (4,)),
              (KRONECKER, (1, 1)), (KRONECKER, (2, 1))]
     for q, beta in cases:
-        ok, cert = is_positive_root(q, beta)
+        cert = is_positive_root(q, beta)
         final = _replay(q, beta, cert)
         assert final == cert.witness
         if cert.kind == "real":
@@ -133,7 +131,7 @@ def test_certificates_replay():
             assert all(pairing(q, final, v) <= 0
                        for v in range(n) if final[v] and not q.arrows[v][v])
         else:
-            assert min(final) < 0 or not ok
+            assert min(final) < 0 or not cert.result
 
 
 # -- literature anchor: Gabriel and Kac ------------------------------------------------
@@ -174,34 +172,32 @@ def test_roots_match_gabriel_and_kac(name, q, bound):
     for beta in product(range(top + 1), repeat=n):
         if not any(beta):
             continue
-        ok, cert = is_positive_root(q, beta)
+        cert = is_positive_root(q, beta)
         chi = euler_form(q, beta, beta)
-        assert ok == (bound <= chi <= 1), (name, beta)
-        if ok:
+        assert cert.result == (bound <= chi <= 1), (name, beta)
+        if cert.result:
             assert cert.kind == ("real" if chi == 1 else "imaginary"), (name, beta)
 
 
 # -- the nonvanishing criterion ----------------------------------------------------
 
 def test_nonvanishing_loop_free_vertex():
-    assert nonvanishing_certificate(S1_HALF, (1,))[0] is True
-    assert nonvanishing_certificate(S1_HALF, (2,))[0] is False
-    ok, cert = nonvanishing_certificate(S1_HALF, (2,))
-    assert cert.kind == "not_root"
+    assert nonvanishing_certificate(S1_HALF, (1,)).result is True
+    cert = nonvanishing_certificate(S1_HALF, (2,))
+    assert cert.result is False and cert.kind == "not_root"
 
 
 def test_nonvanishing_one_loop_all_gamma():
     for n in range(1, 5):
-        assert nonvanishing_certificate(S2_HALF, (n,))[0] is True
-        ok, cert = nonvanishing_certificate(S2_HALF, (n,))
-        assert cert.kind == "imaginary"
+        cert = nonvanishing_certificate(S2_HALF, (n,))
+        assert cert.result is True and cert.kind == "imaginary"
 
 
 def test_nonvanishing_a2_and_kronecker():
-    assert nonvanishing_certificate(S3_HALF, (1, 1))[0] is True
-    assert nonvanishing_certificate(S3_HALF, (2, 1))[0] is False
-    assert nonvanishing_certificate(S4_HALF, (1, 1))[0] is True
-    assert nonvanishing_certificate(S4_HALF, (2, 2))[0] is True
+    assert nonvanishing_certificate(S3_HALF, (1, 1)).result is True
+    assert nonvanishing_certificate(S3_HALF, (2, 1)).result is False
+    assert nonvanishing_certificate(S4_HALF, (1, 1)).result is True
+    assert nonvanishing_certificate(S4_HALF, (2, 2)).result is True
 
 
 def test_nonvanishing_rejects_zero():
@@ -221,4 +217,4 @@ def test_nonvanishing_certificate_is_a_root_exactly_when_omega_is_nonzero(case):
         qtrunc *= 2
         omegas = dt_report(quiver, gmax, qtrunc)
     for gamma, series in omegas.items():
-        assert nonvanishing_certificate(q0, gamma)[0] == (not series.is_zero()), gamma
+        assert nonvanishing_certificate(q0, gamma).result == (not series.is_zero()), gamma

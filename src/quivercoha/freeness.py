@@ -41,19 +41,34 @@ columns, so no bookkeeping check remains to fail.  What can fail is the
 layout, and ``Cell.p1_reducer`` raises StructuralViolationError when a p1 row
 does not lead at its pivot with coefficient 1.
 
+The stop rule.  Since the rank is at most ncols, the number of complement
+columns, the products stop once ncols independent rows are kept.  Each row
+is reduced fraction-free against the echelon of the rows kept so far, one
+row per lead column, each zero left of its lead, taken in increasing lead
+column.  The residual is a nonzero multiple of the row minus a combination
+of echelon rows, and it is zero at every lead column.  A nonzero combination
+of echelon rows is nonzero at the smallest lead it uses, so the residual is
+zero exactly when the row lies in their span.  A nonzero residual joins the
+echelon at its first nonzero column, and the row itself is kept.  Bareiss
+elimination (``exact_rank``) then certifies the kept rows: their rank must
+be their number, or StructuralViolationError is raised.
+
 Every row is integral: K has integer coefficients, basis elements have
 coefficient 1, each divided difference divides by x_(p+1) - x_p, whose lead
 is -1, and the p1 rows have pivot 1 and integer Pieri coefficients.  So
-ranks are computed by fraction-free Gaussian elimination over the integers,
-with no rational arithmetic and no rank thresholds.  These numbers are
-the independent oracle for the series-side extraction in ``dtseries``: the
-two must agree, which is the computational content of the freeness theorem.
+both the echelon and the ranks are computed by fraction-free elimination
+over the integers, with no rational arithmetic and no rank thresholds.
+These numbers are the independent oracle for the series-side extraction in
+``dtseries``: the two must agree, which is the computational content of the
+freeness theorem.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .coha import Cell, basis, complement_basis, twisted_product
-from .errors import DomainError
+from .errors import DomainError, StructuralViolationError
 from .quiver import DimVector, Quiver, dim_sub, enumerate_dim_vectors, euler_form
 from .series import HalfSeries
 
@@ -90,26 +105,26 @@ def exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def decomposable_dim(quiver: Quiver, cell: Cell) -> int:
-    """dim (D_d + p1 H_{gamma,d-1}) in the cell H_{gamma,d}, D_d the span of the
-    twisted products of elements at proper decompositions gamma1 + gamma2.
+def _residual(echelon: dict[int, list[int]], row: list[int]) -> list[int]:
+    """row reduced fraction-free against the echelon rows {lead column: row},
+    each zero left of its lead, taken in increasing lead column, then
+    divided by its content.  It is zero exactly when row lies in their span
+    (see the module docstring)."""
+    for lead in sorted(echelon):
+        c = row[lead]
+        if c:
+            top = echelon[lead]
+            p = top[lead]
+            row = [p * x - c * y for x, y in zip(row, top)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    This is dim H_{gamma,d-1} plus the rank of the products modulo p1 H, both
-    read off the cell by ``Cell.p1_reducer`` (see the module docstring).
-    Factors of degrees d1 + d2 = d + chi(gamma1, gamma2) land in the cell.
-    Products are supercommutative, a b = +-b a, so one split of each
-    {gamma1, gamma2} is taken.  Its first factor runs over
-    ``complement_basis`` only: f = f' + p1 h with f' there gives
-    f g = f' g - h (p1 g) modulo p1 H, as p1 is a derivation, and induction
-    on the degree of h reaches the rest.  When gamma1 == gamma2, d1 <= d2
-    still suffices: for d1 > d2, f g = +-g f, and the same step on g leaves
-    products whose first factor is a complement shape of degree d2 or less
-    and whose second has degree d1 or more."""
+
+def _product_rows(quiver: Quiver, cell: Cell, reduce):
+    """The twisted products that land in the cell, one split of each
+    {gamma1, gamma2} and d1 in increasing order, complement shapes on the
+    left, each as ``reduce`` gives its coordinates modulo p1 H."""
     gamma = cell.gamma
-    below, reduce = cell.p1_reducer()
-    if below == len(cell):
-        return below   # no complement shapes: p1 H_{gamma,d-1} is all of H_{gamma,d}
-    rows = []
     for g1 in enumerate_dim_vectors(gamma)[:-1]:
         g2 = dim_sub(gamma, g1)
         if (sum(g1), g1) > (sum(g2), g2):   # the split {g2, g1} came first
@@ -124,10 +139,52 @@ def decomposable_dim(quiver: Quiver, cell: Cell) -> int:
             right = basis(g2, d2) if left else []
             for f in left:
                 for g in right:
-                    row = reduce(twisted_product(f, g, quiver=quiver))
-                    if any(row):
-                        rows.append(row)
-    return below + exact_rank(rows)
+                    yield reduce(twisted_product(f, g, quiver=quiver))
+
+
+def decomposable_dim(quiver: Quiver, cell: Cell) -> int:
+    """dim (D_d + p1 H_{gamma,d-1}) in the cell H_{gamma,d}, D_d the span of the
+    twisted products of elements at proper decompositions gamma1 + gamma2.
+
+    This is dim H_{gamma,d-1} plus the rank of the products modulo p1 H, both
+    read off the cell by ``Cell.p1_reducer`` (see the module docstring).
+    Factors of degrees d1 + d2 = d + chi(gamma1, gamma2) land in the cell.
+    Products are supercommutative, a b = +-b a, so one split of each
+    {gamma1, gamma2} is taken.  Its first factor runs over
+    ``complement_basis`` only: f = f' + p1 h with f' there gives
+    f g = f' g - h (p1 g) modulo p1 H, as p1 is a derivation, and induction
+    on the degree of h reaches the rest.  When gamma1 == gamma2, d1 <= d2
+    still suffices: for d1 > d2, f g = +-g f, and the same step on g leaves
+    products whose first factor is a complement shape of degree d2 or less
+    and whose second has degree d1 or more.
+
+    The stop rule.  The rank is at most ncols, the number of complement
+    columns.  A product's row is kept when its residual against the kept
+    rows' echelon is nonzero, which holds exactly when it lies outside their
+    span, so the kept rows are independent and the products stop when ncols
+    of them are kept.  Bareiss elimination (``exact_rank``) certifies the
+    kept rows: a rank other than their number raises
+    StructuralViolationError."""
+    below, reduce = cell.p1_reducer()
+    ncols = len(cell) - below
+    if not ncols:
+        return below   # no complement shapes: p1 H_{gamma,d-1} is all of H_{gamma,d}
+    echelon, kept = {}, []
+    for row in _product_rows(quiver, cell, reduce):
+        res = _residual(echelon, row)
+        lead = next((j for j, c in enumerate(res) if c), None)
+        if lead is None:
+            continue
+        echelon[lead] = res
+        kept.append(row)
+        if len(kept) == ncols:
+            break
+    rank = exact_rank(kept)
+    if rank != len(kept):
+        raise StructuralViolationError(
+            f"the echelon at gamma={cell.gamma}, d={cell.d} kept {len(kept)} rows "
+            f"of Bareiss rank {rank}")
+    return below + rank
 
 
 def prim_dims(quiver: Quiver, gamma: DimVector, kmax: int) -> HalfSeries:

@@ -158,12 +158,16 @@ def test_csv_report_matches_golden(tmp_path, args, golden):
     ("kronecker2_doubled.json", ["--mode", "check-freeness", "--gamma-max", "3,3",
                                  "--qtrunc", "12"],
      "freeness_kronecker2_doubled_g3_3_q12.json"),
-], ids=["genericity", "check-nonvanishing", "shuffle-eval", "check-freeness"])
+    ("loop2.json", ["--mode", "check-freeness", "--gamma-max", "5", "--qtrunc", "26"],
+     "freeness_loop2_g5_q26.json"),
+], ids=["genericity", "check-nonvanishing", "shuffle-eval", "check-freeness",
+        "check-freeness-full-window"])
 def test_json_report_matches_golden(tmp_path, quiver, args, golden):
     # the record layouts (root and genericity certificates, eigenvalue lists,
-    # rational polynomial coefficients) pinned byte for byte, and a freeness
+    # rational polynomial coefficients) pinned byte for byte, a freeness
     # check whose loop-free colors take wider chains of divided differences
-    # than the bench workload's
+    # than the bench workload's, and a 2-loop freeness check on a full window,
+    # where the most cells stop their products at the complement count
     code, blob = run_to_file(tmp_path, ["--quiver", str(BENCH / "quivers" / quiver), *args])
     assert code == 0
     assert blob == (DATA / golden).read_bytes()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from quivercoha import (ColoredPoly, DomainError, StructuralViolationError, basis,
                         decomposable_dim, enumerate_dim_vectors, euler_form, prim_dims,
                         twisted_product)
-from quivercoha import freeness
+from quivercoha import cli, freeness
 from quivercoha.coha import Cell
 from quivercoha.freeness import exact_rank
 
@@ -34,7 +35,8 @@ def test_exact_rank_rejects_a_fraction_entry():
 
 
 def test_exact_rank_matches_brute_force():
-    # oracle: rank over Q by testing all square minors via Laplace expansion
+    # oracle: rank over Q by testing all square minors via Laplace expansion;
+    # the incremental filter, fed the same rows one by one, keeps that many
     import itertools
     import random
 
@@ -56,6 +58,12 @@ def test_exact_rank_matches_brute_force():
                     if det([[mat[r][c] for c in ci] for r in ri]) != 0:
                         best = max(best, size)
         assert exact_rank(mat) == best
+        echelon = {}
+        for row in mat:
+            res = freeness._residual(echelon, row)
+            if any(res):
+                echelon[next(j for j, c in enumerate(res) if c)] = res
+        assert len(echelon) == best
 
 
 # -- decomposables ----------------------------------------------------------------
@@ -141,6 +149,58 @@ def test_decomposable_dim_spans_every_ordered_product(quiver, gamma):
         assert decomposable_dim(quiver, cell) == _full_product_rank(
             quiver, gamma, k, p1_multiples=True), k
         assert _decomposable_oracle(quiver, gamma, k) == _full_product_rank(quiver, gamma, k), k
+
+
+def test_decomposable_dim_certifies_the_kept_rows(monkeypatch):
+    # with a filter that keeps every nonzero row, the cell (2,2), d = 4 keeps
+    # a dependent row among its 6 = ncols, and Bareiss must catch it
+    cell = Cell((2, 2), 4)
+    below, _ = cell.p1_reducer()
+    assert decomposable_dim(S4, cell) == len(cell) == below + 6   # saturates
+    monkeypatch.setattr(freeness, "_residual", lambda echelon, row: row)
+    with pytest.raises(StructuralViolationError, match=r"gamma=\(2, 2\), d=4"):
+        decomposable_dim(S4, cell)
+
+
+BENCH_QUIVERS = Path(__file__).resolve().parent.parent / "bench" / "quivers"
+
+
+@pytest.mark.parametrize("quiver, gamma_max, qtrunc, products", [
+    ("loop2.json", "4", "16", 30),
+    ("kronecker2_doubled.json", "3,2", "10", 112),
+], ids=["freeness_loop2", "freeness_kronecker"])
+def test_products_stop_at_the_complement_count(monkeypatch, quiver, gamma_max, qtrunc,
+                                               products):
+    # the benchmark's freeness workloads: a cell computes no product once its
+    # kept rows number its complement columns (47 and 153 products without
+    # the stop rule)
+    real_dim, real_residual, real_product = (
+        freeness.decomposable_dim, freeness._residual, freeness.twisted_product)
+    state = {"products": 0}
+
+    def dim(quiver, cell):
+        below, _ = cell.p1_reducer()
+        state.update(ncols=len(cell) - below, kept=0)
+        return real_dim(quiver, cell)
+
+    def residual(echelon, row):
+        res = real_residual(echelon, row)
+        state["kept"] += any(res)
+        return res
+
+    def product(f, g, *, quiver):
+        assert state["kept"] < state["ncols"]
+        state["products"] += 1
+        return real_product(f, g, quiver=quiver)
+
+    monkeypatch.setattr(freeness, "decomposable_dim", dim)
+    monkeypatch.setattr(freeness, "_residual", residual)
+    monkeypatch.setattr(freeness, "twisted_product", product)
+    code, _ = cli.run(cli.load_config([
+        "--quiver", str(BENCH_QUIVERS / quiver), "--mode", "check-freeness",
+        "--gamma-max", gamma_max, "--qtrunc", qtrunc]))
+    assert code == 0
+    assert state["products"] == products
 
 
 # -- generator series --------------------------------------------------------------

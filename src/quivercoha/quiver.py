@@ -32,11 +32,6 @@ def dim_abs(g: DimVector) -> int:
     return sum(g)
 
 
-def dim_leq(g1: DimVector, g2: DimVector) -> bool:
-    """Componentwise partial order."""
-    return all(a <= b for a, b in zip(g1, g2))
-
-
 def zero_dim(n: int) -> DimVector:
     return (0,) * n
 

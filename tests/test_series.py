@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from quivercoha import DomainError, HalfSeries, MultiSeries
-from quivercoha.quiver import dim_leq, dim_sub, enumerate_dim_vectors
+from quivercoha import DimensionMismatchError, DomainError, HalfSeries, MultiSeries
+from quivercoha.quiver import dim_sub, enumerate_dim_vectors, zero_dim
 
 from conftest import agree
 
@@ -24,14 +24,15 @@ def small_series(draw):
     return HalfSeries(coeffs, lo, hi)
 
 
-BOXES = st.tuples(st.integers(0, 2), st.integers(0, 2))
+# 1-, 2- and 3-vertex boxes, zero entries such as (0, 2, 1) among them
+BOXES = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
 
 
 @st.composite
 def small_multiseries(draw, gamma_max):
-    """A series on the 2-vertex box gamma_max whose x^0 piece is exactly 1
-    and whose other pieces are absent or drawn by ``small_series``."""
-    pieces = {(0, 0): HalfSeries.one()}
+    """A series on the box gamma_max whose x^0 piece is exactly 1 and whose
+    other pieces are absent or drawn by ``small_series``."""
+    pieces = {zero_dim(len(gamma_max)): HalfSeries.one()}
     for g in enumerate_dim_vectors(gamma_max):
         if draw(st.booleans()):
             pieces[g] = draw(small_series())
@@ -69,8 +70,10 @@ def _brute_sum(terms):
 
 
 def _convolution_piece(a_pieces, b_pieces, g):
+    """sum of a_d b_(g-d) over every stored a_d with d <= g: a scan of the
+    whole box, independent of the sub-box walk of ``MultiSeries``."""
     terms = [_brute_product(s, b_pieces[dim_sub(g, d)]) for d, s in a_pieces.items()
-             if dim_leq(d, g) and dim_sub(g, d) in b_pieces]
+             if all(x <= y for x, y in zip(d, g)) and dim_sub(g, d) in b_pieces]
     return _brute_sum(terms) if terms else None
 
 
@@ -180,8 +183,36 @@ def test_multiseries_rejects_out_of_box_pieces():
         MultiSeries((1,), {(2,): HalfSeries.one()})
 
 
+@pytest.mark.parametrize("key, error", [
+    ((1,), DimensionMismatchError),
+    ((1, 0, 7), DimensionMismatchError),
+    ((), DimensionMismatchError),
+    ((-1, 1), DomainError),
+    ((0, 3), DomainError),
+])
+def test_multiseries_keys_are_dimension_vectors_of_the_box(key, error):
+    # a box test that zips and truncates passes (1,) and (1, 0, 7) as if
+    # they were (1, 0); the length is checked first
+    one = HalfSeries.one()
+    with pytest.raises(error):
+        MultiSeries((2, 2), {(0, 0): one, key: HalfSeries({0: 5}, 0, None)})
+    with pytest.raises(error):
+        MultiSeries((2, 2), {(0, 0): one}).piece(key)
+
+
+# a 3-vertex series with a zero box entry and a gap at (0, 1, 1)
+_ZERO_ENTRY = MultiSeries((0, 2, 1), {
+    (0, 0, 0): HalfSeries.one(),
+    (0, 1, 0): HalfSeries({-1: 2, 3: 1}, -1, 9),
+    (0, 0, 1): HalfSeries({1: Fraction(1, 2)}, 1, None),
+    (0, 2, 0): HalfSeries({0: -1}, 0, 10),
+    (0, 2, 1): HalfSeries({2: 3, 4: -1}, 2, 12),
+})
+
+
 @given(BOXES.flatmap(lambda box: st.tuples(small_multiseries(box),
                                            small_multiseries(box))))
+@example((_ZERO_ENTRY, _ZERO_ENTRY))
 def test_multiseries_product_equals_piecewise_reference(pair):
     a, b = pair
     ref = {}
@@ -194,8 +225,9 @@ def test_multiseries_product_equals_piecewise_reference(pair):
 
 
 @given(BOXES.flatmap(small_multiseries))
+@example(_ZERO_ENTRY)
 def test_multiseries_inverse_equals_piecewise_reference(a):
-    g0 = (0, 0)
+    g0 = zero_dim(len(a.gamma_max))
     others = {d: s for d, s in a.pieces.items() if d != g0}
     ref = {g0: HalfSeries.one()}
     for g in a.domain():

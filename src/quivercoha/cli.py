@@ -33,7 +33,14 @@ value, a value that is not an integer or not one of the choices) are bad
 input too: exit 2, through the same ``error:`` line on stderr as every other
 error, in argparse's wording.  The flags are read from one table by a small
 loop rather than by argparse, whose messages go through gettext and import
-locale: about 2 ms and 150 KB per call under CPython 3.11.
+locale: about 2 ms and 150 KB per call under CPython 3.11.  For the same
+reason ``fractions``, which pulls in ``decimal`` and ``numbers`` (about 4 ms),
+is imported only where a Fraction is made: by the genericity mode's
+eigenvalues and by a p/q literal of shuffle-eval.  ``json.dumps`` with an
+indent runs the pure-Python encoder and holds every one of its small chunks
+until the final join, about nine times the report's size; ``render_json``
+joins them in batches of 128, so the render stays below the computation's
+own peak memory.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import io
 import json
 import sys
 from collections import namedtuple
+from itertools import islice
 
 from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
@@ -328,8 +336,14 @@ _RUNNERS = {
 # -- serialization ------------------------------------------------------------
 
 
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    # the encoder yields no empty chunk, so only the exhausted iterator joins
+    # to "" and ends the batches
+    chunks = _JSON.iterencode(payload)
+    return "".join(iter(lambda: "".join(islice(chunks, 128)), "")) + "\n"
 
 
 def _flat(value) -> str:

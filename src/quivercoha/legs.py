@@ -12,7 +12,6 @@ that keeps every hyperplane of decompositions away.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
@@ -29,6 +28,8 @@ class EigenData(namedtuple("EigenData", "values")):
     __slots__ = ()
 
     def __new__(cls, values):
+        from fractions import Fraction   # dt-table and the check modes make no EigenData
+
         values = tuple(tuple(Fraction(v) for v in vs) for vs in values)
         if sum((sum(vs) for vs in values), Fraction(0)) != 0:
             raise DomainError("eigenvalue data must have total trace zero")
@@ -80,6 +81,8 @@ def lambda_from_eigenvalues(t: EigenData, legs: LegData):
 
     Raises StructuralViolationError unless tilde_gamma . lambda = 0.
     """
+    from fractions import Fraction
+
     gamma = t.gamma()
     expected = tuple(g for (i, j), g in zip(legs.vertex_labels, legs.tilde_gamma)
                      if j == 0)
@@ -123,6 +126,7 @@ def sample_generic(gamma: DimVector, seed) -> EigenData:
     range until the genericity test passes (the generic locus misses only
     finitely many hyperplanes, so this terminates)."""
     import random   # only the genericity mode samples
+    from fractions import Fraction
 
     gamma = tuple(gamma)
     if any(n < 0 for n in gamma) or not any(gamma):

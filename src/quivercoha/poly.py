@@ -10,7 +10,10 @@ overflow guard: the sum of two keys never carries into the next byte, and a
 set guard bit marks an exponent above 127.  Int coefficients stay ints
 through sums, products, ``alternate`` and ``exact_divide``.  Fractions come
 only from the literals p/q of ``parse_colored_poly``; one that reduces to an
-integer compares, hashes and renders like that integer.
+integer compares, hashes and renders like that integer.  ``fractions`` is
+imported where the parser makes a Fraction and where a product meets a
+scalar operand that is not an int, never at module import, so a mode that
+makes no Fraction does not load it.
 
 ``exact_divide`` divides by x_(p+1) - x_p, the divisor of every divided
 difference, by synthetic division along strands.  Its lead is -x_p, with
@@ -27,7 +30,6 @@ No floating point appears anywhere in this module.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DimensionMismatchError, DivisibilityError, DomainError, LimitExceededError
@@ -123,7 +125,11 @@ class ColoredPoly:
         return ColoredPoly._make(self.gamma, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ColoredPoly):
+            if not isinstance(other, int):
+                from fractions import Fraction   # loaded already if other is one
+                if not isinstance(other, Fraction):
+                    return NotImplemented
             if not other:
                 return ColoredPoly.zero(self.gamma)
             return ColoredPoly._make(self.gamma, {k: c * other for k, c in self._terms.items()})
@@ -391,6 +397,7 @@ class _Parser:
                     raise DomainError("expected integer denominator after '/'")
                 if not _integer(den):
                     raise DomainError(f"zero denominator in {value}/{den}")
+                from fractions import Fraction   # only a p/q literal makes one
                 return ColoredPoly.constant(self.gamma, Fraction(value, int(den)))
             return ColoredPoly.constant(self.gamma, value)
         if tok == "x":

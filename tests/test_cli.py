@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from quivercoha.cli import main
+from quivercoha.cli import main, render_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 DATA = Path(__file__).resolve().parent / "data"
@@ -95,6 +97,40 @@ def test_bench_workload_matches_reference(tmp_path, name):
     assert main(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
                  "--gamma-max", gamma_max, "--qtrunc", qtrunc, "--out", str(out)]) == 0
     assert out.read_bytes() == (BENCH / "reference" / f"{name}.json").read_bytes()
+
+
+# strings mix ASCII, quotes, backslashes, control and non-ASCII characters
+JSON_TEXT = st.text(st.sampled_from('ab"\\\n\x00\x1f\u00e9\u03a9\U0001f600'), max_size=6)
+JSON_LEAVES = st.integers(-10**30, 10**30) | st.booleans() | st.none() | JSON_TEXT
+
+
+@given(st.dictionaries(JSON_TEXT, st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(JSON_TEXT, inner, max_size=6),
+    max_leaves=16), max_size=4))
+@example({})
+@example({"": [], "a": {}, "b": [{}]})
+@example({"rows": [{"gamma": [i, -i], "ok": i % 2 == 0, "why": None} for i in range(60)]})
+def test_render_json_is_json_dumps(payload):
+    # the batched join changes how the text is built, never its bytes; the
+    # last example holds far more chunks than one batch
+    assert render_json(payload) == json.dumps(payload, sort_keys=True, indent=2,
+                                              ensure_ascii=False) + "\n"
+
+
+def test_render_json_peak_stays_near_the_report_size():
+    # json.dumps with an indent holds every encoder chunk until its join,
+    # about nine times the text; the batched join holds at most one batch
+    text = (BENCH / "reference" / "freeness_kronecker.json").read_text(encoding="utf-8")
+    payload = json.loads(text)
+    tracemalloc.start()
+    try:
+        rendered = render_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rendered == text
+    assert peak < 4 * len(text)
 
 
 def _run_module(args):

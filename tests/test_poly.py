@@ -49,6 +49,17 @@ def test_a_number_is_not_a_polynomial_operand():
     assert x * x != 1 and ColoredPoly.constant((1,), 1) != 1
 
 
+def test_scalar_product_takes_an_int_or_a_fraction_only():
+    # any other operand that is not a polynomial is a TypeError, as for +
+    x = v((1,), 0, 1)
+    assert 3 * x == x * 3 == parsed("3*x0_1", (1,))
+    assert x * Fraction(1, 2) == Fraction(1, 2) * x == parsed("1/2*x0_1", (1,))
+    assert x * 0 == ColoredPoly.zero((1,))
+    for mul in (lambda: x * 1.5, lambda: 1.5 * x, lambda: x * "2", lambda: x * None):
+        with pytest.raises(TypeError):
+            mul()
+
+
 def test_mul_difference_of_squares():
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)

@@ -97,13 +97,29 @@ def test_every_library_function_is_used_by_the_library():
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     # every CLI call starts a fresh interpreter, so its import cost is paid
     # each time; dataclasses pulls in inspect, ast, dis and tokenize, csv is
-    # needed only by CSV reports and random only by the genericity mode.  -S
-    # keeps site's own imports out.
-    script = ("import sys, quivercoha.cli; print(sorted("
-              "{'dataclasses', 'inspect', 'csv', 'random'} & set(sys.modules)))")
+    # needed only by CSV reports, random only by the genericity mode, and
+    # fractions (with decimal and numbers, about 4 ms) only where a Fraction
+    # is made.  -S keeps site's own imports out.
+    script = ("import sys, quivercoha.cli; print(sorted({'dataclasses', 'inspect', "
+              "'csv', 'random', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                           timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_integral_modes_load_no_fractions(tmp_path):
+    # dt-table and check-freeness work over the integers from input to
+    # report, so running them loads no fractions, decimal or numbers either
+    script = ("import sys; from quivercoha.cli import main\n"
+              "for mode in ('dt-table', 'check-freeness'):\n"
+              "    main(['--quiver', sys.argv[1], '--mode', mode, '--gamma-max', '3', "
+              "'--qtrunc', '10', '--out', sys.argv[2]])\n"
+              "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    quiver = SRC.parents[1] / "bench" / "quivers" / "loop2.json"
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(quiver),
+                           str(tmp_path / "report.json")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 

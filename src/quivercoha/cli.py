@@ -39,8 +39,8 @@ is imported only where a Fraction is made: by the genericity mode's
 eigenvalues and by a p/q literal of shuffle-eval.  ``json.dumps`` with an
 indent runs the pure-Python encoder and holds every one of its small chunks
 until the final join, about nine times the report's size; ``render_json``
-joins them in batches of 128, so the render stays below the computation's
-own peak memory.
+joins them in batches of 128, so it holds about twice the report (the
+batches and their join) and one batch of chunks.
 """
 
 from __future__ import annotations

@@ -120,7 +120,8 @@ def test_render_json_is_json_dumps(payload):
 
 def test_render_json_peak_stays_near_the_report_size():
     # json.dumps with an indent holds every encoder chunk until its join,
-    # about nine times the text; the batched join holds at most one batch
+    # about nine times the text; the batched join holds the text about twice
+    # (the batches and their join) and one batch of chunks
     text = (BENCH / "reference" / "freeness_kronecker.json").read_text(encoding="utf-8")
     payload = json.loads(text)
     tracemalloc.start()

@@ -109,10 +109,10 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
 
 
 def test_integral_modes_load_no_fractions(tmp_path):
-    # dt-table and check-freeness work over the integers from input to
+    # dt-table and the two check modes work over the integers from input to
     # report, so running them loads no fractions, decimal or numbers either
     script = ("import sys; from quivercoha.cli import main\n"
-              "for mode in ('dt-table', 'check-freeness'):\n"
+              "for mode in ('dt-table', 'check-freeness', 'check-nonvanishing'):\n"
               "    main(['--quiver', sys.argv[1], '--mode', mode, '--gamma-max', '3', "
               "'--qtrunc', '10', '--out', sys.argv[2]])\n"
               "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")

@@ -31,12 +31,21 @@ reads Omega off log A in closed form (see ``plethystic_factor``).
 
 All windows are tracked exactly: a k outside the reported window is
 unknown, never silently zero.  Each 1/(q;q)_m is certified on [0, qtrunc]
-by its closed form (partition counts, see ``_inverse_pochhammers``); every
-other window is the one ``HalfSeries`` and ``MultiSeries`` arithmetic
-certifies for the sums and products (the inverse of A is built from these
-alone, its x^0 piece being exactly 1), and psi_r sends a certified window
-[lo, hi] to [r lo, r hi] (the exponents in between that are not multiples
-of r are certified zero), so no window needs a separate cap.
+by its closed form (partition counts, see ``_inverse_pochhammers``), and so
+is A_0 = 1; every other window is the one ``HalfSeries`` and
+``MultiSeries`` arithmetic certifies for the sums and products, and psi_r
+sends a certified window [lo, hi] to [r lo, r hi] (the exponents in between
+that are not multiples of r are certified zero), so no window needs a
+separate cap.
+
+That A_0 is certified on [0, qtrunc] only moves no window.  A_d and
+graded_d = |d| A_d sit on [chi_d, chi_d + qtrunc], and lo(out_g) is the
+least chi_d + lo(out_(g-d)) over d != 0.  In the inverse, the pair (A_d,
+out_(g-d)) bounds out_g by qtrunc + chi_d + lo(out_(g-d)), so the cap
+qtrunc + lo(out_g) that 1/A_0 puts on out_g repeats the bound of the d that
+attains lo(out_g).  In M = A^(-1) DA, the pair (out_g, graded_0) adds the
+bound qtrunc + lo(out_g), which the pair (out_(g-d), graded_d) of that same
+d already gives.
 """
 
 
@@ -68,9 +77,7 @@ def _check_grading(quiver: Quiver, gamma: DimVector, qtrunc: int) -> None:
 
 def _hilbert(quiver: Quiver, gamma: DimVector, inv: list[HalfSeries]) -> HalfSeries:
     """P_gamma from the inverse Pochhammers of ``_inverse_pochhammers``,
-    which must reach max(gamma)."""
-    if not any(gamma):
-        return HalfSeries.one()
+    which must reach max(gamma); P_0 = inv[0] = 1 on [0, qtrunc]."""
     series = inv[0]
     for size in gamma:
         series = series * inv[size]
@@ -115,18 +122,18 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
     graded = MultiSeries(series.gamma_max,
                          {g: s * dim_abs(g) for g, s in series.pieces.items()})
     log_derivative = series.inverse() * graded
-    one_minus_q = HalfSeries({0: 1, 2: -1}, 0, None)
     omegas = {}
     for gamma in enumerate_dim_vectors(series.gamma_max):
-        total = log_derivative.piece(gamma)
+        total = log_derivative.pieces[gamma]
         divisor = gcd(*gamma)
         for r in range(2, divisor + 1):
             mu = _mobius(r)
             if divisor % r or not mu:
                 continue
-            term = _adams(log_derivative.piece(tuple(x // r for x in gamma)), r)
+            term = _adams(log_derivative.pieces[tuple(x // r for x in gamma)], r)
             total = total + term if mu > 0 else total - term
-        col = total * one_minus_q
+        # 1 - q on [0, hi - lo], so the product keeps the window of total
+        col = total * HalfSeries({0: 1, 2: -1}, 0, total.hi - total.lo)
         size = dim_abs(gamma)
         counts = {}
         for k, c in col.items():
@@ -163,7 +170,7 @@ def _adams(s: HalfSeries, r: int) -> HalfSeries:
     """psi_r(q^(k/2)) = (-1)^((r+1)k) q^(rk/2), certified on [r lo, r hi]:
     exponents off the multiples of r are zero."""
     return HalfSeries({r * k: -c if (r + 1) * k % 2 else c for k, c in s.coeffs.items()},
-                      r * s.lo, None if s.hi is None else r * s.hi)
+                      r * s.lo, r * s.hi)
 
 
 def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> dict[DimVector, HalfSeries]:

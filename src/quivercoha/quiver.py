@@ -32,10 +32,6 @@ def dim_abs(g: DimVector) -> int:
     return sum(g)
 
 
-def zero_dim(n: int) -> DimVector:
-    return (0,) * n
-
-
 def enumerate_dim_vectors(gamma_max: DimVector, include_zero: bool = False):
     """All 0 <= gamma <= gamma_max (componentwise), sorted by (|gamma|, lex).
 

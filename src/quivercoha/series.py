@@ -1,13 +1,12 @@
 """Truncated Laurent series in q^(1/2), and series with formal x^gamma symbols.
 
 Exponents are integers in units of q^(1/2): stored exponent k means q^(k/2).
-Every series carries an exactness window [lo, hi]:
+Every series carries a finite exactness window [lo, hi]:
 
   * below lo the series is guaranteed zero (a hard order bound),
   * on [lo, hi] the stored coefficients are exactly right,
   * above hi nothing is claimed.
 
-hi = None means the series is exact everywhere (a Laurent polynomial).
 Arithmetic propagates windows: sums certify up to min(hi), products obey the
 convolution rule hi = min(hi1 + lo2, hi2 + lo1).  Recomputing with a wider
 window always agrees on the narrower one; tests rely on that.
@@ -19,11 +18,21 @@ every term pair into one dict, walking the second factor in ascending
 exponent order and stopping at that hi.  No intermediate series is built
 and no pair above the certified hi is visited.
 
-A ``MultiSeries`` piece g finds its pairs by walking its own sub-box
-{d <= g} and looking up A_d and B_(g-d) by key: prod_i (g_i + 1) lookups
-per piece, so a whole product costs sum_g prod_i (g_i + 1) of them (225 on
-the (4,4) box) rather than one order test per stored piece per piece (625).
-The pairs, and so every sum and window, do not depend on the walk's order.
+A ``MultiSeries`` holds one piece for every vector of its box, so piece g
+finds its pairs by walking its own sub-box {d <= g} and indexing A_d and
+B_(g-d) by key: prod_i (g_i + 1) lookups per piece, so a whole product
+costs sum_g prod_i (g_i + 1) of them (225 on the (4,4) box) rather than one
+order test per stored piece per piece (625).  The pairs, and so every sum
+and window, do not depend on the walk's order.
+
+The inverse needs an x^0 piece that is 1 on its own window [0, h], and 1/A_0
+is then known to be 1 on [0, h] only.  Every out_g = -(1/A_0) S_g carries
+that factor, so the product rule caps it at min(hi, h + lo), where [lo, hi]
+is the window of S_g = sum_(0 < d <= g) A_d out_(g-d).  Taking out_0 = A_0,
+window and all, makes the recursion apply that cap by itself: if every
+out_(g-d) has hi <= h + lo, then the pair (A_d, out_(g-d)) whose lo is the
+least bounds hi(S_g) by hi(out_(g-d)) + lo(A_d) <= h + lo(S_g), and out_0
+starts the induction with hi = h + 0.
 """
 
 from __future__ import annotations
@@ -31,19 +40,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DimensionMismatchError, DomainError
-from .quiver import DimVector, dim_sub, enumerate_dim_vectors, zero_dim
-
-
-def _min_hi(h1, h2):
-    if h1 is None:
-        return h2
-    if h2 is None:
-        return h1
-    return min(h1, h2)
-
-
-def _hi_plus(h, k):
-    return None if h is None else h + k
+from .quiver import DimVector, dim_sub, enumerate_dim_vectors
 
 
 def _sum_of_products(pairs) -> "HalfSeries":
@@ -53,9 +50,7 @@ def _sum_of_products(pairs) -> "HalfSeries":
     first, and s2 is walked in ascending exponent order and left at the
     first k1 + k2 above hi, so no term pair above hi is visited."""
     lo = min(s1.lo + s2.lo for s1, s2 in pairs)
-    hi = None
-    for s1, s2 in pairs:
-        hi = _min_hi(hi, _min_hi(_hi_plus(s1.hi, s2.lo), _hi_plus(s2.hi, s1.lo)))
+    hi = min(min(s1.hi + s2.lo, s2.hi + s1.lo) for s1, s2 in pairs)
     out: dict = {}
     get = out.get
     for s1, s2 in pairs:
@@ -63,37 +58,35 @@ def _sum_of_products(pairs) -> "HalfSeries":
         for k1, c1 in s1.coeffs.items():
             for k2, c2 in terms2:
                 k = k1 + k2
-                if hi is not None and k > hi:
+                if k > hi:
                     break
                 out[k] = get(k, 0) + c1 * c2
     return HalfSeries(out, lo, hi)
 
 
 class HalfSeries:
-    """One Laurent series in q^(1/2) with an exactness window."""
+    """One Laurent series in q^(1/2) with a finite exactness window."""
 
     __slots__ = ("coeffs", "lo", "hi")
 
-    def __init__(self, coeffs, lo: int, hi: int | None):
+    def __init__(self, coeffs, lo: int, hi: int):
         self.lo = lo
         self.hi = hi
         self.coeffs = {}
         for k, c in coeffs.items():
             if k < lo:
                 raise DomainError(f"stored exponent {k} below window start {lo}")
-            if hi is not None and k > hi:
-                continue
-            if c:
+            if c and k <= hi:
                 self.coeffs[k] = c
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, lo: int = 0, hi: int | None = None) -> "HalfSeries":
+    def zero(cls, lo: int, hi: int) -> "HalfSeries":
         return cls({}, lo, hi)
 
     @classmethod
-    def one(cls, hi: int | None = None) -> "HalfSeries":
+    def one(cls, hi: int) -> "HalfSeries":
         return cls({0: 1}, 0, hi)
 
     # -- inspection ----------------------------------------------------------
@@ -103,18 +96,18 @@ class HalfSeries:
 
     def coeff(self, k: int):
         """Coefficient of q^(k/2); raises outside the certified window."""
-        if self.hi is not None and k > self.hi:
+        if k > self.hi:
             raise DomainError(f"exponent {k} is beyond the certified window {self.window()}")
         return self.coeffs.get(k, 0)
 
-    def window(self) -> tuple[int, int | None]:
+    def window(self) -> tuple[int, int]:
         return (self.lo, self.hi)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def window_empty(self) -> bool:
-        return self.hi is not None and self.hi < self.lo
+        return self.hi < self.lo
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -124,7 +117,7 @@ class HalfSeries:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return HalfSeries(out, min(self.lo, other.lo), _min_hi(self.hi, other.hi))
+        return HalfSeries(out, min(self.lo, other.lo), min(self.hi, other.hi))
 
     def __neg__(self):
         s = HalfSeries.zero(self.lo, self.hi)
@@ -150,7 +143,7 @@ class HalfSeries:
 
     def shifted(self, dk: int) -> "HalfSeries":
         return HalfSeries({k + dk: c for k, c in self.coeffs.items()},
-                          self.lo + dk, _hi_plus(self.hi, dk))
+                          self.lo + dk, self.hi + dk)
 
     # -- comparison ----------------------------------------------------------
 
@@ -169,40 +162,29 @@ class HalfSeries:
 class MultiSeries:
     """A series sum_gamma (HalfSeries in q) * x^gamma, truncated to a box.
 
-    The domain is {gamma <= gamma_max componentwise}.  A missing piece means
-    the coefficient of x^gamma is exactly zero.  Pieces outside the domain are
+    The domain is {gamma <= gamma_max componentwise}, and ``pieces`` holds
+    exactly one piece for each gamma of it.  Pieces outside the domain are
     neither stored nor claimed.
     """
 
     __slots__ = ("gamma_max", "pieces")
 
-    def __init__(self, gamma_max: DimVector, pieces=None):
+    def __init__(self, gamma_max: DimVector, pieces: dict[DimVector, HalfSeries]):
+        """A key whose length is not the box's raises DimensionMismatchError;
+        any other key set than the box, a missing piece included, raises
+        DomainError."""
         self.gamma_max = tuple(gamma_max)
-        self.pieces: dict[DimVector, HalfSeries] = {}
-        if pieces:
-            for g, s in pieces.items():
-                g = self._in_box(g)
-                if not s.is_zero() or s.hi is not None:
-                    self.pieces[g] = s
-
-    def _in_box(self, g) -> DimVector:
-        """g as a tuple, if it is a dimension vector of the box: a length
-        other than the box's raises DimensionMismatchError, and a negative
-        entry or one above gamma_max raises DomainError."""
-        g = tuple(g)
-        if len(g) != len(self.gamma_max):
-            raise DimensionMismatchError(
-                f"{g} has length {len(g)}; the truncation box {self.gamma_max} "
-                f"has length {len(self.gamma_max)}")
-        if any(not 0 <= x <= m for x, m in zip(g, self.gamma_max)):
-            raise DomainError(f"{g} is outside the truncation box {self.gamma_max}")
-        return g
+        for g in pieces:
+            if len(g) != len(self.gamma_max):
+                raise DimensionMismatchError(
+                    f"{g} has length {len(g)}; the truncation box {self.gamma_max} "
+                    f"has length {len(self.gamma_max)}")
+        if pieces.keys() != set(product(*(range(m + 1) for m in self.gamma_max))):
+            raise DomainError(f"the pieces are not exactly the truncation box {self.gamma_max}")
+        self.pieces = pieces
 
     def domain(self):
         return enumerate_dim_vectors(self.gamma_max, include_zero=True)
-
-    def piece(self, g: DimVector) -> HalfSeries:
-        return self.pieces.get(self._in_box(g), HalfSeries.zero())
 
     def _check_compatible(self, other):
         if self.gamma_max != other.gamma_max:
@@ -215,32 +197,28 @@ class MultiSeries:
         the certified hi of the piece.  Each d is taken from g's sub-box:
         prod_i (g_i + 1) key lookups per piece."""
         self._check_compatible(other)
-        out = MultiSeries(self.gamma_max)
-        for g in self.domain():
-            pairs = [(s1, s2) for d in product(*(range(x + 1) for x in g))
-                     if (s1 := self.pieces.get(d)) is not None
-                     and (s2 := other.pieces.get(dim_sub(g, d))) is not None]
-            if pairs:
-                out.pieces[g] = _sum_of_products(pairs)
-        return out
+        a, b = self.pieces, other.pieces
+        return MultiSeries(self.gamma_max, {
+            g: _sum_of_products([(a[d], b[dim_sub(g, d)])
+                                 for d in product(*(range(x + 1) for x in g))])
+            for g in self.domain()})
 
     def inverse(self) -> "MultiSeries":
-        """Inverse of a series whose x^0 piece is exactly 1:
-        out_0 = 1, out_g = -sum_(0 < d <= g) A_d out_(g-d), walking g in
+        """Inverse of a series whose x^0 piece is 1 on its window [0, h]:
+        out_0 = A_0, out_g = -sum_(0 < d <= g) A_d out_(g-d), walking g in
         (|g|, lex) order so every out_(g-d) is ready; each piece walks its
         sub-box and is one accumulation with the hi cutoff, as in
-        ``__mul__``."""
-        g0 = zero_dim(len(self.gamma_max))
-        unit = self.piece(g0)
-        if unit != HalfSeries.one():
+        ``__mul__``.  out_0 keeps the window [0, h] of A_0, which caps every
+        out_g at h + lo, as the factor 1/A_0 must (see the module
+        docstring)."""
+        domain = self.domain()
+        a = self.pieces
+        unit = a[domain[0]]
+        if unit.lo or unit.coeffs != {0: 1}:
             raise DomainError("generating series must have x^0 piece 1")
-        out = MultiSeries(self.gamma_max, {g0: unit})
-        for g in self.domain():
-            if g == g0:
-                continue
-            pairs = [(s, rest) for d in product(*(range(x + 1) for x in g))
-                     if d != g0 and (s := self.pieces.get(d)) is not None
-                     and (rest := out.pieces.get(dim_sub(g, d))) is not None]
-            if pairs:
-                out.pieces[g] = -_sum_of_products(pairs)
-        return out
+        out = {domain[0]: unit}
+        for g in domain[1:]:
+            out[g] = -_sum_of_products([(a[d], out[dim_sub(g, d)])
+                                        for d in product(*(range(x + 1) for x in g))
+                                        if any(d)])
+        return MultiSeries(self.gamma_max, out)

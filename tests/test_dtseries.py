@@ -17,7 +17,7 @@ from conftest import S1, S2, S3, S4, SUITE, agree, random_cells
 
 def test_hilbert_no_loops_gamma_two():
     # q^2 (1 + q + 2 q^2 + 2 q^3 + 3 q^4 + ...), half-unit exponents from 4
-    s = build_generating_series(S1, (2,), 12).piece((2,))
+    s = build_generating_series(S1, (2,), 12).pieces[(2,)]
     assert s.window() == (4, 16)
     assert [s.coeff(4 + 2 * d) for d in range(7)] == [1, 1, 2, 2, 3, 3, 4]
     assert all(s.coeff(k) == 0 for k in range(5, 16, 2))
@@ -26,16 +26,15 @@ def test_hilbert_no_loops_gamma_two():
 def test_hilbert_gamma_zero_is_one():
     for q in (S1, S3):
         zero = (0,) * q.vertex_count
-        s = build_generating_series(q, zero, 10).piece(zero)
-        assert s.coeffs == {0: 1}
-        assert s.hi is None
+        s = build_generating_series(q, zero, 10).pieces[zero]
+        assert s == HalfSeries.one(10)
 
 
 def test_hilbert_counts_match_basis(suite_quiver):
     n = suite_quiver.vertex_count
     for gamma in [(1,) * n, (2,) + (0,) * (n - 1), (2,) * n]:
         chi = euler_form(suite_quiver, gamma, gamma)
-        s = build_generating_series(suite_quiver, gamma, 10).piece(gamma)
+        s = build_generating_series(suite_quiver, gamma, 10).pieces[gamma]
         for k in range(chi, chi + 11):
             # H sits at k = chi + 2d only: the other parity is empty
             if (k - chi) % 2:
@@ -44,11 +43,11 @@ def test_hilbert_counts_match_basis(suite_quiver):
                 assert s.coeff(k) == len(Cell(gamma, (k - chi) // 2))
 
 
-def _pochhammer(m):
-    """(q;q)_m = prod_{j=1}^{m} (1 - q^j), an exact Laurent polynomial."""
-    out = HalfSeries.one()
+def _pochhammer(m, hi):
+    """(q;q)_m = prod_{j=1}^{m} (1 - q^j) on the window [0, hi]."""
+    out = HalfSeries.one(hi)
     for j in range(1, m + 1):
-        out = out * HalfSeries({0: 1, 2 * j: -1}, 0, None)
+        out = out * HalfSeries({0: 1, 2 * j: -1}, 0, hi)
     return out
 
 
@@ -64,7 +63,7 @@ def test_inverse_pochhammers_count_partitions(width):
                 assert s.coeff(2 * n) == [1, 1, 2, 3, 5, 7, 11][n]
             if m == 2:
                 assert s.coeff(2 * n) == n // 2 + 1
-        one = s * _pochhammer(m)
+        one = s * _pochhammer(m, width)
         assert one.window() == (0, width)
         assert one.coeffs == {0: 1}
 
@@ -116,7 +115,7 @@ def test_euler_identity_single_odd_tower_reproduces_no_loop_series():
     tower = _expand_tower_x_coeffs((1,), 1, qmax, (3,))
     series = build_generating_series(S1, (3,), qmax)
     for g in range(1, 4):
-        s = series.piece((g,))
+        s = series.pieces[(g,)]
         for k in range(s.lo, qmax + 1):
             assert s.coeff(k) == tower.get((g,), {}).get(k, 0)
 
@@ -162,7 +161,7 @@ def _rebuild_matches(entries, series):
     """prod F_{gamma,k}^(c_{gamma,k}), expanded by brute force, equals A on
     every piece's window and vanishes below it."""
     box = series.gamma_max
-    qmax = max(p.hi for p in series.pieces.values() if p.hi is not None)
+    qmax = max(p.hi for p in series.pieces.values())
     # lowest exponent any monomial of the product can reach inside the box;
     # a dropped factor n > nmax of a tower sits at k + 2(nmax + 1) or higher
     floor = min([0] + [k * dim_abs(box) // dim_abs(g) for g, k in entries])
@@ -172,7 +171,7 @@ def _rebuild_matches(entries, series):
         for _ in range(c):
             rebuilt = _box_product(rebuilt, tower, box)
     for gamma in enumerate_dim_vectors(box):
-        want = series.piece(gamma)
+        want = series.pieces[gamma]
         got = {h: c for h, c in rebuilt.get(gamma, {}).items() if c and h <= want.hi}
         if any(h < want.lo for h in got) or \
                 any(got.get(h, 0) != want.coeff(h) for h in range(want.lo, want.hi + 1)):
@@ -194,10 +193,10 @@ def test_round_trip_rebuild(suite_quiver):
 
 def test_extraction_needs_unit_constant_term():
     series = build_generating_series(S1, (2,), 10)
-    # the x^0 piece must be exactly 1, certified everywhere: a unit with
-    # a finite window is refused too
-    for unit in (HalfSeries.zero(), HalfSeries({0: 2}, 0, None),
-                 HalfSeries({0: 1, 2: 1}, 0, 10), HalfSeries({0: 1}, 0, 10)):
+    # the x^0 piece must be 1 on its window (a unit on a finite window caps
+    # the inverse, see test_series)
+    for unit in (HalfSeries.zero(0, 10), HalfSeries({0: 2}, 0, 10),
+                 HalfSeries({0: 1, 2: 1}, 0, 10)):
         broken = MultiSeries(series.gamma_max, {**series.pieces, (0,): unit})
         with pytest.raises(DomainError):
             plethystic_factor(broken)
@@ -207,8 +206,9 @@ def test_extraction_refuses_a_negative_multiplicity():
     # A = 1 + x/(1 - q) on the box (2,): Omega(1) = 1, and the division of
     # (1 - q)(M_2 - psi_2(M_1)) = -2/(1 - q^2) by |gamma| = 2 is exact, with
     # quotient -1 at k = 0, which no generator count can be
-    series = MultiSeries((2,), {(0,): HalfSeries.one(),
-                                (1,): HalfSeries({2 * n: 1 for n in range(6)}, 0, 10)})
+    series = MultiSeries((2,), {(0,): HalfSeries.one(10),
+                                (1,): HalfSeries({2 * n: 1 for n in range(6)}, 0, 10),
+                                (2,): HalfSeries.zero(0, 10)})
     with pytest.raises(StructuralViolationError) as exc:
         plethystic_factor(series)
     assert str(exc.value) == ("extracted multiplicity -1 at gamma=(2,), k=0 "

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from quivercoha import DimensionMismatchError, DomainError, HalfSeries, MultiSeries
-from quivercoha.quiver import dim_sub, enumerate_dim_vectors, zero_dim
+from quivercoha.quiver import dim_sub, enumerate_dim_vectors
 
 from conftest import agree
 
 
 @st.composite
 def small_series(draw):
-    """A series with a window of width -2..8 (below 1: empty, hi < lo) or
-    exact (hi None), its terms inserted in a random exponent order."""
+    """A series with a window of width -2..8 (below 0: empty, hi < lo), its
+    terms inserted in a random exponent order."""
     lo = draw(st.integers(-4, 2))
     width = draw(st.integers(-2, 8))
     exponents = draw(st.permutations(range(lo, lo + max(width, 0) + 1)))
@@ -20,8 +20,7 @@ def small_series(draw):
     for k in exponents:
         if draw(st.booleans()):
             coeffs[k] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-    hi = None if draw(st.booleans()) else lo + width
-    return HalfSeries(coeffs, lo, hi)
+    return HalfSeries(coeffs, lo, lo + width)
 
 
 # 1-, 2- and 3-vertex boxes, zero entries such as (0, 2, 1) among them
@@ -30,51 +29,45 @@ BOXES = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
 
 @st.composite
 def small_multiseries(draw, gamma_max):
-    """A series on the box gamma_max whose x^0 piece is exactly 1 and whose
-    other pieces are absent or drawn by ``small_series``."""
-    pieces = {zero_dim(len(gamma_max)): HalfSeries.one()}
-    for g in enumerate_dim_vectors(gamma_max):
-        if draw(st.booleans()):
-            pieces[g] = draw(small_series())
+    """A series on the box gamma_max whose x^0 piece is 1 on a window [0, h],
+    h <= 10, and whose other pieces are drawn by ``small_series``."""
+    box = enumerate_dim_vectors(gamma_max, include_zero=True)
+    pieces = {box[0]: HalfSeries.one(draw(st.integers(0, 10)))}
+    for g in box[1:]:
+        pieces[g] = draw(small_series())
     return MultiSeries(gamma_max, pieces)
 
 
 # -- test-side references: every term pair, then the window rule ------------
 
-def _window_min(*his):
-    his = [h for h in his if h is not None]
-    return min(his) if his else None
-
-
 def _brute_product(a, b):
     """a * b over all term pairs, cut to hi = min(hi_a + lo_b, hi_b + lo_a)."""
-    hi = _window_min(None if a.hi is None else a.hi + b.lo,
-                     None if b.hi is None else b.hi + a.lo)
+    hi = min(a.hi + b.lo, b.hi + a.lo)
     out = {}
     for k1, c1 in a.coeffs.items():
         for k2, c2 in b.coeffs.items():
             out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-    return HalfSeries({k: c for k, c in out.items() if hi is None or k <= hi},
-                      a.lo + b.lo, hi)
+    return HalfSeries({k: c for k, c in out.items() if k <= hi}, a.lo + b.lo, hi)
 
 
 def _brute_sum(terms):
     """The sum of series certified up to the least hi of the terms."""
-    hi = _window_min(*(t.hi for t in terms))
+    hi = min(t.hi for t in terms)
     out = {}
     for t in terms:
         for k, c in t.coeffs.items():
             out[k] = out.get(k, 0) + c
-    return HalfSeries({k: c for k, c in out.items() if hi is None or k <= hi},
+    return HalfSeries({k: c for k, c in out.items() if k <= hi},
                       min(t.lo for t in terms), hi)
 
 
 def _convolution_piece(a_pieces, b_pieces, g):
-    """sum of a_d b_(g-d) over every stored a_d with d <= g: a scan of the
-    whole box, independent of the sub-box walk of ``MultiSeries``."""
-    terms = [_brute_product(s, b_pieces[dim_sub(g, d)]) for d, s in a_pieces.items()
-             if all(x <= y for x, y in zip(d, g)) and dim_sub(g, d) in b_pieces]
-    return _brute_sum(terms) if terms else None
+    """sum of a_d b_(g-d) over every a_d with d <= g and b_(g-d) given: a
+    scan of the whole box, independent of the sub-box walk of
+    ``MultiSeries``."""
+    return _brute_sum([_brute_product(s, b_pieces[dim_sub(g, d)])
+                       for d, s in a_pieces.items()
+                       if all(x <= y for x, y in zip(d, g)) and dim_sub(g, d) in b_pieces])
 
 
 # -- examples -------------------------------------------------------------------
@@ -150,37 +143,63 @@ def test_product_equals_all_pairs_reference(a, b):
 
 def test_multiseries_product_convolves_pieces():
     gmax = (2,)
-    a = MultiSeries(gmax, {(0,): HalfSeries.one(),
-                           (1,): HalfSeries({1: 1}, 1, None)})
-    b = MultiSeries(gmax, {(0,): HalfSeries.one(),
-                           (1,): HalfSeries({-1: 1}, -1, None)})
+    a = MultiSeries(gmax, {(0,): HalfSeries.one(20),
+                           (1,): HalfSeries({1: 1}, 1, 20),
+                           (2,): HalfSeries.zero(2, 20)})
+    b = MultiSeries(gmax, {(0,): HalfSeries.one(20),
+                           (1,): HalfSeries({-1: 1}, -1, 20),
+                           (2,): HalfSeries.zero(-2, 20)})
     prod = a * b
-    assert prod.piece((0,)).coeffs == {0: 1}
-    assert prod.piece((1,)).coeffs == {-1: 1, 1: 1}
-    assert prod.piece((2,)).coeffs == {0: 1}
+    assert prod.pieces[(0,)].coeffs == {0: 1}
+    assert prod.pieces[(1,)].coeffs == {-1: 1, 1: 1}
+    assert prod.pieces[(2,)].coeffs == {0: 1}
 
 
 def test_multiseries_inverse_round_trip():
     gmax = (2, 1)
     s = MultiSeries(gmax, {
-        (0, 0): HalfSeries.one(),
+        (0, 0): HalfSeries.one(12),
         (1, 0): HalfSeries({-1: 2, 3: 1}, -1, 9),
-        (0, 1): HalfSeries({1: Fraction(1, 2)}, 1, None),
+        (0, 1): HalfSeries({1: Fraction(1, 2)}, 1, 11),
+        (1, 1): HalfSeries.zero(0, 10),
         (2, 0): HalfSeries({0: -1}, 0, 10),
         (2, 1): HalfSeries({2: 3, 4: -1}, 2, 12),
     })
     inv = s.inverse()
-    assert inv.piece((0, 0)) == HalfSeries.one()
+    assert inv.pieces[(0, 0)] == HalfSeries.one(12)
     for prod in (s * inv, inv * s):
-        assert prod.piece((0, 0)) == HalfSeries.one()
+        assert prod.pieces[(0, 0)] == HalfSeries.one(12)
         for g in s.domain():
             if any(g):
-                assert agree(prod.piece(g), HalfSeries.zero()), g
+                # zero on a window that is not empty
+                assert prod.pieces[g].is_zero() and not prod.pieces[g].window_empty(), g
+
+
+def test_inverse_of_a_finite_unit_is_capped_at_its_window():
+    # A_0 = 1 on [0, 3] only, so 1/A_0 is known on [0, 3] only: each piece
+    # of the inverse is cut at 3 + lo, below the hi it gets from a unit
+    # that holds on [0, 100], and agrees with that inverse up to the cut
+    others = {(1,): HalfSeries({-2: 1, 0: 3, 5: -1}, -2, 30),
+              (2,): HalfSeries({1: 2, 2: -1, 9: 4}, 1, 30),
+              (3,): HalfSeries({-1: -1, 4: 2}, -1, 30)}
+    narrow = MultiSeries((3,), {(0,): HalfSeries.one(3), **others}).inverse()
+    wide = MultiSeries((3,), {(0,): HalfSeries.one(100), **others}).inverse()
+    for g in narrow.domain():
+        n, w = narrow.pieces[g], wide.pieces[g]
+        assert n.window() == (w.lo, 3 + w.lo) and n.hi < w.hi, g
+        assert agree(n, w), g
 
 
 def test_multiseries_rejects_out_of_box_pieces():
     with pytest.raises(DomainError):
-        MultiSeries((1,), {(2,): HalfSeries.one()})
+        MultiSeries((1,), {(0,): HalfSeries.one(5), (1,): HalfSeries.one(5),
+                           (2,): HalfSeries.one(5)})
+
+
+def test_multiseries_requires_every_piece_of_the_box():
+    with pytest.raises(DomainError):
+        MultiSeries((1, 1), {(0, 0): HalfSeries.one(5), (1, 0): HalfSeries.one(5),
+                             (1, 1): HalfSeries.one(5)})
 
 
 @pytest.mark.parametrize("key, error", [
@@ -193,19 +212,18 @@ def test_multiseries_rejects_out_of_box_pieces():
 def test_multiseries_keys_are_dimension_vectors_of_the_box(key, error):
     # a box test that zips and truncates passes (1,) and (1, 0, 7) as if
     # they were (1, 0); the length is checked first
-    one = HalfSeries.one()
+    pieces = {g: HalfSeries.one(5) for g in enumerate_dim_vectors((2, 2), include_zero=True)}
     with pytest.raises(error):
-        MultiSeries((2, 2), {(0, 0): one, key: HalfSeries({0: 5}, 0, None)})
-    with pytest.raises(error):
-        MultiSeries((2, 2), {(0, 0): one}).piece(key)
+        MultiSeries((2, 2), {**pieces, key: HalfSeries({0: 5}, 0, 5)})
 
 
-# a 3-vertex series with a zero box entry and a gap at (0, 1, 1)
+# a 3-vertex series with a zero box entry
 _ZERO_ENTRY = MultiSeries((0, 2, 1), {
-    (0, 0, 0): HalfSeries.one(),
+    (0, 0, 0): HalfSeries.one(9),
     (0, 1, 0): HalfSeries({-1: 2, 3: 1}, -1, 9),
-    (0, 0, 1): HalfSeries({1: Fraction(1, 2)}, 1, None),
+    (0, 0, 1): HalfSeries({1: Fraction(1, 2)}, 1, 11),
     (0, 2, 0): HalfSeries({0: -1}, 0, 10),
+    (0, 1, 1): HalfSeries({1: -3, 2: Fraction(2, 3)}, 1, 8),
     (0, 2, 1): HalfSeries({2: 3, 4: -1}, 2, 12),
 })
 
@@ -215,11 +233,7 @@ _ZERO_ENTRY = MultiSeries((0, 2, 1), {
 @example((_ZERO_ENTRY, _ZERO_ENTRY))
 def test_multiseries_product_equals_piecewise_reference(pair):
     a, b = pair
-    ref = {}
-    for g in a.domain():
-        piece = _convolution_piece(a.pieces, b.pieces, g)
-        if piece is not None:
-            ref[g] = piece
+    ref = {g: _convolution_piece(a.pieces, b.pieces, g) for g in a.domain()}
     # HalfSeries == compares lo, hi and coefficients
     assert (a * b).pieces == ref
 
@@ -227,13 +241,33 @@ def test_multiseries_product_equals_piecewise_reference(pair):
 @given(BOXES.flatmap(small_multiseries))
 @example(_ZERO_ENTRY)
 def test_multiseries_inverse_equals_piecewise_reference(a):
-    g0 = zero_dim(len(a.gamma_max))
-    others = {d: s for d, s in a.pieces.items() if d != g0}
-    ref = {g0: HalfSeries.one()}
-    for g in a.domain():
-        if g == g0:
-            continue
-        piece = _convolution_piece(others, ref, g)
-        if piece is not None:
-            ref[g] = -piece
+    # out_g = -(1/A_0) sum_(0 < d <= g) A_d out_(g-d), where 1/A_0 is 1 on
+    # the window [0, h] of A_0 and unknown above it
+    g0, *rest = a.domain()
+    unit = a.pieces[g0]
+    minus_inverse_unit = HalfSeries({0: -1}, 0, unit.hi)
+    others = {d: a.pieces[d] for d in rest}
+    ref = {g0: unit}
+    for g in rest:
+        ref[g] = _brute_product(_convolution_piece(others, ref, g), minus_inverse_unit)
     assert a.inverse().pieces == ref
+
+
+@given(BOXES.flatmap(lambda box: st.tuples(small_multiseries(box),
+                                           small_multiseries(box))),
+       st.data())
+def test_narrowing_one_piece_never_widens_a_window(pair, data):
+    # a piece known on less, the unit included, certifies no more anywhere:
+    # every piece of the inverse and of both products keeps or narrows its
+    # window and agrees with the unnarrowed result on it
+    a, b = pair
+    g = data.draw(st.sampled_from(a.domain()))
+    s = a.pieces[g]
+    hi = data.draw(st.integers(0 if not any(g) else min(s.lo - 1, s.hi), s.hi))
+    narrowed = MultiSeries(a.gamma_max, {**a.pieces, g: HalfSeries(s.coeffs, s.lo, hi)})
+    for wide, narrow in ((a.inverse(), narrowed.inverse()), (a * b, narrowed * b),
+                         (b * a, b * narrowed)):
+        for d in a.domain():
+            w, n = wide.pieces[d], narrow.pieces[d]
+            assert w.lo <= n.lo and n.hi <= w.hi, d
+            assert agree(n, w), d

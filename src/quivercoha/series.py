@@ -198,10 +198,11 @@ class MultiSeries:
         prod_i (g_i + 1) key lookups per piece."""
         self._check_compatible(other)
         a, b = self.pieces, other.pieces
-        return MultiSeries(self.gamma_max, {
-            g: _sum_of_products([(a[d], b[dim_sub(g, d)])
-                                 for d in product(*(range(x + 1) for x in g))])
-            for g in self.domain()})
+        out = {}
+        for g in self.domain():
+            out[g] = _sum_of_products([(a[d], b[dim_sub(g, d)])
+                                       for d in product(*(range(x + 1) for x in g))])
+        return MultiSeries(self.gamma_max, out)
 
     def inverse(self) -> "MultiSeries":
         """Inverse of a series whose x^0 piece is 1 on its window [0, h]:

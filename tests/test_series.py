@@ -62,12 +62,10 @@ def _brute_sum(terms):
 
 
 def _convolution_piece(a_pieces, b_pieces, g):
-    """sum of a_d b_(g-d) over every a_d with d <= g and b_(g-d) given: a
-    scan of the whole box, independent of the sub-box walk of
-    ``MultiSeries``."""
+    """sum of a_d b_(g-d) over every a_d with d <= g: a scan of the whole
+    box, independent of the sub-box walk of ``MultiSeries``."""
     return _brute_sum([_brute_product(s, b_pieces[dim_sub(g, d)])
-                       for d, s in a_pieces.items()
-                       if all(x <= y for x, y in zip(d, g)) and dim_sub(g, d) in b_pieces])
+                       for d, s in a_pieces.items() if all(x <= y for x, y in zip(d, g))])
 
 
 # -- examples -------------------------------------------------------------------

@@ -42,9 +42,13 @@ would be a correctness bug, not an input error).
 
 K depends only on the split, and ``decomposable_dim`` multiplies the pairs
 of one split in a row, so the product keeps the kernel of the last (quiver,
-gamma1, gamma2) it saw and builds K once per split.  Each step forms the
-numerator F - s_p F in one pass over F (``ColoredPoly.alternate``) and frees
-F before the division allocates its quotient.
+gamma1, gamma2) it saw and builds K once per (cell, split): the cells of a
+gamma visit the same splits again, so ``check-freeness`` on the doubled
+2-Kronecker quiver (gamma-max 3,2, qtrunc 10) builds 28 kernels for 14
+splits, and on the 2-loop quiver (gamma-max 4, qtrunc 16) 8 for 4.  Each
+step forms the numerator F - s_p F in one pass over F
+(``ColoredPoly.alternate``) and frees F before the division allocates its
+quotient.
 
 A homogeneous element of polynomial degree d has cohomological degree 2d and
 bidegree (gamma, k), k = chi(gamma, gamma) + 2d; the Z-grading is additive

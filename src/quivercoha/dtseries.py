@@ -77,9 +77,11 @@ def _check_grading(quiver: Quiver, gamma: DimVector, qtrunc: int) -> None:
 
 def _hilbert(quiver: Quiver, gamma: DimVector, inv: list[HalfSeries]) -> HalfSeries:
     """P_gamma from the inverse Pochhammers of ``_inverse_pochhammers``,
-    which must reach max(gamma); P_0 = inv[0] = 1 on [0, qtrunc]."""
-    series = inv[0]
-    for size in gamma:
+    which must reach max(gamma): inv[gamma^0] times inv[gamma^i] for each
+    further vertex i, shifted by chi.  Every inv[m] sits on [0, qtrunc], so
+    each product keeps that window, and P_0 = inv[0] = 1 on [0, qtrunc]."""
+    series = inv[gamma[0]]
+    for size in gamma[1:]:
         series = series * inv[size]
     return series.shifted(euler_form(quiver, gamma, gamma))
 

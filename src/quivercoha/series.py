@@ -13,17 +13,20 @@ window always agrees on the narrower one; tests rely on that.
 
 Every product, of two ``HalfSeries`` or of two ``MultiSeries``, is one
 accumulation (``_sum_of_products``): a piece (A B)_g = sum_(d <= g) A_d
-B_(g-d) takes its window from all its term products at once, then adds
-every term pair into one dict, walking the second factor in ascending
-exponent order and stopping at that hi.  No intermediate series is built
-and no pair above the certified hi is visited.
+B_(g-d) takes its window [lo, hi] from all its term products at once, then
+adds every term pair into one dense list, the coefficient of q^(k/2) at
+index k - lo, walking the second factor in ascending exponent order and
+stopping at that hi.  No intermediate series is built and no pair above the
+certified hi is visited.
 
-A ``MultiSeries`` holds one piece for every vector of its box, so piece g
-finds its pairs by walking its own sub-box {d <= g} and indexing A_d and
-B_(g-d) by key: prod_i (g_i + 1) lookups per piece, so a whole product
-costs sum_g prod_i (g_i + 1) of them (225 on the (4,4) box) rather than one
-order test per stored piece per piece (625).  The pairs, and so every sum
-and window, do not depend on the walk's order.
+A ``MultiSeries`` holds one piece for every vector of its box, and a
+product or inverse lists them in lex order, where g sits at its flat
+position flat(g) = sum_i g_i s_i with mixed-radix strides s_i = prod_(j >
+i) (gamma_max_j + 1).  For d <= g, flat(g - d) = flat(g) - flat(d), so
+piece g reads A_d and B_(g-d) by position from the flat offsets of its own
+sub-box {d <= g}, with no vector built per pair: prod_i (g_i + 1) pairs per piece,
+sum_g prod_i (g_i + 1) per product (225 on the (4,4) box, 2025 on (8,8)).
+The pairs, and so every sum and window, do not depend on the walk's order.
 
 The inverse needs an x^0 piece that is 1 on its own window [0, h], and 1/A_0
 is then known to be 1 on [0, h] only.  Every out_g = -(1/A_0) S_g carries
@@ -40,7 +43,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DimensionMismatchError, DomainError
-from .quiver import DimVector, dim_sub, enumerate_dim_vectors
+from .quiver import DimVector
 
 
 def _sum_of_products(pairs) -> "HalfSeries":
@@ -48,20 +51,25 @@ def _sum_of_products(pairs) -> "HalfSeries":
     accumulation: the window of the chain of products and sums, lo = the
     least lo1 + lo2 and hi = the least min(hi1 + lo2, hi2 + lo1), comes
     first, and s2 is walked in ascending exponent order and left at the
-    first k1 + k2 above hi, so no term pair above hi is visited."""
+    first k1 + k2 above hi, so no term pair above hi is visited.  Each
+    visited k = k1 + k2 lies on [lo, hi] and adds into a dense list at
+    index k - lo."""
     lo = min(s1.lo + s2.lo for s1, s2 in pairs)
     hi = min(min(s1.hi + s2.lo, s2.hi + s1.lo) for s1, s2 in pairs)
-    out: dict = {}
-    get = out.get
+    top = hi - lo
+    acc = [0] * (top + 1)
     for s1, s2 in pairs:
         terms2 = sorted(s2.coeffs.items())
         for k1, c1 in s1.coeffs.items():
+            k1 -= lo
             for k2, c2 in terms2:
                 k = k1 + k2
-                if k > hi:
+                if k > top:
                     break
-                out[k] = get(k, 0) + c1 * c2
-    return HalfSeries(out, lo, hi)
+                acc[k] += c1 * c2
+    out = HalfSeries({}, lo, hi)
+    out.coeffs = {k: c for k, c in enumerate(acc, lo) if c}
+    return out
 
 
 class HalfSeries:
@@ -159,6 +167,29 @@ class HalfSeries:
         return f"HalfSeries({dict(self.items())!r}, {self.lo}, {self.hi})"
 
 
+def _sub_boxes(gamma_max: DimVector):
+    """For each g of the box 0 <= g <= gamma_max, in lex (``product``)
+    order, the flat positions of its sub-box {d <= g}, also in lex order.
+    flat(g) = sum_i g_i s_i with s_i = prod_(j > i) (gamma_max_j + 1) is g's
+    index in that order, so the first position is 0 (d = 0) and the last
+    flat(g).  Since flat(g - d) = flat(g) - flat(d) for d <= g, a piece
+    reads both factors of each pair by position.  Each list is built from
+    its prefix's when it is reached, and none is kept."""
+    strides = [1] * len(gamma_max)
+    for i in range(len(gamma_max) - 1, 0, -1):
+        strides[i - 1] = strides[i] * (gamma_max[i] + 1)
+
+    def walk(i, offsets):
+        if i == len(gamma_max):
+            yield offsets
+            return
+        s = strides[i]
+        for x in range(gamma_max[i] + 1):
+            yield from walk(i + 1, [o + j * s for o in offsets for j in range(x + 1)])
+
+    return walk(0, [0])
+
+
 class MultiSeries:
     """A series sum_gamma (HalfSeries in q) * x^gamma, truncated to a box.
 
@@ -183,9 +214,6 @@ class MultiSeries:
             raise DomainError(f"the pieces are not exactly the truncation box {self.gamma_max}")
         self.pieces = pieces
 
-    def domain(self):
-        return enumerate_dim_vectors(self.gamma_max, include_zero=True)
-
     def _check_compatible(self, other):
         if self.gamma_max != other.gamma_max:
             raise DimensionMismatchError("mismatched truncation boxes")
@@ -194,32 +222,37 @@ class MultiSeries:
         """(self * other)_g = sum over d <= g of self_d other_(g-d), one
         accumulation per piece g (see ``_sum_of_products``): no
         ``HalfSeries`` per product or partial sum, and no term pair above
-        the certified hi of the piece.  Each d is taken from g's sub-box:
-        prod_i (g_i + 1) key lookups per piece."""
+        the certified hi of the piece.  Both factors are read by flat
+        position from g's sub-box (``_sub_boxes``): prod_i (g_i + 1) pairs
+        per piece."""
         self._check_compatible(other)
-        a, b = self.pieces, other.pieces
+        keys = sorted(self.pieces)    # __init__ made the keys the box: lex order
+        a = [self.pieces[g] for g in keys]
+        b = [other.pieces[g] for g in keys]
         out = {}
-        for g in self.domain():
-            out[g] = _sum_of_products([(a[d], b[dim_sub(g, d)])
-                                       for d in product(*(range(x + 1) for x in g))])
+        for g, sub in zip(keys, _sub_boxes(self.gamma_max)):
+            f = sub[-1]
+            out[g] = _sum_of_products([(a[d], b[f - d]) for d in sub])
         return MultiSeries(self.gamma_max, out)
 
     def inverse(self) -> "MultiSeries":
         """Inverse of a series whose x^0 piece is 1 on its window [0, h]:
         out_0 = A_0, out_g = -sum_(0 < d <= g) A_d out_(g-d), walking g in
-        (|g|, lex) order so every out_(g-d) is ready; each piece walks its
-        sub-box and is one accumulation with the hi cutoff, as in
-        ``__mul__``.  out_0 keeps the window [0, h] of A_0, which caps every
-        out_g at h + lo, as the factor 1/A_0 must (see the module
-        docstring)."""
-        domain = self.domain()
-        a = self.pieces
-        unit = a[domain[0]]
+        lex order.  For 0 != d <= g, flat(g - d) = flat(g) - flat(d) <
+        flat(g), so every out_(g-d) is ready when out_g needs it.  Each piece
+        reads its pairs by flat position and is one accumulation with the
+        hi cutoff, as in ``__mul__``.  out_0 keeps the window [0, h] of A_0,
+        which caps every out_g at h + lo, as the factor 1/A_0 must (see the
+        module docstring)."""
+        keys = sorted(self.pieces)
+        a = [self.pieces[g] for g in keys]
+        unit = a[0]
         if unit.lo or unit.coeffs != {0: 1}:
             raise DomainError("generating series must have x^0 piece 1")
-        out = {domain[0]: unit}
-        for g in domain[1:]:
-            out[g] = -_sum_of_products([(a[d], out[dim_sub(g, d)])
-                                        for d in product(*(range(x + 1) for x in g))
-                                        if any(d)])
-        return MultiSeries(self.gamma_max, out)
+        out = [unit]
+        subs = _sub_boxes(self.gamma_max)
+        next(subs)
+        for sub in subs:
+            f = sub[-1]
+            out.append(-_sum_of_products([(a[d], out[f - d]) for d in sub[1:]]))
+        return MultiSeries(self.gamma_max, dict(zip(keys, out)))

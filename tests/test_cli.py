@@ -188,6 +188,9 @@ def test_csv_report_matches_golden(tmp_path, args, golden):
     ("kronecker2_half.json", ["--mode", "check-nonvanishing", "--gamma-max", "3,3",
                               "--qtrunc", "8"],
      "nonvanishing_kronecker2_half_g3_3_q8.json"),
+    ("kronecker2_half.json", ["--mode", "check-nonvanishing", "--gamma-max", "8,8",
+                              "--qtrunc", "60"],
+     "nonvanishing_kronecker2_half_g8_8_q60.json"),
     ("loop2.json", ["--mode", "shuffle-eval", "--gamma-max", "3",
                     "--left", "1/2*x0_1*x0_2 - 3/4", "--left-gamma", "2",
                     "--right", "x0_1 + 2/3", "--right-gamma", "1"],
@@ -197,14 +200,16 @@ def test_csv_report_matches_golden(tmp_path, args, golden):
      "freeness_kronecker2_doubled_g3_3_q12.json"),
     ("loop2.json", ["--mode", "check-freeness", "--gamma-max", "5", "--qtrunc", "26"],
      "freeness_loop2_g5_q26.json"),
-], ids=["genericity", "check-nonvanishing", "shuffle-eval", "check-freeness",
-        "check-freeness-full-window"])
+], ids=["genericity", "check-nonvanishing", "check-nonvanishing-8-8", "shuffle-eval",
+        "check-freeness", "check-freeness-full-window"])
 def test_json_report_matches_golden(tmp_path, quiver, args, golden):
     # the record layouts (root and genericity certificates, eigenvalue lists,
     # rational polynomial coefficients) pinned byte for byte, a freeness
     # check whose loop-free colors take wider chains of divided differences
-    # than the bench workload's, and a 2-loop freeness check on a full window,
-    # where the most cells stop their products at the complement count
+    # than the bench workload's, a 2-loop freeness check on a full window,
+    # where the most cells stop their products at the complement count, and
+    # the series route on the (8,8) box, whose 81 pieces read the most pairs
+    # by flat position (2025 per MultiSeries product or inverse)
     code, blob = run_to_file(tmp_path, ["--quiver", str(BENCH / "quivers" / quiver), *args])
     assert code == 0
     assert blob == (DATA / golden).read_bytes()

@@ -137,6 +137,30 @@ def test_product_equals_all_pairs_reference(a, b):
     assert b * a == _brute_product(b, a)
 
 
+@st.composite
+def sparse_wide_series(draw):
+    """A series with at most five terms on a window up to 1200 wide, which
+    may start far below 0: wider and lower than any window of
+    ``small_series``."""
+    lo = draw(st.integers(-500, 0))
+    hi = draw(st.integers(lo, 700))
+    exponents = draw(st.lists(st.integers(lo, hi), max_size=5, unique=True))
+    return HalfSeries({k: draw(st.integers(-3, 3)) for k in exponents}, lo, hi)
+
+
+@given(sparse_wide_series(), sparse_wide_series(), sparse_wide_series())
+@example(HalfSeries({-500: 1, 700: 2}, -500, 700), HalfSeries({-3: -1, 0: 4}, -3, 200),
+         HalfSeries({-1: 2, 5: 1}, -1, 5))
+def test_sparse_products_on_wide_windows(a, b, c):
+    # a product adds each term pair into a dense list at k - lo; pairs of
+    # factors with different lo share one list in a MultiSeries piece
+    assert a * b == _brute_product(a, b)
+    x = MultiSeries((2,), {(0,): HalfSeries.one(1000), (1,): a, (2,): b})
+    y = MultiSeries((2,), {(0,): HalfSeries.one(1000), (1,): c, (2,): a})
+    assert (x * y).pieces == {g: _convolution_piece(x.pieces, y.pieces, g)
+                              for g in [(0,), (1,), (2,)]}
+
+
 # -- MultiSeries -------------------------------------------------------------------
 
 def test_multiseries_product_convolves_pieces():
@@ -167,7 +191,7 @@ def test_multiseries_inverse_round_trip():
     assert inv.pieces[(0, 0)] == HalfSeries.one(12)
     for prod in (s * inv, inv * s):
         assert prod.pieces[(0, 0)] == HalfSeries.one(12)
-        for g in s.domain():
+        for g in enumerate_dim_vectors(gmax, include_zero=True):
             if any(g):
                 # zero on a window that is not empty
                 assert prod.pieces[g].is_zero() and not prod.pieces[g].window_empty(), g
@@ -182,7 +206,7 @@ def test_inverse_of_a_finite_unit_is_capped_at_its_window():
               (3,): HalfSeries({-1: -1, 4: 2}, -1, 30)}
     narrow = MultiSeries((3,), {(0,): HalfSeries.one(3), **others}).inverse()
     wide = MultiSeries((3,), {(0,): HalfSeries.one(100), **others}).inverse()
-    for g in narrow.domain():
+    for g in enumerate_dim_vectors((3,), include_zero=True):
         n, w = narrow.pieces[g], wide.pieces[g]
         assert n.window() == (w.lo, 3 + w.lo) and n.hi < w.hi, g
         assert agree(n, w), g
@@ -231,7 +255,8 @@ _ZERO_ENTRY = MultiSeries((0, 2, 1), {
 @example((_ZERO_ENTRY, _ZERO_ENTRY))
 def test_multiseries_product_equals_piecewise_reference(pair):
     a, b = pair
-    ref = {g: _convolution_piece(a.pieces, b.pieces, g) for g in a.domain()}
+    ref = {g: _convolution_piece(a.pieces, b.pieces, g)
+           for g in enumerate_dim_vectors(a.gamma_max, include_zero=True)}
     # HalfSeries == compares lo, hi and coefficients
     assert (a * b).pieces == ref
 
@@ -241,7 +266,7 @@ def test_multiseries_product_equals_piecewise_reference(pair):
 def test_multiseries_inverse_equals_piecewise_reference(a):
     # out_g = -(1/A_0) sum_(0 < d <= g) A_d out_(g-d), where 1/A_0 is 1 on
     # the window [0, h] of A_0 and unknown above it
-    g0, *rest = a.domain()
+    g0, *rest = enumerate_dim_vectors(a.gamma_max, include_zero=True)
     unit = a.pieces[g0]
     minus_inverse_unit = HalfSeries({0: -1}, 0, unit.hi)
     others = {d: a.pieces[d] for d in rest}
@@ -259,13 +284,14 @@ def test_narrowing_one_piece_never_widens_a_window(pair, data):
     # every piece of the inverse and of both products keeps or narrows its
     # window and agrees with the unnarrowed result on it
     a, b = pair
-    g = data.draw(st.sampled_from(a.domain()))
+    box = enumerate_dim_vectors(a.gamma_max, include_zero=True)
+    g = data.draw(st.sampled_from(box))
     s = a.pieces[g]
     hi = data.draw(st.integers(0 if not any(g) else min(s.lo - 1, s.hi), s.hi))
     narrowed = MultiSeries(a.gamma_max, {**a.pieces, g: HalfSeries(s.coeffs, s.lo, hi)})
     for wide, narrow in ((a.inverse(), narrowed.inverse()), (a * b, narrowed * b),
                          (b * a, b * narrowed)):
-        for d in a.domain():
+        for d in box:
             w, n = wide.pieces[d], narrow.pieces[d]
             assert w.lo <= n.lo and n.hi <= w.hi, d
             assert agree(n, w), d

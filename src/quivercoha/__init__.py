@@ -8,8 +8,7 @@ for moment-map eigenvalue data, and the positive-root nonvanishing test.
 
 from .coha import basis, shuffle_product, twisted_product
 from .dtseries import build_generating_series, dt_report, plethystic_factor
-from .errors import (DimensionMismatchError, DivisibilityError, DomainError,
-                     LimitExceededError, QuiverFormatError, StructuralViolationError)
+from .errors import DomainError, LimitExceededError, StructuralViolationError
 from .freeness import decomposable_dim, prim_dims
 from .legs import EigenData, LegData, attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
 from .poly import ColoredPoly, exact_divide, parse_colored_poly
@@ -20,9 +19,9 @@ from .series import HalfSeries, MultiSeries
 
 __all__ = [
     "ColoredPoly", "DimVector",
-    "DimensionMismatchError", "DivisibilityError", "DomainError", "EigenData",
+    "DomainError", "EigenData",
     "HalfSeries", "LegData", "LimitExceededError", "MultiSeries",
-    "Quiver", "QuiverFormatError", "RootCertificate",
+    "Quiver", "RootCertificate",
     "StructuralViolationError", "attach_legs", "basis",
     "build_generating_series", "decomposable_dim", "double", "dt_report",
     "enumerate_dim_vectors", "euler_form", "exact_divide",

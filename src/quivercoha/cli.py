@@ -14,13 +14,16 @@ report layout: the library returns series dicts and named-tuple records with
 no serializer, and each mode runner below renders them as JSON values.
 
 Exit status is 0 on success (``-h``/``--help`` included), 1 when a check
-mode finds a disagreement, 2 on bad input (an --out path that cannot be
-written, a quiver spec that is not UTF-8, a malformed polynomial literal
-such as ``1/0``, and a quiver spec or a polynomial literal nested deeper
-than the interpreter recurses or holding an integer longer than it converts
-included), 3 when an identity that is a theorem fails at runtime
-(StructuralViolationError: a bug or a corrupted input, never a property of
-the quiver), and 4 when the input is valid but exceeds a
+mode finds a disagreement, 2 on bad input (DomainError, the one class the
+library raises for it: operands on different vertex or variable sets, a
+quiver spec that cannot be read or parsed, whose message ends with its
+location, a malformed polynomial literal such as ``1/0``, and a quiver
+spec or a polynomial literal nested deeper than the interpreter recurses
+or holding an integer longer than it converts included; also an --out path
+that cannot be written), 3 when an identity that is a theorem fails at
+runtime (StructuralViolationError, a remainder left by an exact division
+included: a bug or a corrupted input, never a property of the quiver),
+and 4 when the input is valid but exceeds a
 capacity limit (LimitExceededError: the size cap of the exhaustive
 genericity search, or the packed-exponent limit of 127 on every exponent,
 including those of the shuffle numerator, which can exceed the product's own
@@ -52,8 +55,7 @@ from collections import namedtuple
 from itertools import islice
 
 from .dtseries import build_generating_series, dt_report, plethystic_factor
-from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
-                     QuiverFormatError, StructuralViolationError)
+from .errors import DomainError, LimitExceededError, StructuralViolationError
 from .coha import twisted_product
 from .freeness import prim_dims
 from .legs import attach_legs, is_generic, lambda_from_eigenvalues, sample_generic
@@ -171,16 +173,16 @@ def load_config(argv) -> RunConfig | None:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise QuiverFormatError(f"cannot read quiver spec: {err}", path) from err
+        raise DomainError(f"cannot read quiver spec: {err} (at {path})") from err
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
-        raise QuiverFormatError(f"invalid JSON: {err.msg}",
-                                f"{path}:{err.lineno}:{err.colno}") from err
+        raise DomainError(
+            f"invalid JSON: {err.msg} (at {path}:{err.lineno}:{err.colno})") from err
     except RecursionError:
-        raise QuiverFormatError("invalid JSON: nested too deeply", path) from None
+        raise DomainError(f"invalid JSON: nested too deeply (at {path})") from None
     except ValueError:   # an integer longer than the interpreter converts
-        raise QuiverFormatError("invalid JSON: integer too long", path) from None
+        raise DomainError(f"invalid JSON: integer too long (at {path})") from None
     quiver = quiver_from_spec(raw)
     gamma_max = _parse_csv_ints(args["gamma_max"])
     if len(gamma_max) != quiver.vertex_count or any(x < 0 for x in gamma_max):
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
             sys.stdout.write(_help_text())
             return 0
         code, text = run(cfg)
-    except (QuiverFormatError, DomainError, DimensionMismatchError) as err:
+    except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except LimitExceededError as err:

@@ -37,8 +37,9 @@ which is the shuffle sum above (Macdonald, *Notes on Schubert Polynomials*,
 ch. II).  So every product, a zero factor's too, costs sum_i gamma1^i gamma2^i
 exact divisions by x_{p+1} - x_p, each one walk per strand of the
 numerator's keys (``exact_divide``).
-Each division certifies that its step is a polynomial (a nonzero remainder
-would be a correctness bug, not an input error).
+Each division certifies that its step is a polynomial: a nonzero remainder
+would be a correctness bug, not an input error, and raises
+StructuralViolationError.
 
 K depends only on the split, and ``decomposable_dim`` multiplies the pairs
 of one split in a row, so the product keeps the kernel of the last (quiver,
@@ -101,7 +102,7 @@ from __future__ import annotations
 from itertools import accumulate, permutations
 from math import factorial, prod
 
-from .errors import DivisibilityError, DomainError, StructuralViolationError
+from .errors import DomainError, StructuralViolationError
 from .poly import ColoredPoly, _pack, exact_divide
 from .quiver import DimVector, Quiver, dim_add, sign_twist
 
@@ -124,8 +125,9 @@ def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
     F = f(x') g(x'') K: for each color, x'_r for r = gamma1^i - 1 down to 0
     is moved across the x'' block by one exact division by x_{p+1} - x_p per
     slot p it passes (see the module docstring).  The factors are trusted to
-    be block-symmetric; a quiver that is not symmetric raises DomainError and
-    a gamma that does not fit it DimensionMismatchError or DomainError."""
+    be block-symmetric; a quiver that is not symmetric, or a gamma that does
+    not fit it, raises DomainError, and a division that leaves a remainder
+    StructuralViolationError."""
     global _last_kernel
     if not quiver.is_symmetric():
         raise DomainError("the Hall product is implemented for symmetric quivers")
@@ -159,12 +161,7 @@ def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
             for p in range(offs[i] + r, offs[i] + r + g2[i]):
                 num = poly.alternate(p)
                 del poly   # F is not needed once its numerator is built
-                try:
-                    poly = exact_divide(num, p)
-                except DivisibilityError as err:  # pragma: no cover - would be a bug
-                    raise StructuralViolationError(
-                        f"divided difference at slots {p}, {p + 1} left a remainder for "
-                        f"gamma1={g1}, gamma2={g2}; remainder={err.remainder!r}") from err
+                poly = exact_divide(num, p)
                 del num
     return poly
 
@@ -243,8 +240,11 @@ def basis(gamma: DimVector, d: int) -> list[ColoredPoly]:
 
 
 def _first_vertex(gamma: DimVector) -> int:
-    """i0, the first vertex with gamma^i0 > 0."""
-    return next(i for i, n in enumerate(gamma) if n)
+    """i0, the first vertex with gamma^i0 > 0; gamma = 0 raises DomainError."""
+    for i, n in enumerate(gamma):
+        if n:
+            return i
+    raise DomainError("the p1 quotient concerns nonzero dimension vectors")
 
 
 def _in_complement(shape, i0: int) -> bool:

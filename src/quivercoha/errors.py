@@ -1,35 +1,18 @@
-"""Exception types shared across the package."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operands declare incompatible vertex sets or variable sets."""
+"""Exception types shared across the package: one per exit code of the CLI."""
 
 
 class DomainError(ValueError):
-    """Input is outside the mathematical domain of the operation."""
-
-
-class DivisibilityError(ArithmeticError):
-    """Exact polynomial division failed; carries the offending remainder."""
-
-    def __init__(self, message, remainder=None):
-        super().__init__(message)
-        self.remainder = remainder
+    """Input is outside the mathematical domain of the operation: operands
+    on different vertex or variable sets, or a quiver description that
+    cannot be parsed, included."""
 
 
 class StructuralViolationError(RuntimeError):
-    """An identity that is a theorem (positivity, integrality, freeness)
-    failed numerically.  Always a bug or a corrupted input, never clamped."""
+    """An identity that is a theorem (positivity, integrality, freeness,
+    exact division) failed numerically.  Always a bug or a corrupted input,
+    never clamped."""
 
 
 class LimitExceededError(RuntimeError):
     """Valid input beyond a configured bound: the size of a combinatorial
     search, or the packed-exponent limit of ``ColoredPoly``."""
-
-
-class QuiverFormatError(ValueError):
-    """A quiver description could not be parsed; ``location`` says where."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message if location is None else f"{message} (at {location})")
-        self.location = location

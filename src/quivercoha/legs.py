@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .errors import (DimensionMismatchError, DomainError, LimitExceededError,
-                     StructuralViolationError)
+from .errors import DomainError, LimitExceededError, StructuralViolationError
 from .quiver import DimVector, Quiver, dim_abs
 
 GENERICITY_SIZE_LIMIT = 8
@@ -87,7 +86,7 @@ def lambda_from_eigenvalues(t: EigenData, legs: LegData):
     expected = tuple(g for (i, j), g in zip(legs.vertex_labels, legs.tilde_gamma)
                      if j == 0)
     if gamma != expected:
-        raise DimensionMismatchError(
+        raise DomainError(
             f"eigenvalue data sized {gamma}, leg data built for {expected}")
     ordered = [sorted(vs, reverse=True) for vs in t.values]
     lam = []

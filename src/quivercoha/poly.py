@@ -11,9 +11,9 @@ set guard bit marks an exponent above 127.  Int coefficients stay ints
 through sums, products, ``alternate`` and ``exact_divide``.  Fractions come
 only from the literals p/q of ``parse_colored_poly``; one that reduces to an
 integer compares, hashes and renders like that integer.  ``fractions`` is
-imported where the parser makes a Fraction and where a product meets a
-scalar operand that is not an int, never at module import, so a mode that
-makes no Fraction does not load it.
+imported where the parser makes a Fraction, never at module import, so a
+mode that makes no Fraction does not load it.  A product takes two
+polynomials on one variable set; a scalar is ``ColoredPoly.constant``.
 
 ``exact_divide`` divides by x_(p+1) - x_p, the divisor of every divided
 difference, by synthetic division along strands.  Its lead is -x_p, with
@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .errors import DimensionMismatchError, DivisibilityError, DomainError, LimitExceededError
+from .errors import DomainError, LimitExceededError, StructuralViolationError
 from .quiver import DimVector
 
 _MAXEXP = 127
@@ -105,7 +105,7 @@ class ColoredPoly:
 
     def _check_compatible(self, other):
         if self.gamma != other.gamma:
-            raise DimensionMismatchError(
+            raise DomainError(
                 f"variable sets differ: gamma {self.gamma} vs {other.gamma}")
 
     def __add__(self, other):
@@ -126,13 +126,7 @@ class ColoredPoly:
 
     def __mul__(self, other):
         if not isinstance(other, ColoredPoly):
-            if not isinstance(other, int):
-                from fractions import Fraction   # loaded already if other is one
-                if not isinstance(other, Fraction):
-                    return NotImplemented
-            if not other:
-                return ColoredPoly.zero(self.gamma)
-            return ColoredPoly._make(self.gamma, {k: c * other for k, c in self._terms.items()})
+            return NotImplemented
         self._check_compatible(other)
         a, b = self._terms, other._terms
         if len(a) > len(b):
@@ -189,7 +183,7 @@ class ColoredPoly:
         nv_new = sum(new_gamma)
         var_map = tuple(var_map)
         if len(var_map) != self.nvars:
-            raise DimensionMismatchError("variable map length mismatch")
+            raise DomainError("variable map length mismatch")
         if len(set(var_map)) != len(var_map):
             raise DomainError("variable substitution must be injective")
         if any(not 0 <= v < nv_new for v in var_map):
@@ -268,7 +262,8 @@ class ColoredPoly:
 
 
 def exact_divide(num: ColoredPoly, p: int) -> ColoredPoly:
-    """Return q with q * (x_(p+1) - x_p) == num, or raise DivisibilityError.
+    """Return q with q * (x_(p+1) - x_p) == num, or raise
+    StructuralViolationError.
 
     num is walked strand by strand (see the module docstring), step =
     kd - k2 for the lead -x^kd = -x_p and the other term x^k2 = x_(p+1).
@@ -281,8 +276,10 @@ def exact_divide(num: ColoredPoly, p: int) -> ColoredPoly:
 
     A key that x_p does not divide, or that has an exponent above 127, keeps
     its value and ends its strand.  What remains after every strand is
-    walked is num - q * (x_(p+1) - x_p) for the quotient q reached, and a
-    nonzero remainder raises DivisibilityError carrying it.
+    walked is num - q * (x_(p+1) - x_p) for the quotient q reached.  The one
+    caller, the Hall product, divides only numerators that a theorem makes
+    divisible, so a nonzero remainder raises StructuralViolationError, whose
+    message ends with the remainder's ``canonical_str``.
     """
     if not 0 <= p < num.nvars - 1:
         raise DomainError(f"no variables {p}, {p + 1} among {num.nvars}")
@@ -304,9 +301,9 @@ def exact_divide(num: ColoredPoly, p: int) -> ColoredPoly:
             kr -= step
             c += pop(kr, 0)
     if r:
-        raise DivisibilityError(
-            "polynomial division left a nonzero remainder",
-            remainder=ColoredPoly._make(num.gamma, r))
+        raise StructuralViolationError(
+            f"division by {num.var_name(p + 1)} - {num.var_name(p)} at gamma={num.gamma} "
+            f"left the remainder {ColoredPoly._make(num.gamma, r).canonical_str()}")
     return ColoredPoly._make(num.gamma, q)
 
 
@@ -354,11 +351,12 @@ class _Parser:
     def expr(self):
         p = ColoredPoly.zero(self.gamma)
         while True:
-            sign = 1
+            negate = False
             while self.peek() in ("+", "-"):
                 if self.next() == "-":
-                    sign = -sign
-            p = p + self.term() * sign
+                    negate = not negate
+            term = self.term()
+            p = p + (-term if negate else term)
             if self.peek() not in ("+", "-"):
                 return p
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from .errors import DimensionMismatchError, DomainError, QuiverFormatError
+from .errors import DomainError
 
 DimVector = tuple[int, ...]
 
@@ -53,7 +53,7 @@ class Quiver(namedtuple("Quiver", "arrows")):
         n = len(arrows)
         for row in arrows:
             if len(row) != n:
-                raise DimensionMismatchError("arrow matrix must be square")
+                raise DomainError("arrow matrix must be square")
             if any(a < 0 for a in row):
                 raise DomainError("arrow multiplicities must be >= 0")
         return super().__new__(cls, arrows)
@@ -73,7 +73,7 @@ class Quiver(namedtuple("Quiver", "arrows")):
 
     def check_dim(self, g: DimVector) -> None:
         if len(g) != self.vertex_count:
-            raise DimensionMismatchError(
+            raise DomainError(
                 f"dimension vector of length {len(g)} on a "
                 f"{self.vertex_count}-vertex quiver")
         if any(x < 0 for x in g):
@@ -120,7 +120,7 @@ def sign_twist(q: Quiver, g1: DimVector, g2: DimVector) -> int:
         raise DomainError("sign form is defined for symmetric quivers only")
     n = q.vertex_count
     if len(g1) != n or len(g2) != n:
-        raise DimensionMismatchError("sign form size mismatch")
+        raise DomainError("sign form size mismatch")
     a = q.arrows
     return sum(g1[i] * g2[j] * (a[i][j] + (1 + a[i][i]) * (1 + a[j][j]))
                for i in range(n) for j in range(i + 1, n)) % 2
@@ -129,28 +129,29 @@ def sign_twist(q: Quiver, g1: DimVector, g2: DimVector) -> int:
 def quiver_from_spec(obj) -> Quiver:
     """Parse the JSON wire form ``{"vertices": n, "arrows": [[i, j, m], ...]}``.
 
-    Duplicate (i, j) entries sum.  Raises QuiverFormatError with a location.
+    Duplicate (i, j) entries sum.  Raises DomainError whose message ends
+    with the location, such as ``(at arrows[0])``.
     """
     if not isinstance(obj, dict):
-        raise QuiverFormatError("quiver spec must be a JSON object", "top level")
+        raise DomainError("quiver spec must be a JSON object (at top level)")
     if "vertices" not in obj:
-        raise QuiverFormatError("missing 'vertices'", "top level")
+        raise DomainError("missing 'vertices' (at top level)")
     n = obj["vertices"]
     if type(n) is not int or n <= 0:   # JSON true and false are bools, not ints
-        raise QuiverFormatError("'vertices' must be a positive integer", "vertices")
+        raise DomainError("'vertices' must be a positive integer (at vertices)")
     entries = obj.get("arrows", [])
     if not isinstance(entries, list):
-        raise QuiverFormatError("'arrows' must be a list", "arrows")
+        raise DomainError("'arrows' must be a list (at arrows)")
     mat = [[0] * n for _ in range(n)]
     for idx, ent in enumerate(entries):
-        loc = f"arrows[{idx}]"
+        at = f" (at arrows[{idx}])"
         if (not isinstance(ent, list) or len(ent) != 3
                 or not all(type(x) is int for x in ent)):
-            raise QuiverFormatError("arrow entry must be [i, j, mult] of ints", loc)
+            raise DomainError("arrow entry must be [i, j, mult] of ints" + at)
         i, j, m = ent
         if not (0 <= i < n and 0 <= j < n):
-            raise QuiverFormatError(f"vertex index out of range 0..{n - 1}", loc)
+            raise DomainError(f"vertex index out of range 0..{n - 1}" + at)
         if m < 0:
-            raise QuiverFormatError("arrow multiplicity must be >= 0", loc)
+            raise DomainError("arrow multiplicity must be >= 0" + at)
         mat[i][j] += m
     return Quiver.from_lists(mat)

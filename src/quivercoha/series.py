@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 from .quiver import DimVector
 
 
@@ -174,17 +174,24 @@ def _sub_boxes(gamma_max: DimVector):
     index in that order, so the first position is 0 (d = 0) and the last
     flat(g).  Since flat(g - d) = flat(g) - flat(d) for d <= g, a piece
     reads both factors of each pair by position.  Each list is built from
-    its prefix's when it is reached, and none is kept."""
-    strides = [1] * len(gamma_max)
-    for i in range(len(gamma_max) - 1, 0, -1):
-        strides[i - 1] = strides[i] * (gamma_max[i] + 1)
+    its prefix's when it is reached, and none is kept.  Only the axes with
+    gamma_max_i > 0 are walked, as an axis of size 1 adds no offset, so the
+    recursion is at most log2 of the box size deep, whatever the number of
+    vertices."""
+    axes = []   # (gamma_max_i, s_i) of the walked axes, in axis order
+    stride = 1
+    for m in reversed(gamma_max):
+        if m:
+            axes.append((m, stride))
+            stride *= m + 1
+    axes.reverse()
 
     def walk(i, offsets):
-        if i == len(gamma_max):
+        if i == len(axes):
             yield offsets
             return
-        s = strides[i]
-        for x in range(gamma_max[i] + 1):
+        m, s = axes[i]
+        for x in range(m + 1):
             yield from walk(i + 1, [o + j * s for o in offsets for j in range(x + 1)])
 
     return walk(0, [0])
@@ -201,22 +208,16 @@ class MultiSeries:
     __slots__ = ("gamma_max", "pieces")
 
     def __init__(self, gamma_max: DimVector, pieces: dict[DimVector, HalfSeries]):
-        """A key whose length is not the box's raises DimensionMismatchError;
-        any other key set than the box, a missing piece included, raises
-        DomainError."""
+        """Any other key set than the box, a missing piece or a key of
+        another length included, raises DomainError."""
         self.gamma_max = tuple(gamma_max)
-        for g in pieces:
-            if len(g) != len(self.gamma_max):
-                raise DimensionMismatchError(
-                    f"{g} has length {len(g)}; the truncation box {self.gamma_max} "
-                    f"has length {len(self.gamma_max)}")
         if pieces.keys() != set(product(*(range(m + 1) for m in self.gamma_max))):
             raise DomainError(f"the pieces are not exactly the truncation box {self.gamma_max}")
         self.pieces = pieces
 
     def _check_compatible(self, other):
         if self.gamma_max != other.gamma_max:
-            raise DimensionMismatchError("mismatched truncation boxes")
+            raise DomainError("mismatched truncation boxes")
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         """(self * other)_g = sum over d <= g of self_d other_(g-d), one

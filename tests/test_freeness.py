@@ -9,7 +9,7 @@ from quivercoha import (ColoredPoly, DomainError, StructuralViolationError, basi
                         decomposable_dim, enumerate_dim_vectors, euler_form, prim_dims,
                         twisted_product)
 from quivercoha import cli, freeness
-from quivercoha.coha import Cell
+from quivercoha.coha import Cell, complement_basis
 from quivercoha.freeness import exact_rank
 
 from conftest import S1, S2, S4, agree, poly_from_terms, random_cells
@@ -260,6 +260,16 @@ def test_prim_dims_examples():
     # outside the certified window the value is unknown, never zero
     with pytest.raises(DomainError):
         prim_dims(S1, (1,), 13).coeff(15)
+
+
+def test_zero_gamma_on_the_linear_route_is_a_domain_error():
+    # gamma = 0 has no first vertex for the p1 quotient
+    with pytest.raises(DomainError, match="nonzero"):
+        prim_dims(S1, (0,), 0)
+    with pytest.raises(DomainError, match="nonzero"):
+        decomposable_dim(S1, Cell((0,), 0))
+    with pytest.raises(DomainError, match="nonzero"):
+        complement_basis((0,), 0)
 
 
 def test_prim_dims_monotone_under_larger_window():

@@ -40,10 +40,14 @@ locale: about 2 ms and 150 KB per call under CPython 3.11.  For the same
 reason ``fractions``, which pulls in ``decimal`` and ``numbers`` (about 4 ms),
 is imported only where a Fraction is made: by the genericity mode's
 eigenvalues and by a p/q literal of shuffle-eval.  ``json.dumps`` with an
-indent runs the pure-Python encoder and holds every one of its small chunks
-until the final join, about nine times the report's size; ``render_json``
-joins them in batches of 128, so it holds about twice the report (the
-batches and their join) and one batch of chunks.
+indent runs the pure-Python encoder, which yields the report in many small
+chunks and holds all of them until the final join, about nine times the
+report's size.  ``render_json`` writes the same bytes (sorted keys, an
+indent of 2, non-ASCII kept, a tuple as a list) with a small recursive
+emitter: each dict or list returns one string, joined from its members'
+strings, with the C string escaper of ``json.encoder`` and ``int.__repr__``
+for the leaves.  It is about twice as fast, and holds at most about twice
+the report (a list's member strings and their join).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import io
 import json
 import sys
 from collections import namedtuple
-from itertools import islice
+from json.encoder import encode_basestring as _string   # ensure_ascii off
 
 from .dtseries import build_generating_series, dt_report, plethystic_factor
 from .errors import DomainError, LimitExceededError, StructuralViolationError
@@ -205,7 +209,7 @@ def _window_header(cfg: RunConfig) -> dict:
 
 
 def run_dt_table(cfg: RunConfig) -> tuple[int, dict]:
-    if not cfg.quiver.is_symmetric():
+    if not cfg.quiver.is_symmetric:
         raise DomainError("dt-table needs a symmetric quiver")
     omega = dt_report(cfg.quiver, cfg.gamma_max, cfg.qtrunc)
     rows = [{"gamma": list(gamma), "coeffs": [[k, str(c)] for k, c in series.items()],
@@ -215,7 +219,7 @@ def run_dt_table(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
-    if not cfg.quiver.is_symmetric():
+    if not cfg.quiver.is_symmetric:
         raise DomainError("check-freeness needs a symmetric quiver")
     series = build_generating_series(cfg.quiver, cfg.gamma_max, cfg.qtrunc)
     omegas = plethystic_factor(series)
@@ -309,7 +313,7 @@ def _element(quiver, gamma, text):
 
 
 def run_shuffle_eval(cfg: RunConfig) -> tuple[int, dict]:
-    if not cfg.quiver.is_symmetric():
+    if not cfg.quiver.is_symmetric:
         raise DomainError("shuffle-eval needs a symmetric quiver")
     if None in (cfg.left, cfg.left_gamma, cfg.right, cfg.right_gamma):
         raise DomainError(
@@ -338,14 +342,37 @@ _RUNNERS = {
 # -- serialization ------------------------------------------------------------
 
 
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+def _emit(value, indent: str) -> str:
+    """The JSON text of ``value`` nested at ``indent``, as ``json.dumps``
+    writes it with sorted keys, an indent of 2 and ensure_ascii off: each
+    dict or list comes back as one joined string, and a tuple is a list."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_string(key)}: {_emit(value[key], inner)}" for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = sep.join([_emit(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict) -> str:
-    # the encoder yields no empty chunk, so only the exhausted iterator joins
-    # to "" and ends the batches
-    chunks = _JSON.iterencode(payload)
-    return "".join(iter(lambda: "".join(islice(chunks, 128)), "")) + "\n"
+    return _emit(payload, "") + "\n"
 
 
 def _flat(value) -> str:

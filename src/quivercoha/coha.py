@@ -129,7 +129,7 @@ def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
     not fit it, raises DomainError, and a division that leaves a remainder
     StructuralViolationError."""
     global _last_kernel
-    if not quiver.is_symmetric():
+    if not quiver.is_symmetric:
         raise DomainError("the Hall product is implemented for symmetric quivers")
     g1, g2 = f.gamma, g.gamma
     quiver.check_dim(g1)
@@ -145,14 +145,10 @@ def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
     split, kernel = _last_kernel
     if split != (quiver, g1, g2):
         kernel = ColoredPoly.constant(gamma, 1)
-        for i in range(n):
-            for j in range(n):
-                a_ij = quiver.arrows[i][j]
-                if not a_ij:
-                    continue
-                for r in firsts[i]:
-                    for s in seconds[j]:
-                        kernel = kernel * (_difference(gamma, s, r) ** a_ij)
+        for i, j, a_ij in quiver.arrows:
+            for r in firsts[i]:
+                for s in seconds[j]:
+                    kernel = kernel * (_difference(gamma, s, r) ** a_ij)
         _last_kernel = ((quiver, g1, g2), kernel)
     poly = (fb * kernel) * fa
     del fa, fb
@@ -204,28 +200,39 @@ def _orbit_keys(gamma: DimVector, vertex: int, lam) -> list[int]:
 
 def _shapes(gamma: DimVector, d: int) -> list[tuple[tuple[int, ...], ...]]:
     """Per basis element of the cell (gamma, d), in basis order, its
-    partition at each vertex."""
+    partition at each vertex.  The vertices with gamma^i = 0 take the empty
+    partition and no degree, so only the support is walked."""
     if any(n < 0 for n in gamma):
         raise DomainError("dimension vector entries must be >= 0")
-    shapes = [((), d)]   # (the partitions at the vertices so far, the degree left)
-    for size in gamma:
-        parts = [list(_partitions(e, e, size)) for e in range(d + 1)]
+    live = [i for i, n in enumerate(gamma) if n]
+    shapes = [((), d)]   # (the partitions at the live vertices so far, the degree left)
+    for i in live:
+        parts = [list(_partitions(e, e, gamma[i])) for e in range(d + 1)]
         shapes = [(shape + (lam,), left - e) for shape, left in shapes
                   for e in range(left + 1) for lam in parts[e]]
-    return [shape for shape, left in shapes if not left]
+    out = []
+    for shape, left in shapes:
+        if not left:
+            full = [()] * len(gamma)
+            for i, lam in zip(live, shape):
+                full[i] = lam
+            out.append(tuple(full))
+    return out
 
 
 def _elements(gamma: DimVector, shapes):
     """The basis element of each shape, in order: per vertex the monomial
     symmetric polynomial m_lambda, whose terms are the sums of one orbit key
     per block, all with coefficient 1."""
-    orbits = [{} for _ in gamma]   # per vertex: partition -> its orbit keys
+    live = [i for i, n in enumerate(gamma) if n]   # an empty block's orbit is the key 0
+    orbits = [{} for _ in live]   # per live vertex: partition -> its orbit keys
     for lams in shapes:
         keys = [0]
-        for i, lam in enumerate(lams):
-            orbit = orbits[i].get(lam)
+        for i, known in zip(live, orbits):
+            lam = lams[i]
+            orbit = known.get(lam)
             if orbit is None:
-                orbit = orbits[i][lam] = _orbit_keys(gamma, i, lam)
+                orbit = known[lam] = _orbit_keys(gamma, i, lam)
             keys = [key + o for key in keys for o in orbit]
         yield ColoredPoly._make(gamma, dict.fromkeys(keys, 1))
 

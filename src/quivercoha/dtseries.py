@@ -71,18 +71,20 @@ def _check_grading(quiver: Quiver, gamma: DimVector, qtrunc: int) -> None:
     quiver.check_dim(gamma)
     if qtrunc < 0:
         raise DomainError("qtrunc must be >= 0")
-    if not quiver.is_symmetric():
+    if not quiver.is_symmetric:
         raise DomainError("Hilbert series uses the symmetric-quiver grading")
 
 
 def _hilbert(quiver: Quiver, gamma: DimVector, inv: list[HalfSeries]) -> HalfSeries:
     """P_gamma from the inverse Pochhammers of ``_inverse_pochhammers``,
-    which must reach max(gamma): inv[gamma^0] times inv[gamma^i] for each
-    further vertex i, shifted by chi.  Every inv[m] sits on [0, qtrunc], so
-    each product keeps that window, and P_0 = inv[0] = 1 on [0, qtrunc]."""
-    series = inv[gamma[0]]
-    for size in gamma[1:]:
-        series = series * inv[size]
+    which must reach max(gamma): the product of inv[gamma^i] over the support
+    of gamma, shifted by chi.  Every inv[m] sits on [0, qtrunc], so each
+    product keeps that window, and the factors inv[0] = 1 on [0, qtrunc] of
+    the other vertices change nothing; P_0 = inv[0]."""
+    factors = [inv[size] for size in gamma if size] or [inv[0]]
+    series = factors[0]
+    for factor in factors[1:]:
+        series = series * factor
     return series.shifted(euler_form(quiver, gamma, gamma))
 
 

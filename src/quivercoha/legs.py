@@ -51,25 +51,21 @@ def attach_legs(q0: Quiver, gamma: DimVector) -> LegData:
 
     Vertices are labeled [i, j], j = 0..gamma^i - 1 (vertex [i, 0] is i
     itself and is kept even when gamma^i = 0); the extended dimension vector
-    is gamma^i - j.  The half quiver is q0 plus one arrow per leg edge, and
-    the extended quiver is its double.
+    is gamma^i - j.  The half quiver is q0's arrows plus one arrow per leg
+    edge, O(n + arrows + |gamma|) to build, and the extended quiver is its
+    double.
     """
     q0.check_dim(gamma)
     n = q0.vertex_count
     labels = [(i, 0) for i in range(n)]
+    arrows = list(q0.arrows)
     for i in range(n):
-        for j in range(1, max(gamma[i], 1)):
+        prev = i
+        for j in range(1, gamma[i]):
+            arrows.append((prev, len(labels), 1))
+            prev = len(labels)
             labels.append((i, j))
-    index = {lab: v for v, lab in enumerate(labels)}
-    size = len(labels)
-    half = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            half[i][j] = q0.arrows[i][j]
-    for i in range(n):
-        for j in range(max(gamma[i], 1) - 1):
-            half[index[(i, j)]][index[(i, j + 1)]] += 1
-    half_quiver = Quiver.from_lists(half)
+    half_quiver = Quiver(len(labels), arrows)
     tilde_gamma = tuple(gamma[i] - j for (i, j) in labels)
     return LegData(tilde_gamma, tuple(labels), half_quiver)
 

@@ -50,12 +50,27 @@ def _sum_of_products(pairs) -> "HalfSeries":
     """sum of s1 * s2 over the (s1, s2) in ``pairs`` (at least one), as one
     accumulation: the window of the chain of products and sums, lo = the
     least lo1 + lo2 and hi = the least min(hi1 + lo2, hi2 + lo1), comes
-    first, and s2 is walked in ascending exponent order and left at the
-    first k1 + k2 above hi, so no term pair above hi is visited.  Each
-    visited k = k1 + k2 lies on [lo, hi] and adds into a dense list at
-    index k - lo."""
-    lo = min(s1.lo + s2.lo for s1, s2 in pairs)
-    hi = min(min(s1.hi + s2.lo, s2.hi + s1.lo) for s1, s2 in pairs)
+    first, in one pass over the pairs.  When no pair has terms in both
+    factors the sum is the empty series on that window.  Otherwise s2 is
+    walked in ascending exponent order and left at the first k1 + k2 above
+    hi, so no term pair above hi is visited.  Each visited k = k1 + k2 lies
+    on [lo, hi] and adds into a dense list at index k - lo."""
+    lo = hi = None
+    live = False
+    for s1, s2 in pairs:
+        lo1, lo2 = s1.lo, s2.lo
+        low, high = lo1 + lo2, s1.hi + lo2
+        if s2.hi + lo1 < high:
+            high = s2.hi + lo1
+        if lo is None or low < lo:
+            lo = low
+        if hi is None or high < hi:
+            hi = high
+        if s1.coeffs and s2.coeffs:
+            live = True
+    out = HalfSeries({}, lo, hi)
+    if not live:
+        return out
     top = hi - lo
     acc = [0] * (top + 1)
     for s1, s2 in pairs:
@@ -67,7 +82,6 @@ def _sum_of_products(pairs) -> "HalfSeries":
                 if k > top:
                     break
                 acc[k] += c1 * c2
-    out = HalfSeries({}, lo, hi)
     out.coeffs = {k: c for k, c in enumerate(acc, lo) if c}
     return out
 

@@ -3,17 +3,32 @@ from hypothesis import strategies as st
 
 from quivercoha import Quiver
 
+
+def from_rows(rows):
+    """The quiver whose arrow-multiplicity matrix is ``rows``: rows[i][j]
+    arrows i -> j."""
+    return Quiver(len(rows), [(i, j, m) for i, row in enumerate(rows)
+                              for j, m in enumerate(row) if m])
+
+
+def arrow_matrix(q):
+    """The arrow multiplicities of q as a dense list of rows."""
+    rows = [[0] * q.vertex_count for _ in range(q.vertex_count)]
+    for i, j, m in q.arrows:
+        rows[i][j] = m
+    return rows
+
 # The four suite quivers: symmetric, used by most cross-checks.
-S1 = Quiver(((0,),))                       # one vertex, no arrows
-S2 = Quiver(((2,),))                       # one vertex, two loops (doubled loop)
-S3 = Quiver.from_lists([[0, 1], [1, 0]])   # double of A2
-S4 = Quiver.from_lists([[0, 2], [2, 0]])   # double of the 2-Kronecker
+S1 = from_rows([[0]])                       # one vertex, no arrows
+S2 = from_rows([[2]])                       # one vertex, two loops (doubled loop)
+S3 = from_rows([[0, 1], [1, 0]])   # double of A2
+S4 = from_rows([[0, 2], [2, 0]])   # double of the 2-Kronecker
 
 # Their half quivers (double(half) == suite quiver).
-S1_HALF = Quiver(((0,),))
-S2_HALF = Quiver(((1,),))
-S3_HALF = Quiver.from_lists([[0, 1], [0, 0]])
-S4_HALF = Quiver.from_lists([[0, 2], [0, 0]])
+S1_HALF = from_rows([[0]])
+S2_HALF = from_rows([[1]])
+S3_HALF = from_rows([[0, 1], [0, 0]])
+S4_HALF = from_rows([[0, 2], [0, 0]])
 
 SUITE = [("S1", S1), ("S2", S2), ("S3", S3), ("S4", S4)]
 SUITE_HALVES = [("S1", S1_HALF), ("S2", S2_HALF), ("S3", S3_HALF), ("S4", S4_HALF)]
@@ -63,7 +78,7 @@ def random_cells(draw):
             rows[i][j] = rows[j][i] = draw(st.integers(0, 2))
     gmax = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
                       .filter(any)))
-    return Quiver.from_lists(rows), gmax
+    return from_rows(rows), gmax
 
 
 @st.composite
@@ -74,4 +89,4 @@ def random_half_quivers(draw):
     rows = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
     gmax = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
                       .filter(any)))
-    return Quiver.from_lists(rows), gmax
+    return from_rows(rows), gmax

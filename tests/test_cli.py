@@ -111,17 +111,21 @@ JSON_LEAVES = st.integers(-10**30, 10**30) | st.booleans() | st.none() | JSON_TE
 @example({})
 @example({"": [], "a": {}, "b": [{}]})
 @example({"rows": [{"gamma": [i, -i], "ok": i % 2 == 0, "why": None} for i in range(60)]})
+@example({"certificate": {"reflections": (0, 2), "witness": (1, (0, -1), ())}})
+@example({"\u00e9\u03a9": "\u00e9 \U0001f600 \x00 \x1f \" \\ \n", "\U0001f600": []})
+@example({"flags": [None, True, False], "none": None, "true": True, "false": False})
+@example({"a": [[], {}, [[]], [{}]], "b": {"c": {}, "d": [[[]]]}})
 def test_render_json_is_json_dumps(payload):
-    # the batched join changes how the text is built, never its bytes; the
-    # last example holds far more chunks than one batch
+    # the recursive emitter changes how the text is built, never its bytes:
+    # tuples render as lists, non-ASCII text stays as it is
     assert render_json(payload) == json.dumps(payload, sort_keys=True, indent=2,
                                               ensure_ascii=False) + "\n"
 
 
 def test_render_json_peak_stays_near_the_report_size():
     # json.dumps with an indent holds every encoder chunk until its join,
-    # about nine times the text; the batched join holds the text about twice
-    # (the batches and their join) and one batch of chunks
+    # about nine times the text; the emitter holds the text about twice (a
+    # list's member strings and their join)
     text = (BENCH / "reference" / "freeness_kronecker.json").read_text(encoding="utf-8")
     payload = json.loads(text)
     tracemalloc.start()
@@ -417,6 +421,31 @@ def test_csv_has_header_and_rows(tmp_path, a1_path):
     assert any(line.startswith("#,qtrunc,10") for line in lines)
     header = next(line for line in lines if not line.startswith("#"))
     assert header.split(",") == ["coeffs", "gamma", "nonvanishing", "window"]
+
+
+_ROWS = {"dt-table": "omega", "check-freeness": "cells", "check-nonvanishing": "rows"}
+
+
+@pytest.mark.parametrize("mode", _ROWS)
+def test_arrowless_1100_vertex_quiver_reports_the_one_vertex_values(tmp_path, mode):
+    # the arrowless quiver on 1100 vertices at gamma-max 0,...,0,2 is the
+    # 1-vertex quiver at gamma-max 2 padded by vertices outside the support:
+    # the same Omega, cells and root verdicts, the gammas padded by zeros
+    reports = []
+    for vertices, gamma_max in ((1100, ",".join(["0"] * 1099 + ["2"])), (1, "2")):
+        spec = write_quiver(tmp_path, f"q{vertices}.json", {"vertices": vertices, "arrows": []})
+        out = tmp_path / f"r{vertices}.json"
+        assert main(["--quiver", spec, "--mode", mode, "--gamma-max", gamma_max,
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    wide, one = (report[_ROWS[mode]] for report in reports)
+    assert len(wide) == len(one) > 0
+    for row, twin in zip(wide, one):
+        assert row.pop("gamma") == [0] * 1099 + twin.pop("gamma")
+        if mode == "check-nonvanishing":
+            cert, twin_cert = row.pop("certificate"), twin.pop("certificate")
+            assert (cert["result"], cert["kind"]) == (twin_cert["result"], twin_cert["kind"])
+        assert row == twin
 
 
 # The command-line contract, checked through python -m quivercoha: every

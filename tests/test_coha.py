@@ -5,13 +5,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivercoha import (ColoredPoly, DomainError, LimitExceededError, Quiver,
+from quivercoha import (ColoredPoly, DomainError, LimitExceededError,
                         StructuralViolationError, basis, enumerate_dim_vectors, euler_form,
                         parse_colored_poly, shuffle_product, sign_twist, twisted_product)
 from quivercoha import coha
 from quivercoha.coha import Cell, complement_basis
 
-from conftest import S1, S2, S3, SUITE, poly_from_terms
+from conftest import S1, S2, S3, SUITE, arrow_matrix, from_rows, poly_from_terms
 
 
 def elt(gamma, text):
@@ -35,7 +35,7 @@ def _two_term_shuffle_oracle(quiver, f_deg, g_deg):
     quiver with m loops: sum the two summands over the common denominator
     (x2 - x1) by hand.  Returns (numerator, denominator); the product times
     the denominator must equal the numerator, so no division is needed."""
-    m = quiver.arrows[0][0]
+    m = arrow_matrix(quiver)[0][0]
     g = (2,)
     x1 = ColoredPoly.variable(g, 0, 1)
     x2 = ColoredPoly.variable(g, 0, 2)
@@ -109,7 +109,7 @@ def test_products_reject_a_gamma_that_does_not_fit_the_quiver(product):
 
 @pytest.mark.parametrize("product", [shuffle_product, twisted_product])
 def test_products_reject_a_non_symmetric_quiver(product):
-    a2 = Quiver.from_lists([[0, 1], [0, 0]])
+    a2 = from_rows([[0, 1], [0, 0]])
     with pytest.raises(DomainError, match="symmetric"):
         product(elt((1, 0), "x0_1"), elt((0, 1), "x1_1"), quiver=a2)
 
@@ -151,7 +151,7 @@ def test_twist_trivial_when_psi_zero():
 
 
 def test_twist_flips_sign_when_psi_is_one():
-    q = Quiver.from_lists([[1, 1], [1, 0]])
+    q = from_rows([[1, 1], [1, 0]])
     assert sign_twist(q, (1, 0), (0, 1)) == 1
     a, b = elt((1, 0), "x0_1"), elt((0, 1), "x1_1")
     assert twisted_product(a, b, quiver=q) == -shuffle_product(a, b, quiver=q)
@@ -381,6 +381,7 @@ def _shuffle_oracle(quiver, a, b):
     g1 = a.gamma
     gamma = tuple(x + y for x, y in zip(g1, b.gamma))
     n = len(gamma)
+    arrows = arrow_matrix(quiver)
     offs = [sum(gamma[:i]) for i in range(n)]
 
     xs = [ColoredPoly.variable(gamma, i, s)
@@ -407,7 +408,7 @@ def _shuffle_oracle(quiver, a, b):
             for j in range(n):
                 for r in firsts[i]:
                     for s in seconds[j]:
-                        summand = summand * diff(s, r) ** quiver.arrows[i][j]
+                        summand = summand * diff(s, r) ** arrows[i][j]
         # one -1 per pair p < r of a color with p on b's side and r on a's
         inv = sum(1 for i in range(n) for r in pick[i] for p in range(r)
                   if p not in pick[i])
@@ -431,9 +432,9 @@ def _random_symmetric(rng, gamma, degree):
 
 
 ORACLE_QUIVERS = SUITE + [
-    ("loop-mixed-1", Quiver.from_lists([[1, 1], [1, 0]])),
-    ("loop-mixed-3", Quiver.from_lists([[3, 1], [1, 0]])),
-    ("three-vertex", Quiver.from_lists([[0, 1, 0], [1, 1, 2], [0, 2, 0]])),
+    ("loop-mixed-1", from_rows([[1, 1], [1, 0]])),
+    ("loop-mixed-3", from_rows([[3, 1], [1, 0]])),
+    ("three-vertex", from_rows([[0, 1, 0], [1, 1, 2], [0, 2, 0]])),
 ]
 DEEP_ORACLE = {"S2", "S4", "three-vertex"}
 
@@ -447,7 +448,7 @@ def test_shuffle_matches_per_shuffle_oracle(name, quiver):
     # which rebuilds everything per shuffle, under 0.3 s a product
     pairs = [(g1, g2) for g1 in gammas for g2 in gammas
              if sum(g1) + sum(g2) <= 5
-             and sum(quiver.arrows[i][j] * g1[i] * g2[j]
+             and sum(arrow_matrix(quiver)[i][j] * g1[i] * g2[j]
                      for i in range(n) for j in range(n)) <= 6]
     # inputs of degree 2 and 3 on a looped color, a doubled multi-edge and
     # three colors give each divided difference many terms; at about 1 s in
@@ -465,8 +466,8 @@ def test_kernel_slot_follows_the_split_and_the_quiver():
     # splits A, B, A in a row, then A on a second quiver with the same
     # dimension vectors, must each be multiplied with their own kernel
     rng = random.Random("kernel-slot")
-    mixed1 = Quiver.from_lists([[1, 1], [1, 0]])
-    mixed3 = Quiver.from_lists([[3, 1], [1, 0]])
+    mixed1 = from_rows([[1, 1], [1, 0]])
+    mixed3 = from_rows([[3, 1], [1, 0]])
     split_a, split_b = ((1, 0), (1, 1)), ((1, 1), (1, 0))
     for quiver, (g1, g2) in [(mixed1, split_a), (mixed1, split_b), (mixed1, split_a),
                              (mixed3, split_a)]:

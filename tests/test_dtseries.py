@@ -3,14 +3,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivercoha import (DomainError, HalfSeries, MultiSeries, Quiver, StructuralViolationError,
+from quivercoha import (DomainError, HalfSeries, MultiSeries, StructuralViolationError,
                         build_generating_series, dt_report, enumerate_dim_vectors,
                         euler_form, plethystic_factor, prim_dims)
 from quivercoha.coha import Cell
 from quivercoha.dtseries import _inverse_pochhammers
 from quivercoha.quiver import dim_abs
 
-from conftest import S1, S2, S3, S4, SUITE, agree, random_cells
+from conftest import S1, S2, S3, S4, SUITE, agree, from_rows, random_cells
 
 
 # -- Hilbert series ---------------------------------------------------------------
@@ -69,9 +69,8 @@ def test_inverse_pochhammers_count_partitions(width):
 
 
 def test_hilbert_rejects_asymmetric():
-    from quivercoha import Quiver
     with pytest.raises(DomainError):
-        build_generating_series(Quiver.from_lists([[0, 1], [0, 0]]), (1, 1), 4)
+        build_generating_series(from_rows([[0, 1], [0, 0]]), (1, 1), 4)
 
 
 # -- independent oracle for the towers: direct expansion of the product -------------
@@ -152,7 +151,7 @@ def test_extraction_parity():
 def test_extraction_independent_of_within_level_order():
     # relabelling the two vertices reverses the walk inside each |gamma| level
     omegas, swapped = (
-        plethystic_factor(build_generating_series(Quiver.from_lists(rows), (2, 2), 14))
+        plethystic_factor(build_generating_series(from_rows(rows), (2, 2), 14))
         for rows in ([[2, 1], [1, 0]], [[0, 1], [1, 2]]))
     assert omegas == {g[::-1]: s for g, s in swapped.items()}
 
@@ -241,7 +240,7 @@ def _report_pairs(draw):
                       .filter(lambda g: 1 <= sum(g) <= 4)))
     q1 = draw(st.integers(0, 15))
     q2 = draw(st.integers(q1 + 1, 16))
-    return Quiver.from_lists(rows), gmax, q1, q2
+    return from_rows(rows), gmax, q1, q2
 
 
 @settings(deadline=None)
@@ -351,7 +350,7 @@ def _linear_route(quiver, d_max, qtrunc):
 def test_omega_at_minus_one_matches_reineke(route, loops, d_max, qtrunc):
     # Omega(d) at q^(1/2) = -1 is (-1)^((m-1)d) DT_d^(m) (arXiv:1102.3978);
     # these windows cover the whole support of each Omega(d)
-    omegas = route(Quiver(((loops,),)), d_max, qtrunc)
+    omegas = route(from_rows([[loops]]), d_max, qtrunc)
     for d in range(1, d_max + 1):
         value = sum(c * (-1) ** k for k, c in omegas[(d,)].items())
         assert value == (-1) ** ((loops - 1) * d) * _reineke_dt(loops, d), d

@@ -4,34 +4,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quivercoha import (DomainError, EigenData, LegData, LimitExceededError,
-                        Quiver, StructuralViolationError, attach_legs, double,
+                        StructuralViolationError, attach_legs, double,
                         is_generic, lambda_from_eigenvalues, sample_generic)
 
-from conftest import S1, S3, SUITE_HALVES
+from conftest import S1, S3, SUITE_HALVES, arrow_matrix, from_rows
 
 
 def test_attach_legs_two_loops_gamma_three():
-    q0 = Quiver(((1,),))
+    q0 = from_rows([[1]])
     legs = attach_legs(q0, (3,))
     assert legs.vertex_labels == ((0, 0), (0, 1), (0, 2))
     assert legs.tilde_gamma == (3, 2, 1)
     # two loops at the base vertex plus doubled leg edges
-    assert double(legs.half_quiver).arrows == ((2, 1, 0), (1, 0, 1), (0, 1, 0))
-    assert legs.half_quiver.arrows == ((1, 1, 0), (0, 0, 1), (0, 0, 0))
+    assert arrow_matrix(double(legs.half_quiver)) == [[2, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert legs.half_quiver.arrows == ((0, 0, 1), (0, 1, 1), (1, 2, 1))
 
 
 def test_attach_legs_length_zero_is_identity():
-    legs = attach_legs(Quiver.from_lists([[0, 1], [0, 0]]), (1, 1))
+    legs = attach_legs(from_rows([[0, 1], [0, 0]]), (1, 1))
     assert double(legs.half_quiver) == S3
     assert legs.tilde_gamma == (1, 1)
 
 
 def test_attach_legs_double_a2_mixed_gamma():
-    legs = attach_legs(Quiver.from_lists([[0, 1], [0, 0]]), (2, 1))
+    legs = attach_legs(from_rows([[0, 1], [0, 0]]), (2, 1))
     assert legs.vertex_labels == ((0, 0), (1, 0), (0, 1))
     assert legs.tilde_gamma == (2, 1, 1)
     # q0 plus one leg edge from [0, 0] to [0, 1]
-    assert legs.half_quiver.arrows == ((0, 1, 1), (0, 0, 0), (0, 0, 0))
+    assert arrow_matrix(legs.half_quiver) == [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("name,q0", SUITE_HALVES)
@@ -42,11 +42,12 @@ def test_attach_legs_structural_invariants(name, q0):
             assert legs.tilde_gamma[v] == gamma[i] - j
         # the half quiver is q0 on the base vertices plus one arrow
         # [i, j] -> [i, j + 1] per leg edge
+        base, half = arrow_matrix(q0), arrow_matrix(legs.half_quiver)
         for u, (i, j) in enumerate(legs.vertex_labels):
             for v, (k, m) in enumerate(legs.vertex_labels):
-                expected = (q0.arrows[i][k] if j == m == 0
+                expected = (base[i][k] if j == m == 0
                             else int(i == k and m == j + 1))
-                assert legs.half_quiver.arrows[u][v] == expected
+                assert half[u][v] == expected
 
 
 # -- lambda ---------------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_lambda_equal_eigenvalues_allowed():
 
 
 def test_lambda_two_vertices():
-    half = Quiver.from_lists([[0, 1], [0, 0]])
+    half = from_rows([[0, 1], [0, 0]])
     legs = attach_legs(half, (1, 1))
     a = Fraction(5, 3)
     lam = lambda_from_eigenvalues(EigenData(((a,), (-a,))), legs)

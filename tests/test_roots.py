@@ -3,15 +3,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivercoha import DomainError, Quiver, double, dt_report, euler_form, is_positive_root
+from quivercoha import (DomainError, Quiver, RootCertificate, attach_legs, double, dt_report,
+                        euler_form, is_positive_root)
 from quivercoha.roots import nonvanishing_certificate
 
-from conftest import S1_HALF, S2_HALF, S3_HALF, S4_HALF, random_half_quivers
+from conftest import S1_HALF, S2_HALF, S3_HALF, S4_HALF, arrow_matrix, from_rows, random_half_quivers
 
-A2 = Quiver.from_lists([[0, 1], [0, 0]])
-LOOP = Quiver(((1,),))
+A2 = from_rows([[0, 1], [0, 0]])
+LOOP = from_rows([[1]])
 LEG_A2 = A2   # the leg graph of one loop-free vertex with gamma = 2
-KRONECKER = Quiver.from_lists([[0, 2], [0, 0]])
+KRONECKER = from_rows([[0, 2], [0, 0]])
 
 
 def _unit(n, v):
@@ -43,7 +44,7 @@ def test_tits_form_examples():
 
 
 def test_bilinear_vs_quadratic_identity():
-    graphs = [A2, LOOP, Quiver.from_lists([[1, 2], [0, 0]])]
+    graphs = [A2, LOOP, from_rows([[1, 2], [0, 0]])]
     vectors = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 2)]
     for q in graphs:
         n = q.vertex_count
@@ -59,7 +60,7 @@ def test_reflection_preserves_tits_form(beta):
         return
     for q in (A2, KRONECKER):
         for v in range(2):
-            if q.arrows[v][v]:
+            if arrow_matrix(q)[v][v]:
                 continue
             reflected = list(beta)
             reflected[v] -= pairing(q, beta, v)
@@ -95,7 +96,7 @@ def test_root_rejects_bad_input():
 
 
 def test_root_disconnected_support_rejected():
-    path3 = Quiver.from_lists([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    path3 = from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     cert = is_positive_root(path3, (1, 0, 1))
     assert not cert.result and cert.kind == "not_root"
 
@@ -103,7 +104,7 @@ def test_root_disconnected_support_rejected():
 def test_root_disconnected_fundamental_candidate_rejected():
     # loops at the two ends, loop-free middle: (1, 0, 1) has all pairings <= 0
     # but disconnected support, hence is not a root
-    graph = Quiver.from_lists([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
+    graph = from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
     assert not is_positive_root(graph, (1, 0, 1)).result
     # and the vector reflecting onto it is not a root either
     assert not is_positive_root(graph, (1, 2, 1)).result
@@ -112,7 +113,7 @@ def test_root_disconnected_fundamental_candidate_rejected():
 def _replay(q, beta, cert):
     current = list(beta)
     for v in cert.reflections:
-        assert q.arrows[v][v] == 0
+        assert arrow_matrix(q)[v][v] == 0
         current[v] -= pairing(q, current, v)
     return tuple(current)
 
@@ -129,18 +130,69 @@ def test_certificates_replay():
         elif cert.kind == "imaginary":
             n = q.vertex_count
             assert all(pairing(q, final, v) <= 0
-                       for v in range(n) if final[v] and not q.arrows[v][v])
+                       for v in range(n) if final[v] and not arrow_matrix(q)[v][v])
         else:
             assert min(final) < 0 or not cert.result
+
+
+# -- the dense walk as an oracle ------------------------------------------------------
+
+def _dense_is_positive_root(q, beta):
+    """The root walk over the dense symmetrized matrix a_uv + a_vu, every
+    vertex visited at every step: reflect at the first loop-free vertex of
+    positive pairing, else test the support for connectivity."""
+    n = q.vertex_count
+    a = arrow_matrix(q)
+    sym = [[a[u][v] + a[v][u] for v in range(n)] for u in range(n)]
+    current = list(beta)
+    reflections = []
+
+    def pairing(v):
+        return 2 * current[v] - sum(sym[u][v] * current[u] for u in range(n))
+
+    def certificate(result, kind):
+        return RootCertificate(result, kind, tuple(reflections), tuple(current))
+
+    while True:
+        support = [v for v in range(n) if current[v]]
+        if len(support) == 1 and current[support[0]] == 1:
+            return certificate(True, "real" if a[support[0]][support[0]] == 0 else "imaginary")
+        v = next((v for v in range(n) if a[v][v] == 0 and current[v] and pairing(v) > 0),
+                 None)
+        if v is None:
+            seen, stack = {support[0]}, [support[0]]
+            while stack:
+                u = stack.pop()
+                for w in support:
+                    if w not in seen and sym[u][w]:
+                        seen.add(w)
+                        stack.append(w)
+            return certificate(len(seen) == len(support),
+                               "imaginary" if len(seen) == len(support) else "not_root")
+        current[v] -= pairing(v)
+        reflections.append(v)
+        if current[v] < 0:
+            return certificate(False, "not_root")
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_half_quivers(), st.data())
+def test_root_walk_matches_the_dense_oracle(case, data):
+    # full certificates, reflections and witness included, on leg-extended
+    # vectors and on arbitrary vectors of the legged half quiver
+    q0, gmax = case
+    gamma = data.draw(st.tuples(*(st.integers(0, m) for m in gmax)).filter(any))
+    legs = attach_legs(q0, gamma)
+    half = legs.half_quiver
+    assert is_positive_root(half, legs.tilde_gamma) == _dense_is_positive_root(half, legs.tilde_gamma)
+    beta = data.draw(st.tuples(*(st.integers(0, 3) for _ in legs.tilde_gamma)).filter(any))
+    assert is_positive_root(half, beta) == _dense_is_positive_root(half, beta)
 
 
 # -- literature anchor: Gabriel and Kac ------------------------------------------------
 
 def _arrows(n, edges):
-    mat = [[0] * n for _ in range(n)]
-    for i, j in edges:
-        mat[i][j] += 1
-    return Quiver.from_lists(mat)
+    return Quiver(n, [(i, j, 1) for i, j in edges])
 
 
 # Gabriel: the positive roots of a Dynkin quiver are the beta > 0 with

@@ -283,8 +283,9 @@ class Cell:
         self.gamma, self.d = gamma, d
         self.shapes = _shapes(gamma, d)
         self._keys, self._sizes = [], []
+        live = [i for i, n in enumerate(gamma) if n]   # an empty block adds no key bytes
         for shape in self.shapes:
-            blocks = [_padded(gamma, i, lam) for i, lam in enumerate(shape)]
+            blocks = [_padded(gamma, i, shape[i]) for i in live]
             self._keys.append(_pack(sum(blocks, ())))
             # per block, gamma^i! over the factorials of the multiplicities
             self._sizes.append(prod(factorial(len(b)) // prod(map(factorial, map(b.count, set(b))))
@@ -313,6 +314,7 @@ class Cell:
         gamma, nvars = self.gamma, sum(self.gamma)
         i0 = _first_vertex(gamma)
         offs = [0, *accumulate(gamma)]
+        spans = [(offs[i], offs[i + 1]) for i, n in enumerate(gamma) if n]   # nonempty blocks
         units = [1 << 8 * (nvars - 1 - s) for s in range(nvars)]
         index = {key: j for j, key in enumerate(self._keys)}
         for pivot, (shape, key) in enumerate(zip(self.shapes, self._keys)):
@@ -321,7 +323,7 @@ class Cell:
             mu = key - units[offs[i0]]
             exps = mu.to_bytes(nvars, "big")
             row = []
-            for a, b in zip(offs, offs[1:]):
+            for a, b in spans:
                 for s in range(a, b):
                     if s == a or exps[s - 1] != exps[s]:   # first slot of a run of v
                         row.append((index[mu + units[s]], exps[a:b].count(exps[s] + 1) + 1))

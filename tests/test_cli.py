@@ -1,28 +1,18 @@
 import json
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import replay
 from quivercoha.cli import main, render_json
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-DATA = Path(__file__).resolve().parent / "data"
+BENCH = replay.ROOT / "bench"
+# the rows of tests/data/cases.json by id
+CASES = {case["id"]: case for case in replay.CASES}
 # the interpreter's int-string limit, 0 when it has none
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-# The benchmark's workloads (bench/workloads.py): quiver file, mode,
-# gamma-max and qtrunc of each, and its reference report in bench/reference.
-BENCH_WORKLOADS = {
-    "dt_loop3": ("loop3.json", "dt-table", "5", "30"),
-    "freeness_loop2": ("loop2.json", "check-freeness", "4", "16"),
-    "freeness_kronecker": ("kronecker2_doubled.json", "check-freeness", "3,2", "10"),
-    "nonvanishing_kronecker": ("kronecker2_half.json", "check-nonvanishing", "4,4", "16"),
-}
 
 
 def write_quiver(tmp_path, name, obj):
@@ -46,6 +36,15 @@ def loop1_path(tmp_path):
 def kron_path(tmp_path):
     return write_quiver(tmp_path, "kron.json",
                         {"vertices": 2, "arrows": [[0, 1, 2], [1, 0, 2]]})
+
+
+def replay_in_process(case, monkeypatch, capsys):
+    """replay.problems() of one run of ``case`` through main, from the
+    repository root."""
+    monkeypatch.chdir(replay.ROOT)
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    return replay.problems(case, code, out.encode(), err.encode())
 
 
 def run_to_file(tmp_path, args, name="out.json"):
@@ -90,13 +89,24 @@ def test_every_mode_is_byte_deterministic(tmp_path, a1_path, loop1_path):
             assert blob1 == blob2, (mode, fmt)
 
 
-@pytest.mark.parametrize("name", BENCH_WORKLOADS)
-def test_bench_workload_matches_reference(tmp_path, name):
-    quiver, mode, gamma_max, qtrunc = BENCH_WORKLOADS[name]
-    out = tmp_path / "report.json"
-    assert main(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
-                 "--gamma-max", gamma_max, "--qtrunc", qtrunc, "--out", str(out)]) == 0
-    assert out.read_bytes() == (BENCH / "reference" / f"{name}.json").read_bytes()
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES)
+def test_case(case, monkeypatch, capsys):
+    # every golden report and exit-code case of the command line, one row of
+    # tests/data/cases.json each; tests/replay.py runs the same rows
+    # through a command
+    assert replay_in_process(case, monkeypatch, capsys) == []
+
+
+def test_every_golden_is_a_case():
+    # a golden that no row names is checked by neither reader; unique ids
+    # keep every row in CASES
+    assert len(CASES) == len(replay.CASES)
+    named = {case.get("golden") for case in replay.CASES}
+    goldens = [path.relative_to(replay.ROOT).as_posix()
+               for folder in (BENCH / "reference", replay.CASES_PATH.parent)
+               for path in folder.iterdir() if path.is_file() and path != replay.CASES_PATH]
+    assert goldens
+    assert [path for path in goldens if path not in named] == []
 
 
 # strings mix ASCII, quotes, backslashes, control and non-ASCII characters
@@ -138,99 +148,11 @@ def test_render_json_peak_stays_near_the_report_size():
     assert peak < 4 * len(text)
 
 
-def _run_module(args):
-    src = str(BENCH.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "quivercoha", *args],
-                          capture_output=True, env=env, cwd=BENCH.parent, timeout=60)
-
-
-def test_module_entry_point(tmp_path):
-    # python -m quivercoha runs __main__.py: the report goes to stdout byte
-    # for byte as --out writes it, and the exit status is main's
-    quiver, mode, gamma_max, qtrunc = BENCH_WORKLOADS["dt_loop3"]
-    proc = _run_module(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
-                        "--gamma-max", gamma_max, "--qtrunc", qtrunc])
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == (BENCH / "reference" / "dt_loop3.json").read_bytes()
-    bad = write_quiver(tmp_path, "bad.json", {"vertices": 2, "arrows": [[0, 7, 1]]})
-    proc = _run_module(["--quiver", bad, "--mode", "dt-table", "--gamma-max", "1,1"])
-    assert (proc.returncode, proc.stdout) == (2, b"")
-    assert proc.stderr.startswith(b"error: ") and b"arrows[0]" in proc.stderr
-
-
-def test_freeness_loop2_gamma5_matches_golden(tmp_path):
-    # 2-loop check-freeness with gamma-max 5 and qtrunc 16, a larger anchor
-    # than the bench workload (gamma-max 4)
-    loop2 = write_quiver(tmp_path, "loop2.json", {"vertices": 1, "arrows": [[0, 0, 2]]})
-    code, blob = run_to_file(tmp_path, ["--quiver", loop2, "--mode", "check-freeness",
-                                        "--gamma-max", "5", "--qtrunc", "16"])
-    assert code == 0
-    assert blob == (DATA / "freeness_loop2_g5.json").read_bytes()
-
-
-@pytest.mark.parametrize("args, golden", [
-    (["--mode", "check-nonvanishing", "--gamma-max", "3,3", "--qtrunc", "8"],
-     "nonvanishing_kronecker2_half_g3_3_q8.csv"),
-    (["--mode", "genericity", "--gamma-max", "2,2", "--seed", "3"],
-     "genericity_kronecker2_half_g2_2_s3.csv"),
-], ids=["check-nonvanishing", "genericity"])
-def test_csv_report_matches_golden(tmp_path, args, golden):
-    # CSV flattens nested records through json.dumps, which would write a
-    # named tuple as a list; the goldens pin every byte of both renderings
-    code, blob = run_to_file(tmp_path, [
-        "--quiver", str(BENCH / "quivers" / "kronecker2_half.json"), *args,
-        "--format", "csv"], name="out.csv")
-    assert code == 0
-    assert blob == (DATA / golden).read_bytes()
-
-
-@pytest.mark.parametrize("quiver, args, golden", [
-    ("kronecker2_half.json", ["--mode", "genericity", "--gamma-max", "2,2", "--seed", "3"],
-     "genericity_kronecker2_half_g2_2_s3.json"),
-    ("kronecker2_half.json", ["--mode", "check-nonvanishing", "--gamma-max", "3,3",
-                              "--qtrunc", "8"],
-     "nonvanishing_kronecker2_half_g3_3_q8.json"),
-    ("kronecker2_half.json", ["--mode", "check-nonvanishing", "--gamma-max", "8,8",
-                              "--qtrunc", "60"],
-     "nonvanishing_kronecker2_half_g8_8_q60.json"),
-    ("loop2.json", ["--mode", "shuffle-eval", "--gamma-max", "3",
-                    "--left", "1/2*x0_1*x0_2 - 3/4", "--left-gamma", "2",
-                    "--right", "x0_1 + 2/3", "--right-gamma", "1"],
-     "shuffle_loop2_g2_by_g1.json"),
-    ("kronecker2_doubled.json", ["--mode", "check-freeness", "--gamma-max", "3,3",
-                                 "--qtrunc", "12"],
-     "freeness_kronecker2_doubled_g3_3_q12.json"),
-    ("loop2.json", ["--mode", "check-freeness", "--gamma-max", "5", "--qtrunc", "26"],
-     "freeness_loop2_g5_q26.json"),
-], ids=["genericity", "check-nonvanishing", "check-nonvanishing-8-8", "shuffle-eval",
-        "check-freeness", "check-freeness-full-window"])
-def test_json_report_matches_golden(tmp_path, quiver, args, golden):
-    # the record layouts (root and genericity certificates, eigenvalue lists,
-    # rational polynomial coefficients) pinned byte for byte, a freeness
-    # check whose loop-free colors take wider chains of divided differences
-    # than the bench workload's, a 2-loop freeness check on a full window,
-    # where the most cells stop their products at the complement count, and
-    # the series route on the (8,8) box, whose 81 pieces read the most pairs
-    # by flat position (2025 per MultiSeries product or inverse)
-    code, blob = run_to_file(tmp_path, ["--quiver", str(BENCH / "quivers" / quiver), *args])
-    assert code == 0
-    assert blob == (DATA / golden).read_bytes()
-
-
-@pytest.mark.parametrize("quiver, gamma_max, qtrunc, golden", [
-    ("loop3.json", "12", "290", "dt_loop3_g12_q290.json"),
-    ("kronecker2_doubled.json", "6,6", "80", "dt_kronecker2_g6_6_q80.json"),
-], ids=["loop3", "kronecker2_doubled"])
-def test_full_window_dt_table_matches_golden(tmp_path, quiver, gamma_max, qtrunc, golden):
-    # windows wide enough to hold every coefficient, where the product's hi
-    # cutoff skips the most term pairs
-    code, blob = run_to_file(tmp_path, [
-        "--quiver", str(BENCH / "quivers" / quiver), "--mode", "dt-table",
-        "--gamma-max", gamma_max, "--qtrunc", qtrunc])
-    assert code == 0
-    assert blob == (DATA / golden).read_bytes()
+def test_module_entry_point():
+    # python -m quivercoha runs __main__.py: the report goes to stdout, and
+    # the exit status is main's; tests/replay.py runs every row this way
+    for name in ("dt_loop3", "bad_arrow_spec"):
+        assert replay.run(CASES[name], *replay.module_command()) == [], name
 
 
 def test_check_modes_exit_zero_on_agreement(tmp_path, loop1_path, kron_path):
@@ -267,45 +189,25 @@ def test_genericity_rows_check_out(tmp_path, loop1_path):
         assert row["gamma_dot_lambda"] == "0"
 
 
-def test_malformed_spec_is_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"vertices": 2, "arrows": [[0, 7, 1]]}', encoding="utf-8")
-    code = main(["--quiver", str(bad), "--mode", "dt-table", "--gamma-max", "1,1"])
-    assert code == 2
-    assert "arrows[0]" in capsys.readouterr().err
-    notjson = tmp_path / "notjson.json"
-    notjson.write_text("{", encoding="utf-8")
-    assert main(["--quiver", str(notjson), "--mode", "dt-table",
-                 "--gamma-max", "1,1"]) == 2
-    # a UTF-16 byte-order mark is not UTF-8: the error names the file
-    utf16 = tmp_path / "utf16.json"
-    utf16.write_bytes(b"\xff\xfe" + '{"vertices": 1}'.encode("utf-16-le"))
-    assert main(["--quiver", str(utf16), "--mode", "dt-table", "--gamma-max", "1"]) == 2
-    assert str(utf16) in capsys.readouterr().err
-    # nested deeper than the decoder recurses, then an integer longer than
-    # the interpreter converts: both name the file
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
-    assert main(["--quiver", str(deep), "--mode", "dt-table", "--gamma-max", "1"]) == 2
-    assert capsys.readouterr().err == f"error: invalid JSON: nested too deeply (at {deep})\n"
-    if DIGIT_LIMIT:
-        digits = tmp_path / "digits.json"
-        digits.write_text(f'{{"vertices": {"1" * (DIGIT_LIMIT + 1)}}}', encoding="utf-8")
-        assert main(["--quiver", str(digits), "--mode", "dt-table", "--gamma-max", "1"]) == 2
-        assert capsys.readouterr().err == f"error: invalid JSON: integer too long (at {digits})\n"
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string limit")
+def test_malformed_spec_is_exit_2(tmp_path, monkeypatch, capsys):
+    # an integer longer than the interpreter converts names the file; the
+    # other malformed specs are rows of tests/data/cases.json
+    digits = tmp_path / "digits.json"
+    digits.write_text(f'{{"vertices": {"1" * (DIGIT_LIMIT + 1)}}}', encoding="utf-8")
+    case = {"argv": ["--quiver", str(digits), "--mode", "dt-table", "--gamma-max", "1"],
+            "exit": 2, "stderr": [f"error: invalid JSON: integer too long (at {digits})\n"]}
+    assert replay_in_process(case, monkeypatch, capsys) == []
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."],
                          ids=["missing_dir", "directory"])
-def test_unwritable_out_is_exit_2(tmp_path, a1_path, capsys, target):
+def test_unwritable_out_is_exit_2(tmp_path, a1_path, monkeypatch, capsys, target):
     # a missing parent directory, then a directory: both are input errors
-    code = main(["--quiver", a1_path, "--mode", "dt-table", "--gamma-max", "1",
-                 "--out", str(tmp_path / target)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: cannot write report: ")
-    assert "Traceback" not in captured.err
+    case = {"argv": ["--quiver", a1_path, "--mode", "dt-table", "--gamma-max", "1",
+                     "--out", str(tmp_path / target)],
+            "exit": 2, "stderr": ["error: cannot write report: "]}
+    assert replay_in_process(case, monkeypatch, capsys) == []
 
 
 def test_mode_quiver_mismatch_is_exit_2(tmp_path, capsys):
@@ -379,21 +281,6 @@ def test_capacity_limit_is_exit_4(tmp_path, a1_path, loop1_path, kron_path, caps
     assert json.loads(blob)["product"]["poly"] == "0"
 
 
-@pytest.mark.parametrize("quiver, mode, gamma_max", [
-    ("loop3.json", "dt-table", "2"),
-    ("loop2.json", "check-freeness", "2"),
-    ("kronecker2_half.json", "check-nonvanishing", "1,1"),
-], ids=["dt-table", "check-freeness", "check-nonvanishing"])
-def test_a_window_no_list_can_hold_is_exit_4(quiver, mode, gamma_max, capsys):
-    # --qtrunc 10^23 - 1 sizes the first list of the series window past the
-    # largest index, so the OverflowError comes before anything is allocated
-    assert main(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
-                 "--gamma-max", gamma_max, "--qtrunc", "9" * 23]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: input exceeds this interpreter's capacity")
-    assert len(err.splitlines()) == 1
-
-
 def test_memory_error_is_exit_4(a1_path, monkeypatch, capsys):
     from quivercoha import cli
 
@@ -401,10 +288,9 @@ def test_memory_error_is_exit_4(a1_path, monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setitem(cli._RUNNERS, "dt-table", exhausted)
-    assert main(["--quiver", a1_path, "--mode", "dt-table", "--gamma-max", "1"]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: input exceeds this interpreter's capacity")
-    assert len(err.splitlines()) == 1
+    case = {"argv": ["--quiver", a1_path, "--mode", "dt-table", "--gamma-max", "1"],
+            "exit": 4, "stderr": ["error: input exceeds this interpreter's capacity"]}
+    assert replay_in_process(case, monkeypatch, capsys) == []
 
 
 def test_gamma_max_length_mismatch_is_exit_2(a1_path):
@@ -448,69 +334,18 @@ def test_arrowless_1100_vertex_quiver_reports_the_one_vertex_values(tmp_path, mo
         assert row == twin
 
 
-# The command-line contract, checked through python -m quivercoha: every
-# usage error, and a polynomial literal with a zero denominator, too deep a
-# nesting or too long an integer, exits 2 with its message on stderr and
-# nothing on stdout.
-_LOOP3 = str(BENCH / "quivers" / "loop3.json")
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--mode", "dt-table", "--gamma-max", "1"],
-     "the following arguments are required: --quiver"),
-    (["--quiver", _LOOP3, "--mode", "nope", "--gamma-max", "1"],
-     "argument --mode: invalid choice: 'nope' (choose from"),
-    (["--quiver", _LOOP3, "--mode", "dt-table", "--gamma-max", "1", "--qtrunc", "abc"],
-     "argument --qtrunc: invalid int value: 'abc'"),
-    (["--quiver", _LOOP3, "--mode", "dt-table", "--gamma-max", "1", "--foo"],
-     "unrecognized arguments: --foo"),
-    (["--mode", "dt-table", "--gamma-max", "1", "--quiver"],
-     "argument --quiver: expected one argument"),
-    (["--quiver", _LOOP3, "--mode", "dt-table", "--gamma-max", "1", "--r", "x"],
-     "ambiguous option: --r could match --right, --right-gamma"),
-    (["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2", "--left", "1/0",
-      "--left-gamma", "1", "--right", "1", "--right-gamma", "1"],
-     "error: zero denominator in 1/0"),
-    (["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2", "--left", "0/0",
-      "--left-gamma", "1", "--right", "1", "--right-gamma", "1"],
-     "error: zero denominator in 0/0"),
-    # nested deeper than the parser recurses, and an integer longer than the
-    # interpreter converts
-    (["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2",
-      "--left", "(" * 300 + "x0_1" + ")" * 300, "--left-gamma", "1", "--right", "1",
-      "--right-gamma", "1"],
-     "error: polynomial nested too deeply\n"),
-    pytest.param(["--quiver", _LOOP3, "--mode", "shuffle-eval", "--gamma-max", "2",
-                  "--left", "9" * (DIGIT_LIMIT + 1), "--left-gamma", "1", "--right", "1",
-                  "--right-gamma", "1"],
-                 f"error: integer of {DIGIT_LIMIT + 1} digits in polynomial is too long\n",
-                 marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string limit")),
-], ids=["required", "choice", "int", "unrecognized", "missing_value", "ambiguous",
-        "zero_denominator", "zero_over_zero", "nested_literal", "long_integer"])
-def test_usage_error_is_exit_2(args, message):
-    proc = _run_module(args)
-    assert (proc.returncode, proc.stdout) == (2, b"")
-    assert message in proc.stderr.decode()
-
-
-@pytest.mark.parametrize("spelling", [
-    ["--gamma-max=5", "--qtrunc", "30"],
-    ["--gamma", "5", "--qtrunc", "30"],
-    ["--gamma-max", "5", "--qtrunc", "4", "--qtrunc", "30"],
-], ids=["equals", "prefix", "repeated"])
-def test_flag_spellings_give_the_plain_report(spelling):
-    # the plain form, --gamma-max 5 --qtrunc 30, writes the dt_loop3 reference
-    proc = _run_module(["--quiver", _LOOP3, "--mode", "dt-table", *spelling])
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == (BENCH / "reference" / "dt_loop3.json").read_bytes()
-
-
-def test_help_is_exit_0_and_names_every_flag():
-    proc = _run_module(["-h"])
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    for flag in ("--quiver", "--mode", "--gamma-max", "--qtrunc", "--seed", "--format",
-                 "--out", "--left", "--left-gamma", "--right", "--right-gamma"):
-        assert flag.encode() in proc.stdout, flag
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string limit")
+@pytest.mark.parametrize("digits", [DIGIT_LIMIT + 1], ids=["long_integer"])
+def test_usage_error_is_exit_2(digits, monkeypatch, capsys):
+    # a literal integer longer than the interpreter converts, whose argv
+    # depends on the interpreter; the other usage errors are rows of
+    # tests/data/cases.json
+    case = {"argv": ["--quiver", "bench/quivers/loop3.json", "--mode", "shuffle-eval",
+                     "--gamma-max", "2", "--left", "9" * digits, "--left-gamma", "1",
+                     "--right", "1", "--right-gamma", "1"],
+            "exit": 2,
+            "stderr": [f"error: integer of {digits} digits in polynomial is too long\n"]}
+    assert replay_in_process(case, monkeypatch, capsys) == []
 
 
 def test_check_freeness_computes_no_cell_above_the_series_window(monkeypatch):
@@ -518,9 +353,8 @@ def test_check_freeness_computes_no_cell_above_the_series_window(monkeypatch):
     # stops below chi + qtrunc; the linear side must stop there too
     from quivercoha import cli
     from quivercoha.dtseries import build_generating_series, plethystic_factor
-    quiver, mode, gamma_max, qtrunc = BENCH_WORKLOADS["freeness_kronecker"]
-    cfg = cli.load_config(["--quiver", str(BENCH / "quivers" / quiver), "--mode", mode,
-                           "--gamma-max", gamma_max, "--qtrunc", qtrunc])
+    monkeypatch.chdir(replay.ROOT)
+    cfg = cli.load_config(CASES["freeness_kronecker"]["argv"])
     omegas = plethystic_factor(build_generating_series(cfg.quiver, cfg.gamma_max,
                                                        cfg.qtrunc))
     asked = []

@@ -21,13 +21,13 @@ location, a malformed polynomial literal such as ``1/0``, and a quiver
 spec or a polynomial literal nested deeper than the interpreter recurses
 or holding an integer longer than it converts included; also an --out path
 that cannot be written), 3 when an identity that is a theorem fails at
-runtime (StructuralViolationError, a remainder left by an exact division
-included: a bug or a corrupted input, never a property of the quiver),
-and 4 when the input is valid but exceeds a
-capacity limit (LimitExceededError: the size cap of the exhaustive
-genericity search, or the packed-exponent limit of 127 on every exponent,
-including those of the shuffle numerator, which can exceed the product's own
-by the kernel degree) or the interpreter's (OverflowError or MemoryError: a
+runtime (StructuralViolationError: a bug or a corrupted input, never a
+property of the quiver; the Hall product's divided differences are exact
+by their closed form, so no division remainder is left to report), and 4
+when the input is valid but exceeds a capacity limit (LimitExceededError:
+the size cap of the exhaustive genericity search, or the packed-exponent
+limit of 127 on every exponent, including those of f(x') g(x'') K in a Hall
+product, which can exceed the product's own by the kernel degree) or the interpreter's (OverflowError or MemoryError: a
 flag such as ``--qtrunc 99999999999999999999999``, whose series window no
 list can hold, or one whose work does not fit in memory).
 

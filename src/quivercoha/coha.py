@@ -35,27 +35,29 @@ S_gamma / (S_gamma1 x S_gamma2).  Since F is symmetric within each side, the
 composite is the sum over all shuffles of sigma_S(F / prod (x''_s - x'_r)),
 which is the shuffle sum above (Macdonald, *Notes on Schubert Polynomials*,
 ch. II).  So every product, a zero factor's too, costs sum_i gamma1^i gamma2^i
-exact divisions by x_{p+1} - x_p, each one walk per strand of the
-numerator's keys (``exact_divide``).
-Each division certifies that its step is a polynomial: a nonzero remainder
-would be a correctness bug, not an input error, and raises
-StructuralViolationError.
+steps d_p, each one pass over the terms of its input by the closed form on
+monomials (``exact_divide``, see the ``poly`` docstring).  No step builds
+F - s_p F or divides it: d_p of a polynomial is a polynomial term by term,
+so there is no remainder to certify.  The product is checked instead by the
+tests' shuffle-by-shuffle oracle and goldens, by ``Cell.read``'s term count
+and by the series route in every ``check-freeness`` cell.
 
 K depends only on the split, and ``decomposable_dim`` multiplies the pairs
-of one split in a row, so the product keeps the kernel of the last (quiver,
-gamma1, gamma2) it saw and builds K once per (cell, split): the cells of a
-gamma visit the same splits again, so ``check-freeness`` on the doubled
+of one split in a row, so the product keeps one plan, that of the last
+(quiver, gamma1, gamma2) it saw: gamma, K, the slots of each factor's
+variables and the slots p of the chain.  The checks that the quiver is
+symmetric and that both gammas fit it run when a plan is built, so a
+product of a known split is two ``reindex`` calls, two multiplications and
+the steps.  A plan is built once per (cell, split): the cells of a gamma
+visit the same splits again, so ``check-freeness`` on the doubled
 2-Kronecker quiver (gamma-max 3,2, qtrunc 10) builds 28 kernels for 14
-splits, and on the 2-loop quiver (gamma-max 4, qtrunc 16) 8 for 4.  Each
-step forms the numerator F - s_p F in one pass over F
-(``ColoredPoly.alternate``) and frees F before the division allocates its
-quotient.
+splits, and on the 2-loop quiver (gamma-max 4, qtrunc 16) 8 for 4.
 
 A homogeneous element of polynomial degree d has cohomological degree 2d and
 bidegree (gamma, k), k = chi(gamma, gamma) + 2d; the Z-grading is additive
 under the product and controls all super-signs.  A product of polynomial
 degrees d1 and d2 has degree d1 + d2 - chi(gamma1, gamma2): K adds
-sum a_ij gamma1^i gamma2^j and the divisions take sum gamma1^i gamma2^i.
+sum a_ij gamma1^i gamma2^j and the steps take sum gamma1^i gamma2^i.
 
 The cell (gamma, d), H_{gamma,d}, holds the elements of polynomial degree d;
 it depends on gamma and d alone.  Its monomial basis (``basis``) has one
@@ -113,25 +115,18 @@ def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
     return ColoredPoly._make(gamma, {1 << (top - 8 * s): 1, 1 << (top - 8 * r): -1})
 
 
-# ((quiver, gamma1, gamma2), K) of the last split the product saw (see the
+# ((quiver, gamma1, gamma2), plan) of the last split the product saw (see the
 # module docstring).  It is read once and replaced whole, so a product never
-# pairs one split's key with another's kernel, even when threads share it.
-_last_kernel = (None, None)
+# pairs one split's key with another's plan, even when threads share it.
+_last_plan = (None, None)
 
 
-def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> ColoredPoly:
-    """The Hall product of f in H_gamma1 and g in H_gamma2 over ``quiver``,
-    an element of H_(gamma1 + gamma2), as a chain of divided differences of
-    F = f(x') g(x'') K: for each color, x'_r for r = gamma1^i - 1 down to 0
-    is moved across the x'' block by one exact division by x_{p+1} - x_p per
-    slot p it passes (see the module docstring).  The factors are trusted to
-    be block-symmetric; a quiver that is not symmetric, or a gamma that does
-    not fit it, raises DomainError, and a division that leaves a remainder
-    StructuralViolationError."""
-    global _last_kernel
+def _split_plan(quiver: Quiver, g1: DimVector, g2: DimVector):
+    """(gamma, K, the slots of f's variables, those of g's, the slots p of
+    the steps d_p in chain order) for the split gamma1 + gamma2, after
+    checking that the quiver is symmetric and that both gammas fit it."""
     if not quiver.is_symmetric:
         raise DomainError("the Hall product is implemented for symmetric quivers")
-    g1, g2 = f.gamma, g.gamma
     quiver.check_dim(g1)
     quiver.check_dim(g2)
     gamma = dim_add(g1, g2)
@@ -140,25 +135,35 @@ def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
     # canonical placement: f's variables take the first g1^i slots of block i
     firsts = [range(offs[i], offs[i] + g1[i]) for i in range(n)]
     seconds = [range(offs[i] + g1[i], offs[i + 1]) for i in range(n)]
-    fa = f.reindex(gamma, [v for slots in firsts for v in slots])
-    fb = g.reindex(gamma, [v for slots in seconds for v in slots])
-    split, kernel = _last_kernel
-    if split != (quiver, g1, g2):
-        kernel = ColoredPoly.constant(gamma, 1)
-        for i, j, a_ij in quiver.arrows:
-            for r in firsts[i]:
-                for s in seconds[j]:
-                    kernel = kernel * (_difference(gamma, s, r) ** a_ij)
-        _last_kernel = ((quiver, g1, g2), kernel)
-    poly = (fb * kernel) * fa
-    del fa, fb
-    for i in range(n):
-        for r in reversed(range(g1[i])):
-            for p in range(offs[i] + r, offs[i] + r + g2[i]):
-                num = poly.alternate(p)
-                del poly   # F is not needed once its numerator is built
-                poly = exact_divide(num, p)
-                del num
+    kernel = ColoredPoly.constant(gamma, 1)
+    for i, j, a_ij in quiver.arrows:
+        for r in firsts[i]:
+            for s in seconds[j]:
+                kernel = kernel * (_difference(gamma, s, r) ** a_ij)
+    steps = [p for i in range(n) for r in reversed(range(g1[i]))
+             for p in range(offs[i] + r, offs[i] + r + g2[i])]
+    return (gamma, kernel, tuple(v for slots in firsts for v in slots),
+            tuple(v for slots in seconds for v in slots), steps)
+
+
+def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> ColoredPoly:
+    """The Hall product of f in H_gamma1 and g in H_gamma2 over ``quiver``,
+    an element of H_(gamma1 + gamma2), as a chain of divided differences of
+    F = f(x') g(x'') K: for each color, x'_r for r = gamma1^i - 1 down to 0
+    is moved across the x'' block by one step ``exact_divide`` per slot p it
+    passes (see the module docstring).  The factors are trusted to be
+    block-symmetric; a quiver that is not symmetric, or a gamma that does
+    not fit it, raises DomainError."""
+    global _last_plan
+    split = (quiver, f.gamma, g.gamma)
+    key, plan = _last_plan
+    if key != split:
+        plan = _split_plan(*split)
+        _last_plan = (split, plan)
+    gamma, kernel, firsts, seconds, steps = plan
+    poly = (g.reindex(gamma, seconds) * kernel) * f.reindex(gamma, firsts)
+    for p in steps:
+        poly = exact_divide(poly, p)
     return poly
 
 
@@ -276,7 +281,7 @@ class Cell:
     element's partition per vertex, in ``basis`` order, and len(cell) is
     dim H_{gamma,d}."""
 
-    __slots__ = ("gamma", "d", "shapes", "_keys", "_sizes")
+    __slots__ = ("gamma", "d", "shapes", "_keys", "_sizes", "_i0")
 
     def __init__(self, gamma: DimVector, d: int):
         gamma = tuple(gamma)
@@ -284,6 +289,7 @@ class Cell:
         self.shapes = _shapes(gamma, d)
         self._keys, self._sizes = [], []
         live = [i for i, n in enumerate(gamma) if n]   # an empty block adds no key bytes
+        self._i0 = live[0] if live else None   # the first vertex of the p1 quotient
         for shape in self.shapes:
             blocks = [_padded(gamma, i, shape[i]) for i in live]
             self._keys.append(_pack(sum(blocks, ())))
@@ -311,8 +317,7 @@ class Cell:
     def _p1_rows(self):
         """(pivot lambda, the (index, coefficient) pairs of p1 m_mu) per shape
         with lambda_1 > lambda_2 at i0, by Pieri's rule on the packed keys."""
-        gamma, nvars = self.gamma, sum(self.gamma)
-        i0 = _first_vertex(gamma)
+        gamma, nvars, i0 = self.gamma, sum(self.gamma), self._i0
         offs = [0, *accumulate(gamma)]
         spans = [(offs[i], offs[i + 1]) for i, n in enumerate(gamma) if n]   # nonempty blocks
         units = [1 << 8 * (nvars - 1 - s) for s in range(nvars)]
@@ -335,7 +340,10 @@ class Cell:
         shapes (lambda_1 == lambda_2 at i0) in basis order.  Each p1 row
         must lead at its pivot with coefficient 1, every other shape below
         it in basis order, or StructuralViolationError is raised (see the
-        module docstring)."""
+        module docstring).  A zero gamma, which has no p1 quotient, raises
+        DomainError."""
+        if self._i0 is None:
+            raise DomainError("the p1 quotient concerns nonzero dimension vectors")
         steps = []
         for pivot, row in self._p1_rows():
             rest = [(j, c) for j, c in row if j != pivot]
@@ -345,8 +353,8 @@ class Cell:
                     f"{self.shapes[pivot]} with coefficient 1")
             steps.append((pivot, rest))
         steps.reverse()   # top-down: a step writes only to columns below its pivot
-        i0 = _first_vertex(self.gamma)
-        complement = [j for j, shape in enumerate(self.shapes) if _in_complement(shape, i0)]
+        complement = [j for j, shape in enumerate(self.shapes)
+                      if _in_complement(shape, self._i0)]
 
         def reduce(poly: ColoredPoly) -> list:
             row = self.read(poly)

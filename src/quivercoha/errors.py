@@ -9,7 +9,7 @@ class DomainError(ValueError):
 
 class StructuralViolationError(RuntimeError):
     """An identity that is a theorem (positivity, integrality, freeness,
-    exact division) failed numerically.  Always a bug or a corrupted input,
+    block symmetry) failed numerically.  Always a bug or a corrupted input,
     never clamped."""
 
 

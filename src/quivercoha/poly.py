@@ -15,14 +15,23 @@ imported where the parser makes a Fraction, never at module import, so a
 mode that makes no Fraction does not load it.  A product takes two
 polynomials on one variable set; a scalar is ``ColoredPoly.constant``.
 
-``exact_divide`` divides by x_(p+1) - x_p, the divisor of every divided
-difference, by synthetic division along strands.  Its lead is -x_p, with
-coefficient -1, so each quotient term is the negated remainder term, and
-the term x_(p+1) changes the remainder only at kr - (kd - k2), kd and k2
-the keys of x_p and x_(p+1).  So the keys split into arithmetic strands of
-step kd - k2, each key has one predecessor on its strand, and a walk down
-each strand from its highest key, carrying one coefficient, takes every
-quotient term in turn with no ordered queue of pending keys.
+``exact_divide(f, p)`` is the divided difference d_p f = (f - s_p f) /
+(x_(p+1) - x_p), s_p swapping x_p and x_(p+1), the step of every Hall
+product.  It uses the closed form on monomials: for exponents a != b of x_p
+and x_(p+1),
+
+    d_p(x_p^a x_(p+1)^b) = sign(b - a) * sum_(i < |a - b|)
+                           x_p^(min(a,b)+i) x_(p+1)^(max(a,b)-1-i),
+
+and d_p vanishes on a = b.  This is exact: x_p^a x_(p+1)^b - x_p^b x_(p+1)^a
+is (x_p x_(p+1))^min(a,b) times x_(p+1)^n - x_p^n, up to the sign, n = |a - b|,
+and (x_(p+1)^n - x_p^n) / (x_(p+1) - x_p) is the geometric sum above.  Since
+d_p(s_p m) = -d_p m, a pair of terms that s_p swaps into one another gives
+its net coefficient times one such sum, so the step visits each pair once
+and never builds f - s_p f.  The keys of one sum form an arithmetic strand
+of step x_p / x_(p+1) in packed terms; every exponent in it is at most
+max(a, b) - 1 <= 126 and at least 0, so no key can overflow or borrow, and
+the quotient needs no remainder check.
 
 No floating point appears anywhere in this module.
 """
@@ -32,7 +41,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .errors import DomainError, LimitExceededError, StructuralViolationError
+from .errors import DomainError, LimitExceededError
 from .quiver import DimVector
 
 _MAXEXP = 127
@@ -261,55 +270,53 @@ class ColoredPoly:
         return f"ColoredPoly(gamma={self.gamma}, {self.canonical_str()})"
 
 
-def exact_divide(num: ColoredPoly, p: int) -> ColoredPoly:
-    """Return q with q * (x_(p+1) - x_p) == num, or raise
-    StructuralViolationError.
+def exact_divide(f: ColoredPoly, p: int) -> ColoredPoly:
+    """The divided difference d_p f = (f - s_p f) / (x_(p+1) - x_p), s_p
+    swapping x_p and x_(p+1), in one pass over f (see the module docstring).
 
-    num is walked strand by strand (see the module docstring), step =
-    kd - k2 for the lead -x^kd = -x_p and the other term x^k2 = x_(p+1).
-    The walk is exact because only the predecessor kr + step writes to a key
-    kr: taking num's keys in descending order, the first key of a strand met
-    still in the remainder has no work left above it, so its value is final.
-    The walk from it emits the negated value as the quotient term at
-    kr - kd and carries the value at kr - step plus that value down the
-    strand while the carry is nonzero.
-
-    A key that x_p does not divide, or that has an exponent above 127, keeps
-    its value and ends its strand.  What remains after every strand is
-    walked is num - q * (x_(p+1) - x_p) for the quotient q reached.  The one
-    caller, the Hall product, divides only numerators that a theorem makes
-    divisible, so a nonzero remainder raises StructuralViolationError, whose
-    message ends with the remainder's ``canonical_str``.
+    Each pair of terms that s_p swaps into one another is visited once, from
+    the key whose x_p exponent a exceeds the x_(p+1) exponent b, or from the
+    other key when f lacks that one; its net coefficient c - c' spreads over
+    the a - b keys of its strand.  A term symmetric in the two variables
+    contributes nothing.
     """
-    if not 0 <= p < num.nvars - 1:
-        raise DomainError(f"no variables {p}, {p + 1} among {num.nvars}")
-    kd = 1 << 8 * (num.nvars - 1 - p)
-    step = kd - (kd >> 8)
-    guard = int.from_bytes(b"\x80" * num.nvars, "big")
-    r = dict(num._terms)
-    pop = r.pop
-    q = {}
-    for kr in sorted(r, reverse=True):
-        c = pop(kr, 0)
-        while c:
-            # an exact division's remainder has no exponent above num's, so a guard
-            # bit proves inexactness; bit 7 of a byte of (kr | guard) - kd marks kd <= kr
-            if kr & guard or ((kr | guard) - kd) & guard != guard:
-                r[kr] = c   # kr stays in r and ends its strand
-                break
-            q[kr - kd] = -c
-            kr -= step
-            c += pop(kr, 0)
-    if r:
-        raise StructuralViolationError(
-            f"division by {num.var_name(p + 1)} - {num.var_name(p)} at gamma={num.gamma} "
-            f"left the remainder {ColoredPoly._make(num.gamma, r).canonical_str()}")
-    return ColoredPoly._make(num.gamma, q)
+    if not 0 <= p < f.nvars - 1:
+        raise DomainError(f"no variables {p}, {p + 1} among {f.nvars}")
+    s2 = 8 * (f.nvars - 2 - p)
+    u2 = 1 << s2
+    u1 = u2 << 8
+    step = u1 - u2
+    terms = f._terms
+    out = {}
+    get = out.get
+    for k, c in terms.items():
+        n = ((k >> s2 + 8) & 255) - ((k >> s2) & 255)
+        if n > 0:   # x_p^a x_(p+1)^b, a > b: -x_p^(b+i) x_(p+1)^(a-1-i), top key first
+            c = terms.get(k - n * step, 0) - c
+            k -= u1
+            inc = -step
+        elif n < 0 and k - n * step not in terms:   # a < b, its swap absent
+            k -= u2
+            inc = step
+            n = -n
+        else:
+            continue
+        if c:
+            for _ in range(n):
+                s = get(k, 0) + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+                k += inc
+    return ColoredPoly._make(f.gamma, out)
 
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(x\d+_\d+|x|\d+|\^|\*|\+|-|/|\(|\))")
+# compiled by the first parse (``re`` caches it), not at import: only
+# ``shuffle-eval`` parses literals
+_TOKEN = r"\s*(x\d+_\d+|x|\d+|\^|\*|\+|-|/|\(|\))"
 
 
 def _integer(tok: str) -> int:
@@ -325,9 +332,10 @@ class _Parser:
     def __init__(self, gamma, text):
         self.gamma = tuple(gamma)
         self.tokens = []
+        token = re.compile(_TOKEN)
         pos = 0
         while pos < len(text):
-            m = _TOKEN.match(text, pos)
+            m = token.match(text, pos)
             if not m:
                 raise DomainError(f"cannot tokenize polynomial at: {text[pos:pos + 10]!r}")
             self.tokens.append(m.group(1))

@@ -114,15 +114,6 @@ def test_products_reject_a_non_symmetric_quiver(product):
         product(elt((1, 0), "x0_1"), elt((0, 1), "x1_1"), quiver=a2)
 
 
-def test_shuffle_uncleared_denominator_is_structural(monkeypatch):
-    # a doctored alternate hands the real exact_divide the numerator x0_1,
-    # which is -(x0_2 - x0_1) + x0_2
-    monkeypatch.setattr(ColoredPoly, "alternate",
-                        lambda self, v: ColoredPoly.variable(self.gamma, 0, 1))
-    with pytest.raises(StructuralViolationError, match=r"left the remainder x0_2$"):
-        shuffle_product(elt((1,), "x"), elt((1,), "1"), quiver=S1)
-
-
 def test_degree_shift_matches_euler_form(suite_quiver):
     n = suite_quiver.vertex_count
     g1 = (1,) * n
@@ -462,7 +453,7 @@ def test_shuffle_matches_per_shuffle_oracle(name, quiver):
 
 
 def test_kernel_slot_follows_the_split_and_the_quiver():
-    # the product keeps only the kernel of the last (quiver, gamma1, gamma2):
+    # the product keeps only the plan of the last (quiver, gamma1, gamma2):
     # splits A, B, A in a row, then A on a second quiver with the same
     # dimension vectors, must each be multiplied with their own kernel
     rng = random.Random("kernel-slot")
@@ -481,7 +472,7 @@ def test_kernel_is_built_once_per_split(monkeypatch):
     # the kernel is the only power the product takes, so powers count builds
     powers = []
     real = ColoredPoly.__pow__
-    monkeypatch.setattr(coha, "_last_kernel", (None, None))   # no split left by other tests
+    monkeypatch.setattr(coha, "_last_plan", (None, None))   # no split left by other tests
     monkeypatch.setattr(ColoredPoly, "__pow__", lambda p, n: powers.append(n) or real(p, n))
     x, one = elt((1,), "x"), elt((1,), "1")
     shuffle_product(elt((2,), "1"), one, quiver=S2)
@@ -491,3 +482,30 @@ def test_kernel_is_built_once_per_split(monkeypatch):
     assert len(powers) == built
     shuffle_product(one, elt((2,), "1"), quiver=S2)
     assert len(powers) == 2 * built
+
+
+def test_split_plan_checks_and_follows_every_new_split(monkeypatch):
+    # the checks run only when a plan is built, so a split that differs from
+    # the last valid one in the quiver alone, or in a gamma alone, must still
+    # raise; and interleaved splits on two quivers with the same dimension
+    # vectors must give the products of fresh calls
+    mixed1 = from_rows([[1, 1], [1, 0]])
+    mixed3 = from_rows([[3, 1], [1, 0]])
+    one_way = from_rows([[1, 1], [0, 0]])
+    x0, x1 = elt((1, 0), "x0_1"), elt((0, 1), "x1_1")
+    shuffle_product(x0, x1, quiver=mixed1)
+    with pytest.raises(DomainError, match="symmetric"):
+        shuffle_product(x0, x1, quiver=one_way)
+    shuffle_product(x0, x1, quiver=mixed1)
+    with pytest.raises(DomainError):
+        shuffle_product(x0, elt((0, 1, 0), "x1_1"), quiver=mixed1)
+    rng = random.Random("split-plan")
+    calls = [(quiver, _random_symmetric(rng, g1, 1), _random_symmetric(rng, g2, 1))
+             for quiver in (mixed1, mixed3)
+             for g1, g2 in (((1, 0), (1, 1)), ((1, 1), (1, 0)), ((2, 0), (0, 1)))]
+    order = [0, 3, 1, 4, 0, 2, 5, 3, 3, 1]
+    interleaved = [shuffle_product(a, b, quiver=q) for q, a, b in map(calls.__getitem__, order)]
+    for j, product in zip(order, interleaved):
+        monkeypatch.setattr(coha, "_last_plan", (None, None))
+        quiver, a, b = calls[j]
+        assert shuffle_product(a, b, quiver=quiver) == product

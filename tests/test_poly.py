@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercoha import (ColoredPoly, DomainError, LimitExceededError, StructuralViolationError,
-                        exact_divide, parse_colored_poly)
+from quivercoha import (ColoredPoly, DomainError, LimitExceededError, exact_divide,
+                        parse_colored_poly)
 
 from conftest import poly_from_terms
 
@@ -106,23 +106,19 @@ def difference(gamma, p):
     return xs[p + 1] + -xs[p]
 
 
+def swap(a, p):
+    """s_p a: a with variables p and p + 1 exchanged, by substitution."""
+    transposition = list(range(a.nvars))
+    transposition[p], transposition[p + 1] = p + 1, p
+    return a.reindex(a.gamma, transposition)
+
+
 def test_exact_divide_difference_of_squares():
+    # d_0 x2^2 = (x2^2 - x1^2) / (x2 - x1), and d_0 x1^2 its negative
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)
-    q = exact_divide(parsed("x0_2^2 - x0_1^2"), 0)
-    assert q == x1 + x2
-
-
-def test_exact_divide_reports_failure_with_remainder():
-    g = (2,)
-    x1, x2 = v(g, 0, 1), v(g, 0, 2)
-    # x1 x2 = -x2 (x2 - x1) + x2^2
-    with pytest.raises(StructuralViolationError,
-                       match=r"by x0_2 - x0_1 at gamma=\(2,\) left the remainder x0_2\^2$"):
-        exact_divide(x1 * x2, 0)
-    # the lead x0_2 of x0_3 - x0_2 does not divide x0_1
-    with pytest.raises(StructuralViolationError, match=r"by x0_3 - x0_2 .* remainder x0_1$"):
-        exact_divide(v((3,), 0, 1), 1)
+    assert exact_divide(x2 * x2, 0) == x1 + x2
+    assert exact_divide(x1 * x1, 0) == -(x1 + x2)
 
 
 def test_exact_divide_zero_numerator():
@@ -139,7 +135,7 @@ def test_exact_divide_rejects_an_out_of_range_p():
 def test_exact_divide_int_quotient_stays_int():
     g = (2,)
     x1, x2 = v(g, 0, 1), v(g, 0, 2)
-    q = exact_divide(parsed("6*x0_2^3 - 6*x0_1^3"), 0)
+    q = exact_divide(parsed("6*x0_2^3"), 0)
     assert q == ColoredPoly.constant(g, 6) * (x1 * x1 + x1 * x2 + x2 * x2)
     assert all(type(c) is int for _, c in q.terms())
 
@@ -189,65 +185,44 @@ def test_exponent_range_is_checked():
         parsed("x0_2^128")
 
 
-def test_exact_divide_remainder_beyond_127_is_reported():
-    # x1^2 x2^127 = -x1 x2^127 (x2 - x1) + x1 x2^128: the carry reaches
-    # exponent 128 at a key that x1 still divides, and the walk stops there
-    g = (2,)
-    x1, x2 = v(g, 0, 1), v(g, 0, 2)
-    with pytest.raises(StructuralViolationError, match=r"remainder x0_1\*x0_2\^128$"):
-        exact_divide(x1 ** 2 * x2 ** 127, 0)
-
-
-def assert_divides_or_leaves_remainder(num, p):
-    """exact_divide(num, p) is num / (x_(p+1) - x_p), or raises with the
-    remainder num - q * (x_(p+1) - x_p) of a partial quotient q at the end
-    of its message: when every exponent of the remainder is in range, num
-    minus it divides exactly.  The remainder is read back with
-    parse_colored_poly, the inverse of canonical_str; an exponent above 127
-    makes the parser raise LimitExceededError."""
-    den = difference(num.gamma, p)
-    try:
-        q = exact_divide(num, p)
-    except StructuralViolationError as exc:
-        text = str(exc).rpartition(" left the remainder ")[2]
-        assert text not in ("", "0")
-        try:
-            rem = parse_colored_poly(num.gamma, text)
-        except LimitExceededError:
-            return
-        rest = num + -rem
-        assert exact_divide(rest, p) * den == rest
-        return
-    assert q * den == num
-    assert all(e <= 127 for exps, _ in q.terms() for e in exps)
-
-
 EDGE_EXPONENTS = st.sampled_from((0, 1, 126, 127))
 
+# 1 to 3 blocks of at most 2 variables, 2 or more in all
+GAMMAS = st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda g: sum(g) > 1) \
+    .map(tuple)
 
-@given(small_polys(exponents=EDGE_EXPONENTS))
-def test_divide_is_exact_or_raises(a):
-    assert_divides_or_leaves_remainder(a, 0)
+
+@given(st.data())
+def test_exact_divide_is_the_divided_difference(data):
+    # the closed form against its definition, at every adjacent p, block
+    # boundaries included, on exponents at the edges of the packed range
+    gamma = data.draw(GAMMAS)
+    f = data.draw(small_polys(gamma, exponents=EDGE_EXPONENTS, coeffs=st.integers(-4, 4)))
+    for p in range(f.nvars - 1):
+        q = exact_divide(f, p)
+        assert q * difference(gamma, p) == f.alternate(p)
+        # x_p and x_(p+1) lose a degree; the other variables keep f's exponents
+        assert all(exps[p] <= 126 and exps[p + 1] <= 126 for exps, _ in q.terms())
+        assert all(type(c) is int for _, c in q.terms())
+        assert not exact_divide(f + swap(f, p), p)
 
 
 @st.composite
 def divisions(draw):
-    """(a, p, e): gamma of 1 to 3 blocks of at most 2 variables, 2 or more in
-    all, a and e with Fraction coefficients and exponents 0 to 3, and p a
-    flat index with a variable after it."""
-    gamma = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)
-                       .filter(lambda g: sum(g) > 1)))
+    """(a, p, e): gamma from GAMMAS, a and e with Fraction coefficients and
+    exponents 0 to 3, and p a flat index with a variable after it."""
+    gamma = draw(GAMMAS)
     p = draw(st.integers(0, sum(gamma) - 2))
     return draw(small_polys(gamma)), p, draw(small_polys(gamma))
 
 
 @given(divisions())
 def test_binomial_divide_undoes_multiplication(case):
-    # the strand walk: every strand of a * (x_(p+1) - x_p) is walked to a
-    # zero carry
+    # d_p (a (x_(p+1) - x_p)) = a + s_p a, and d_p is linear
     a, p, e = case
-    assert exact_divide(a * difference(a.gamma, p), p) == a
-    assert_divides_or_leaves_remainder(a * difference(a.gamma, p) + e, p)
+    product = a * difference(a.gamma, p)
+    assert exact_divide(product, p) == a + swap(a, p)
+    assert exact_divide(product + e, p) == a + swap(a, p) + exact_divide(e, p)
 
 
 @given(small_polys((2, 1), coeffs=st.integers(-4, 4)),
@@ -255,12 +230,11 @@ def test_binomial_divide_undoes_multiplication(case):
        st.integers(0, 1))
 def test_int_coefficients_stay_int(a, c, p):
     # the linear route's rows are integral only if products, sums, alternation
-    # and division by x_(p+1) - x_p, the divisor of a divided difference, keep
-    # int coefficients ints
+    # and the divided difference d_p keep int coefficients ints
     b = difference((2, 1), p)
     results = [a * c, a * b, ColoredPoly.constant(a.gamma, -3) * a, a + c,
                a.alternate(0), a.alternate(1), exact_divide(a * b, p)]
-    assert results[-1] == a
+    assert results[-1] == a + swap(a, p)
     assert all(type(coeff) is int for r in results for _, coeff in r.terms())
 
 

@@ -276,9 +276,9 @@ def exact_divide(f: ColoredPoly, p: int) -> ColoredPoly:
 
     Each pair of terms that s_p swaps into one another is visited once, from
     the key whose x_p exponent a exceeds the x_(p+1) exponent b, or from the
-    other key when f lacks that one; its net coefficient c - c' spreads over
-    the a - b keys of its strand.  A term symmetric in the two variables
-    contributes nothing.
+    other key when f lacks that one; its net coefficient, with the sign of
+    the closed form, is added at the |a - b| keys of its strand.  A term
+    symmetric in the two variables contributes nothing.
     """
     if not 0 <= p < f.nvars - 1:
         raise DomainError(f"no variables {p}, {p + 1} among {f.nvars}")

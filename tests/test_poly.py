@@ -17,6 +17,13 @@ def parsed(text, gamma=(2,)):
     return parse_colored_poly(gamma, text)
 
 
+def swap(a, p):
+    """s_p a: a with variables p and p + 1 exchanged, by substitution."""
+    transposition = list(range(a.nvars))
+    transposition[p], transposition[p + 1] = p + 1, p
+    return a.reindex(a.gamma, transposition)
+
+
 FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
@@ -77,9 +84,7 @@ def test_substitution_swaps_variables():
 @given(small_polys(gamma=(2, 1), exponents=st.sampled_from((0, 1, 126, 127))),
        st.integers(0, 1))
 def test_alternate_is_p_minus_its_swap(p, v1):
-    transposition = [0, 1, 2]
-    transposition[v1], transposition[v1 + 1] = v1 + 1, v1
-    assert p.alternate(v1) == p + (-p.reindex(p.gamma, transposition))
+    assert p.alternate(v1) == p + (-swap(p, v1))
 
 
 def test_alternate_range_is_checked():
@@ -104,13 +109,6 @@ def difference(gamma, p):
     """x_(p+1) - x_p, the divisor of exact_divide(num, p), in flat indices."""
     xs = [v(gamma, i, s) for i, size in enumerate(gamma) for s in range(1, size + 1)]
     return xs[p + 1] + -xs[p]
-
-
-def swap(a, p):
-    """s_p a: a with variables p and p + 1 exchanged, by substitution."""
-    transposition = list(range(a.nvars))
-    transposition[p], transposition[p + 1] = p + 1, p
-    return a.reindex(a.gamma, transposition)
 
 
 def test_exact_divide_difference_of_squares():
@@ -188,8 +186,8 @@ def test_exponent_range_is_checked():
 EDGE_EXPONENTS = st.sampled_from((0, 1, 126, 127))
 
 # 1 to 3 blocks of at most 2 variables, 2 or more in all
-GAMMAS = st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda g: sum(g) > 1) \
-    .map(tuple)
+GAMMAS = (st.lists(st.integers(0, 2), min_size=1, max_size=3)
+          .filter(lambda g: sum(g) > 1).map(tuple))
 
 
 @given(st.data())

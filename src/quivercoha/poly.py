@@ -302,13 +302,14 @@ def exact_divide(f: ColoredPoly, p: int) -> ColoredPoly:
         else:
             continue
         if c:
-            for _ in range(n):
+            while n:
                 s = get(k, 0) + c
                 if s:
                     out[k] = s
                 else:
                     del out[k]
                 k += inc
+                n -= 1
     return ColoredPoly._make(f.gamma, out)
 
 

@@ -61,12 +61,17 @@ sum a_ij gamma1^i gamma2^j and the steps take sum gamma1^i gamma2^i.
 
 The cell (gamma, d), H_{gamma,d}, holds the elements of polynomial degree d;
 it depends on gamma and d alone.  Its monomial basis (``basis``) has one
-product of monomial symmetric polynomials m_lambda per shape, a partition
-lambda of d_i with at most gamma^i parts at each vertex, d = sum d_i.  The
-basis order is that of the p1 pass below: by degree, then lex on the
-partition, at the first vertex, then the same at the next, and so on.  Its
-terms are the sums of one orbit key per color block, all with coefficient 1,
-and its lex-leading key lays each lambda out in slot order.  Distinct shapes
+product of monomial symmetric polynomials m_lambda per shape.  A shape holds
+one partition per vertex of the support of gamma, the vertices i with
+gamma^i > 0, in vertex order: a partition lambda of d_i with at most gamma^i
+parts, d = sum d_i.  An empty block has no variables, so a vertex off the
+support takes no partition, and padding gamma with zeros changes no shape.
+The basis order is that of the p1 pass below: by degree, then lex on the
+partition, at the first vertex of the support, then the same at the next,
+and so on.  ``_blocks`` alone works out the support, as each nonempty
+block's first slot, size and key shift.  Its terms are the sums of one orbit
+key per color block, all with coefficient 1, and its lex-leading key lays
+each lambda out in slot order.  Distinct shapes
 have distinct leading keys, and every monomial of a shape's orbit has
 coefficient 1 in it alone, so the coefficients of a block-symmetric
 polynomial of the cell at the leading keys are its coordinates on the basis
@@ -76,8 +81,9 @@ the multiplicities in lambda); any other term count means it is not
 block-symmetric of degree d, and the reader raises StructuralViolationError.
 
 The same layout gives the quotient by p1, the sum of all the variables, that
-``freeness`` counts in (its docstring has the proofs).  With i0 the first
-vertex where gamma^i0 > 0, the basis of H_{gamma,d-1} is indexed by the
+``freeness`` counts in (its docstring has the proofs).  Let i0 be the first
+vertex of the support: its partition comes first in every shape and its
+block starts at slot 0.  The basis of H_{gamma,d-1} is indexed by the
 shapes lambda of the cell with lambda_1 > lambda_2 at i0 (zeros padding
 lambda), through mu = lambda - e_1 at i0, so dim H_{gamma,d-1} is their
 number.  p1 m_mu is read off the cell by Pieri's rule for monomial symmetric
@@ -92,11 +98,12 @@ nu is mu's key plus the unit of the raised slot.  The row of lambda leads at
 lambda with coefficient 1 (lambda_1 is the only part of its size at i0), and
 its other shapes come before lambda in basis order: a raise at a later
 vertex lowers the degree at i0, one at a later slot of i0 the partition, and
-i0 leads the order, as the blocks before it hold only the empty partition.
-So ``Cell.p1_reducer`` clears those pivots from a polynomial's coordinates
-in reverse basis order and keeps the complement shapes, lambda_1 ==
-lambda_2 at i0; ``complement_basis`` lists their elements.  This module
-alone knows that layout.
+i0 leads the order, as its partition is the first of each shape.  So
+``Cell.p1_reducer`` clears those pivots from a polynomial's coordinates in
+reverse basis order and keeps the complement shapes, lambda_1 == lambda_2
+at i0; ``complement_basis`` lists their elements.  A zero gamma has no p1
+quotient, and both raise DomainError on it.  This module alone knows that
+layout.
 """
 
 from __future__ import annotations
@@ -190,54 +197,50 @@ def _partitions(d: int, max_part: int, max_len: int):
             yield (part,) + rest
 
 
-def _padded(gamma: DimVector, vertex: int, lam) -> tuple[int, ...]:
-    """lambda with zeros appended up to the gamma^vertex slots of its block."""
-    return lam + (0,) * (gamma[vertex] - len(lam))
+def _blocks(gamma: DimVector) -> list[tuple[int, int, int]]:
+    """(first slot, size, key shift) of each nonempty color block, in vertex
+    order: the support of gamma, which every shape walks.  The shift moves a
+    block's bytes, packed on their own, to their place in a key."""
+    nvars, first, out = sum(gamma), 0, []
+    for size in gamma:
+        if size:
+            out.append((first, size, 8 * (nvars - first - size)))
+        first += size
+    return out
 
 
-def _orbit_keys(gamma: DimVector, vertex: int, lam) -> list[int]:
-    """Packed keys of the monomials of m_lambda in one color block."""
-    padded = _padded(gamma, vertex, lam)
+def _orbit_keys(lam, size: int, shift: int) -> list[int]:
+    """Packed keys of the monomials of m_lambda in a color block of ``size``
+    slots and key shift ``shift``."""
+    padded = lam + (0,) * (size - len(lam))
     _pack(padded)   # exponent range check, once for the whole orbit
-    shift = 8 * sum(gamma[vertex + 1:])
     return [int.from_bytes(bytes(perm), "big") << shift for perm in set(permutations(padded))]
 
 
 def _shapes(gamma: DimVector, d: int) -> list[tuple[tuple[int, ...], ...]]:
     """Per basis element of the cell (gamma, d), in basis order, its
-    partition at each vertex.  The vertices with gamma^i = 0 take the empty
-    partition and no degree, so only the support is walked."""
+    partition at each vertex of the support of gamma."""
     if any(n < 0 for n in gamma):
         raise DomainError("dimension vector entries must be >= 0")
-    live = [i for i, n in enumerate(gamma) if n]
-    shapes = [((), d)]   # (the partitions at the live vertices so far, the degree left)
-    for i in live:
-        parts = [list(_partitions(e, e, gamma[i])) for e in range(d + 1)]
+    shapes = [((), d)]   # (the partitions at the blocks so far, the degree left)
+    for _, size, _ in _blocks(gamma):
+        parts = [list(_partitions(e, e, size)) for e in range(d + 1)]
         shapes = [(shape + (lam,), left - e) for shape, left in shapes
                   for e in range(left + 1) for lam in parts[e]]
-    out = []
-    for shape, left in shapes:
-        if not left:
-            full = [()] * len(gamma)
-            for i, lam in zip(live, shape):
-                full[i] = lam
-            out.append(tuple(full))
-    return out
+    return [shape for shape, left in shapes if not left]
 
 
 def _elements(gamma: DimVector, shapes):
-    """The basis element of each shape, in order: per vertex the monomial
+    """The basis element of each shape, in order: per block the monomial
     symmetric polynomial m_lambda, whose terms are the sums of one orbit key
     per block, all with coefficient 1."""
-    live = [i for i, n in enumerate(gamma) if n]   # an empty block's orbit is the key 0
-    orbits = [{} for _ in live]   # per live vertex: partition -> its orbit keys
-    for lams in shapes:
+    blocks = [(size, shift, {}) for _, size, shift in _blocks(gamma)]   # {}: partition -> orbit
+    for shape in shapes:
         keys = [0]
-        for i, known in zip(live, orbits):
-            lam = lams[i]
+        for lam, (size, shift, known) in zip(shape, blocks):
             orbit = known.get(lam)
             if orbit is None:
-                orbit = known[lam] = _orbit_keys(gamma, i, lam)
+                orbit = known[lam] = _orbit_keys(lam, size, shift)
             keys = [key + o for key in keys for o in orbit]
         yield ColoredPoly._make(gamma, dict.fromkeys(keys, 1))
 
@@ -251,47 +254,40 @@ def basis(gamma: DimVector, d: int) -> list[ColoredPoly]:
     return list(_elements(gamma, _shapes(gamma, d)))
 
 
-def _first_vertex(gamma: DimVector) -> int:
-    """i0, the first vertex with gamma^i0 > 0; gamma = 0 raises DomainError."""
-    for i, n in enumerate(gamma):
-        if n:
-            return i
-    raise DomainError("the p1 quotient concerns nonzero dimension vectors")
-
-
-def _in_complement(shape, i0: int) -> bool:
-    """lambda_1 == lambda_2 at i0, zeros padding lambda: no p1 multiple
-    leads at this shape (see the module docstring)."""
-    lam = shape[i0]
+def _in_complement(shape) -> bool:
+    """lambda_1 == lambda_2 at i0, the first block, zeros padding lambda: no
+    p1 multiple leads at this shape (see the module docstring)."""
+    lam = shape[0]
     return lam[:1] == lam[1:2]
 
 
 def complement_basis(gamma: DimVector, d: int) -> list[ColoredPoly]:
     """The elements of ``basis(gamma, d)`` with lambda_1 == lambda_2 at the
     first vertex i0 of gamma: a basis of a complement of p1 H_{gamma,d-1} in
-    H_{gamma,d}."""
+    H_{gamma,d}.  A zero gamma, which has no p1 quotient, raises DomainError."""
     gamma = tuple(gamma)
-    i0 = _first_vertex(gamma)
+    if not any(gamma):
+        raise DomainError("the p1 quotient concerns nonzero dimension vectors")
     return list(_elements(gamma, [shape for shape in _shapes(gamma, d)
-                                  if _in_complement(shape, i0)]))
+                                  if _in_complement(shape)]))
 
 
 class Cell:
     """The cell (gamma, d) and its monomial basis: ``shapes`` holds each basis
-    element's partition per vertex, in ``basis`` order, and len(cell) is
-    dim H_{gamma,d}."""
+    element's partition per vertex of the support of gamma, in ``basis``
+    order, and len(cell) is dim H_{gamma,d}.  i0, the vertex of the p1
+    quotient, is the first block, so it owns each shape's first partition."""
 
-    __slots__ = ("gamma", "d", "shapes", "_keys", "_sizes", "_i0")
+    __slots__ = ("gamma", "d", "shapes", "_keys", "_sizes")
 
     def __init__(self, gamma: DimVector, d: int):
         gamma = tuple(gamma)
         self.gamma, self.d = gamma, d
         self.shapes = _shapes(gamma, d)
         self._keys, self._sizes = [], []
-        live = [i for i, n in enumerate(gamma) if n]   # an empty block adds no key bytes
-        self._i0 = live[0] if live else None   # the first vertex of the p1 quotient
+        sizes = [size for _, size, _ in _blocks(gamma)]
         for shape in self.shapes:
-            blocks = [_padded(gamma, i, shape[i]) for i in live]
+            blocks = [lam + (0,) * (size - len(lam)) for lam, size in zip(shape, sizes)]
             self._keys.append(_pack(sum(blocks, ())))
             # per block, gamma^i! over the factorials of the multiplicities
             self._sizes.append(prod(factorial(len(b)) // prod(map(factorial, map(b.count, set(b))))
@@ -317,15 +313,14 @@ class Cell:
     def _p1_rows(self):
         """(pivot lambda, the (index, coefficient) pairs of p1 m_mu) per shape
         with lambda_1 > lambda_2 at i0, by Pieri's rule on the packed keys."""
-        gamma, nvars, i0 = self.gamma, sum(self.gamma), self._i0
-        offs = [0, *accumulate(gamma)]
-        spans = [(offs[i], offs[i + 1]) for i, n in enumerate(gamma) if n]   # nonempty blocks
+        nvars = sum(self.gamma)
+        spans = [(first, first + size) for first, size, _ in _blocks(self.gamma)]
         units = [1 << 8 * (nvars - 1 - s) for s in range(nvars)]
         index = {key: j for j, key in enumerate(self._keys)}
         for pivot, (shape, key) in enumerate(zip(self.shapes, self._keys)):
-            if _in_complement(shape, i0):
+            if _in_complement(shape):
                 continue
-            mu = key - units[offs[i0]]
+            mu = key - units[0]   # lambda_1 at i0, the first block, sits in slot 0
             exps = mu.to_bytes(nvars, "big")
             row = []
             for a, b in spans:
@@ -342,7 +337,7 @@ class Cell:
         it in basis order, or StructuralViolationError is raised (see the
         module docstring).  A zero gamma, which has no p1 quotient, raises
         DomainError."""
-        if self._i0 is None:
+        if not any(self.gamma):
             raise DomainError("the p1 quotient concerns nonzero dimension vectors")
         steps = []
         for pivot, row in self._p1_rows():
@@ -354,7 +349,7 @@ class Cell:
             steps.append((pivot, rest))
         steps.reverse()   # top-down: a step writes only to columns below its pivot
         complement = [j for j, shape in enumerate(self.shapes)
-                      if _in_complement(shape, self._i0)]
+                      if _in_complement(shape)]
 
         def reduce(poly: ColoredPoly) -> list:
             row = self.read(poly)

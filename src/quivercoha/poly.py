@@ -8,12 +8,12 @@ multiplication is integer addition and lexicographic comparison is integer
 comparison.  Every exponent is at most 127, so bit 7 of each byte is an
 overflow guard: the sum of two keys never carries into the next byte, and a
 set guard bit marks an exponent above 127.  Int coefficients stay ints
-through sums, products, ``alternate`` and ``exact_divide``.  Fractions come
-only from the literals p/q of ``parse_colored_poly``; one that reduces to an
-integer compares, hashes and renders like that integer.  ``fractions`` is
-imported where the parser makes a Fraction, never at module import, so a
-mode that makes no Fraction does not load it.  A product takes two
-polynomials on one variable set; a scalar is ``ColoredPoly.constant``.
+through sums, products and ``exact_divide``.  Fractions come only from the
+literals p/q of ``parse_colored_poly``; one that reduces to an integer
+compares, hashes and renders like that integer.  ``fractions`` is imported
+where the parser makes a Fraction, never at module import, so a mode that
+makes no Fraction does not load it.  A product takes two polynomials on one
+variable set; a scalar is ``ColoredPoly.constant``.
 
 ``exact_divide(f, p)`` is the divided difference d_p f = (f - s_p f) /
 (x_(p+1) - x_p), s_p swapping x_p and x_(p+1), the step of every Hall
@@ -206,41 +206,18 @@ class ColoredPoly:
             out[int.from_bytes(bytes(map(exps.__getitem__, source)), "big")] = c
         return ColoredPoly._make(new_gamma, out)
 
-    def alternate(self, v: int) -> "ColoredPoly":
-        """self - s(self), s swapping variables v and v + 1, in one pass over
-        self: a term symmetric in the two variables cancels, and each pair of
-        terms that s swaps into one another is visited once."""
-        if not 0 <= v < self.nvars - 1:
-            raise DomainError(f"no variables {v}, {v + 1} among {self.nvars}")
-        s1, s2 = 8 * (self.nvars - 1 - v), 8 * (self.nvars - 2 - v)
-        step = (1 << s1) - (1 << s2)
-        terms = self._terms
-        out = {}
-        for k, c in terms.items():
-            e1, e2 = (k >> s1) & 255, (k >> s2) & 255
-            if e1 == e2:
-                continue
-            swapped = k + (e2 - e1) * step
-            if e1 > e2:
-                c -= terms.get(swapped, 0)
-            elif swapped in terms:
-                continue   # the pair is taken from its other key
-            else:
-                k, swapped, c = swapped, k, -c
-            if c:
-                out[k] = c
-                out[swapped] = -c
-        return ColoredPoly._make(self.gamma, out)
-
     def is_block_symmetric(self) -> bool:
         """Invariance under permuting variables within each color block.
 
         Checked on adjacent transpositions, which generate each block's
-        symmetric group: ``alternate(v)`` vanishes for every pair of slots
-        v, v + 1 inside one block.
+        symmetric group: ``exact_divide(self, v)`` vanishes for every pair
+        of slots v, v + 1 inside one block.  That is exact, since
+        (x_(v+1) - x_v) d_v f = f - s_v f and x_(v+1) - x_v is not a zero
+        divisor, so d_v f = 0 exactly when f = s_v f.
         """
         starts = set(accumulate(self.gamma))   # v + 1 in starts: v ends a block
-        return not any(self.alternate(v) for v in range(self.nvars - 1) if v + 1 not in starts)
+        return not any(exact_divide(self, v) for v in range(self.nvars - 1)
+                       if v + 1 not in starts)
 
     # -- rendering ----------------------------------------------------------
 

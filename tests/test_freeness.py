@@ -263,13 +263,17 @@ def test_prim_dims_examples():
 
 
 def test_zero_gamma_on_the_linear_route_is_a_domain_error():
-    # gamma = 0 has no first vertex for the p1 quotient
+    # gamma = 0 has no first vertex for the p1 quotient; above d = 0 its cell
+    # has no shapes at all, so the error comes from gamma, not from a shape
     with pytest.raises(DomainError, match="nonzero"):
         prim_dims(S1, (0,), 0)
     with pytest.raises(DomainError, match="nonzero"):
         decomposable_dim(S1, Cell((0,), 0))
-    with pytest.raises(DomainError, match="nonzero"):
-        complement_basis((0,), 0)
+    for d in range(3):
+        with pytest.raises(DomainError, match="nonzero"):
+            Cell((0,), d).p1_reducer()
+        with pytest.raises(DomainError, match="nonzero"):
+            complement_basis((0,), d)
 
 
 def test_prim_dims_monotone_under_larger_window():

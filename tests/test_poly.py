@@ -81,17 +81,6 @@ def test_substitution_swaps_variables():
     assert p.reindex(g, (1, 0)) == x2 * x2 * x1
 
 
-@given(small_polys(gamma=(2, 1), exponents=st.sampled_from((0, 1, 126, 127))),
-       st.integers(0, 1))
-def test_alternate_is_p_minus_its_swap(p, v1):
-    assert p.alternate(v1) == p + (-swap(p, v1))
-
-
-def test_alternate_range_is_checked():
-    with pytest.raises(DomainError):
-        v((2,), 0, 1).alternate(1)
-
-
 def test_substitution_must_be_injective():
     g = (2,)
     with pytest.raises(DomainError):
@@ -198,7 +187,7 @@ def test_exact_divide_is_the_divided_difference(data):
     f = data.draw(small_polys(gamma, exponents=EDGE_EXPONENTS, coeffs=st.integers(-4, 4)))
     for p in range(f.nvars - 1):
         q = exact_divide(f, p)
-        assert q * difference(gamma, p) == f.alternate(p)
+        assert q * difference(gamma, p) == f + (-swap(f, p))
         # x_p and x_(p+1) lose a degree; the other variables keep f's exponents
         assert all(exps[p] <= 126 and exps[p + 1] <= 126 for exps, _ in q.terms())
         assert all(type(c) is int for _, c in q.terms())
@@ -227,11 +216,12 @@ def test_binomial_divide_undoes_multiplication(case):
        small_polys((2, 1), coeffs=st.integers(-4, 4)),
        st.integers(0, 1))
 def test_int_coefficients_stay_int(a, c, p):
-    # the linear route's rows are integral only if products, sums, alternation
-    # and the divided difference d_p keep int coefficients ints
+    # the linear route's rows are integral only if products, sums and the
+    # divided difference d_p keep int coefficients ints
     b = difference((2, 1), p)
     results = [a * c, a * b, ColoredPoly.constant(a.gamma, -3) * a, a + c,
-               a.alternate(0), a.alternate(1), exact_divide(a * b, p)]
+               exact_divide(a, p), exact_divide(a * b, p)]
+    assert results[-2] * b == a + (-swap(a, p))
     assert results[-1] == a + swap(a, p)
     assert all(type(coeff) is int for r in results for _, coeff in r.terms())
 
@@ -251,6 +241,25 @@ def test_block_symmetry_detection():
     assert not parse_colored_poly(g, "x0_1 + x0_2 + x1_1").is_block_symmetric()
     assert parse_colored_poly(g, "(x0_1 + x0_2)*(x1_1 + x1_2)").is_block_symmetric()
     assert parse_colored_poly((2, 0, 1), "x0_1 + x0_2 + x2_1").is_block_symmetric()
+
+
+def _inner_pairs(gamma):
+    """The slots v with v and v + 1 in one color block."""
+    starts = [sum(gamma[:i]) for i in range(len(gamma))]
+    return [a + s for a, size in zip(starts, gamma) for s in range(size - 1)]
+
+
+@given(st.data())
+def test_block_symmetry_is_invariance_under_each_inner_swap(data):
+    # is_block_symmetric reads d_v f = 0 for each pair v, v + 1 inside one
+    # block; half of the draws are symmetrised, so both verdicts occur, on
+    # exponents at the edges of the packed range
+    gamma = data.draw(GAMMAS)
+    f = data.draw(small_polys(gamma, exponents=EDGE_EXPONENTS, coeffs=st.integers(-4, 4)))
+    if data.draw(st.booleans()):
+        for p in _inner_pairs(gamma):   # blocks of at most 2 slots: one swap each
+            f = f + swap(f, p)
+    assert f.is_block_symmetric() == all(f == swap(f, p) for p in _inner_pairs(gamma))
 
 
 def test_degree_and_zero_poly():

@@ -4,8 +4,9 @@ joined to the rest and to each other by arrows and loops, changes none of them."
 
 from hypothesis import given, settings, strategies as st
 
-from quivercoha import (Quiver, double, dt_report, enumerate_dim_vectors, euler_form,
+from quivercoha import (Quiver, basis, double, dt_report, enumerate_dim_vectors, euler_form,
                         prim_dims, sign_twist)
+from quivercoha.coha import Cell, complement_basis
 from quivercoha.roots import nonvanishing_certificate
 
 from conftest import random_half_quivers
@@ -80,3 +81,22 @@ def test_pads_do_not_join_a_disconnected_support():
     padded = Quiver(3, [(0, 0, 1), (0, 1, 1), (1, 2, 1), (2, 2, 1)])
     assert nonvanishing_certificate(q0, (1, 1)).kind == "not_root"
     assert nonvanishing_certificate(padded, (1, 0, 1)).kind == "not_root"
+
+
+def test_cells_ignore_zero_entries_of_gamma():
+    # a shape holds one partition per vertex of the support of gamma, and an
+    # empty block has no variables, so zero entries change no cell
+    def elements(build, gamma, d):
+        return [list(e.terms()) for e in build(gamma, d)]
+
+    for padded in [(0, 2, 0, 1), (2, 0, 1), (2, 1, 0)]:
+        for d in range(5):
+            cell, plain = Cell(padded, d), Cell((2, 1), d)
+            assert cell.shapes == plain.shapes
+            for build in (basis, complement_basis):
+                assert elements(build, padded, d) == elements(build, (2, 1), d)
+            (below, reduce), (plain_below, plain_reduce) = cell.p1_reducer(), plain.p1_reducer()
+            assert below == plain_below
+            assert list(cell._p1_rows()) == list(plain._p1_rows())
+            assert ([reduce(e) for e in basis(padded, d)]
+                    == [plain_reduce(e) for e in basis((2, 1), d)])

@@ -53,6 +53,15 @@ visit the same splits again, so ``check-freeness`` on the doubled
 2-Kronecker quiver (gamma-max 3,2, qtrunc 10) builds 28 kernels for 14
 splits, and on the 2-loop quiver (gamma-max 4, qtrunc 16) 8 for 4.
 
+K is built from its binomials: its terms are multiplied by x''_s - x'_r,
+a_ij times for each pair of slots, by adding the unit keys of x''_s and of
+x'_r to each key, with no polynomial product or power.  Each x''_s of block
+j has top exponent sum_i a_ij gamma1^i in K, and each x'_r of block i
+sum_j a_ij gamma2^j (pick that variable from every binomial holding it).
+So the plan checks these bounds against the packing limit before it builds
+a key: one above 127 raises LimitExceededError naming it, where a key's
+byte would otherwise carry into the next.
+
 A homogeneous element of polynomial degree d has cohomological degree 2d and
 bidegree (gamma, k), k = chi(gamma, gamma) + 2d; the Z-grading is additive
 under the product and controls all super-signs.  A product of polynomial
@@ -116,12 +125,6 @@ from .poly import ColoredPoly, _pack, exact_divide
 from .quiver import DimVector, Quiver, dim_add, sign_twist
 
 
-def _difference(gamma: DimVector, s: int, r: int) -> ColoredPoly:
-    """x_s - x_r, variables given as flat indices."""
-    top = 8 * (sum(gamma) - 1)
-    return ColoredPoly._make(gamma, {1 << (top - 8 * s): 1, 1 << (top - 8 * r): -1})
-
-
 # ((quiver, gamma1, gamma2), plan) of the last split the product saw (see the
 # module docstring).  It is read once and replaced whole, so a product never
 # pairs one split's key with another's plan, even when threads share it.
@@ -131,7 +134,8 @@ _last_plan = (None, None)
 def _split_plan(quiver: Quiver, g1: DimVector, g2: DimVector):
     """(gamma, K, the slots of f's variables, those of g's, the slots p of
     the steps d_p in chain order) for the split gamma1 + gamma2, after
-    checking that the quiver is symmetric and that both gammas fit it."""
+    checking that the quiver is symmetric, that both gammas fit it and that
+    K's exponents fit the packing (see the module docstring)."""
     if not quiver.is_symmetric:
         raise DomainError("the Hall product is implemented for symmetric quivers")
     quiver.check_dim(g1)
@@ -142,11 +146,31 @@ def _split_plan(quiver: Quiver, g1: DimVector, g2: DimVector):
     # canonical placement: f's variables take the first g1^i slots of block i
     firsts = [range(offs[i], offs[i] + g1[i]) for i in range(n)]
     seconds = [range(offs[i] + g1[i], offs[i + 1]) for i in range(n)]
-    kernel = ColoredPoly.constant(gamma, 1)
+    nvars = offs[n]
+    degree = [0] * nvars   # each variable's top exponent in K
+    for i, j, a_ij in quiver.arrows:
+        for s in seconds[j]:
+            degree[s] += a_ij * g1[i]
+        for r in firsts[i]:
+            degree[r] += a_ij * g2[j]
+    _pack(degree)   # exponent range check, before any key of K is built
+    units = [1 << 8 * (nvars - 1 - v) for v in range(nvars)]
+    terms = {0: 1}
     for i, j, a_ij in quiver.arrows:
         for r in firsts[i]:
             for s in seconds[j]:
-                kernel = kernel * (_difference(gamma, s, r) ** a_ij)
+                up, down = units[s], units[r]
+                for _ in range(a_ij):   # terms * (x''_s - x'_r)
+                    out = {k + up: c for k, c in terms.items()}
+                    for k, c in terms.items():
+                        k += down
+                        c = out.get(k, 0) - c
+                        if c:
+                            out[k] = c
+                        else:
+                            del out[k]
+                    terms = out
+    kernel = ColoredPoly._make(gamma, terms)
     steps = [p for i in range(n) for r in reversed(range(g1[i]))
              for p in range(offs[i] + r, offs[i] + r + g2[i])]
     return (gamma, kernel, tuple(v for slots in firsts for v in slots),
@@ -184,17 +208,14 @@ def twisted_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
 # -- bases -------------------------------------------------------------------
 
 
-def _partitions(d: int, max_part: int, max_len: int):
-    """Partitions of d into at most max_len parts of size at most max_part,
-    descending tuples, in lex order."""
+def _partitions(d: int, max_part: int, max_len: int) -> list[tuple[int, ...]]:
+    """Partitions of d into at most max_len >= 1 parts of size at most
+    max_part, descending tuples, in lex order.  The first part is at least
+    d / max_len, or the rest would not fit in max_len - 1 parts no larger."""
     if d == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for part in range(1, min(d, max_part) + 1):
-        for rest in _partitions(d - part, part, max_len - 1):
-            yield (part,) + rest
+        return [()]
+    return [(part,) + rest for part in range(-(-d // max_len), min(d, max_part) + 1)
+            for rest in _partitions(d - part, part, max_len - 1)]
 
 
 def _blocks(gamma: DimVector) -> list[tuple[int, int, int]]:
@@ -222,12 +243,17 @@ def _shapes(gamma: DimVector, d: int) -> list[tuple[tuple[int, ...], ...]]:
     partition at each vertex of the support of gamma."""
     if any(n < 0 for n in gamma):
         raise DomainError("dimension vector entries must be >= 0")
+    blocks = _blocks(gamma)
+    if not blocks:   # a zero gamma: the constants alone
+        return [()] if d == 0 else []
     shapes = [((), d)]   # (the partitions at the blocks so far, the degree left)
-    for _, size, _ in _blocks(gamma):
-        parts = [list(_partitions(e, e, size)) for e in range(d + 1)]
+    for _, size, _ in blocks[:-1]:   # an inner block takes any degree left
+        parts = [_partitions(e, e, size) for e in range(d + 1)]
         shapes = [(shape + (lam,), left - e) for shape, left in shapes
                   for e in range(left + 1) for lam in parts[e]]
-    return [shape for shape, left in shapes if not left]
+    size = blocks[-1][1]   # the last block takes exactly the degree left
+    parts = {left: _partitions(left, left, size) for left in {left for _, left in shapes}}
+    return [shape + (lam,) for shape, left in shapes for lam in parts[left]]
 
 
 def _elements(gamma: DimVector, shapes):
@@ -284,14 +310,22 @@ class Cell:
         gamma = tuple(gamma)
         self.gamma, self.d = gamma, d
         self.shapes = _shapes(gamma, d)
+        blocks = _blocks(gamma)
+        known = [{} for _ in blocks]   # per block: partition -> (shifted key, orbit size)
         self._keys, self._sizes = [], []
-        sizes = [size for _, size, _ in _blocks(gamma)]
         for shape in self.shapes:
-            blocks = [lam + (0,) * (size - len(lam)) for lam, size in zip(shape, sizes)]
-            self._keys.append(_pack(sum(blocks, ())))
-            # per block, gamma^i! over the factorials of the multiplicities
-            self._sizes.append(prod(factorial(len(b)) // prod(map(factorial, map(b.count, set(b))))
-                                    for b in blocks))
+            key, size = 0, 1
+            for lam, (_, n, shift), seen in zip(shape, blocks, known):
+                packed = seen.get(lam)
+                if packed is None:
+                    b = lam + (0,) * (n - len(lam))
+                    # gamma^i! over the factorials of the multiplicities
+                    packed = seen[lam] = (_pack(b) << shift, factorial(n) // prod(
+                        map(factorial, map(b.count, set(b)))))
+                key += packed[0]
+                size *= packed[1]
+            self._keys.append(key)
+            self._sizes.append(size)
 
     def __len__(self):
         return len(self.shapes)

@@ -39,7 +39,9 @@ No floating point appears anywhere in this module.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 
 from .errors import DomainError, LimitExceededError
 from .quiver import DimVector
@@ -151,7 +153,7 @@ class ColoredPoly:
                 else:
                     del out[k]
         guard = int.from_bytes(b"\x80" * self.nvars, "big")
-        if any(k & guard for k in out):
+        if reduce(or_, out, 0) & guard:
             top = max(max(_unpack(key, self.nvars)) for key in out)
             raise LimitExceededError(
                 f"product exponent {top} exceeds the packed-exponent limit {_MAXEXP}")
@@ -186,24 +188,36 @@ class ColoredPoly:
         """Map variable v of self to variable var_map[v] of the new set.
 
         The map must be injective; this is the substitution used to place a
-        factor's variables into chosen slots of a product.
+        factor's variables into chosen slots of a product.  Each maximal run
+        of consecutive variables that land on consecutive slots moves as one
+        bit field of the key, ((key >> s) & mask) << t, so a map that keeps
+        the order of a whole block moves it as one field.
         """
         new_gamma = tuple(new_gamma)
         nv_new = sum(new_gamma)
         var_map = tuple(var_map)
-        if len(var_map) != self.nvars:
+        nvars = self.nvars
+        if len(var_map) != nvars:
             raise DomainError("variable map length mismatch")
         if len(set(var_map)) != len(var_map):
             raise DomainError("variable substitution must be injective")
         if any(not 0 <= v < nv_new for v in var_map):
             raise DomainError("variable map target out of range")
-        source = [self.nvars] * nv_new   # byte nvars is a zero pad
-        for v, t in enumerate(var_map):
-            source[t] = v
+        fields = []   # (source shift, mask, target shift) per run v..w-1
+        v = 0
+        while v < nvars:
+            w = v + 1
+            while w < nvars and var_map[w] == var_map[w - 1] + 1:
+                w += 1
+            fields.append((8 * (nvars - w), (1 << 8 * (w - v)) - 1,
+                           8 * (nv_new - var_map[v] - (w - v))))
+            v = w
         out = {}
         for k, c in self._terms.items():
-            exps = k.to_bytes(self.nvars, "big") + b"\0"
-            out[int.from_bytes(bytes(map(exps.__getitem__, source)), "big")] = c
+            key = 0
+            for s, m, t in fields:
+                key |= (k >> s & m) << t
+            out[key] = c
         return ColoredPoly._make(new_gamma, out)
 
     def is_block_symmetric(self) -> bool:

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from quivercoha import (ColoredPoly, DomainError, LimitExceededError,
+from quivercoha import (ColoredPoly, DomainError, LimitExceededError, Quiver,
                         StructuralViolationError, basis, enumerate_dim_vectors, euler_form,
                         parse_colored_poly, shuffle_product, sign_twist, twisted_product)
 from quivercoha import coha
@@ -242,6 +243,38 @@ def test_basis_coordinates_check_the_exponent_range():
         Cell((1,), 128)
 
 
+def _shapes_reference(gamma, d):
+    """Every tuple of partitions, one per vertex of the support of gamma with
+    at most gamma^i parts, of total degree d, sorted in basis order: by
+    degree, then lex, at each vertex in turn."""
+    per_vertex = [[tuple(part for part in reversed(parts) if part)
+                   for parts in combinations_with_replacement(range(d + 1), size)
+                   if sum(parts) <= d]
+                  for size in gamma if size]
+    shapes = [shape for shape in product(*per_vertex) if sum(map(sum, shape)) == d]
+    return sorted(shapes, key=lambda shape: [(sum(lam), lam) for lam in shape])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3), st.integers(0, 8))
+def test_shapes_and_cells_match_a_brute_force_reference(gamma, d):
+    # the last block takes exactly the degree left, and each distinct block
+    # partition is packed once: the shapes, leading keys and orbit sizes of
+    # the cell must be those of every tuple of partitions, filtered and
+    # sorted, and of the whole shape packed at once
+    gamma = tuple(gamma)
+    shapes = coha._shapes(gamma, d)
+    assert shapes == _shapes_reference(gamma, d)
+    cell = Cell(gamma, d)
+    assert cell.shapes == shapes
+    blocks = coha._blocks(gamma)
+    for shape, key, size in zip(shapes, cell._keys, cell._sizes):
+        padded = [lam + (0,) * (n - len(lam)) for lam, (_, n, _) in zip(shape, blocks)]
+        assert key == int.from_bytes(bytes(sum(padded, ())), "big")
+        assert size == prod(len(coha._orbit_keys(lam, n, shift))
+                            for lam, (_, n, shift) in zip(shape, blocks))
+
+
 def _check_p1_reducer(gamma, d):
     """The Pieri rows of the cell (gamma, d) are the coordinates of p1 m_mu
     over the basis of (gamma, d - 1), the reducer kills those, and the
@@ -469,19 +502,65 @@ def test_kernel_slot_follows_the_split_and_the_quiver():
 
 
 def test_kernel_is_built_once_per_split(monkeypatch):
-    # the kernel is the only power the product takes, so powers count builds
-    powers = []
-    real = ColoredPoly.__pow__
+    # the kernel is built with the split's plan, so plans count builds
+    plans = []
+    real = coha._split_plan
     monkeypatch.setattr(coha, "_last_plan", (None, None))   # no split left by other tests
-    monkeypatch.setattr(ColoredPoly, "__pow__", lambda p, n: powers.append(n) or real(p, n))
+    monkeypatch.setattr(coha, "_split_plan", lambda *split: plans.append(split) or real(*split))
     x, one = elt((1,), "x"), elt((1,), "1")
     shuffle_product(elt((2,), "1"), one, quiver=S2)
-    built = len(powers)
-    assert built == 2          # one factor (x''_s - x'_r)^2 per pair of slots
+    built = len(plans)
+    assert built == 1          # one plan, with K, for the split (2,) + (1,)
     shuffle_product(elt((2,), "x0_1 + x0_2"), x, quiver=S2)
-    assert len(powers) == built
+    assert len(plans) == built
     shuffle_product(one, elt((2,), "1"), quiver=S2)
-    assert len(powers) == 2 * built
+    assert len(plans) == 2 * built
+
+
+@st.composite
+def _kernel_splits(draw):
+    """A symmetric quiver on 1-3 vertices, loops and edges of multiplicity
+    <= 3, and a split gamma1 + gamma2 whose kernel has at most 8 binomials."""
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 3))
+    g1 = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    g2 = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    assume(sum(rows[i][j] * g1[i] * g2[j] for i in range(n) for j in range(n)) <= 8)
+    return from_rows(rows), g1, g2
+
+
+@settings(deadline=None, max_examples=60)
+@given(_kernel_splits())
+def test_kernel_is_the_product_of_its_binomials(split):
+    # K = prod (x''_s - x'_r)^a_ij, f's variables x' on the first gamma1^i
+    # slots of each block and g's x'' on the rest, built by the ring
+    # operations
+    quiver, g1, g2 = split
+    gamma, kernel, firsts, seconds, _ = coha._split_plan(quiver, g1, g2)
+    xs = [ColoredPoly.variable(gamma, i, s)
+          for i, size in enumerate(gamma) for s in range(1, size + 1)]
+    offs = [sum(gamma[:i]) for i in range(len(gamma))]
+    expected = ColoredPoly.constant(gamma, 1)
+    for i, j, a_ij in quiver.arrows:
+        for r in range(offs[i], offs[i] + g1[i]):
+            for s in range(offs[j] + g1[j], offs[j] + gamma[j]):
+                expected = expected * (xs[s] + -xs[r]) ** a_ij
+    assert kernel == expected
+    assert firsts == tuple(v for i in range(len(gamma))
+                           for v in range(offs[i], offs[i] + g1[i]))
+    assert seconds == tuple(v for i in range(len(gamma))
+                            for v in range(offs[i] + g1[i], offs[i] + gamma[i]))
+
+
+def test_kernel_over_the_packing_limit_is_refused_before_it_is_built():
+    # with 128 loops, K at (2,) + (1,) is (x''_1 - x'_1)^128 (x''_1 - x'_2)^128:
+    # x''_1 reaches 2 * 128, which the error names
+    quiver = Quiver(1, [(0, 0, 128)])
+    with pytest.raises(LimitExceededError, match=r"^exponent 256 exceeds the packed-exponent limit 127$"):
+        shuffle_product(elt((2,), "1"), elt((1,), "1"), quiver=quiver)
 
 
 def test_split_plan_checks_and_follows_every_new_split(monkeypatch):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quivercoha import (ColoredPoly, DomainError, LimitExceededError, exact_divide,
                         parse_colored_poly)
@@ -85,6 +85,53 @@ def test_substitution_must_be_injective():
     g = (2,)
     with pytest.raises(DomainError):
         (v(g, 0, 1) + v(g, 0, 2)).reindex(g, (0, 0))
+
+
+def test_reindex_checks_its_map():
+    p = v((2,), 0, 1) * v((2,), 0, 2)
+    for var_map, message in [((0,), "variable map length mismatch"),
+                             ((1, 1), "variable substitution must be injective"),
+                             ((0, 3), "variable map target out of range"),
+                             ((-1, 0), "variable map target out of range")]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            p.reindex((3,), var_map)
+
+
+def _reindex_by_bytes(p, new_gamma, var_map):
+    """{key: coefficient} of p with variable v moved to var_map[v], one byte
+    at a time: each target byte is read from its source variable, or is
+    zero."""
+    source = [p.nvars] * sum(new_gamma)   # byte nvars is a zero pad
+    for v, t in enumerate(var_map):
+        source[t] = v
+    out = {}
+    for k, c in p._terms.items():
+        exps = k.to_bytes(p.nvars, "big") + b"\0"
+        out[int.from_bytes(bytes(map(exps.__getitem__, source)), "big")] = c
+    return out
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_reindex_moves_each_run_as_the_byte_permutation_does(data):
+    # the runs of a map, moved as bit fields, must land every exponent where
+    # moving it byte by byte does: order-keeping maps with gaps, whole-block
+    # shifts and shuffled ones, zero blocks on either side, and no variables
+    gamma = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    new_gamma = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
+    nvars, nv_new = sum(gamma), sum(new_gamma)
+    assume(nvars <= nv_new)
+    targets = range(nv_new)
+    var_map = data.draw(st.one_of(
+        st.permutations(targets).map(lambda perm: tuple(perm[:nvars])),
+        st.lists(st.sampled_from(targets) if nv_new else st.nothing(), unique=True,
+                 min_size=nvars, max_size=nvars).map(lambda ts: tuple(sorted(ts))),
+        st.integers(0, nv_new - nvars).map(lambda a: tuple(range(a, a + nvars)))))
+    p = data.draw(small_polys(gamma, exponents=st.sampled_from((0, 1, 2, 126, 127)),
+                              coeffs=st.integers(-3, 3)))
+    moved = p.reindex(new_gamma, var_map)
+    assert moved.gamma == new_gamma
+    assert moved._terms == _reindex_by_bytes(p, new_gamma, var_map)
 
 
 def test_add_rejects_mismatched_variable_sets():

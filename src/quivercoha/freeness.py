@@ -108,8 +108,9 @@ def exact_rank(rows: list[list[int]]) -> int:
 def _residual(echelon: dict[int, list[int]], row: list[int]) -> list[int]:
     """row reduced fraction-free against the echelon rows {lead column: row},
     each zero left of its lead, taken in increasing lead column (the columns
-    of row, left to right, that lead a row), then divided by its content.  It is zero exactly when row lies in their span
-    (see the module docstring)."""
+    of row, left to right, that lead a row), then divided by its content.
+    It is zero exactly when row lies in their span (see the module
+    docstring)."""
     for lead in filter(echelon.__contains__, range(len(row))):
         c = row[lead]
         if c:

@@ -559,7 +559,8 @@ def test_kernel_over_the_packing_limit_is_refused_before_it_is_built():
     # with 128 loops, K at (2,) + (1,) is (x''_1 - x'_1)^128 (x''_1 - x'_2)^128:
     # x''_1 reaches 2 * 128, which the error names
     quiver = Quiver(1, [(0, 0, 128)])
-    with pytest.raises(LimitExceededError, match=r"^exponent 256 exceeds the packed-exponent limit 127$"):
+    with pytest.raises(LimitExceededError,
+                       match=r"^exponent 256 exceeds the packed-exponent limit 127$"):
         shuffle_product(elt((2,), "1"), elt((1,), "1"), quiver=quiver)
 
 

@@ -221,8 +221,8 @@ def run_dt_table(cfg: RunConfig) -> tuple[int, dict]:
 def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.quiver.is_symmetric:
         raise DomainError("check-freeness needs a symmetric quiver")
-    series = build_generating_series(cfg.quiver, cfg.gamma_max, cfg.qtrunc)
-    omegas = plethystic_factor(series)
+    # one nested call: the generating series is freed before the linear route
+    omegas = plethystic_factor(build_generating_series(cfg.quiver, cfg.gamma_max, cfg.qtrunc))
     rows = []
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):

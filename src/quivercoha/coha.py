@@ -358,19 +358,21 @@ class Cell:
             exps = mu.to_bytes(nvars, "big")
             row = []
             for a, b in spans:
-                for s in range(a, b):
-                    if s == a or exps[s - 1] != exps[s]:   # first slot of a run of v
-                        row.append((index[mu + units[s]], exps[a:b].count(exps[s] + 1) + 1))
+                block, last = exps[a:b], None
+                for s, v in enumerate(block, a):
+                    if v != last:   # first slot of a run of v
+                        row.append((index[mu + units[s]], block.count(v + 1) + 1))
+                        last = v
             yield pivot, row
 
     def p1_reducer(self):
         """(dim H_{gamma,d-1}, reduce): reduce(poly) gives the coordinates of
         a polynomial of the cell modulo p1 H_{gamma,d-1}, on the complement
-        shapes (lambda_1 == lambda_2 at i0) in basis order.  Each p1 row
-        must lead at its pivot with coefficient 1, every other shape below
-        it in basis order, or StructuralViolationError is raised (see the
-        module docstring).  A zero gamma, which has no p1 quotient, raises
-        DomainError."""
+        shapes (lambda_1 == lambda_2 at i0), those without a p1 row, in basis
+        order.  Each p1 row must lead at its pivot with coefficient 1, every
+        other shape below it in basis order, or StructuralViolationError is
+        raised (see the module docstring).  A zero gamma, which has no p1
+        quotient, raises DomainError."""
         if not any(self.gamma):
             raise DomainError("the p1 quotient concerns nonzero dimension vectors")
         steps = []
@@ -381,9 +383,9 @@ class Cell:
                     f"p1 m_mu at gamma={self.gamma}, d={self.d} does not lead at mu + e_1 = "
                     f"{self.shapes[pivot]} with coefficient 1")
             steps.append((pivot, rest))
+        pivots = {pivot for pivot, _ in steps}
+        complement = [j for j in range(len(self.shapes)) if j not in pivots]
         steps.reverse()   # top-down: a step writes only to columns below its pivot
-        complement = [j for j, shape in enumerate(self.shapes)
-                      if _in_complement(shape)]
 
         def reduce(poly: ColoredPoly) -> list:
             row = self.read(poly)

@@ -64,7 +64,7 @@ def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -
     inv = _inverse_pochhammers(max(gamma_max), qtrunc)
     pieces = {g: _hilbert(quiver, g, inv)
               for g in enumerate_dim_vectors(gamma_max, include_zero=True)}
-    return MultiSeries(gamma_max, pieces)
+    return MultiSeries._make(tuple(gamma_max), pieces)
 
 
 def _check_grading(quiver: Quiver, gamma: DimVector, qtrunc: int) -> None:
@@ -99,7 +99,7 @@ def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
     for m in range(1, mmax + 1):
         for n in range(m, len(counts)):
             counts[n] += counts[n - m]
-        out.append(HalfSeries({2 * n: c for n, c in enumerate(counts)}, 0, width))
+        out.append(HalfSeries._make({2 * n: c for n, c in enumerate(counts)}, 0, width))
     return out
 
 
@@ -123,8 +123,8 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
     quotient raises StructuralViolationError and an empty window raises
     DomainError.
     """
-    graded = MultiSeries(series.gamma_max,
-                         {g: s * dim_abs(g) for g, s in series.pieces.items()})
+    graded = MultiSeries._make(series.gamma_max,
+                               {g: s * dim_abs(g) for g, s in series.pieces.items()})
     log_derivative = series.inverse() * graded
     omegas = {}
     for gamma in enumerate_dim_vectors(series.gamma_max):
@@ -136,11 +136,12 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
                 continue
             term = _adams(log_derivative.pieces[tuple(x // r for x in gamma)], r)
             total = total + term if mu > 0 else total - term
-        # 1 - q on [0, hi - lo], so the product keeps the window of total
-        col = total * HalfSeries({0: 1, 2: -1}, 0, total.hi - total.lo)
+        # (1 - q) total = c_k - c_(k-2) on the window [lo, hi] of total, the
+        # window its product with 1 - q on [0, hi - lo] would certify
+        col = _times_one_minus_q(total)
         size = dim_abs(gamma)
         counts = {}
-        for k, c in col.items():
+        for k, c in col.coeffs.items():
             count, rest = divmod(c, size)
             if rest or count < 0:
                 shown = f"{c}/{size}" if rest else count
@@ -148,13 +149,27 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
                     f"extracted multiplicity {shown} at gamma={gamma}, k={k} "
                     "is not a non-negative integer")
             counts[k] = count
-        col = HalfSeries(counts, col.lo, col.hi)
+        col = HalfSeries._make(counts, col.lo, col.hi)
         if col.window_empty():
             raise DomainError(
                 f"certified window collapsed at gamma={gamma}; rerun with a "
                 "larger qtrunc")
         omegas[gamma] = col
     return omegas
+
+
+def _times_one_minus_q(s: HalfSeries) -> HalfSeries:
+    """(1 - q) s on the window [lo, hi] of s: the coefficient c_k - c_(k-2)
+    at each k of [lo, hi], c_(lo-2) = c_(lo-1) = 0 below the order bound.
+    That is the product with 1 - q certified on [0, hi - lo], whose window
+    is [lo + 0, min(hi + 0, (hi - lo) + lo)] = [lo, hi], with no product."""
+    get = s.coeffs.get
+    out = {}
+    for k in range(s.lo, s.hi + 1):
+        c = get(k, 0) - get(k - 2, 0)
+        if c:
+            out[k] = c
+    return HalfSeries._make(out, s.lo, s.hi)
 
 
 def _mobius(n: int) -> int:
@@ -173,8 +188,8 @@ def _mobius(n: int) -> int:
 def _adams(s: HalfSeries, r: int) -> HalfSeries:
     """psi_r(q^(k/2)) = (-1)^((r+1)k) q^(rk/2), certified on [r lo, r hi]:
     exponents off the multiples of r are zero."""
-    return HalfSeries({r * k: -c if (r + 1) * k % 2 else c for k, c in s.coeffs.items()},
-                      r * s.lo, r * s.hi)
+    return HalfSeries._make({r * k: -c if (r + 1) * k % 2 else c for k, c in s.coeffs.items()},
+                            r * s.lo, r * s.hi)
 
 
 def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> dict[DimVector, HalfSeries]:

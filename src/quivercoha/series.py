@@ -11,13 +11,24 @@ Arithmetic propagates windows: sums certify up to min(hi), products obey the
 convolution rule hi = min(hi1 + lo2, hi2 + lo1).  Recomputing with a wider
 window always agrees on the narrower one; tests rely on that.
 
+A ``HalfSeries`` keeps its terms in ascending exponent order, each one
+nonzero and inside [lo, hi].  The public constructor sorts and filters what
+it is given.  Results built in that order already are taken as they are by
+the private ``HalfSeries._make``: here products (``_sum_of_products``),
+negation, integer multiples and ``shifted``; in ``dtseries`` the inverse
+Pochhammers, ``_adams``, the (1 - q) step and the extracted counts.  A sum
+merges two orders, so it goes through the constructor.  Likewise
+``MultiSeries._make`` skips the box-key check for the series that are built
+on their box: products, inverses, ``build_generating_series`` and the
+graded series of ``plethystic_factor``.
+
 Every product, of two ``HalfSeries`` or of two ``MultiSeries``, is one
 accumulation (``_sum_of_products``): a piece (A B)_g = sum_(d <= g) A_d
 B_(g-d) takes its window [lo, hi] from all its term products at once, then
 adds every term pair into one dense list, the coefficient of q^(k/2) at
-index k - lo, walking the second factor in ascending exponent order and
-stopping at that hi.  No intermediate series is built and no pair above the
-certified hi is visited.
+index k - lo, walking the second factor as stored, in ascending exponent
+order, and stopping at that hi.  No intermediate series is built and no
+pair above the certified hi is visited.
 
 A ``MultiSeries`` holds one piece for every vector of its box, and a
 product or inverse lists them in lex order, where g sits at its flat
@@ -52,9 +63,10 @@ def _sum_of_products(pairs) -> "HalfSeries":
     least lo1 + lo2 and hi = the least min(hi1 + lo2, hi2 + lo1), comes
     first, in one pass over the pairs.  When no pair has terms in both
     factors the sum is the empty series on that window.  Otherwise s2 is
-    walked in ascending exponent order and left at the first k1 + k2 above
-    hi, so no term pair above hi is visited.  Each visited k = k1 + k2 lies
-    on [lo, hi] and adds into a dense list at index k - lo."""
+    walked as stored, in ascending exponent order, and left at the first
+    k1 + k2 above hi, so no term pair above hi is visited.  Each visited
+    k = k1 + k2 lies on [lo, hi] and adds into a dense list at index k - lo,
+    whose nonzero entries are the result's terms in ascending order."""
     lo = hi = None
     live = False
     for s1, s2 in pairs:
@@ -68,13 +80,12 @@ def _sum_of_products(pairs) -> "HalfSeries":
             hi = high
         if s1.coeffs and s2.coeffs:
             live = True
-    out = HalfSeries({}, lo, hi)
     if not live:
-        return out
+        return HalfSeries._make({}, lo, hi)
     top = hi - lo
     acc = [0] * (top + 1)
     for s1, s2 in pairs:
-        terms2 = sorted(s2.coeffs.items())
+        terms2 = s2.coeffs.items()
         for k1, c1 in s1.coeffs.items():
             k1 -= lo
             for k2, c2 in terms2:
@@ -82,30 +93,43 @@ def _sum_of_products(pairs) -> "HalfSeries":
                 if k > top:
                     break
                 acc[k] += c1 * c2
-    out.coeffs = {k: c for k, c in enumerate(acc, lo) if c}
-    return out
+    return HalfSeries._make({k: c for k, c in enumerate(acc, lo) if c}, lo, hi)
 
 
 class HalfSeries:
-    """One Laurent series in q^(1/2) with a finite exactness window."""
+    """One Laurent series in q^(1/2) with a finite exactness window.
+    ``coeffs`` holds the nonzero terms on [lo, hi] in ascending exponent
+    order."""
 
     __slots__ = ("coeffs", "lo", "hi")
 
     def __init__(self, coeffs, lo: int, hi: int):
+        """Keeps the nonzero terms of ``coeffs`` up to hi, in ascending
+        order.  A term below lo raises DomainError, naming the least."""
         self.lo = lo
         self.hi = hi
         self.coeffs = {}
-        for k, c in coeffs.items():
+        for k, c in sorted(coeffs.items()):
             if k < lo:
                 raise DomainError(f"stored exponent {k} below window start {lo}")
-            if c and k <= hi:
+            if k > hi:
+                break
+            if c:
                 self.coeffs[k] = c
+
+    @classmethod
+    def _make(cls, coeffs: dict, lo: int, hi: int) -> "HalfSeries":
+        """The series with the terms ``coeffs``, already nonzero, on [lo, hi]
+        and in ascending order, taken as they are."""
+        s = cls.__new__(cls)
+        s.coeffs, s.lo, s.hi = coeffs, lo, hi
+        return s
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, lo: int, hi: int) -> "HalfSeries":
-        return cls({}, lo, hi)
+        return cls._make({}, lo, hi)
 
     @classmethod
     def one(cls, hi: int) -> "HalfSeries":
@@ -114,7 +138,7 @@ class HalfSeries:
     # -- inspection ----------------------------------------------------------
 
     def items(self):
-        return sorted(self.coeffs.items())
+        return list(self.coeffs.items())
 
     def coeff(self, k: int):
         """Coefficient of q^(k/2); raises outside the certified window."""
@@ -142,9 +166,7 @@ class HalfSeries:
         return HalfSeries(out, min(self.lo, other.lo), min(self.hi, other.hi))
 
     def __neg__(self):
-        s = HalfSeries.zero(self.lo, self.hi)
-        s.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return s
+        return HalfSeries._make({k: -c for k, c in self.coeffs.items()}, self.lo, self.hi)
 
     def __sub__(self, other):
         if not isinstance(other, HalfSeries):
@@ -153,10 +175,8 @@ class HalfSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            s = HalfSeries.zero(self.lo, self.hi)
-            if other:
-                s.coeffs = {k: c * other for k, c in self.coeffs.items()}
-            return s
+            terms = {k: c * other for k, c in self.coeffs.items()} if other else {}
+            return HalfSeries._make(terms, self.lo, self.hi)
         if not isinstance(other, HalfSeries):
             return NotImplemented
         return _sum_of_products([(self, other)])
@@ -164,8 +184,8 @@ class HalfSeries:
     __rmul__ = __mul__
 
     def shifted(self, dk: int) -> "HalfSeries":
-        return HalfSeries({k + dk: c for k, c in self.coeffs.items()},
-                          self.lo + dk, self.hi + dk)
+        return HalfSeries._make({k + dk: c for k, c in self.coeffs.items()},
+                                self.lo + dk, self.hi + dk)
 
     # -- comparison ----------------------------------------------------------
 
@@ -178,7 +198,7 @@ class HalfSeries:
     __hash__ = None
 
     def __repr__(self):
-        return f"HalfSeries({dict(self.items())!r}, {self.lo}, {self.hi})"
+        return f"HalfSeries({self.coeffs!r}, {self.lo}, {self.hi})"
 
 
 def _sub_boxes(gamma_max: DimVector):
@@ -229,6 +249,14 @@ class MultiSeries:
             raise DomainError(f"the pieces are not exactly the truncation box {self.gamma_max}")
         self.pieces = pieces
 
+    @classmethod
+    def _make(cls, gamma_max: tuple, pieces: dict[DimVector, HalfSeries]) -> "MultiSeries":
+        """The series with ``pieces``, whose keys are already exactly the
+        box of the tuple ``gamma_max``, taken as they are."""
+        m = cls.__new__(cls)
+        m.gamma_max, m.pieces = gamma_max, pieces
+        return m
+
     def _check_compatible(self, other):
         if self.gamma_max != other.gamma_max:
             raise DomainError("mismatched truncation boxes")
@@ -241,33 +269,33 @@ class MultiSeries:
         position from g's sub-box (``_sub_boxes``): prod_i (g_i + 1) pairs
         per piece."""
         self._check_compatible(other)
-        keys = sorted(self.pieces)    # __init__ made the keys the box: lex order
+        keys = sorted(self.pieces)    # the keys are the box: lex order
         a = [self.pieces[g] for g in keys]
         b = [other.pieces[g] for g in keys]
         out = {}
         for g, sub in zip(keys, _sub_boxes(self.gamma_max)):
             f = sub[-1]
             out[g] = _sum_of_products([(a[d], b[f - d]) for d in sub])
-        return MultiSeries(self.gamma_max, out)
+        return MultiSeries._make(self.gamma_max, out)
 
     def inverse(self) -> "MultiSeries":
         """Inverse of a series whose x^0 piece is 1 on its window [0, h]:
-        out_0 = A_0, out_g = -sum_(0 < d <= g) A_d out_(g-d), walking g in
-        lex order.  For 0 != d <= g, flat(g - d) = flat(g) - flat(d) <
-        flat(g), so every out_(g-d) is ready when out_g needs it.  Each piece
-        reads its pairs by flat position and is one accumulation with the
-        hi cutoff, as in ``__mul__``.  out_0 keeps the window [0, h] of A_0,
-        which caps every out_g at h + lo, as the factor 1/A_0 must (see the
-        module docstring)."""
+        out_0 = A_0, out_g = sum_(0 < d <= g) (-A_d) out_(g-d), walking g in
+        lex order, with each -A_d taken once.  For 0 != d <= g, flat(g - d)
+        = flat(g) - flat(d) < flat(g), so every out_(g-d) is ready when out_g
+        needs it.  Each piece reads its pairs by flat position and is one
+        accumulation with the hi cutoff, as in ``__mul__``.  out_0 keeps the
+        window [0, h] of A_0, which caps every out_g at h + lo, as the factor
+        1/A_0 must (see the module docstring)."""
         keys = sorted(self.pieces)
-        a = [self.pieces[g] for g in keys]
-        unit = a[0]
+        unit = self.pieces[keys[0]]
         if unit.lo or unit.coeffs != {0: 1}:
             raise DomainError("generating series must have x^0 piece 1")
+        minus = [unit] + [-self.pieces[g] for g in keys[1:]]   # index 0 is never read
         out = [unit]
         subs = _sub_boxes(self.gamma_max)
         next(subs)
         for sub in subs:
             f = sub[-1]
-            out.append(-_sum_of_products([(a[d], out[f - d]) for d in sub[1:]]))
-        return MultiSeries(self.gamma_max, dict(zip(keys, out)))
+            out.append(_sum_of_products([(minus[d], out[f - d]) for d in sub[1:]]))
+        return MultiSeries._make(self.gamma_max, dict(zip(keys, out)))

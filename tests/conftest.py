@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
-from quivercoha import Quiver
+from quivercoha import HalfSeries, Quiver
 
 
 def from_rows(rows):
@@ -65,6 +67,28 @@ def agree(a, b):
     """Two HalfSeries agree coefficientwise on the overlap of their windows."""
     return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0)
                for k in range(min(a.lo, b.lo), min(a.hi, b.hi) + 1))
+
+
+def in_order(s):
+    """The terms of a HalfSeries are strictly ascending in exponent, nonzero
+    and inside its window [lo, hi]."""
+    keys = list(s.coeffs)
+    return (all(k1 < k2 for k1, k2 in zip(keys, keys[1:])) and all(s.coeffs.values())
+            and all(s.lo <= k <= s.hi for k in keys))
+
+
+@st.composite
+def small_series(draw):
+    """A series with a window of width -2..8 (below 0: empty, hi < lo), its
+    terms inserted in a random exponent order."""
+    lo = draw(st.integers(-4, 2))
+    width = draw(st.integers(-2, 8))
+    exponents = draw(st.permutations(range(lo, lo + max(width, 0) + 1)))
+    coeffs = {}
+    for k in exponents:
+        if draw(st.booleans()):
+            coeffs[k] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    return HalfSeries(coeffs, lo, lo + width)
 
 
 @st.composite

@@ -7,10 +7,11 @@ from quivercoha import (DomainError, HalfSeries, MultiSeries, StructuralViolatio
                         build_generating_series, dt_report, enumerate_dim_vectors,
                         euler_form, plethystic_factor, prim_dims)
 from quivercoha.coha import Cell
-from quivercoha.dtseries import _inverse_pochhammers
+from quivercoha.dtseries import _inverse_pochhammers, _times_one_minus_q
 from quivercoha.quiver import dim_abs
 
-from conftest import S1, S2, S3, S4, SUITE, agree, from_rows, random_cells
+from conftest import (S1, S2, S3, S4, SUITE, agree, from_rows, in_order, random_cells,
+                      small_series)
 
 
 # -- Hilbert series ---------------------------------------------------------------
@@ -66,6 +67,16 @@ def test_inverse_pochhammers_count_partitions(width):
         one = s * _pochhammer(m, width)
         assert one.window() == (0, width)
         assert one.coeffs == {0: 1}
+
+
+@pytest.mark.parametrize("gmax", [[2, 1], (0, 2), (1, 0)])
+def test_generating_series_is_on_exactly_the_box(gmax):
+    # MultiSeries._make takes these pieces without the box-key check of the
+    # constructor; a list gamma_max is kept as a tuple
+    series = build_generating_series(S3, gmax, 6)
+    assert series.gamma_max == tuple(gmax)
+    assert series.pieces.keys() == set(enumerate_dim_vectors(gmax, include_zero=True))
+    assert all(in_order(s) for s in series.pieces.values())
 
 
 def test_hilbert_rejects_asymmetric():
@@ -190,6 +201,15 @@ def test_round_trip_rebuild(suite_quiver):
     assert not _rebuild_matches({**entries, (gamma, k): c + 1}, series)
 
 
+@given(small_series())
+def test_one_minus_q_step_is_the_product_with_one_minus_q(s):
+    # c_k - c_(k-2) on [lo, hi] against the product with 1 - q certified on
+    # [0, hi - lo]: window and terms, empty windows included
+    step = _times_one_minus_q(s)
+    assert step == s * HalfSeries({0: 1, 2: -1}, 0, s.hi - s.lo)
+    assert step.window() == s.window() and in_order(step)
+
+
 def test_extraction_needs_unit_constant_term():
     series = build_generating_series(S1, (2,), 10)
     # the x^0 piece must be 1 on its window (a unit on a finite window caps
@@ -260,6 +280,13 @@ def test_dt_report_windows_sound_and_lowest_term_is_one(case):
             if not s.is_zero():
                 assert min(s.coeffs) == chi, gamma
                 assert s.coeff(chi) == 1, gamma
+
+
+@settings(deadline=None, max_examples=30)
+@given(random_cells())
+def test_dt_report_terms_are_in_ascending_order(case):
+    quiver, gmax = case
+    assert all(in_order(s) for s in dt_report(quiver, gmax, 8).values())
 
 
 # -- the central cross-check: series extraction vs linear algebra -------------------

@@ -6,21 +6,7 @@ from hypothesis import example, given, strategies as st
 from quivercoha import DomainError, HalfSeries, MultiSeries
 from quivercoha.quiver import dim_sub, enumerate_dim_vectors
 
-from conftest import agree
-
-
-@st.composite
-def small_series(draw):
-    """A series with a window of width -2..8 (below 0: empty, hi < lo), its
-    terms inserted in a random exponent order."""
-    lo = draw(st.integers(-4, 2))
-    width = draw(st.integers(-2, 8))
-    exponents = draw(st.permutations(range(lo, lo + max(width, 0) + 1)))
-    coeffs = {}
-    for k in exponents:
-        if draw(st.booleans()):
-            coeffs[k] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-    return HalfSeries(coeffs, lo, lo + width)
+from conftest import agree, in_order, small_series
 
 
 # 1-, 2- and 3-vertex boxes, zero entries such as (0, 2, 1) among them
@@ -135,6 +121,30 @@ def test_product_equals_all_pairs_reference(a, b):
     # also for exact series and empty windows
     assert a * b == _brute_product(a, b)
     assert b * a == _brute_product(b, a)
+
+
+# -- the order invariant: terms ascending, nonzero, inside the window ----------
+
+@given(st.dictionaries(st.integers(-3, 12), st.integers(-2, 2)), st.integers(-2, 12),
+       small_series(), small_series(), st.integers(-3, 3), st.integers(-5, 5))
+def test_every_series_keeps_its_terms_in_ascending_order(raw, hi, a, b, n, dk):
+    # the constructor sorts an unordered dict, drops zeros and terms above
+    # hi, and names the least exponent below lo; every operation keeps order
+    below = sorted(k for k in raw if k < 0)
+    if below:
+        with pytest.raises(DomainError, match=f"stored exponent {below[0]} below"):
+            HalfSeries(raw, 0, hi)
+        raw = {k: c for k, c in raw.items() if k >= 0}
+    built = HalfSeries(raw, 0, hi)
+    assert in_order(built)
+    assert built.coeffs == {k: c for k, c in raw.items() if c and k <= hi}
+    for s in (a + b, a - b, -a, a * b, b * a, a * n, n * a, a.shifted(dk)):
+        assert in_order(s)
+
+
+def test_below_window_error_names_the_least_exponent():
+    with pytest.raises(DomainError, match=r"^stored exponent -5 below window start 0$"):
+        HalfSeries({3: 1, -2: 1, -5: 4, -1: 0}, 0, 4)
 
 
 @st.composite
@@ -309,3 +319,16 @@ def test_narrowing_one_piece_never_widens_a_window(pair, data):
             w, n = wide.pieces[d], narrow.pieces[d]
             assert w.lo <= n.lo and n.hi <= w.hi, d
             assert agree(n, w), d
+
+
+@given(BOXES.flatmap(lambda box: st.tuples(small_multiseries(box),
+                                           small_multiseries(box))))
+@example((_ZERO_ENTRY, _ZERO_ENTRY))
+def test_products_and_inverses_are_ordered_pieces_on_exactly_the_box(pair):
+    # MultiSeries._make takes the pieces of a product or inverse without the
+    # box-key check of the constructor, so the keys are checked here
+    a, b = pair
+    box = set(enumerate_dim_vectors(a.gamma_max, include_zero=True))
+    for s in (a * b, b * a, a.inverse()):
+        assert s.gamma_max == a.gamma_max and s.pieces.keys() == box
+        assert all(in_order(p) for p in s.pieces.values())

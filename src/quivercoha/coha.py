@@ -43,15 +43,23 @@ tests' shuffle-by-shuffle oracle and goldens, by ``Cell.read``'s term count
 and by the series route in every ``check-freeness`` cell.
 
 K depends only on the split, and ``decomposable_dim`` multiplies the pairs
-of one split in a row, so the product keeps one plan, that of the last
-(quiver, gamma1, gamma2) it saw: gamma, K, the slots of each factor's
-variables and the slots p of the chain.  The checks that the quiver is
-symmetric and that both gammas fit it run when a plan is built, so a
-product of a known split is two ``reindex`` calls, two multiplications and
-the steps.  A plan is built once per (cell, split): the cells of a gamma
-visit the same splits again, so ``check-freeness`` on the doubled
-2-Kronecker quiver (gamma-max 3,2, qtrunc 10) builds 28 kernels for 14
-splits, and on the 2-loop quiver (gamma-max 4, qtrunc 16) 8 for 4.
+of one split in a row, so the products keep one plan, that of the last
+(quiver, gamma1, gamma2) they saw: gamma, K, each factor's placement, the
+slots p of the chain and the sign psi(gamma1, gamma2) mod 2 of
+``sign_twist``.  A placement is the bit fields that move a factor's keys to
+its slots (``poly._placement``).  The checks that the quiver is symmetric,
+that both gammas fit it and that each placement is an injective map into
+gamma's slots run when a plan is built, so a product of a known split is
+two bit-field moves (``poly._place``), two multiplications and the steps,
+and ``twisted_product`` reads its sign off the same plan.  Both reach the
+plan through one accessor, which builds a new plan when the slot holds
+another split's, also when one has replaced it between the two reads.  A
+plan is built once per (cell, split): the cells of a gamma visit the same
+splits again, so ``check-freeness`` on the doubled 2-Kronecker quiver
+(gamma-max 3,2, qtrunc 10) builds 28 kernels for 14 splits, and on the
+2-loop quiver (gamma-max 4, qtrunc 16) 8 for 4.  A plan per split of the
+gamma would save those rebuilds at the cost of holding every kernel of
+the gamma at once.
 
 K is built from its binomials: its terms are multiplied by x''_s - x'_r,
 a_ij times for each pair of slots, by adding the unit keys of x''_s and of
@@ -121,21 +129,23 @@ from itertools import accumulate, permutations
 from math import factorial, prod
 
 from .errors import DomainError, StructuralViolationError
-from .poly import ColoredPoly, _pack, exact_divide
+from .poly import ColoredPoly, _pack, _place, _placement, exact_divide
 from .quiver import DimVector, Quiver, dim_add, sign_twist
 
 
-# ((quiver, gamma1, gamma2), plan) of the last split the product saw (see the
-# module docstring).  It is read once and replaced whole, so a product never
-# pairs one split's key with another's plan, even when threads share it.
+# ((quiver, gamma1, gamma2), plan) of the last split the products saw (see
+# the module docstring).  It is read once and replaced whole, so a product
+# never pairs one split's key with another's plan, even when threads share it.
 _last_plan = (None, None)
 
 
 def _split_plan(quiver: Quiver, g1: DimVector, g2: DimVector):
-    """(gamma, K, the slots of f's variables, those of g's, the slots p of
-    the steps d_p in chain order) for the split gamma1 + gamma2, after
-    checking that the quiver is symmetric, that both gammas fit it and that
-    K's exponents fit the packing (see the module docstring)."""
+    """(gamma, K, the placement of f's variables, that of g's, the slots p
+    of the steps d_p in chain order, the sign psi(gamma1, gamma2) mod 2) for
+    the split gamma1 + gamma2, after checking that the quiver is symmetric,
+    that both gammas fit it and that K's exponents fit the packing (see the
+    module docstring).  A placement is the bit fields ``poly._placement``
+    builds, and checks, for the factor's slots."""
     if not quiver.is_symmetric:
         raise DomainError("the Hall product is implemented for symmetric quivers")
     quiver.check_dim(g1)
@@ -173,8 +183,22 @@ def _split_plan(quiver: Quiver, g1: DimVector, g2: DimVector):
     kernel = ColoredPoly._make(gamma, terms)
     steps = [p for i in range(n) for r in reversed(range(g1[i]))
              for p in range(offs[i] + r, offs[i] + r + g2[i])]
-    return (gamma, kernel, tuple(v for slots in firsts for v in slots),
-            tuple(v for slots in seconds for v in slots), steps)
+    return (gamma, kernel,
+            _placement(sum(g1), gamma, [v for slots in firsts for v in slots]),
+            _placement(sum(g2), gamma, [v for slots in seconds for v in slots]),
+            steps, sign_twist(quiver, g1, g2))
+
+
+def _plan(quiver: Quiver, g1: DimVector, g2: DimVector):
+    """The plan of the split gamma1 + gamma2 over ``quiver``: the one in the
+    slot when its key is this split, else a new one, which replaces it."""
+    global _last_plan
+    split = (quiver, g1, g2)
+    key, plan = _last_plan
+    if key != split:
+        plan = _split_plan(*split)
+        _last_plan = (split, plan)
+    return plan
 
 
 def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> ColoredPoly:
@@ -185,24 +209,18 @@ def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
     passes (see the module docstring).  The factors are trusted to be
     block-symmetric; a quiver that is not symmetric, or a gamma that does
     not fit it, raises DomainError."""
-    global _last_plan
-    split = (quiver, f.gamma, g.gamma)
-    key, plan = _last_plan
-    if key != split:
-        plan = _split_plan(*split)
-        _last_plan = (split, plan)
-    gamma, kernel, firsts, seconds, steps = plan
-    poly = (g.reindex(gamma, seconds) * kernel) * f.reindex(gamma, firsts)
+    gamma, kernel, f_fields, g_fields, steps, _ = _plan(quiver, f.gamma, g.gamma)
+    poly = (_place(g, gamma, g_fields) * kernel) * _place(f, gamma, f_fields)
     for p in steps:
         poly = exact_divide(poly, p)
     return poly
 
 
 def twisted_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> ColoredPoly:
-    """Hall product over ``quiver`` twisted by (-1)^psi(gamma1, gamma2);
-    supercommutative for the Z-grading."""
+    """Hall product over ``quiver`` twisted by (-1)^psi(gamma1, gamma2), the
+    sign the split's plan ends with; supercommutative for the Z-grading."""
     fg = shuffle_product(f, g, quiver=quiver)
-    return -fg if sign_twist(quiver, f.gamma, g.gamma) else fg
+    return -fg if _plan(quiver, f.gamma, g.gamma)[-1] else fg
 
 
 # -- bases -------------------------------------------------------------------

@@ -121,16 +121,37 @@ def _residual(echelon: dict[int, list[int]], row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+# ((quiver, gamma), splits) of the last gamma whose cells ``_product_rows``
+# walked.  It is read once and replaced whole, like ``coha``'s plan slot.
+_last_splits = (None, None)
+
+
+def _splits(quiver: Quiver, gamma: DimVector) -> tuple:
+    """(gamma1, gamma2, chi(gamma1, gamma2)) for one split of each
+    {gamma1, gamma2} of gamma, gamma1 in increasing (|gamma1|, lex) order,
+    the one of the two that comes first: the slot's list when its key is
+    (quiver, gamma), else a new one, which replaces it."""
+    global _last_splits
+    key, splits = _last_splits
+    if key != (quiver, gamma):
+        splits = []
+        for g1 in enumerate_dim_vectors(gamma)[:-1]:
+            g2 = dim_sub(gamma, g1)
+            if (sum(g1), g1) <= (sum(g2), g2):   # else the split {g2, g1} came first
+                splits.append((g1, g2, euler_form(quiver, g1, g2)))
+        splits = tuple(splits)
+        _last_splits = ((quiver, gamma), splits)
+    return splits
+
+
 def _product_rows(quiver: Quiver, cell: Cell, reduce):
     """The twisted products that land in the cell, one split of each
     {gamma1, gamma2} and d1 in increasing order, complement shapes on the
-    left, each as ``reduce`` gives its coordinates modulo p1 H."""
-    gamma = cell.gamma
-    for g1 in enumerate_dim_vectors(gamma)[:-1]:
-        g2 = dim_sub(gamma, g1)
-        if (sum(g1), g1) > (sum(g2), g2):   # the split {g2, g1} came first
-            continue
-        total = cell.d + euler_form(quiver, g1, g2)
+    left, each as ``reduce`` gives its coordinates modulo p1 H.  The splits
+    and their chi(gamma1, gamma2) depend on gamma alone, so the cells of one
+    gamma read them from ``_splits``."""
+    for g1, g2, chi in _splits(quiver, cell.gamma):
+        total = cell.d + chi
         for d1 in range(total + 1):
             d2 = total - d1
             if g1 == g2 and d1 > d2:

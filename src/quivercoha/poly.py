@@ -182,43 +182,7 @@ class ColoredPoly:
 
     __hash__ = None
 
-    # -- substitution and symmetry -----------------------------------------
-
-    def reindex(self, new_gamma: DimVector, var_map) -> "ColoredPoly":
-        """Map variable v of self to variable var_map[v] of the new set.
-
-        The map must be injective; this is the substitution used to place a
-        factor's variables into chosen slots of a product.  Each maximal run
-        of consecutive variables that land on consecutive slots moves as one
-        bit field of the key, ((key >> s) & mask) << t, so a map that keeps
-        the order of a whole block moves it as one field.
-        """
-        new_gamma = tuple(new_gamma)
-        nv_new = sum(new_gamma)
-        var_map = tuple(var_map)
-        nvars = self.nvars
-        if len(var_map) != nvars:
-            raise DomainError("variable map length mismatch")
-        if len(set(var_map)) != len(var_map):
-            raise DomainError("variable substitution must be injective")
-        if any(not 0 <= v < nv_new for v in var_map):
-            raise DomainError("variable map target out of range")
-        fields = []   # (source shift, mask, target shift) per run v..w-1
-        v = 0
-        while v < nvars:
-            w = v + 1
-            while w < nvars and var_map[w] == var_map[w - 1] + 1:
-                w += 1
-            fields.append((8 * (nvars - w), (1 << 8 * (w - v)) - 1,
-                           8 * (nv_new - var_map[v] - (w - v))))
-            v = w
-        out = {}
-        for k, c in self._terms.items():
-            key = 0
-            for s, m, t in fields:
-                key |= (k >> s & m) << t
-            out[key] = c
-        return ColoredPoly._make(new_gamma, out)
+    # -- symmetry ----------------------------------------------------------
 
     def is_block_symmetric(self) -> bool:
         """Invariance under permuting variables within each color block.
@@ -259,6 +223,49 @@ class ColoredPoly:
 
     def __repr__(self):
         return f"ColoredPoly(gamma={self.gamma}, {self.canonical_str()})"
+
+
+def _placement(nvars: int, new_gamma: DimVector, var_map) -> tuple:
+    """The bit fields that move variable v of a set of nvars variables to
+    variable var_map[v] of the set declared by new_gamma, for ``_place``:
+    (source shift, mask, target shift) per maximal run of consecutive
+    variables that land on consecutive slots, so a map that keeps the order
+    of a whole block moves it as one field.  The map must be injective and
+    into the new set, or DomainError is raised; this is the check of a
+    substitution that places a factor's variables into chosen slots of a
+    product, made once per map."""
+    nv_new = sum(new_gamma)
+    var_map = tuple(var_map)
+    if len(var_map) != nvars:
+        raise DomainError("variable map length mismatch")
+    if len(set(var_map)) != len(var_map):
+        raise DomainError("variable substitution must be injective")
+    if any(not 0 <= v < nv_new for v in var_map):
+        raise DomainError("variable map target out of range")
+    fields = []
+    v = 0
+    while v < nvars:
+        w = v + 1
+        while w < nvars and var_map[w] == var_map[w - 1] + 1:
+            w += 1
+        fields.append((8 * (nvars - w), (1 << 8 * (w - v)) - 1,
+                       8 * (nv_new - var_map[v] - (w - v))))
+        v = w
+    return tuple(fields)
+
+
+def _place(f: ColoredPoly, new_gamma: DimVector, fields) -> ColoredPoly:
+    """f on the variable set of new_gamma, each key moved by the bit fields
+    that ``_placement`` built for f's variable count and new_gamma:
+    ((key >> s) & mask) << t per field.  The fields are trusted, so this is
+    one pass over f's terms with no check."""
+    out = {}
+    for k, c in f._terms.items():
+        key = 0
+        for s, m, t in fields:
+            key |= (k >> s & m) << t
+        out[key] = c
+    return ColoredPoly._make(new_gamma, out)
 
 
 def exact_divide(f: ColoredPoly, p: int) -> ColoredPoly:

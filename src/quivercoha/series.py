@@ -62,11 +62,13 @@ def _sum_of_products(pairs) -> "HalfSeries":
     accumulation: the window of the chain of products and sums, lo = the
     least lo1 + lo2 and hi = the least min(hi1 + lo2, hi2 + lo1), comes
     first, in one pass over the pairs.  When no pair has terms in both
-    factors the sum is the empty series on that window.  Otherwise s2 is
-    walked as stored, in ascending exponent order, and left at the first
-    k1 + k2 above hi, so no term pair above hi is visited.  Each visited
-    k = k1 + k2 lies on [lo, hi] and adds into a dense list at index k - lo,
-    whose nonzero entries are the result's terms in ascending order."""
+    factors the sum is the empty series on that window.  Otherwise both
+    are walked as stored, in ascending exponent order: s2 is left at the
+    first k1 + k2 above hi, and s1 at the first k1 above hi minus s2's first
+    (least) exponent, so no term pair above hi is visited, and a pair with
+    an empty s2 is skipped.  Each visited k = k1 + k2 lies on [lo, hi] and
+    adds into a dense list at index k - lo, whose nonzero entries are the
+    result's terms in ascending order."""
     lo = hi = None
     live = False
     for s1, s2 in pairs:
@@ -85,9 +87,15 @@ def _sum_of_products(pairs) -> "HalfSeries":
     top = hi - lo
     acc = [0] * (top + 1)
     for s1, s2 in pairs:
-        terms2 = s2.coeffs.items()
+        terms2 = s2.coeffs
+        if not terms2:
+            continue
+        last = top - next(iter(terms2))   # the least k2 comes first
+        terms2 = terms2.items()
         for k1, c1 in s1.coeffs.items():
             k1 -= lo
+            if k1 > last:
+                break
             for k2, c2 in terms2:
                 k = k1 + k2
                 if k > top:

@@ -63,6 +63,14 @@ def poly_from_terms(gamma, terms):
     return out
 
 
+def reindex(p, new_gamma, var_map):
+    """p with variable v moved to variable var_map[v] of the set declared by
+    new_gamma: the checked fields of ``poly._placement``, applied by
+    ``poly._place``, as a split plan applies them."""
+    from quivercoha.poly import _place, _placement
+    return _place(p, new_gamma, _placement(p.nvars, new_gamma, var_map))
+
+
 def agree(a, b):
     """Two HalfSeries agree coefficientwise on the overlap of their windows."""
     return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0)

@@ -11,8 +11,10 @@ from quivercoha import (ColoredPoly, DomainError, LimitExceededError, Quiver,
                         parse_colored_poly, shuffle_product, sign_twist, twisted_product)
 from quivercoha import coha
 from quivercoha.coha import Cell, complement_basis
+from quivercoha.poly import _place
 
-from conftest import S1, S2, S3, SUITE, arrow_matrix, from_rows, poly_from_terms
+from conftest import (S1, S2, S3, S4, SUITE, arrow_matrix, from_rows, poly_from_terms,
+                      reindex)
 
 
 def elt(gamma, text):
@@ -425,8 +427,7 @@ def _shuffle_oracle(quiver, a, b):
         firsts = [[offs[i] + r for r in pick[i]] for i in range(n)]
         seconds = [[offs[i] + s for s in range(gamma[i]) if s not in pick[i]]
                    for i in range(n)]
-        summand = (a.reindex(gamma, sum(firsts, []))
-                   * b.reindex(gamma, sum(seconds, [])))
+        summand = reindex(a, gamma, sum(firsts, [])) * reindex(b, gamma, sum(seconds, []))
         for i in range(n):
             summand = summand * vandermonde(firsts[i]) * vandermonde(seconds[i])
             for j in range(n):
@@ -537,9 +538,10 @@ def _kernel_splits(draw):
 def test_kernel_is_the_product_of_its_binomials(split):
     # K = prod (x''_s - x'_r)^a_ij, f's variables x' on the first gamma1^i
     # slots of each block and g's x'' on the rest, built by the ring
-    # operations
+    # operations; the stored placements put them there, and the stored sign
+    # is psi(gamma1, gamma2)
     quiver, g1, g2 = split
-    gamma, kernel, firsts, seconds, _ = coha._split_plan(quiver, g1, g2)
+    gamma, kernel, f_fields, g_fields, _, sign = coha._split_plan(quiver, g1, g2)
     xs = [ColoredPoly.variable(gamma, i, s)
           for i, size in enumerate(gamma) for s in range(1, size + 1)]
     offs = [sum(gamma[:i]) for i in range(len(gamma))]
@@ -549,10 +551,13 @@ def test_kernel_is_the_product_of_its_binomials(split):
             for s in range(offs[j] + g1[j], offs[j] + gamma[j]):
                 expected = expected * (xs[s] + -xs[r]) ** a_ij
     assert kernel == expected
-    assert firsts == tuple(v for i in range(len(gamma))
-                           for v in range(offs[i], offs[i] + g1[i]))
-    assert seconds == tuple(v for i in range(len(gamma))
-                            for v in range(offs[i] + g1[i], offs[i] + gamma[i]))
+    for i in range(len(gamma)):
+        for s in range(1, g1[i] + 1):
+            assert _place(ColoredPoly.variable(g1, i, s), gamma, f_fields) == xs[offs[i] + s - 1]
+        for s in range(1, g2[i] + 1):
+            assert (_place(ColoredPoly.variable(g2, i, s), gamma, g_fields)
+                    == xs[offs[i] + g1[i] + s - 1])
+    assert sign == sign_twist(quiver, g1, g2)
 
 
 def test_kernel_over_the_packing_limit_is_refused_before_it_is_built():
@@ -589,3 +594,37 @@ def test_split_plan_checks_and_follows_every_new_split(monkeypatch):
         monkeypatch.setattr(coha, "_last_plan", (None, None))
         quiver, a, b = calls[j]
         assert shuffle_product(a, b, quiver=quiver) == product
+
+
+def test_twisted_product_takes_the_sign_of_its_own_split(monkeypatch):
+    # twisted_product reads psi from the plan slot after its shuffle_product
+    # has filled it; on interleaved splits of both signs, and when another
+    # split's plan replaces the slot between the two reads, the sign must be
+    # that of its own split
+    rng = random.Random("twisted-sign")
+    mixed1 = from_rows([[1, 1], [1, 0]])
+    calls = [(quiver, _random_symmetric(rng, g1, 1), _random_symmetric(rng, g2, 1))
+             for quiver in (S4, mixed1)
+             for g1, g2 in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 1)),
+                            ((1, 1), (1, 0)))]
+    signs = [sign_twist(q, a.gamma, b.gamma) for q, a, b in calls]
+    assert 0 in signs and 1 in signs
+    order = [0, 1, 4, 2, 5, 3, 7, 6, 0, 0, 2]
+    twisted = [twisted_product(a, b, quiver=q) for q, a, b in map(calls.__getitem__, order)]
+    shuffled = [shuffle_product(a, b, quiver=q) for q, a, b in calls]
+    for j, product in zip(order, twisted):
+        assert shuffled[j]
+        assert product == (-shuffled[j] if signs[j] else shuffled[j])
+    real = coha.shuffle_product
+    for other in (0, 1):   # a split of each sign takes the slot mid-call
+
+        def replacing(f, g, *, quiver):
+            fg = real(f, g, quiver=quiver)
+            q, a, b = calls[other]
+            real(a, b, quiver=q)
+            return fg
+
+        monkeypatch.setattr(coha, "shuffle_product", replacing)
+        for j, (q, a, b) in enumerate(calls):
+            assert twisted_product(a, b, quiver=q) == (
+                -shuffled[j] if signs[j] else shuffled[j])

@@ -12,7 +12,7 @@ from quivercoha import cli, freeness
 from quivercoha.coha import Cell, complement_basis
 from quivercoha.freeness import exact_rank
 
-from conftest import S1, S2, S4, agree, poly_from_terms, random_cells
+from conftest import S1, S2, S4, agree, from_rows, poly_from_terms, random_cells
 
 
 # -- exact rank ----------------------------------------------------------------
@@ -160,6 +160,40 @@ def test_decomposable_dim_certifies_the_kept_rows(monkeypatch):
     monkeypatch.setattr(freeness, "_residual", lambda echelon, row: row)
     with pytest.raises(StructuralViolationError, match=r"gamma=\(2, 2\), d=4"):
         decomposable_dim(S4, cell)
+
+
+def test_split_list_follows_every_new_gamma_and_quiver(monkeypatch):
+    # the cells of one gamma share one split list, kept for the last
+    # (quiver, gamma): cells of interleaved gammas, and of one gamma on two
+    # quivers whose chi(gamma1, gamma2) differ, must each get the dimension
+    # of a call that builds its list afresh
+    mixed1 = from_rows([[1, 1], [1, 0]])
+    mixed3 = from_rows([[3, 1], [1, 0]])
+    cells = [(quiver, Cell(gamma, d)) for quiver in (mixed1, mixed3)
+             for gamma, d in (((2, 1), 1), ((2, 1), 3), ((1, 2), 2), ((2, 2), 2))]
+    order = [0, 2, 1, 4, 5, 0, 3, 7, 6, 1, 5, 2]
+    interleaved = [decomposable_dim(*cells[j]) for j in order]
+    for j, dim in zip(order, interleaved):
+        monkeypatch.setattr(freeness, "_last_splits", (None, None))
+        assert decomposable_dim(*cells[j]) == dim
+
+
+def test_split_list_is_built_once_per_gamma(monkeypatch):
+    # prim_dims on the doubled Kronecker quiver at (3,2) visits 6 cells; the
+    # split list, 5 splits with their chi(gamma1, gamma2), is built once for
+    # all of them, and prim_dims reads chi(gamma, gamma) once itself
+    calls = {"enumerate_dim_vectors": 0, "euler_form": 0}
+    for name in calls:
+        real = getattr(freeness, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(freeness, name, counted)
+    monkeypatch.setattr(freeness, "_last_splits", (None, None))
+    assert prim_dims(S4, (3, 2), -1).coeffs == {-11: 1, -9: 1, -7: 2, -5: 1}
+    assert calls == {"enumerate_dim_vectors": 1, "euler_form": 1 + 5}
 
 
 BENCH_QUIVERS = Path(__file__).resolve().parent.parent / "bench" / "quivers"

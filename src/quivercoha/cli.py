@@ -227,7 +227,7 @@ def run_check_freeness(cfg: RunConfig) -> tuple[int, dict]:
     all_ok = True
     for gamma in enumerate_dim_vectors(cfg.gamma_max):
         chi = euler_form(cfg.quiver, gamma, gamma)
-        ser = omegas[gamma]
+        ser = omegas.pop(gamma)   # freed once its cells are compared
         # only cells inside both windows are compared, so the linear side
         # stops where the series window does
         if ser.hi < chi:

@@ -38,14 +38,16 @@ sends a certified window [lo, hi] to [r lo, r hi] (the exponents in between
 that are not multiples of r are certified zero), so no window needs a
 separate cap.
 
-That A_0 is certified on [0, qtrunc] only moves no window.  A_d and
-graded_d = |d| A_d sit on [chi_d, chi_d + qtrunc], and lo(out_g) is the
-least chi_d + lo(out_(g-d)) over d != 0.  In the inverse, the pair (A_d,
-out_(g-d)) bounds out_g by qtrunc + chi_d + lo(out_(g-d)), so the cap
-qtrunc + lo(out_g) that 1/A_0 puts on out_g repeats the bound of the d that
-attains lo(out_g).  In M = A^(-1) DA, the pair (out_g, graded_0) adds the
-bound qtrunc + lo(out_g), which the pair (out_(g-d), graded_d) of that same
-d already gives.
+That A_0 is certified on [0, qtrunc] only moves no window.  A_d sits on
+[chi_d, chi_d + qtrunc], and lo(out_g) is the least chi_d + lo(out_(g-d))
+over d != 0.  In the inverse, the pair (A_d, out_(g-d)) bounds out_g by
+qtrunc + chi_d + lo(out_(g-d)), so the cap qtrunc + lo(out_g) that 1/A_0
+puts on out_g repeats the bound of the d that attains lo(out_g).  In M =
+-D(A^(-1)) A, -|g| out_g keeps the window of out_g, and the pair (A_0,
+-|g| out_g) adds the bound qtrunc + lo(out_g), which the pair (A_d, -|g-d|
+out_(g-d)) of that same d already gives.  Each pair (A_(g-d), -|d| out_d)
+has the windows of the pair (out_d, |g-d| A_(g-d)) of A^(-1) DA, so both
+forms certify the same windows.
 """
 
 
@@ -109,9 +111,12 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
 
     The Euler grading D: x^g -> |g| x^g is a derivation, so D log A =
     A^(-1) DA and (log A)_g = M_g / |g| with M = A^(-1) DA, one inverse and
-    one product of ``MultiSeries``.  Moebius inversion of log A =
-    sum_{gamma, r} psi_r(Omega(gamma) / (1 - q)) x^(r gamma) / r over the r
-    dividing every entry of gamma, with r |gamma/r| = |gamma|, gives
+    one product of ``MultiSeries``.  Since A^(-1) A = 1, D(A^(-1)) A +
+    A^(-1) DA = 0, and M is taken as -D(A^(-1)) A (``_log_derivative``), so
+    only three box-sized series are alive at once: A, the inverse and M.
+    Moebius inversion of log A = sum_{gamma, r} psi_r(Omega(gamma) /
+    (1 - q)) x^(r gamma) / r over the r dividing every entry of gamma, with
+    r |gamma/r| = |gamma|, gives
 
         Omega(gamma) = (1 - q) / |gamma| * sum_{r | gamma} mu(r) psi_r(M_(gamma/r)).
 
@@ -123,9 +128,7 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
     quotient raises StructuralViolationError and an empty window raises
     DomainError.
     """
-    graded = MultiSeries._make(series.gamma_max,
-                               {g: s * dim_abs(g) for g, s in series.pieces.items()})
-    log_derivative = series.inverse() * graded
+    log_derivative = _log_derivative(series)
     omegas = {}
     for gamma in enumerate_dim_vectors(series.gamma_max):
         total = log_derivative.pieces[gamma]
@@ -156,6 +159,21 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
                 "larger qtrunc")
         omegas[gamma] = col
     return omegas
+
+
+def _log_derivative(series: MultiSeries) -> MultiSeries:
+    """M = A^(-1) DA as -D(A^(-1)) A: each piece of the inverse is replaced
+    by itself times -|g|, piece 0 by the empty series on its window, and A
+    is multiplied by the result.  Piece 0 of the inverse is A's own piece-0
+    object, so it is replaced, never changed, and A is left as it is.  The
+    inverse is freed on return.  A is the first factor, so the pair (A_0,
+    -|g| out_g) of each piece walks out_g in one inner loop, where the other
+    order would start an inner loop over A_0 per term of out_g."""
+    inverse = series.inverse()
+    pieces = inverse.pieces
+    for g in pieces:
+        pieces[g] = pieces[g] * -dim_abs(g)
+    return series * inverse
 
 
 def _times_one_minus_q(s: HalfSeries) -> HalfSeries:

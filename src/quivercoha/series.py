@@ -19,8 +19,7 @@ negation, integer multiples and ``shifted``; in ``dtseries`` the inverse
 Pochhammers, ``_adams``, the (1 - q) step and the extracted counts.  A sum
 merges two orders, so it goes through the constructor.  Likewise
 ``MultiSeries._make`` skips the box-key check for the series that are built
-on their box: products, inverses, ``build_generating_series`` and the
-graded series of ``plethystic_factor``.
+on their box: products, inverses and ``build_generating_series``.
 
 Every product, of two ``HalfSeries`` or of two ``MultiSeries``, is one
 accumulation (``_sum_of_products``): a piece (A B)_g = sum_(d <= g) A_d

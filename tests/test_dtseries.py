@@ -210,6 +210,18 @@ def test_one_minus_q_step_is_the_product_with_one_minus_q(s):
     assert step.window() == s.window() and in_order(step)
 
 
+@given(random_cells())
+def test_extraction_leaves_its_argument_unchanged(case):
+    # piece 0 of the inverse is A's own piece-0 object, and the log
+    # derivative scales the inverse's pieces in place: every piece of A,
+    # that one included, is compared against a copy taken before the call
+    quiver, gmax = case
+    series = build_generating_series(quiver, gmax, 8)
+    before = {g: HalfSeries(dict(s.coeffs), s.lo, s.hi) for g, s in series.pieces.items()}
+    plethystic_factor(series)
+    assert series.gamma_max == gmax and series.pieces == before
+
+
 def test_extraction_needs_unit_constant_term():
     series = build_generating_series(S1, (2,), 10)
     # the x^0 piece must be 1 on its window (a unit on a finite window caps

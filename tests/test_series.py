@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from quivercoha import DomainError, HalfSeries, MultiSeries
-from quivercoha.quiver import dim_sub, enumerate_dim_vectors
+from quivercoha.dtseries import _log_derivative
+from quivercoha.quiver import dim_abs, dim_sub, enumerate_dim_vectors
 
 from conftest import agree, in_order, small_series
 
@@ -298,6 +299,17 @@ def test_multiseries_inverse_equals_piecewise_reference(a):
     for g in rest:
         ref[g] = _brute_product(_convolution_piece(others, ref, g), minus_inverse_unit)
     assert a.inverse().pieces == ref
+
+
+@given(BOXES.flatmap(small_multiseries))
+@example(_ZERO_ENTRY)
+def test_minus_derivative_of_the_inverse_times_a_is_the_log_derivative(a):
+    # D: x^g -> |g| x^g is a derivation and A^(-1) A = 1, so -D(A^(-1)) A =
+    # A^(-1) DA; each pair of the one has the windows of a pair of the other,
+    # so the two agree on coeffs, lo and hi, piece by piece
+    box = enumerate_dim_vectors(a.gamma_max, include_zero=True)
+    graded = MultiSeries(a.gamma_max, {g: a.pieces[g] * dim_abs(g) for g in box})
+    assert _log_derivative(a).pieces == (a.inverse() * graded).pieces
 
 
 @given(BOXES.flatmap(lambda box: st.tuples(small_multiseries(box),

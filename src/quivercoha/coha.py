@@ -44,17 +44,17 @@ and by the series route in every ``check-freeness`` cell.
 
 K depends only on the split, and ``decomposable_dim`` multiplies the pairs
 of one split in a row, so the products keep one plan, that of the last
-(quiver, gamma1, gamma2) they saw: gamma, K, each factor's placement, the
-slots p of the chain and the sign psi(gamma1, gamma2) mod 2 of
-``sign_twist``.  A placement is the bit fields that move a factor's keys to
-its slots (``poly._placement``).  The checks that the quiver is symmetric,
-that both gammas fit it and that each placement is an injective map into
-gamma's slots run when a plan is built, so a product of a known split is
-two bit-field moves (``poly._place``), two multiplications and the steps,
-and ``twisted_product`` reads its sign off the same plan.  Both reach the
-plan through one accessor, which builds a new plan when the slot holds
-another split's, also when one has replaced it between the two reads.  A
-plan is built once per (cell, split): the cells of a gamma visit the same
+(quiver, gamma1, gamma2) they saw (``_split_plan``, a one-entry
+``lru_cache``): gamma, K, each factor's placement, the slots p of the chain
+and the sign psi(gamma1, gamma2) mod 2 of ``sign_twist``.  A placement is
+the bit fields that move a factor's keys to its slots (``poly._placement``).
+The checks that the quiver is symmetric, that both gammas fit it and that
+each placement is an injective map into gamma's slots run when a plan is
+built, so a product of a known split is two bit-field moves
+(``poly._place``), two multiplications and the steps, and
+``twisted_product`` reads its sign off the same plan, which is built anew
+when another split's has replaced it between the two reads.  A plan is
+built once per (cell, split): the cells of a gamma visit the same
 splits again, so ``check-freeness`` on the doubled 2-Kronecker quiver
 (gamma-max 3,2, qtrunc 10) builds 28 kernels for 14 splits, and on the
 2-loop quiver (gamma-max 4, qtrunc 16) 8 for 4.  A plan per split of the
@@ -125,6 +125,7 @@ layout.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, permutations
 from math import factorial, prod
 
@@ -133,12 +134,7 @@ from .poly import ColoredPoly, _pack, _place, _placement, exact_divide
 from .quiver import DimVector, Quiver, dim_add, sign_twist
 
 
-# ((quiver, gamma1, gamma2), plan) of the last split the products saw (see
-# the module docstring).  It is read once and replaced whole, so a product
-# never pairs one split's key with another's plan, even when threads share it.
-_last_plan = (None, None)
-
-
+@lru_cache(maxsize=1)   # the last split's plan (see the module docstring)
 def _split_plan(quiver: Quiver, g1: DimVector, g2: DimVector):
     """(gamma, K, the placement of f's variables, that of g's, the slots p
     of the steps d_p in chain order, the sign psi(gamma1, gamma2) mod 2) for
@@ -189,18 +185,6 @@ def _split_plan(quiver: Quiver, g1: DimVector, g2: DimVector):
             steps, sign_twist(quiver, g1, g2))
 
 
-def _plan(quiver: Quiver, g1: DimVector, g2: DimVector):
-    """The plan of the split gamma1 + gamma2 over ``quiver``: the one in the
-    slot when its key is this split, else a new one, which replaces it."""
-    global _last_plan
-    split = (quiver, g1, g2)
-    key, plan = _last_plan
-    if key != split:
-        plan = _split_plan(*split)
-        _last_plan = (split, plan)
-    return plan
-
-
 def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> ColoredPoly:
     """The Hall product of f in H_gamma1 and g in H_gamma2 over ``quiver``,
     an element of H_(gamma1 + gamma2), as a chain of divided differences of
@@ -209,7 +193,7 @@ def shuffle_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
     passes (see the module docstring).  The factors are trusted to be
     block-symmetric; a quiver that is not symmetric, or a gamma that does
     not fit it, raises DomainError."""
-    gamma, kernel, f_fields, g_fields, steps, _ = _plan(quiver, f.gamma, g.gamma)
+    gamma, kernel, f_fields, g_fields, steps, _ = _split_plan(quiver, f.gamma, g.gamma)
     poly = (_place(g, gamma, g_fields) * kernel) * _place(f, gamma, f_fields)
     for p in steps:
         poly = exact_divide(poly, p)
@@ -220,7 +204,7 @@ def twisted_product(f: ColoredPoly, g: ColoredPoly, *, quiver: Quiver) -> Colore
     """Hall product over ``quiver`` twisted by (-1)^psi(gamma1, gamma2), the
     sign the split's plan ends with; supercommutative for the Z-grading."""
     fg = shuffle_product(f, g, quiver=quiver)
-    return -fg if _plan(quiver, f.gamma, g.gamma)[-1] else fg
+    return -fg if _split_plan(quiver, f.gamma, g.gamma)[-1] else fg
 
 
 # -- bases -------------------------------------------------------------------

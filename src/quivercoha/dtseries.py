@@ -30,9 +30,9 @@ psi_(rs), so log A = sum_gamma sum_r x^(r gamma) psi_r(Omega(gamma) /
 reads Omega off log A in closed form (see ``plethystic_factor``).
 
 All windows are tracked exactly: a k outside the reported window is
-unknown, never silently zero.  Each 1/(q;q)_m is certified on [0, qtrunc]
-by its closed form (partition counts, see ``_inverse_pochhammers``), and so
-is A_0 = 1; every other window is the one ``HalfSeries`` and
+unknown, never silently zero.  Each P_gamma is certified on [chi, chi +
+qtrunc] by its closed form (partition counts, see ``build_generating_series``),
+A_0 = 1 among them; every other window is the one ``HalfSeries`` and
 ``MultiSeries`` arithmetic certifies for the sums and products, and psi_r
 sends a certified window [lo, hi] to [r lo, r hi] (the exponents in between
 that are not multiples of r are certified zero), so no window needs a
@@ -61,11 +61,37 @@ from .series import HalfSeries, MultiSeries
 
 
 def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> MultiSeries:
-    """A = sum_{gamma <= gamma_max} P_gamma(q) x^gamma."""
+    """A = sum_{gamma <= gamma_max} P_gamma(q) x^gamma, built in one walk
+    of the box in (|gamma|, lex) order.
+
+    P_0 = 1 on [0, qtrunc].  Any other gamma has a last vertex j with
+    gamma^j = m > 0, and gamma - e_j comes earlier in the walk.  Since
+    (q;q)_m = (q;q)_(m-1) (1 - q^m), the counts of P_gamma are those of
+    P_(gamma - e_j) divided by 1 - q^m: one in-place pass of the partition
+    recurrence c(n) += c(n - m), n = m, ..., qtrunc // 2 (Andrews, *The
+    Theory of Partitions*, ch. 1).  c(n) is the coefficient of q^n in
+    prod_i 1/(q;q)_(gamma^i), counted at its stored exponent chi + 2n, chi =
+    chi(gamma, gamma), in half-units.  Each c(n) reads only c(n') with n' <=
+    n, so cutting at n = qtrunc // 2 leaves every stored count exact, and
+    the exponents chi + 2n + 1 in between are zero: the window is [chi, chi
+    + qtrunc], the same width for every gamma.  Every count is positive, as
+    each such product has the factor 1/(1 - q).  No ``HalfSeries`` product
+    is made, and no table is kept beside the pieces."""
     _check_grading(quiver, gamma_max, qtrunc)
-    inv = _inverse_pochhammers(max(gamma_max), qtrunc)
-    pieces = {g: _hilbert(quiver, g, inv)
-              for g in enumerate_dim_vectors(gamma_max, include_zero=True)}
+    box = enumerate_dim_vectors(gamma_max, include_zero=True)
+    pieces = {box[0]: HalfSeries.one(qtrunc)}
+    for gamma in box[1:]:
+        j = max(i for i, size in enumerate(gamma) if size)
+        m = gamma[j]
+        below = pieces[gamma[:j] + (m - 1,) + gamma[j + 1:]]
+        counts = [0] * (qtrunc // 2 + 1)
+        for k, c in below.coeffs.items():
+            counts[(k - below.lo) // 2] = c
+        for n in range(m, len(counts)):
+            counts[n] += counts[n - m]
+        chi = euler_form(quiver, gamma, gamma)
+        pieces[gamma] = HalfSeries._make({chi + 2 * n: c for n, c in enumerate(counts)},
+                                         chi, chi + qtrunc)
     return MultiSeries._make(tuple(gamma_max), pieces)
 
 
@@ -75,34 +101,6 @@ def _check_grading(quiver: Quiver, gamma: DimVector, qtrunc: int) -> None:
         raise DomainError("qtrunc must be >= 0")
     if not quiver.is_symmetric:
         raise DomainError("Hilbert series uses the symmetric-quiver grading")
-
-
-def _hilbert(quiver: Quiver, gamma: DimVector, inv: list[HalfSeries]) -> HalfSeries:
-    """P_gamma from the inverse Pochhammers of ``_inverse_pochhammers``,
-    which must reach max(gamma): the product of inv[gamma^i] over the support
-    of gamma, shifted by chi.  Every inv[m] sits on [0, qtrunc], so each
-    product keeps that window, and the factors inv[0] = 1 on [0, qtrunc] of
-    the other vertices change nothing; P_0 = inv[0]."""
-    factors = [inv[size] for size in gamma if size] or [inv[0]]
-    series = factors[0]
-    for factor in factors[1:]:
-        series = series * factor
-    return series.shifted(euler_form(quiver, gamma, gamma))
-
-
-def _inverse_pochhammers(mmax: int, width: int) -> list[HalfSeries]:
-    """[1/(q;q)_m for m <= mmax], each certified on [0, width].
-
-    The coefficient of q^n in 1/(q;q)_m is p_m(n), the number of partitions
-    of n into parts of size at most m, and p_m(n) = p_(m-1)(n) + p_m(n - m)
-    (Andrews, *The Theory of Partitions*, ch. 1)."""
-    counts = [1] + [0] * (width // 2)
-    out = [HalfSeries.one(hi=width)]
-    for m in range(1, mmax + 1):
-        for n in range(m, len(counts)):
-            counts[n] += counts[n - m]
-        out.append(HalfSeries._make({2 * n: c for n, c in enumerate(counts)}, 0, width))
-    return out
 
 
 def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:

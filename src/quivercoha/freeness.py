@@ -65,6 +65,7 @@ freeness theorem.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .coha import Cell, basis, complement_basis, twisted_product
@@ -121,27 +122,17 @@ def _residual(echelon: dict[int, list[int]], row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-# ((quiver, gamma), splits) of the last gamma whose cells ``_product_rows``
-# walked.  It is read once and replaced whole, like ``coha``'s plan slot.
-_last_splits = (None, None)
-
-
+@lru_cache(maxsize=1)   # the last gamma's list, like ``coha``'s plan
 def _splits(quiver: Quiver, gamma: DimVector) -> tuple:
     """(gamma1, gamma2, chi(gamma1, gamma2)) for one split of each
     {gamma1, gamma2} of gamma, gamma1 in increasing (|gamma1|, lex) order,
-    the one of the two that comes first: the slot's list when its key is
-    (quiver, gamma), else a new one, which replaces it."""
-    global _last_splits
-    key, splits = _last_splits
-    if key != (quiver, gamma):
-        splits = []
-        for g1 in enumerate_dim_vectors(gamma)[:-1]:
-            g2 = dim_sub(gamma, g1)
-            if (sum(g1), g1) <= (sum(g2), g2):   # else the split {g2, g1} came first
-                splits.append((g1, g2, euler_form(quiver, g1, g2)))
-        splits = tuple(splits)
-        _last_splits = ((quiver, gamma), splits)
-    return splits
+    the one of the two that comes first."""
+    splits = []
+    for g1 in enumerate_dim_vectors(gamma)[:-1]:
+        g2 = dim_sub(gamma, g1)
+        if (sum(g1), g1) <= (sum(g2), g2):   # else the split {g2, g1} came first
+            splits.append((g1, g2, euler_form(quiver, g1, g2)))
+    return tuple(splits)
 
 
 def _product_rows(quiver: Quiver, cell: Cell, reduce):

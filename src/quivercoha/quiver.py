@@ -53,10 +53,10 @@ class Quiver:
     in (i, j) order: the constructor sums duplicate pairs and drops zeros.
     ``neighbours[v]`` maps each u joined to v to a_uv + a_vu, so the a_vv
     loops at v appear under u = v, counted twice.  ``is_symmetric`` (a_ij =
-    a_ji for all i, j) is decided once, here.
+    a_ji for all i, j) and the hash are computed once, here.
     """
 
-    __slots__ = ("vertex_count", "arrows", "neighbours", "is_symmetric", "_mult")
+    __slots__ = ("vertex_count", "arrows", "neighbours", "is_symmetric", "_mult", "_hash")
 
     def __init__(self, vertex_count: int, arrows=()):
         if vertex_count < 0:
@@ -79,6 +79,7 @@ class Quiver:
         init("neighbours", neighbours)
         init("is_symmetric", all(mult.get((j, i)) == m for (i, j), m in mult.items()))
         init("_mult", mult)   # (i, j) -> a_ij, for the forms' lookups
+        init("_hash", hash((vertex_count, self.arrows)))   # O(1) cache-key lookups
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Quiver is immutable: cannot set {name!r}")
@@ -90,7 +91,7 @@ class Quiver:
                                  and self.arrows == other.arrows)
 
     def __hash__(self):
-        return hash((self.vertex_count, self.arrows))
+        return self._hash
 
     def __repr__(self):
         return f"Quiver(vertex_count={self.vertex_count}, arrows={self.arrows!r})"

@@ -15,8 +15,8 @@ A ``HalfSeries`` keeps its terms in ascending exponent order, each one
 nonzero and inside [lo, hi].  The public constructor sorts and filters what
 it is given.  Results built in that order already are taken as they are by
 the private ``HalfSeries._make``: here products (``_sum_of_products``),
-negation, integer multiples and ``shifted``; in ``dtseries`` the inverse
-Pochhammers, ``_adams``, the (1 - q) step and the extracted counts.  A sum
+negation and integer multiples; in ``dtseries`` the generating series'
+pieces, ``_adams``, the (1 - q) step and the extracted counts.  A sum
 merges two orders, so it goes through the constructor.  Likewise
 ``MultiSeries._make`` skips the box-key check for the series that are built
 on their box: products, inverses and ``build_generating_series``.
@@ -189,10 +189,6 @@ class HalfSeries:
         return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
-
-    def shifted(self, dk: int) -> "HalfSeries":
-        return HalfSeries._make({k + dk: c for k, c in self.coeffs.items()},
-                                self.lo + dk, self.hi + dk)
 
     # -- comparison ----------------------------------------------------------
 

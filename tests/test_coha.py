@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
+from operator import ne
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -502,20 +503,16 @@ def test_kernel_slot_follows_the_split_and_the_quiver():
         assert shuffle_product(a, b, quiver=quiver) * vandermonde == numerator
 
 
-def test_kernel_is_built_once_per_split(monkeypatch):
-    # the kernel is built with the split's plan, so plans count builds
-    plans = []
-    real = coha._split_plan
-    monkeypatch.setattr(coha, "_last_plan", (None, None))   # no split left by other tests
-    monkeypatch.setattr(coha, "_split_plan", lambda *split: plans.append(split) or real(*split))
+def test_kernel_is_built_once_per_split():
+    # the kernel is built with the split's plan, so plan misses count builds
+    coha._split_plan.cache_clear()   # no split left by other tests
     x, one = elt((1,), "x"), elt((1,), "1")
     shuffle_product(elt((2,), "1"), one, quiver=S2)
-    built = len(plans)
-    assert built == 1          # one plan, with K, for the split (2,) + (1,)
+    assert coha._split_plan.cache_info().misses == 1   # one plan, with K, for (2,) + (1,)
     shuffle_product(elt((2,), "x0_1 + x0_2"), x, quiver=S2)
-    assert len(plans) == built
+    assert coha._split_plan.cache_info().misses == 1
     shuffle_product(one, elt((2,), "1"), quiver=S2)
-    assert len(plans) == 2 * built
+    assert coha._split_plan.cache_info().misses == 2
 
 
 @st.composite
@@ -569,7 +566,7 @@ def test_kernel_over_the_packing_limit_is_refused_before_it_is_built():
         shuffle_product(elt((2,), "1"), elt((1,), "1"), quiver=quiver)
 
 
-def test_split_plan_checks_and_follows_every_new_split(monkeypatch):
+def test_split_plan_checks_and_follows_every_new_split():
     # the checks run only when a plan is built, so a split that differs from
     # the last valid one in the quiver alone, or in a gamma alone, must still
     # raise; and interleaved splits on two quivers with the same dimension
@@ -589,9 +586,13 @@ def test_split_plan_checks_and_follows_every_new_split(monkeypatch):
              for quiver in (mixed1, mixed3)
              for g1, g2 in (((1, 0), (1, 1)), ((1, 1), (1, 0)), ((2, 0), (0, 1)))]
     order = [0, 3, 1, 4, 0, 2, 5, 3, 3, 1]
+    coha._split_plan.cache_clear()
     interleaved = [shuffle_product(a, b, quiver=q) for q, a, b in map(calls.__getitem__, order)]
+    # a new plan for the first call and each change of split: 3, 3 is one plan
+    keys = [(q, a.gamma, b.gamma) for q, a, b in map(calls.__getitem__, order)]
+    assert coha._split_plan.cache_info().misses == 1 + sum(map(ne, keys, keys[1:])) == 9
     for j, product in zip(order, interleaved):
-        monkeypatch.setattr(coha, "_last_plan", (None, None))
+        coha._split_plan.cache_clear()
         quiver, a, b = calls[j]
         assert shuffle_product(a, b, quiver=quiver) == product
 

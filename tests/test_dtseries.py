@@ -7,7 +7,7 @@ from quivercoha import (DomainError, HalfSeries, MultiSeries, StructuralViolatio
                         build_generating_series, dt_report, enumerate_dim_vectors,
                         euler_form, plethystic_factor, prim_dims)
 from quivercoha.coha import Cell
-from quivercoha.dtseries import _inverse_pochhammers, _times_one_minus_q
+from quivercoha.dtseries import _times_one_minus_q
 from quivercoha.quiver import dim_abs
 
 from conftest import (S1, S2, S3, S4, SUITE, agree, from_rows, in_order, random_cells,
@@ -54,19 +54,55 @@ def _pochhammer(m, hi):
 
 @pytest.mark.parametrize("width", [0, 3, 40])
 def test_inverse_pochhammers_count_partitions(width):
-    # the coefficient of q^n in 1/(q;q)_m counts partitions of n into parts
-    # of size at most m: all of them when n <= m, floor(n/2) + 1 when m = 2
-    inv = _inverse_pochhammers(6, width)
-    assert len(inv) == 7
-    for m, s in enumerate(inv):
-        for n in range(width // 2 + 1):
-            if n <= m:
-                assert s.coeff(2 * n) == [1, 1, 2, 3, 5, 7, 11][n]
-            if m == 2:
-                assert s.coeff(2 * n) == n // 2 + 1
-        one = s * _pochhammer(m, width)
-        assert one.window() == (0, width)
-        assert one.coeffs == {0: 1}
+    # on one vertex P_m = q^(chi/2) / (q;q)_m, and the coefficient of
+    # q^(chi/2 + n) counts partitions of n into parts of size at most m:
+    # all of them when n <= m, floor(n/2) + 1 when m = 2; chi = m^2 without
+    # loops and -m^2 with two
+    for quiver in (S1, S2):
+        pieces = build_generating_series(quiver, (6,), width).pieces
+        assert list(pieces) == [(m,) for m in range(7)]
+        for (m,), s in pieces.items():
+            chi = euler_form(quiver, (m,), (m,))
+            assert s.window() == (chi, chi + width)
+            for n in range(width // 2 + 1):
+                if n <= m:
+                    assert s.coeff(chi + 2 * n) == [1, 1, 2, 3, 5, 7, 11][n]
+                if m == 2:
+                    assert s.coeff(chi + 2 * n) == n // 2 + 1
+            one = s * _pochhammer(m, width)
+            assert one.window() == (chi, chi + width)
+            assert one.coeffs == {chi: 1}
+
+
+@st.composite
+def _generating_boxes(draw):
+    """A symmetric quiver on 1-3 vertices, loops and edges of multiplicity
+    <= 2, a box with entries <= 3, zero axes and the zero box included, and
+    a qtrunc of 0-20, odd ones included."""
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 2))
+    gmax = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return from_rows(rows), gmax, draw(st.integers(0, 20))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_generating_boxes())
+def test_every_piece_times_its_pochhammers_is_one_monomial(case):
+    # P_gamma prod_i (q;q)_(gamma^i) = q^(chi/2) on [chi, chi + qtrunc],
+    # chi = chi(gamma, gamma), the products taken as HalfSeries products
+    quiver, gmax, qtrunc = case
+    series = build_generating_series(quiver, gmax, qtrunc)
+    assert list(series.pieces) == enumerate_dim_vectors(gmax, include_zero=True)
+    for gamma, s in series.pieces.items():
+        chi = euler_form(quiver, gamma, gamma)
+        assert s.window() == (chi, chi + qtrunc)
+        assert in_order(s)
+        for size in gamma:
+            s = s * _pochhammer(size, qtrunc)
+        assert s == HalfSeries({chi: 1}, chi, chi + qtrunc), gamma
 
 
 @pytest.mark.parametrize("gmax", [[2, 1], (0, 2), (1, 0)])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import ne
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from quivercoha import (ColoredPoly, DomainError, StructuralViolationError, basis,
                         decomposable_dim, enumerate_dim_vectors, euler_form, prim_dims,
                         twisted_product)
-from quivercoha import cli, freeness
+from quivercoha import cli, coha, freeness
 from quivercoha.coha import Cell, complement_basis
 from quivercoha.freeness import exact_rank
 
@@ -162,7 +163,7 @@ def test_decomposable_dim_certifies_the_kept_rows(monkeypatch):
         decomposable_dim(S4, cell)
 
 
-def test_split_list_follows_every_new_gamma_and_quiver(monkeypatch):
+def test_split_list_follows_every_new_gamma_and_quiver():
     # the cells of one gamma share one split list, kept for the last
     # (quiver, gamma): cells of interleaved gammas, and of one gamma on two
     # quivers whose chi(gamma1, gamma2) differ, must each get the dimension
@@ -172,9 +173,13 @@ def test_split_list_follows_every_new_gamma_and_quiver(monkeypatch):
     cells = [(quiver, Cell(gamma, d)) for quiver in (mixed1, mixed3)
              for gamma, d in (((2, 1), 1), ((2, 1), 3), ((1, 2), 2), ((2, 2), 2))]
     order = [0, 2, 1, 4, 5, 0, 3, 7, 6, 1, 5, 2]
+    freeness._splits.cache_clear()
     interleaved = [decomposable_dim(*cells[j]) for j in order]
+    # a new list for the first cell and each change of (quiver, gamma)
+    keys = [(quiver, cell.gamma) for quiver, cell in map(cells.__getitem__, order)]
+    assert freeness._splits.cache_info().misses == 1 + sum(map(ne, keys, keys[1:]))
     for j, dim in zip(order, interleaved):
-        monkeypatch.setattr(freeness, "_last_splits", (None, None))
+        freeness._splits.cache_clear()
         assert decomposable_dim(*cells[j]) == dim
 
 
@@ -191,26 +196,28 @@ def test_split_list_is_built_once_per_gamma(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(freeness, name, counted)
-    monkeypatch.setattr(freeness, "_last_splits", (None, None))
+    freeness._splits.cache_clear()
     assert prim_dims(S4, (3, 2), -1).coeffs == {-11: 1, -9: 1, -7: 2, -5: 1}
     assert calls == {"enumerate_dim_vectors": 1, "euler_form": 1 + 5}
+    assert freeness._splits.cache_info().misses == 1
 
 
 BENCH_QUIVERS = Path(__file__).resolve().parent.parent / "bench" / "quivers"
 
 
-@pytest.mark.parametrize("quiver, gamma_max, qtrunc, products", [
-    ("loop2.json", "4", "16", 30),
-    ("kronecker2_doubled.json", "3,2", "10", 112),
+@pytest.mark.parametrize("quiver, gamma_max, qtrunc, products, kernels, splits", [
+    ("loop2.json", "4", "16", 30, 8, 4),
+    ("kronecker2_doubled.json", "3,2", "10", 112, 28, 14),
 ], ids=["freeness_loop2", "freeness_kronecker"])
 def test_products_stop_at_the_complement_count(monkeypatch, quiver, gamma_max, qtrunc,
-                                               products):
+                                               products, kernels, splits):
     # the benchmark's freeness workloads: a cell computes no product once its
     # kept rows number its complement columns (47 and 153 products without
-    # the stop rule)
+    # the stop rule); the one-plan cache builds one kernel per (cell, split),
+    # the counts of the coha docstring
     real_dim, real_residual, real_product = (
         freeness.decomposable_dim, freeness._residual, freeness.twisted_product)
-    state = {"products": 0}
+    state = {"products": 0, "splits": set()}
 
     def dim(quiver, cell):
         below, _ = cell.p1_reducer()
@@ -225,16 +232,20 @@ def test_products_stop_at_the_complement_count(monkeypatch, quiver, gamma_max, q
     def product(f, g, *, quiver):
         assert state["kept"] < state["ncols"]
         state["products"] += 1
+        state["splits"].add((f.gamma, g.gamma))
         return real_product(f, g, quiver=quiver)
 
     monkeypatch.setattr(freeness, "decomposable_dim", dim)
     monkeypatch.setattr(freeness, "_residual", residual)
     monkeypatch.setattr(freeness, "twisted_product", product)
+    coha._split_plan.cache_clear()
     code, _ = cli.run(cli.load_config([
         "--quiver", str(BENCH_QUIVERS / quiver), "--mode", "check-freeness",
         "--gamma-max", gamma_max, "--qtrunc", qtrunc]))
     assert code == 0
     assert state["products"] == products
+    assert len(state["splits"]) == splits
+    assert coha._split_plan.cache_info().misses == kernels
 
 
 # -- generator series --------------------------------------------------------------

@@ -127,8 +127,8 @@ def test_product_equals_all_pairs_reference(a, b):
 # -- the order invariant: terms ascending, nonzero, inside the window ----------
 
 @given(st.dictionaries(st.integers(-3, 12), st.integers(-2, 2)), st.integers(-2, 12),
-       small_series(), small_series(), st.integers(-3, 3), st.integers(-5, 5))
-def test_every_series_keeps_its_terms_in_ascending_order(raw, hi, a, b, n, dk):
+       small_series(), small_series(), st.integers(-3, 3))
+def test_every_series_keeps_its_terms_in_ascending_order(raw, hi, a, b, n):
     # the constructor sorts an unordered dict, drops zeros and terms above
     # hi, and names the least exponent below lo; every operation keeps order
     below = sorted(k for k in raw if k < 0)
@@ -139,7 +139,7 @@ def test_every_series_keeps_its_terms_in_ascending_order(raw, hi, a, b, n, dk):
     built = HalfSeries(raw, 0, hi)
     assert in_order(built)
     assert built.coeffs == {k: c for k, c in raw.items() if c and k <= hi}
-    for s in (a + b, a - b, -a, a * b, b * a, a * n, n * a, a.shifted(dk)):
+    for s in (a + b, a - b, -a, a * b, b * a, a * n, n * a):
         assert in_order(s)
 
 

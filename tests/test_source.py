@@ -2,9 +2,11 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "quivercoha"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "quivercoha"
 
 
 def test_library_has_no_bare_assert():
@@ -169,4 +171,22 @@ def test_byte_conversions_name_their_byteorder():
             if len(node.args) + len(named & {"length", "bytes", "byteorder"}) < 2 \
                     or len(node.args) < 2 and "byteorder" not in named:
                 found.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    assert found == []
+
+
+def test_sources_compile_without_warnings():
+    # an invalid escape sequence such as "\d" in a plain string is a
+    # DeprecationWarning up to 3.11, shown by no test run, and a SyntaxWarning
+    # from 3.12; compiling in memory, with warnings as errors, catches both
+    paths = sorted(path for top in ("src", "tests", "bench")
+                   for path in (ROOT / top).rglob("*.py"))
+    found = []
+    for path in paths:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
+            except (SyntaxError, Warning) as exc:
+                found.append(f"{path.relative_to(ROOT)}: {exc}")
+    assert paths
     assert found == []

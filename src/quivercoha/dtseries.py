@@ -32,11 +32,11 @@ reads Omega off log A in closed form (see ``plethystic_factor``).
 All windows are tracked exactly: a k outside the reported window is
 unknown, never silently zero.  Each P_gamma is certified on [chi, chi +
 qtrunc] by its closed form (partition counts, see ``build_generating_series``),
-A_0 = 1 among them; every other window is the one ``HalfSeries`` and
-``MultiSeries`` arithmetic certifies for the sums and products, and psi_r
-sends a certified window [lo, hi] to [r lo, r hi] (the exponents in between
-that are not multiples of r are certified zero), so no window needs a
-separate cap.
+A_0 = 1 among them; the windows of M are the ones ``MultiSeries``
+products certify, psi_r sends a certified window [lo, hi] to [r lo, r hi]
+(the exponents in between that are not multiples of r are certified zero),
+and the Moebius sum takes the least lo and the least hi of its terms (see
+``plethystic_factor``), so no window needs a separate cap.
 
 That A_0 is certified on [0, qtrunc] only moves no window.  A_d sits on
 [chi_d, chi_d + qtrunc], and lo(out_g) is the least chi_d + lo(out_(g-d))
@@ -118,31 +118,47 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
 
         Omega(gamma) = (1 - q) / |gamma| * sum_{r | gamma} mu(r) psi_r(M_(gamma/r)).
 
+    Each Omega(gamma) is one pass over the r with mu(r) != 0.  psi_r sends
+    the window [lo_r, hi_r] of M_(gamma/r) to [r lo_r, r hi_r], and the sum
+    is certified on [lo, hi] = [min_r r lo_r, min_r r hi_r].  Every term
+    c q^(k/2) of M_(gamma/r) with r k <= hi adds mu(r) (-1)^((r+1)k) c into
+    one dense list at r k, which has two zero slots below lo.  Times 1 - q,
+    certified on [0, hi - lo], the window stays [lo, hi] and the coefficient
+    at k is the list's c_k - c_(k-2); no ``HalfSeries`` is built per r.
+
     A has integer coefficients and A_0 = 1, so M and the sum over r are
     integral, and the division by |gamma| is an exact integer division of
     each coefficient: freeness makes every c_{gamma,k} a non-negative
-    integer.  Every window is the one the series arithmetic certifies.
-    Walking gamma by (|gamma|, lex), a nonzero remainder or a negative
-    quotient raises StructuralViolationError and an empty window raises
-    DomainError.
+    integer.  Walking gamma by (|gamma|, lex), an empty window raises
+    DomainError and a nonzero remainder or a negative quotient raises
+    StructuralViolationError.
     """
-    log_derivative = _log_derivative(series)
+    log_derivative = _log_derivative(series).pieces
     omegas = {}
     for gamma in enumerate_dim_vectors(series.gamma_max):
-        total = log_derivative.pieces[gamma]
         divisor = gcd(*gamma)
-        for r in range(2, divisor + 1):
-            mu = _mobius(r)
-            if divisor % r or not mu:
-                continue
-            term = _adams(log_derivative.pieces[tuple(x // r for x in gamma)], r)
-            total = total + term if mu > 0 else total - term
-        # (1 - q) total = c_k - c_(k-2) on the window [lo, hi] of total, the
-        # window its product with 1 - q on [0, hi - lo] would certify
-        col = _times_one_minus_q(total)
+        terms = [(r, mu, log_derivative[tuple(x // r for x in gamma)])
+                 for r in range(1, divisor + 1) if not divisor % r and (mu := _mobius(r))]
+        lo = min(r * s.lo for r, _, s in terms)
+        hi = min(r * s.hi for r, _, s in terms)
+        if hi < lo:
+            raise DomainError(
+                f"certified window collapsed at gamma={gamma}; rerun with a "
+                "larger qtrunc")
+        base = lo - 2
+        acc = [0] * (hi - base + 1)   # the coefficient of q^(k/2) at k - base
+        for r, mu, s in terms:
+            odd_sign = mu if r % 2 else -mu   # psi_r flips the odd k when r is even
+            for k, c in s.coeffs.items():
+                if r * k > hi:
+                    break
+                acc[r * k - base] += odd_sign * c if k % 2 else mu * c
         size = dim_abs(gamma)
         counts = {}
-        for k, c in col.coeffs.items():
+        for k in range(lo, hi + 1):
+            c = acc[k - base] - acc[k - base - 2]
+            if not c:
+                continue
             count, rest = divmod(c, size)
             if rest or count < 0:
                 shown = f"{c}/{size}" if rest else count
@@ -150,12 +166,7 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
                     f"extracted multiplicity {shown} at gamma={gamma}, k={k} "
                     "is not a non-negative integer")
             counts[k] = count
-        col = HalfSeries._make(counts, col.lo, col.hi)
-        if col.window_empty():
-            raise DomainError(
-                f"certified window collapsed at gamma={gamma}; rerun with a "
-                "larger qtrunc")
-        omegas[gamma] = col
+        omegas[gamma] = HalfSeries._make(counts, lo, hi)
     return omegas
 
 
@@ -174,20 +185,6 @@ def _log_derivative(series: MultiSeries) -> MultiSeries:
     return series * inverse
 
 
-def _times_one_minus_q(s: HalfSeries) -> HalfSeries:
-    """(1 - q) s on the window [lo, hi] of s: the coefficient c_k - c_(k-2)
-    at each k of [lo, hi], c_(lo-2) = c_(lo-1) = 0 below the order bound.
-    That is the product with 1 - q certified on [0, hi - lo], whose window
-    is [lo + 0, min(hi + 0, (hi - lo) + lo)] = [lo, hi], with no product."""
-    get = s.coeffs.get
-    out = {}
-    for k in range(s.lo, s.hi + 1):
-        c = get(k, 0) - get(k - 2, 0)
-        if c:
-            out[k] = c
-    return HalfSeries._make(out, s.lo, s.hi)
-
-
 def _mobius(n: int) -> int:
     """The Moebius function mu(n), by trial division."""
     result, p = 1, 2
@@ -199,13 +196,6 @@ def _mobius(n: int) -> int:
             result = -result
         p += 1
     return -result if n > 1 else result
-
-
-def _adams(s: HalfSeries, r: int) -> HalfSeries:
-    """psi_r(q^(k/2)) = (-1)^((r+1)k) q^(rk/2), certified on [r lo, r hi]:
-    exponents off the multiples of r are zero."""
-    return HalfSeries._make({r * k: -c if (r + 1) * k % 2 else c for k, c in s.coeffs.items()},
-                            r * s.lo, r * s.hi)
 
 
 def dt_report(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -> dict[DimVector, HalfSeries]:

@@ -7,19 +7,19 @@ Every series carries a finite exactness window [lo, hi]:
   * on [lo, hi] the stored coefficients are exactly right,
   * above hi nothing is claimed.
 
-Arithmetic propagates windows: sums certify up to min(hi), products obey the
-convolution rule hi = min(hi1 + lo2, hi2 + lo1).  Recomputing with a wider
-window always agrees on the narrower one; tests rely on that.
+Arithmetic propagates windows: products obey the convolution rule hi =
+min(hi1 + lo2, hi2 + lo1).  Recomputing with a wider window always agrees
+on the narrower one; tests rely on that.  No two series are added: the one
+sum outside a product, the Moebius sum of ``dtseries``, is a dense list.
 
 A ``HalfSeries`` keeps its terms in ascending exponent order, each one
 nonzero and inside [lo, hi].  The public constructor sorts and filters what
 it is given.  Results built in that order already are taken as they are by
 the private ``HalfSeries._make``: here products (``_sum_of_products``),
 negation and integer multiples; in ``dtseries`` the generating series'
-pieces, ``_adams``, the (1 - q) step and the extracted counts.  A sum
-merges two orders, so it goes through the constructor.  Likewise
-``MultiSeries._make`` skips the box-key check for the series that are built
-on their box: products, inverses and ``build_generating_series``.
+pieces and the extracted counts.  Likewise ``MultiSeries._make`` skips the
+box-key check for the series that are built on their box: products,
+inverses and ``build_generating_series``.
 
 Every product, of two ``HalfSeries`` or of two ``MultiSeries``, is one
 accumulation (``_sum_of_products``): a piece (A B)_g = sum_(d <= g) A_d
@@ -50,10 +50,8 @@ starts the induction with hi = h + 0.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import DomainError
-from .quiver import DimVector
+from .quiver import DimVector, enumerate_dim_vectors
 
 
 def _sum_of_products(pairs) -> "HalfSeries":
@@ -135,10 +133,6 @@ class HalfSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, lo: int, hi: int) -> "HalfSeries":
-        return cls._make({}, lo, hi)
-
-    @classmethod
     def one(cls, hi: int) -> "HalfSeries":
         return cls({0: 1}, 0, hi)
 
@@ -148,7 +142,8 @@ class HalfSeries:
         return list(self.coeffs.items())
 
     def coeff(self, k: int):
-        """Coefficient of q^(k/2); raises outside the certified window."""
+        """Coefficient of q^(k/2): 0 below lo, the order bound, and
+        DomainError above hi."""
         if k > self.hi:
             raise DomainError(f"exponent {k} is beyond the certified window {self.window()}")
         return self.coeffs.get(k, 0)
@@ -159,26 +154,10 @@ class HalfSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def window_empty(self) -> bool:
-        return self.hi < self.lo
-
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, HalfSeries):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return HalfSeries(out, min(self.lo, other.lo), min(self.hi, other.hi))
 
     def __neg__(self):
         return HalfSeries._make({k: -c for k, c in self.coeffs.items()}, self.lo, self.hi)
-
-    def __sub__(self, other):
-        if not isinstance(other, HalfSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -248,7 +227,7 @@ class MultiSeries:
         """Any other key set than the box, a missing piece or a key of
         another length included, raises DomainError."""
         self.gamma_max = tuple(gamma_max)
-        if pieces.keys() != set(product(*(range(m + 1) for m in self.gamma_max))):
+        if pieces.keys() != set(enumerate_dim_vectors(self.gamma_max, include_zero=True)):
             raise DomainError(f"the pieces are not exactly the truncation box {self.gamma_max}")
         self.pieces = pieces
 

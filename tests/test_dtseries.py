@@ -1,17 +1,16 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivercoha import (DomainError, HalfSeries, MultiSeries, StructuralViolationError,
                         build_generating_series, dt_report, enumerate_dim_vectors,
                         euler_form, plethystic_factor, prim_dims)
 from quivercoha.coha import Cell
-from quivercoha.dtseries import _times_one_minus_q
+from quivercoha.dtseries import _log_derivative
 from quivercoha.quiver import dim_abs
 
-from conftest import (S1, S2, S3, S4, SUITE, agree, from_rows, in_order, random_cells,
-                      small_series)
+from conftest import S1, S2, S3, S4, SUITE, agree, from_rows, in_order, random_cells
 
 
 # -- Hilbert series ---------------------------------------------------------------
@@ -224,13 +223,47 @@ def test_round_trip_rebuild(suite_quiver):
     assert not _rebuild_matches({**entries, (gamma, k): c + 1}, series)
 
 
-@given(small_series())
-def test_one_minus_q_step_is_the_product_with_one_minus_q(s):
-    # c_k - c_(k-2) on [lo, hi] against the product with 1 - q certified on
-    # [0, hi - lo]: window and terms, empty windows included
-    step = _times_one_minus_q(s)
-    assert step == s * HalfSeries({0: 1, 2: -1}, 0, s.hi - s.lo)
-    assert step.window() == s.window() and in_order(step)
+def _moebius_formula(series):
+    """(1 - q) / |gamma| * sum_(r | gamma) mu(r) psi_r(M_(gamma/r)) for every
+    gamma of the box, built from HalfSeries: psi_r(M_(gamma/r)) on [r lo, r
+    hi], the sum on the least lo and the least hi of its terms, and the
+    product with 1 - q certified on [0, hi - lo]."""
+    pieces = _log_derivative(series).pieces
+    out = {}
+    for gamma in enumerate_dim_vectors(series.gamma_max):
+        divisor = gcd(*gamma)
+        terms = []
+        for r in range(1, divisor + 1):
+            mu = _mobius(r)
+            if divisor % r or not mu:
+                continue
+            m = pieces[tuple(x // r for x in gamma)]
+            terms.append(HalfSeries({r * k: mu * (-1) ** ((r + 1) * k % 2) * c
+                                     for k, c in m.items()}, r * m.lo, r * m.hi))
+        total = {}
+        for t in terms:
+            for k, c in t.items():
+                total[k] = total.get(k, 0) + c
+        lo, hi = min(t.lo for t in terms), min(t.hi for t in terms)
+        col = HalfSeries(total, lo, hi) * HalfSeries({0: 1, 2: -1}, 0, hi - lo)
+        size = dim_abs(gamma)
+        assert all(c % size == 0 for _, c in col.items()), gamma
+        out[gamma] = HalfSeries({k: c // size for k, c in col.items()}, col.lo, col.hi)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_cells(), st.integers(0, 20))
+@example((S1, (6,)), 13)
+@example((S2, (6,)), 20)
+def test_extraction_is_the_moebius_sum_times_one_minus_q(case, qtrunc):
+    # the one pass of plethystic_factor against the formula built from
+    # HalfSeries and a HalfSeries product, window and terms exactly, on
+    # boxes with zero axes and odd qtrunc too; the box (6,) brings in r = 2,
+    # 3 and 6, the even ones flipping odd exponents, and skips mu(4) = 0
+    quiver, gmax = case
+    series = build_generating_series(quiver, gmax, qtrunc)
+    assert plethystic_factor(series) == _moebius_formula(series)
 
 
 @given(random_cells())
@@ -249,7 +282,7 @@ def test_extraction_needs_unit_constant_term():
     series = build_generating_series(S1, (2,), 10)
     # the x^0 piece must be 1 on its window (a unit on a finite window caps
     # the inverse, see test_series)
-    for unit in (HalfSeries.zero(0, 10), HalfSeries({0: 2}, 0, 10),
+    for unit in (HalfSeries({}, 0, 10), HalfSeries({0: 2}, 0, 10),
                  HalfSeries({0: 1, 2: 1}, 0, 10)):
         broken = MultiSeries(series.gamma_max, {**series.pieces, (0,): unit})
         with pytest.raises(DomainError):
@@ -262,7 +295,7 @@ def test_extraction_refuses_a_negative_multiplicity():
     # quotient -1 at k = 0, which no generator count can be
     series = MultiSeries((2,), {(0,): HalfSeries.one(10),
                                 (1,): HalfSeries({2 * n: 1 for n in range(6)}, 0, 10),
-                                (2,): HalfSeries.zero(0, 10)})
+                                (2,): HalfSeries({}, 0, 10)})
     with pytest.raises(StructuralViolationError) as exc:
         plethystic_factor(series)
     assert str(exc.value) == ("extracted multiplicity -1 at gamma=(2,), k=0 "

@@ -69,14 +69,13 @@ def test_window_bookkeeping_product_rule():
 
 
 def test_adding_a_scalar_is_a_type_error():
-    # a scalar has no window: adding 0 once lowered lo to 0, so s + 0 != s
+    # a scalar has no window (adding 0 once lowered lo to 0, so s + 0 != s),
+    # and no two series are added either: HalfSeries defines no + or -
     s = HalfSeries({5: 1}, 5, 10)
     for add in (lambda: s + 0, lambda: 0 + s, lambda: s - 1, lambda: 1 - s,
                 lambda: s + Fraction(1, 2), lambda: sum([s])):
         with pytest.raises(TypeError):
             add()
-    assert s + HalfSeries.zero(5, 10) == s
-    assert s - s == HalfSeries.zero(5, 10)
 
 
 def test_scalar_product_takes_an_int_only():
@@ -84,7 +83,7 @@ def test_scalar_product_takes_an_int_only():
     # that is not a series is a TypeError, as for +
     s = HalfSeries({5: 1, 6: -2}, 5, 10)
     assert 3 * s == s * 3 == HalfSeries({5: 3, 6: -6}, 5, 10)
-    assert s * 0 == HalfSeries.zero(5, 10)
+    assert s * 0 == HalfSeries({}, 5, 10)
     for mul in (lambda: s * Fraction(1, 2), lambda: Fraction(1, 2) * s, lambda: s * "2"):
         with pytest.raises(TypeError):
             mul()
@@ -102,10 +101,8 @@ def test_coeff_outside_window_raises():
 
 @given(small_series(), small_series(), small_series())
 def test_ring_axioms_on_common_windows(a, b, c):
-    assert agree((a + b) + c, a + (b + c))
     assert agree(a * b, b * a)
     assert agree((a * b) * c, a * (b * c))
-    assert agree(a * (b + c), a * b + a * c)
 
 
 @given(small_series())
@@ -139,7 +136,7 @@ def test_every_series_keeps_its_terms_in_ascending_order(raw, hi, a, b, n):
     built = HalfSeries(raw, 0, hi)
     assert in_order(built)
     assert built.coeffs == {k: c for k, c in raw.items() if c and k <= hi}
-    for s in (a + b, a - b, -a, a * b, b * a, a * n, n * a):
+    for s in (-a, a * b, b * a, a * n, n * a):
         assert in_order(s)
 
 
@@ -178,10 +175,10 @@ def test_multiseries_product_convolves_pieces():
     gmax = (2,)
     a = MultiSeries(gmax, {(0,): HalfSeries.one(20),
                            (1,): HalfSeries({1: 1}, 1, 20),
-                           (2,): HalfSeries.zero(2, 20)})
+                           (2,): HalfSeries({}, 2, 20)})
     b = MultiSeries(gmax, {(0,): HalfSeries.one(20),
                            (1,): HalfSeries({-1: 1}, -1, 20),
-                           (2,): HalfSeries.zero(-2, 20)})
+                           (2,): HalfSeries({}, -2, 20)})
     prod = a * b
     assert prod.pieces[(0,)].coeffs == {0: 1}
     assert prod.pieces[(1,)].coeffs == {-1: 1, 1: 1}
@@ -194,7 +191,7 @@ def test_multiseries_inverse_round_trip():
         (0, 0): HalfSeries.one(12),
         (1, 0): HalfSeries({-1: 2, 3: 1}, -1, 9),
         (0, 1): HalfSeries({1: Fraction(1, 2)}, 1, 11),
-        (1, 1): HalfSeries.zero(0, 10),
+        (1, 1): HalfSeries({}, 0, 10),
         (2, 0): HalfSeries({0: -1}, 0, 10),
         (2, 1): HalfSeries({2: 3, 4: -1}, 2, 12),
     })
@@ -205,7 +202,8 @@ def test_multiseries_inverse_round_trip():
         for g in enumerate_dim_vectors(gmax, include_zero=True):
             if any(g):
                 # zero on a window that is not empty
-                assert prod.pieces[g].is_zero() and not prod.pieces[g].window_empty(), g
+                piece = prod.pieces[g]
+                assert piece.is_zero() and piece.hi >= piece.lo, g
 
 
 def test_inverse_of_a_finite_unit_is_capped_at_its_window():

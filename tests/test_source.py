@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,10 +77,19 @@ def test_every_library_function_is_used_by_the_library():
     # a function, method or class that only the tests call is code that no CLI
     # mode runs; every one must be named (as a name or an attribute) somewhere
     # in the package outside its own definition.  __all__ strings and
-    # __init__.py's imports do not count, and dunders are called implicitly
+    # __init__.py's imports do not count, and dunders are called implicitly.
+    # A method whose name another class or function of the package also
+    # defines (such as zero or _make) counts as used only as Class.name, or
+    # as self.name or cls.name inside its own class: a call of the other
+    # definition does not keep it
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
-    refs = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+    defs = [node for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    owner = {id(item): node for node in defs if isinstance(node, ast.ClassDef)
+             for item in node.body}
+    shared = Counter(node.name for node in defs)
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, node)
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
     found = []
@@ -90,7 +100,15 @@ def test_every_library_function_is_used_by_the_library():
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             own = {id(inner) for inner in ast.walk(node)}
-            if not any(ref == node.name and where not in own for ref, where in refs):
+            uses = [ref for key, ref in refs if key == node.name and id(ref) not in own]
+            cls = owner.get(id(node))
+            if cls is not None and shared[node.name] > 1:
+                inside = {id(inner) for inner in ast.walk(cls)}
+                uses = [ref for ref in uses if isinstance(ref, ast.Attribute)
+                        and isinstance(ref.value, ast.Name)
+                        and (ref.value.id == cls.name
+                             or ref.value.id in ("self", "cls") and id(ref) in inside)]
+            if not uses:
                 found.append(f"{name}:{node.lineno} {node.name}")
     assert trees
     assert found == []

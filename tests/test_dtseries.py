@@ -302,6 +302,17 @@ def test_extraction_refuses_a_negative_multiplicity():
                               "is not a non-negative integer")
 
 
+def test_extraction_refuses_a_collapsed_window():
+    # every piece of a generating series is certified on a window of width
+    # qtrunc, and so every Moebius sum on one at least that wide; a
+    # hand-built A whose x^1 piece has an empty window gives M_1, and so
+    # Omega(1), an empty window
+    series = MultiSeries((1,), {(0,): HalfSeries.one(10), (1,): HalfSeries({}, 3, 2)})
+    with pytest.raises(DomainError, match=r"^certified window collapsed at gamma=\(1,\); "
+                                          "rerun with a larger qtrunc$"):
+        plethystic_factor(series)
+
+
 # -- omega -----------------------------------------------------------------------
 
 def test_omega_examples():

@@ -70,8 +70,9 @@ def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -
     P_(gamma - e_j) divided by 1 - q^m: one in-place pass of the partition
     recurrence c(n) += c(n - m), n = m, ..., qtrunc // 2 (Andrews, *The
     Theory of Partitions*, ch. 1).  c(n) is the coefficient of q^n in
-    prod_i 1/(q;q)_(gamma^i), counted at its stored exponent chi + 2n, chi =
-    chi(gamma, gamma), in half-units.  Each c(n) reads only c(n') with n' <=
+    prod_i 1/(q;q)_(gamma^i), counted at the exponent chi + 2n, chi =
+    chi(gamma, gamma), in half-units, so it is stored at offset 2n and read
+    back at n = k // 2 from offset k.  Each c(n) reads only c(n') with n' <=
     n, so cutting at n = qtrunc // 2 leaves every stored count exact, and
     the exponents chi + 2n + 1 in between are zero: the window is [chi, chi
     + qtrunc], the same width for every gamma.  Every count is positive, as
@@ -86,11 +87,11 @@ def build_generating_series(quiver: Quiver, gamma_max: DimVector, qtrunc: int) -
         below = pieces[gamma[:j] + (m - 1,) + gamma[j + 1:]]
         counts = [0] * (qtrunc // 2 + 1)
         for k, c in below.coeffs.items():
-            counts[(k - below.lo) // 2] = c
+            counts[k // 2] = c
         for n in range(m, len(counts)):
             counts[n] += counts[n - m]
         chi = euler_form(quiver, gamma, gamma)
-        pieces[gamma] = HalfSeries._make({chi + 2 * n: c for n, c in enumerate(counts)},
+        pieces[gamma] = HalfSeries._make({2 * n: c for n, c in enumerate(counts)},
                                          chi, chi + qtrunc)
     return MultiSeries._make(tuple(gamma_max), pieces)
 
@@ -121,10 +122,11 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
     Each Omega(gamma) is one pass over the r with mu(r) != 0.  psi_r sends
     the window [lo_r, hi_r] of M_(gamma/r) to [r lo_r, r hi_r], and the sum
     is certified on [lo, hi] = [min_r r lo_r, min_r r hi_r].  Every term
-    c q^(k/2) of M_(gamma/r) with r k <= hi adds mu(r) (-1)^((r+1)k) c into
-    one dense list at r k, which has two zero slots below lo.  Times 1 - q,
-    certified on [0, hi - lo], the window stays [lo, hi] and the coefficient
-    at k is the list's c_k - c_(k-2); no ``HalfSeries`` is built per r.
+    c q^(k/2) of M_(gamma/r), k its stored offset plus lo_r, with r k <= hi
+    adds mu(r) (-1)^((r+1)k) c into one dense list at r k, which has two zero
+    slots below lo.  Times 1 - q, certified on [0, hi - lo], the window stays
+    [lo, hi] and the coefficient at k is the list's c_k - c_(k-2), stored at
+    offset k - lo; no ``HalfSeries`` is built per r.
 
     A has integer coefficients and A_0 = 1, so M and the sum over r are
     integral, and the division by |gamma| is an exact integer division of
@@ -150,6 +152,7 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
         for r, mu, s in terms:
             odd_sign = mu if r % 2 else -mu   # psi_r flips the odd k when r is even
             for k, c in s.coeffs.items():
+                k += s.lo
                 if r * k > hi:
                     break
                 acc[r * k - base] += odd_sign * c if k % 2 else mu * c
@@ -165,7 +168,7 @@ def plethystic_factor(series: MultiSeries) -> dict[DimVector, HalfSeries]:
                 raise StructuralViolationError(
                     f"extracted multiplicity {shown} at gamma={gamma}, k={k} "
                     "is not a non-negative integer")
-            counts[k] = count
+            counts[k - lo] = count
         omegas[gamma] = HalfSeries._make(counts, lo, hi)
     return omegas
 

@@ -12,22 +12,28 @@ min(hi1 + lo2, hi2 + lo1).  Recomputing with a wider window always agrees
 on the narrower one; tests rely on that.  No two series are added: the one
 sum outside a product, the Moebius sum of ``dtseries``, is a dense list.
 
-A ``HalfSeries`` keeps its terms in ascending exponent order, each one
-nonzero and inside [lo, hi].  The public constructor sorts and filters what
-it is given.  Results built in that order already are taken as they are by
-the private ``HalfSeries._make``: here products (``_sum_of_products``),
-negation and integer multiples; in ``dtseries`` the generating series'
-pieces and the extracted counts.  Likewise ``MultiSeries._make`` skips the
-box-key check for the series that are built on their box: products,
-inverses and ``build_generating_series``.
+A ``HalfSeries`` keys the coefficient of q^(k/2) by its offset k - lo from
+the window start, so every key lies on [0, hi - lo], and keeps its terms in
+ascending order, each one nonzero.  CPython caches the ints -5 ... 256, so the
+keys of a window up to 257 wide are shared objects, wherever the window
+starts.  The public constructor takes absolute exponents, and sorts and
+filters them; ``items``, ``coeff`` and the repr speak in absolute exponents
+too.  Results built in offset order already are taken as they are by the
+private ``HalfSeries._make``, which takes offsets: here products
+(``_sum_of_products``), negation and integer multiples; in ``dtseries`` the
+generating series' pieces and the extracted counts.  Only ``series`` and
+``dtseries`` read ``coeffs`` or call ``_make``.  Likewise
+``MultiSeries._make`` skips the box-key check for the series that are built
+on their box: products, inverses and ``build_generating_series``.
 
 Every product, of two ``HalfSeries`` or of two ``MultiSeries``, is one
 accumulation (``_sum_of_products``): a piece (A B)_g = sum_(d <= g) A_d
 B_(g-d) takes its window [lo, hi] from all its term products at once, then
-adds every term pair into one dense list, the coefficient of q^(k/2) at
-index k - lo, walking the second factor as stored, in ascending exponent
-order, and stopping at that hi.  No intermediate series is built and no
-pair above the certified hi is visited.
+adds every term pair into one dense list, the pair of offsets (k1, k2) of
+factors on [lo1, hi1] and [lo2, hi2] at index k1 + k2 + (lo1 + lo2 - lo),
+which is the result's own offset, walking the second factor as stored, in
+ascending offset order, and stopping at that hi.  No intermediate series is
+built and no pair above the certified hi is visited.
 
 A ``MultiSeries`` holds one piece for every vector of its box, and a
 product or inverse lists them in lex order, where g sits at its flat
@@ -60,12 +66,13 @@ def _sum_of_products(pairs) -> "HalfSeries":
     least lo1 + lo2 and hi = the least min(hi1 + lo2, hi2 + lo1), comes
     first, in one pass over the pairs.  When no pair has terms in both
     factors the sum is the empty series on that window.  Otherwise both
-    are walked as stored, in ascending exponent order: s2 is left at the
-    first k1 + k2 above hi, and s1 at the first k1 above hi minus s2's first
-    (least) exponent, so no term pair above hi is visited, and a pair with
-    an empty s2 is skipped.  Each visited k = k1 + k2 lies on [lo, hi] and
-    adds into a dense list at index k - lo, whose nonzero entries are the
-    result's terms in ascending order."""
+    are walked as stored, in ascending offset order, each offset k1 of s1
+    moved by base = lo1 + lo2 - lo >= 0 onto the result's offsets: s2 is
+    left at the first k1 + base + k2 above hi - lo, and s1 at the first k1 +
+    base above hi - lo minus s2's first (least) offset, so no term pair above
+    hi is visited, and a pair with an empty s2 is skipped.  Each visited k =
+    k1 + base + k2 lies on [0, hi - lo] and adds into a dense list at index
+    k, whose nonzero entries are the result's terms in ascending order."""
     lo = hi = None
     live = False
     for s1, s2 in pairs:
@@ -87,10 +94,11 @@ def _sum_of_products(pairs) -> "HalfSeries":
         terms2 = s2.coeffs
         if not terms2:
             continue
+        base = s1.lo + s2.lo - lo
         last = top - next(iter(terms2))   # the least k2 comes first
         terms2 = terms2.items()
         for k1, c1 in s1.coeffs.items():
-            k1 -= lo
+            k1 += base
             if k1 > last:
                 break
             for k2, c2 in terms2:
@@ -98,19 +106,21 @@ def _sum_of_products(pairs) -> "HalfSeries":
                 if k > top:
                     break
                 acc[k] += c1 * c2
-    return HalfSeries._make({k: c for k, c in enumerate(acc, lo) if c}, lo, hi)
+    return HalfSeries._make({k: c for k, c in enumerate(acc) if c}, lo, hi)
 
 
 class HalfSeries:
     """One Laurent series in q^(1/2) with a finite exactness window.
-    ``coeffs`` holds the nonzero terms on [lo, hi] in ascending exponent
-    order."""
+    ``coeffs`` holds the nonzero terms on [lo, hi] in ascending order, the
+    coefficient of q^(k/2) keyed by its offset k - lo, on [0, hi - lo];
+    ``items``, ``coeff`` and the repr use the absolute exponent k."""
 
     __slots__ = ("coeffs", "lo", "hi")
 
     def __init__(self, coeffs, lo: int, hi: int):
-        """Keeps the nonzero terms of ``coeffs`` up to hi, in ascending
-        order.  A term below lo raises DomainError, naming the least."""
+        """Keeps the nonzero terms of ``coeffs``, keyed by absolute
+        exponent, up to hi, in ascending order.  A term below lo raises
+        DomainError, naming the least."""
         self.lo = lo
         self.hi = hi
         self.coeffs = {}
@@ -120,12 +130,13 @@ class HalfSeries:
             if k > hi:
                 break
             if c:
-                self.coeffs[k] = c
+                self.coeffs[k - lo] = c
 
     @classmethod
     def _make(cls, coeffs: dict, lo: int, hi: int) -> "HalfSeries":
-        """The series with the terms ``coeffs``, already nonzero, on [lo, hi]
-        and in ascending order, taken as they are."""
+        """The series with the terms ``coeffs``, keyed by offset from lo,
+        already nonzero, on [0, hi - lo] and in ascending order, taken as
+        they are."""
         s = cls.__new__(cls)
         s.coeffs, s.lo, s.hi = coeffs, lo, hi
         return s
@@ -139,14 +150,14 @@ class HalfSeries:
     # -- inspection ----------------------------------------------------------
 
     def items(self):
-        return list(self.coeffs.items())
+        return [(k + self.lo, c) for k, c in self.coeffs.items()]
 
     def coeff(self, k: int):
         """Coefficient of q^(k/2): 0 below lo, the order bound, and
         DomainError above hi."""
         if k > self.hi:
             raise DomainError(f"exponent {k} is beyond the certified window {self.window()}")
-        return self.coeffs.get(k, 0)
+        return self.coeffs.get(k - self.lo, 0)
 
     def window(self) -> tuple[int, int]:
         return (self.lo, self.hi)
@@ -180,7 +191,7 @@ class HalfSeries:
     __hash__ = None
 
     def __repr__(self):
-        return f"HalfSeries({self.coeffs!r}, {self.lo}, {self.hi})"
+        return f"HalfSeries({dict(self.items())!r}, {self.lo}, {self.hi})"
 
 
 def _sub_boxes(gamma_max: DimVector):

@@ -73,16 +73,16 @@ def reindex(p, new_gamma, var_map):
 
 def agree(a, b):
     """Two HalfSeries agree coefficientwise on the overlap of their windows."""
-    return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0)
+    return all(a.coeff(k) == b.coeff(k)
                for k in range(min(a.lo, b.lo), min(a.hi, b.hi) + 1))
 
 
 def in_order(s):
-    """The terms of a HalfSeries are strictly ascending in exponent, nonzero
-    and inside its window [lo, hi]."""
+    """The terms of a HalfSeries are stored strictly ascending, nonzero and
+    keyed by offsets 0 <= k - lo <= hi - lo, so inside its window [lo, hi]."""
     keys = list(s.coeffs)
     return (all(k1 < k2 for k1, k2 in zip(keys, keys[1:])) and all(s.coeffs.values())
-            and all(s.lo <= k <= s.hi for k in keys))
+            and all(0 <= k <= s.hi - s.lo for k in keys))
 
 
 @st.composite

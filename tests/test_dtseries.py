@@ -70,7 +70,7 @@ def test_inverse_pochhammers_count_partitions(width):
                     assert s.coeff(chi + 2 * n) == n // 2 + 1
             one = s * _pochhammer(m, width)
             assert one.window() == (chi, chi + width)
-            assert one.coeffs == {chi: 1}
+            assert dict(one.items()) == {chi: 1}
 
 
 @settings(deadline=None, max_examples=60)
@@ -169,8 +169,8 @@ def test_extraction_no_loops():
 def test_extraction_two_loops_gamma_one_column():
     series = build_generating_series(S2, (2,), 16)
     omegas = plethystic_factor(series)
-    assert omegas[(1,)].coeffs == {-1: 1}
-    assert omegas[(2,)].coeffs == {-4: 1}
+    assert dict(omegas[(1,)].items()) == {-1: 1}
+    assert dict(omegas[(2,)].items()) == {-4: 1}
 
 
 def test_extraction_parity():
@@ -273,7 +273,7 @@ def test_extraction_leaves_its_argument_unchanged(case):
     # that one included, is compared against a copy taken before the call
     quiver, gmax = case
     series = build_generating_series(quiver, gmax, 8)
-    before = {g: HalfSeries(dict(s.coeffs), s.lo, s.hi) for g, s in series.pieces.items()}
+    before = {g: HalfSeries(dict(s.items()), s.lo, s.hi) for g, s in series.pieces.items()}
     plethystic_factor(series)
     assert series.gamma_max == gmax and series.pieces == before
 
@@ -316,9 +316,9 @@ def test_extraction_refuses_a_collapsed_window():
 # -- omega -----------------------------------------------------------------------
 
 def test_omega_examples():
-    assert dt_report(S1, (1,), 14)[(1,)].coeffs == {1: 1}
-    assert dt_report(S1, (2,), 14)[(2,)].coeffs == {}
-    assert dt_report(S2, (1,), 14)[(1,)].coeffs == {-1: 1}
+    assert dict(dt_report(S1, (1,), 14)[(1,)].items()) == {1: 1}
+    assert dict(dt_report(S1, (2,), 14)[(2,)].items()) == {}
+    assert dict(dt_report(S2, (1,), 14)[(1,)].items()) == {-1: 1}
 
 
 def test_omega_positivity_across_suite(suite_quiver):
@@ -357,7 +357,7 @@ def test_dt_report_windows_sound_and_lowest_term_is_one(case):
         chi = euler_form(quiver, gamma, gamma)
         for s in (s1, s2):
             if not s.is_zero():
-                assert min(s.coeffs) == chi, gamma
+                assert min(dict(s.items())) == chi, gamma
                 assert s.coeff(chi) == 1, gamma
 
 
@@ -413,6 +413,38 @@ def test_prim_dims_agree_with_extraction_on_random_quivers(case):
         assert agree(linear, series), gamma
 
 
+# The boxes of ROADMAP item 7: at qtrunc = 1 - min chi over the box every
+# window is complete, hi >= 1, and then holds the whole of Omega(gamma)
+# (arXiv:1411.4062), so the two routes agree on every generator count.  A
+# gamma whose series window ends below chi > 1 has Omega = 0 and no cell
+_COMPLETE_BOXES = [
+    pytest.param([[1]], (6,), id="jordan-6"),
+    pytest.param([[2]], (4,), id="loop2-4"),
+    pytest.param([[2]], (5,), id="loop2-5"),
+    pytest.param([[3]], (3,), id="loop3-3"),
+    pytest.param([[3]], (4,), id="loop3-4"),
+    pytest.param([[0, 2], [2, 0]], (3, 2), id="kronecker-3-2"),
+    pytest.param([[0, 2], [2, 0]], (3, 3), id="kronecker-3-3"),
+    pytest.param([[0, 1], [1, 0]], (3, 3), id="a2-3-3"),
+    pytest.param([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (2, 2, 2), id="cycle3-2-2-2"),
+]
+
+
+@pytest.mark.parametrize("rows, gmax", _COMPLETE_BOXES)
+def test_routes_agree_on_complete_windows(rows, gmax):
+    quiver = from_rows(rows)
+    qtrunc = 1 - min(euler_form(quiver, g, g) for g in enumerate_dim_vectors(gmax))
+    for gamma, series in dt_report(quiver, gmax, qtrunc).items():
+        chi = euler_form(quiver, gamma, gamma)
+        assert series.hi >= 1, gamma
+        if series.hi < chi:
+            assert series.is_zero(), gamma
+            continue
+        linear = prim_dims(quiver, gamma, min(chi + qtrunc, series.hi))
+        assert linear.hi >= 1, gamma
+        assert agree(linear, series), gamma
+
+
 # -- literature anchor: Reineke's closed formula for the m-loop quiver --------------
 
 def _mobius(n):
@@ -444,19 +476,30 @@ def _linear_route(quiver, d_max, qtrunc):
             for d in range(1, d_max + 1)}
 
 
-# ids without a prefix are the series route
+# ids without a prefix are the series route; qtrunc None is the complete
+# window 1 - min chi over the box, computed in the test
 @pytest.mark.parametrize("route,loops,d_max,qtrunc", [
     pytest.param(_series_route, 2, 5, 12, id="2-5-12"),
     pytest.param(_series_route, 3, 5, 30, id="3-5-30"),
     pytest.param(_series_route, 4, 4, 30, id="4-4-30"),
+    pytest.param(_series_route, 2, 10, None, id="2-10-complete"),
+    pytest.param(_series_route, 3, 12, None, id="3-12-complete"),
+    pytest.param(_series_route, 4, 8, None, id="4-8-complete"),
     pytest.param(_linear_route, 2, 4, 12, id="linear-2-4-12"),
     pytest.param(_linear_route, 3, 3, 30, id="linear-3-3-30"),
     pytest.param(_linear_route, 4, 2, 30, id="linear-4-2-30"),
 ])
 def test_omega_at_minus_one_matches_reineke(route, loops, d_max, qtrunc):
     # Omega(d) at q^(1/2) = -1 is (-1)^((m-1)d) DT_d^(m) (arXiv:1102.3978);
-    # these windows cover the whole support of each Omega(d)
-    omegas = route(from_rows([[loops]]), d_max, qtrunc)
+    # these windows cover the whole support of each Omega(d).  A complete
+    # window, hi >= 1, holds all of Omega (arXiv:1411.4062); at d = 12 on
+    # three loops it is 289 wide
+    quiver = from_rows([[loops]])
+    complete = qtrunc is None
+    if complete:
+        qtrunc = 1 - min(euler_form(quiver, (d,), (d,)) for d in range(1, d_max + 1))
+    omegas = route(quiver, d_max, qtrunc)
     for d in range(1, d_max + 1):
+        assert not complete or omegas[(d,)].hi >= 1, d
         value = sum(c * (-1) ** k for k, c in omegas[(d,)].items())
         assert value == (-1) ** ((loops - 1) * d) * _reineke_dt(loops, d), d

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quivercoha import DomainError, HalfSeries, MultiSeries
+from quivercoha import (DomainError, HalfSeries, MultiSeries, build_generating_series,
+                        euler_form, plethystic_factor, prim_dims)
 from quivercoha.dtseries import _log_derivative
 from quivercoha.quiver import dim_abs, dim_sub, enumerate_dim_vectors
 
-from conftest import agree, in_order, small_series
+from conftest import agree, from_rows, in_order, random_cells, small_series
 
 
 # 1-, 2- and 3-vertex boxes, zero entries such as (0, 2, 1) among them
@@ -31,8 +32,8 @@ def _brute_product(a, b):
     """a * b over all term pairs, cut to hi = min(hi_a + lo_b, hi_b + lo_a)."""
     hi = min(a.hi + b.lo, b.hi + a.lo)
     out = {}
-    for k1, c1 in a.coeffs.items():
-        for k2, c2 in b.coeffs.items():
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
             out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
     return HalfSeries({k: c for k, c in out.items() if k <= hi}, a.lo + b.lo, hi)
 
@@ -42,10 +43,23 @@ def _brute_sum(terms):
     hi = min(t.hi for t in terms)
     out = {}
     for t in terms:
-        for k, c in t.coeffs.items():
+        for k, c in t.items():
             out[k] = out.get(k, 0) + c
     return HalfSeries({k: c for k, c in out.items() if k <= hi},
                       min(t.lo for t in terms), hi)
+
+
+def _inverse_reference(a):
+    """The pieces of 1/a by out_g = -(1/A_0) sum_(0 < d <= g) A_d out_(g-d),
+    where 1/A_0 is 1 on the window [0, h] of A_0 and unknown above it."""
+    g0, *rest = enumerate_dim_vectors(a.gamma_max, include_zero=True)
+    unit = a.pieces[g0]
+    minus_inverse_unit = HalfSeries({0: -1}, 0, unit.hi)
+    others = {d: a.pieces[d] for d in rest}
+    ref = {g0: unit}
+    for g in rest:
+        ref[g] = _brute_product(_convolution_piece(others, ref, g), minus_inverse_unit)
+    return ref
 
 
 def _convolution_piece(a_pieces, b_pieces, g):
@@ -135,7 +149,7 @@ def test_every_series_keeps_its_terms_in_ascending_order(raw, hi, a, b, n):
         raw = {k: c for k, c in raw.items() if k >= 0}
     built = HalfSeries(raw, 0, hi)
     assert in_order(built)
-    assert built.coeffs == {k: c for k, c in raw.items() if c and k <= hi}
+    assert dict(built.items()) == {k: c for k, c in raw.items() if c and k <= hi}
     for s in (-a, a * b, b * a, a * n, n * a):
         assert in_order(s)
 
@@ -160,8 +174,9 @@ def sparse_wide_series(draw):
 @example(HalfSeries({-500: 1, 700: 2}, -500, 700), HalfSeries({-3: -1, 0: 4}, -3, 200),
          HalfSeries({-1: 2, 5: 1}, -1, 5))
 def test_sparse_products_on_wide_windows(a, b, c):
-    # a product adds each term pair into a dense list at k - lo; pairs of
-    # factors with different lo share one list in a MultiSeries piece
+    # a product adds each pair of offsets into a dense list at k1 + k2 +
+    # lo1 + lo2 - lo; pairs of factors with different lo share one list in a
+    # MultiSeries piece
     assert a * b == _brute_product(a, b)
     x = MultiSeries((2,), {(0,): HalfSeries.one(1000), (1,): a, (2,): b})
     y = MultiSeries((2,), {(0,): HalfSeries.one(1000), (1,): c, (2,): a})
@@ -180,9 +195,9 @@ def test_multiseries_product_convolves_pieces():
                            (1,): HalfSeries({-1: 1}, -1, 20),
                            (2,): HalfSeries({}, -2, 20)})
     prod = a * b
-    assert prod.pieces[(0,)].coeffs == {0: 1}
-    assert prod.pieces[(1,)].coeffs == {-1: 1, 1: 1}
-    assert prod.pieces[(2,)].coeffs == {0: 1}
+    assert dict(prod.pieces[(0,)].items()) == {0: 1}
+    assert dict(prod.pieces[(1,)].items()) == {-1: 1, 1: 1}
+    assert dict(prod.pieces[(2,)].items()) == {0: 1}
 
 
 def test_multiseries_inverse_round_trip():
@@ -287,16 +302,7 @@ def test_multiseries_product_equals_piecewise_reference(pair):
 @given(BOXES.flatmap(small_multiseries))
 @example(_ZERO_ENTRY)
 def test_multiseries_inverse_equals_piecewise_reference(a):
-    # out_g = -(1/A_0) sum_(0 < d <= g) A_d out_(g-d), where 1/A_0 is 1 on
-    # the window [0, h] of A_0 and unknown above it
-    g0, *rest = enumerate_dim_vectors(a.gamma_max, include_zero=True)
-    unit = a.pieces[g0]
-    minus_inverse_unit = HalfSeries({0: -1}, 0, unit.hi)
-    others = {d: a.pieces[d] for d in rest}
-    ref = {g0: unit}
-    for g in rest:
-        ref[g] = _brute_product(_convolution_piece(others, ref, g), minus_inverse_unit)
-    assert a.inverse().pieces == ref
+    assert a.inverse().pieces == _inverse_reference(a)
 
 
 @given(BOXES.flatmap(small_multiseries))
@@ -322,7 +328,7 @@ def test_narrowing_one_piece_never_widens_a_window(pair, data):
     g = data.draw(st.sampled_from(box))
     s = a.pieces[g]
     hi = data.draw(st.integers(0 if not any(g) else min(s.lo - 1, s.hi), s.hi))
-    narrowed = MultiSeries(a.gamma_max, {**a.pieces, g: HalfSeries(s.coeffs, s.lo, hi)})
+    narrowed = MultiSeries(a.gamma_max, {**a.pieces, g: HalfSeries(dict(s.items()), s.lo, hi)})
     for wide, narrow in ((a.inverse(), narrowed.inverse()), (a * b, narrowed * b),
                          (b * a, b * narrowed)):
         for d in box:
@@ -342,3 +348,59 @@ def test_products_and_inverses_are_ordered_pieces_on_exactly_the_box(pair):
     for s in (a * b, b * a, a.inverse()):
         assert s.gamma_max == a.gamma_max and s.pieces.keys() == box
         assert all(in_order(p) for p in s.pieces.values())
+
+
+# -- storage: every term keyed by its offset from the window start -------------
+
+def _stored_by_offset(s):
+    """s stores each term under its offset k - lo, an int on [0, hi - lo], in
+    ascending order and nonzero; the public constructor rebuilds s from its
+    absolute terms, and the repr shows those."""
+    terms = dict(s.items())
+    return (in_order(s) and all(type(k) is int for k in s.coeffs)
+            and HalfSeries(terms, s.lo, s.hi) == s
+            and repr(s) == f"HalfSeries({terms!r}, {s.lo}, {s.hi})")
+
+
+@settings(max_examples=50)
+@given(st.dictionaries(st.integers(-20, 20), st.integers(-2, 2)), st.integers(-20, 0),
+       st.integers(-2, 30), st.one_of(small_series(), sparse_wide_series()),
+       st.one_of(small_series(), sparse_wide_series()), st.integers(-3, 3),
+       BOXES.flatmap(lambda box: st.tuples(small_multiseries(box),
+                                           small_multiseries(box))))
+@example({-9: 1, -7: -2, 0: 1}, -9, 9, HalfSeries({-12: 1, -8: 3}, -12, 4),
+         HalfSeries({-6: 2, -5: -1}, -6, 10), 2, (_ZERO_ENTRY, _ZERO_ENTRY))
+def test_every_series_builder_keys_terms_by_offset(raw, lo, width, a, b, n, pair):
+    # the keys are offsets wherever the window starts, and each result holds
+    # the absolute terms its reference, built by the public constructor, holds
+    hi = lo + width
+    built = HalfSeries({k: c for k, c in raw.items() if k >= lo}, lo, hi)
+    assert dict(built.items()) == {k: c for k, c in raw.items() if c and lo <= k <= hi}
+    assert dict((-a).items()) == {k: -c for k, c in a.items()}
+    assert dict((a * n).items()) == dict((n * a).items()) == {
+        k: n * c for k, c in a.items() if n}
+    assert a * b == _brute_product(a, b)
+    x, y = pair
+    box = enumerate_dim_vectors(x.gamma_max, include_zero=True)
+    product, inverse = x * y, x.inverse()
+    assert product.pieces == {g: _convolution_piece(x.pieces, y.pieces, g) for g in box}
+    assert inverse.pieces == _inverse_reference(x)
+    for s in (built, -a, a * n, n * a, a * b, *product.pieces.values(),
+              *inverse.pieces.values()):
+        assert _stored_by_offset(s), s
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_cells(), st.integers(0, 12))
+@example((from_rows([[0, 2], [2, 0]]), (2, 2)), 12)
+def test_both_routes_key_terms_by_offset(case, qtrunc):
+    # the generating series' pieces start at chi, often far below 0, and the
+    # extracted Omega and the linear route's counts at or near it
+    quiver, gmax = case
+    series = build_generating_series(quiver, gmax, qtrunc)
+    assert all(_stored_by_offset(s) for s in series.pieces.values())
+    for gamma, omega in plethystic_factor(series).items():
+        assert _stored_by_offset(omega), gamma
+        if sum(gamma) <= 3:
+            chi = euler_form(quiver, gamma, gamma)
+            assert _stored_by_offset(prim_dims(quiver, gamma, chi + min(qtrunc, 6))), gamma

@@ -114,6 +114,26 @@ def test_every_library_function_is_used_by_the_library():
     assert found == []
 
 
+def test_only_the_series_layer_sees_offset_keys():
+    # HalfSeries.coeffs keys each term by its offset k - lo, and
+    # HalfSeries._make takes offsets: series and dtseries own that
+    # convention, and every other module reads a series through items(),
+    # coeff(), lo, hi and is_zero(), which speak in absolute exponents
+    owners = {"series.py", "dtseries.py"}
+    seen, found = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "coeffs" or node.attr == "_make"
+                    and isinstance(node.value, ast.Name) and node.value.id == "HalfSeries"):
+                seen.add(path.name)
+                if path.name not in owners:
+                    found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert found == []
+    assert seen == owners
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     # every CLI call starts a fresh interpreter, so its import cost is paid
     # each time; dataclasses pulls in inspect, ast, dis and tokenize, csv is
